@@ -97,8 +97,6 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument("--config", type=str, default=None,
                         help="key = value config file; flags take precedence")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="fold-level parallelism for eval")
     parser.add_argument("--log-level", type=str, default="warning",
                         choices=["debug", "info", "warning", "error"])
 
@@ -122,6 +120,7 @@ def _add_model_knobs(parser):
 
 
 def build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="sentbound",
                      description="Sentence boundary detection for speech transcripts")
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -172,7 +171,7 @@ def build_parser():
                          help="regenerate from a previously written manifest")
     _add_common(p_synth)
     p_synth.set_defaults(func=cmd_synth)
-    return parser
+    return parser, dict(sub.choices)
 
 
 def _resolved(args):
@@ -217,6 +216,17 @@ def _write_manifest(path, entries):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _epoch_log(path):
+    """Empty the file at path; return a train_model log callback appending to it."""
+    path.write_text("", encoding="utf-8")
+
+    def write(epoch, mean_loss, elapsed_ms):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{epoch}\t{mean_loss!r}\t{elapsed_ms:.1f}\n")
+
+    return write
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -230,17 +240,8 @@ def cmd_train(args):
         raise _UsageError("train needs a lexical feature (prosody-only is eval-only)")
     config = _eval_config(args)
     out = Path(args.out)
-    logs = {}
-    for kind in ("lexical", "prosodic"):
-        log_path = out.with_suffix(out.suffix + f".{kind}.log")
-
-        def writer(epoch, mean_loss, elapsed_ms, _path=log_path, _first=[True]):
-            mode = "w" if _first[0] else "a"
-            _first[0] = False
-            with open(_path, mode, encoding="utf-8") as fh:
-                fh.write(f"{epoch}\t{mean_loss!r}\t{elapsed_ms:.1f}\n")
-
-        logs[kind] = writer
+    kinds = ("lexical", "prosodic") if feature_set.prosody else ("lexical",)
+    logs = {k: _epoch_log(out.with_suffix(out.suffix + f".{k}.log")) for k in kinds}
     segmenter = train_segmenter(corpus, args.variant, feature_set, config, logs=logs)
     save_model(segmenter, out)
     _write_manifest(
@@ -300,9 +301,7 @@ def cmd_eval(args):
     if args.corpus:
         corpus = read_corpus(args.corpus)
         config = _eval_config(args, folds=args.folds)
-        report = cross_validated_eval(
-            corpus, args.variant, feature_name, config, jobs=args.jobs
-        )
+        report = cross_validated_eval(corpus, args.variant, feature_name, config)
     else:
         if not (args.train_corpus and args.test_corpus):
             raise _UsageError("--train-corpus and --test-corpus go together")
@@ -380,20 +379,20 @@ def cmd_synth(args):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         config_path = _scan_config_path(argv)
         if config_path:
             values = load_config_file(config_path)
             known = {
                 action.dest
-                for p in [parser] + list(parser._subparsers._group_actions[0].choices.values())
+                for p in [parser, *commands.values()]
                 for action in p._actions
             }
             unknown = set(values) - known
             if unknown:
                 raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-            for p in parser._subparsers._group_actions[0].choices.values():
+            for p in commands.values():
                 p.set_defaults(**values)
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):

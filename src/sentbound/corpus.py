@@ -99,7 +99,8 @@ class Corpus:
 
     @property
     def has_prosody(self):
-        return bool(self.texts) and self.texts[0].prosody is not None
+        """True when every text carries prosody (and there is at least one)."""
+        return bool(self.texts) and all(t.prosody is not None for t in self.texts)
 
 
 def _split_trailing_marks(token):
@@ -262,8 +263,6 @@ def read_corpus(path, format="tsv"):
             texts.append(_read_tokens_file(f))
     corpus = Corpus(texts, name=path.stem if path.is_file() else path.name)
     if any(t.prosody is not None for t in corpus) and not corpus.has_prosody:
-        raise ParseError("prosody must be present for all texts or none", str(path))
-    if corpus.has_prosody and any(t.prosody is None for t in corpus):
         raise ParseError("prosody must be present for all texts or none", str(path))
     return corpus
 

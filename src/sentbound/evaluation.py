@@ -6,7 +6,6 @@ are pooled by summing tp/fp/fn counts (micro-averaging) because per-fold
 boundary counts are small.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +16,11 @@ from .features import EmbeddingTable, LexicalEncoder, ProsodicEncoder, fit_proso
 from .model import (
     Hyperparams,
     TrainedSegmenter,
+    boundary_counts,
     fuse,
     labels_from_probs,
     parse_feature_set,
+    prf_from_counts,
 )
 from .training import (
     TrainConfig,
@@ -46,29 +47,11 @@ class EvalReport:
 
 
 def _report_from_counts(tp, fp, fn, per_fold=None, config=None):
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    precision, recall, f1 = prf_from_counts(tp, fp, fn)
     return EvalReport(
         tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, f1=f1,
         per_fold=per_fold or [], config=config or {},
     )
-
-
-def boundary_counts(gold, pred):
-    if len(gold) != len(pred):
-        raise ContractError(
-            f"label sequences disagree in length: {len(gold)} vs {len(pred)}"
-        )
-    tp = fp = fn = 0
-    for g, p in zip(gold, pred):
-        if p == LABEL_B and g == LABEL_B:
-            tp += 1
-        elif p == LABEL_B:
-            fp += 1
-        elif g == LABEL_B:
-            fn += 1
-    return tp, fp, fn
 
 
 def prf_boundary(gold, pred, config=None):
@@ -140,7 +123,6 @@ class EvalConfig:
     prosodic_hp: Hyperparams = field(default_factory=Hyperparams.prosodic)
     folds: int = 5
     alpha: float | None = None  # fixed fusion weight; None tunes on the grid
-    alpha_per_fold: bool = False
     word_table: EmbeddingTable | None = None  # pretrained init, else per-run random
 
 
@@ -214,6 +196,32 @@ def _predict_probs(bundle, encoder, text):
     return probs
 
 
+def _predictions(models, texts):
+    """(p_lex, p_pros, gold) per text from _train_pair's models; an absent
+    model gives None."""
+    lex_bundle, lex_enc, pros_bundle, pros_enc, _ = models
+    for t in texts:
+        p_lex = None if lex_bundle is None else _predict_probs(lex_bundle, lex_enc, t)
+        p_pros = None if pros_bundle is None else _predict_probs(pros_bundle, pros_enc, t)
+        yield p_lex, p_pros, t.labels
+
+
+def resolve_alpha(feature_set, config, predictions):
+    """The fusion weight of a run.
+
+    1.0 or 0.0 when only the lexical or only the prosodic family is
+    active; else config.alpha when set; else the value tune_alpha_from_probs
+    picks on `predictions`, (p_lex, p_pros, gold) triples that are only
+    consumed in that last case.
+    """
+    if not (feature_set.has_lexical and feature_set.prosody):
+        return 1.0 if feature_set.has_lexical else 0.0
+    if config.alpha is not None:
+        return config.alpha
+    lex_probs, pros_probs, gold = zip(*predictions)
+    return tune_alpha_from_probs(lex_probs, pros_probs, gold, config.train.alpha_grid)
+
+
 def _labels_for(p_lex, p_pros, feature_set, alpha):
     if feature_set.has_lexical and feature_set.prosody:
         labels, _ = fuse(p_lex, p_pros, alpha)
@@ -224,101 +232,42 @@ def _labels_for(p_lex, p_pros, feature_set, alpha):
     return labels
 
 
-def _run_fold(fold, plan, by_id, variant, feature_set, config):
-    """Train on a fold's training split and predict its test texts."""
-    train_texts = [by_id[tid] for tid in sorted(plan.train_ids(fold))]
-    test_texts = [by_id[tid] for tid in sorted(plan.test_ids(fold))]
-    lex_bundle, lex_enc, pros_bundle, pros_enc, _ = _train_pair(
-        variant, feature_set, train_texts, config, fold
-    )
-    fused_needed = feature_set.has_lexical and feature_set.prosody
-    fold_alpha = None
-    if fused_needed and config.alpha is None and config.alpha_per_fold:
-        lex_probs, pros_probs, gold = [], [], []
-        for t in train_texts:
-            lex_probs.append(_predict_probs(lex_bundle, lex_enc, t))
-            pros_probs.append(_predict_probs(pros_bundle, pros_enc, t))
-            gold.append(t.labels)
-        fold_alpha = tune_alpha_from_probs(
-            lex_probs, pros_probs, gold, config.train.alpha_grid
-        )
-    predictions = {}
-    for t in test_texts:
-        p_lex = (
-            _predict_probs(lex_bundle, lex_enc, t) if feature_set.has_lexical else None
-        )
-        p_pros = (
-            _predict_probs(pros_bundle, pros_enc, t) if feature_set.prosody else None
-        )
-        predictions[t.id] = (fold, p_lex, p_pros, t.labels)
-    return fold_alpha, predictions
-
-
-def cross_validated_eval(corpus, variant, feature_set, config: EvalConfig, jobs=1):
+def cross_validated_eval(corpus, variant, feature_set, config: EvalConfig):
     """K-fold training and evaluation; counts pooled across folds.
 
-    When both model families are active and no fixed alpha is configured,
-    the fusion weight is tuned on the pooled out-of-fold predictions
-    (or per fold on that fold's training texts with alpha_per_fold).
-    Folds are independent; jobs > 1 runs them on a thread pool with
-    identical results because every fold derives its own rng streams.
+    Folds run one after another, each on its own rng streams. One fusion
+    weight (resolve_alpha) scores every fold; when it is tuned, it is
+    tuned on the pooled out-of-fold predictions.
     """
     feature_set = _check_feature_set(feature_set, corpus)
     plan = kfold_split(corpus, config.folds, config.train.seed)
     by_id = {t.id: t for t in corpus}
-    fused_needed = feature_set.has_lexical and feature_set.prosody
-    oof = {}  # text id -> (fold, p_lex, p_pros, gold)
-    fold_alphas = {}
-
-    def run(fold):
-        return _run_fold(fold, plan, by_id, variant, feature_set, config)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, range(plan.k)))
-    else:
-        results = [run(fold) for fold in range(plan.k)]
-    for fold, (fold_alpha, predictions) in enumerate(results):
-        if fold_alpha is not None:
-            fold_alphas[fold] = fold_alpha
-        oof.update(predictions)
-    if not fused_needed:
-        alpha = 1.0 if feature_set.has_lexical else 0.0
-    elif config.alpha is not None:
-        alpha = config.alpha
-    elif config.alpha_per_fold:
-        alpha = None
-    else:
-        entries = [oof[tid] for tid in sorted(oof)]
-        alpha = tune_alpha_from_probs(
-            [e[1] for e in entries],
-            [e[2] for e in entries],
-            [e[3] for e in entries],
-            config.train.alpha_grid,
-        )
-    per_fold_counts = {f: [0, 0, 0] for f in range(plan.k)}
+    oof = {}  # text id -> (fold, (p_lex, p_pros, gold))
+    for fold in range(plan.k):
+        train_texts = [by_id[tid] for tid in sorted(plan.train_ids(fold))]
+        test_texts = [by_id[tid] for tid in sorted(plan.test_ids(fold))]
+        models = _train_pair(variant, feature_set, train_texts, config, fold)
+        for t, triple in zip(test_texts, _predictions(models, test_texts)):
+            oof[t.id] = (fold, triple)
+    alpha = resolve_alpha(feature_set, config, (oof[tid][1] for tid in sorted(oof)))
+    per_fold_counts = [[0, 0, 0] for _ in range(plan.k)]
     for tid in sorted(oof):
-        fold, p_lex, p_pros, gold = oof[tid]
-        a = fold_alphas.get(fold, alpha) if alpha is None else alpha
-        pred = _labels_for(p_lex, p_pros, feature_set, a)
-        tp, fp, fn = boundary_counts(gold, pred)
+        fold, (p_lex, p_pros, gold) = oof[tid]
+        tp, fp, fn = boundary_counts(gold, _labels_for(p_lex, p_pros, feature_set, alpha))
         per_fold_counts[fold][0] += tp
         per_fold_counts[fold][1] += fp
         per_fold_counts[fold][2] += fn
     per_fold = []
-    for fold in range(plan.k):
-        tp, fp, fn = per_fold_counts[fold]
+    for fold, (tp, fp, fn) in enumerate(per_fold_counts):
         sub = _report_from_counts(tp, fp, fn)
         per_fold.append(
             {
                 "fold": fold, "tp": tp, "fp": fp, "fn": fn,
                 "precision": sub.precision, "recall": sub.recall, "f1": sub.f1,
-                "alpha": fold_alphas.get(fold, alpha),
+                "alpha": alpha,
             }
         )
-    tp = sum(c[0] for c in per_fold_counts.values())
-    fp = sum(c[1] for c in per_fold_counts.values())
-    fn = sum(c[2] for c in per_fold_counts.values())
+    tp, fp, fn = (sum(c[i] for c in per_fold_counts) for i in range(3))
     return _report_from_counts(
         tp, fp, fn, per_fold=per_fold,
         config={
@@ -346,32 +295,14 @@ def robustness_eval(train_corpus, test_corpus, config: EvalConfig,
             "feature set requires"
         )
     train_texts = sorted(train_corpus, key=lambda t: t.id)
-    lex_bundle, lex_enc, pros_bundle, pros_enc, _ = _train_pair(
-        variant, feature_set, train_texts, config, fold_index=0
-    )
-    fused_needed = feature_set.has_lexical and feature_set.prosody
-    if not fused_needed:
-        alpha = 1.0 if feature_set.has_lexical else 0.0
-    elif config.alpha is not None:
-        alpha = config.alpha
-    else:
-        lex_probs, pros_probs, gold = [], [], []
-        for t in train_texts:
-            lex_probs.append(_predict_probs(lex_bundle, lex_enc, t))
-            pros_probs.append(_predict_probs(pros_bundle, pros_enc, t))
-            gold.append(t.labels)
-        alpha = tune_alpha_from_probs(
-            lex_probs, pros_probs, gold, config.train.alpha_grid
-        )
+    models = _train_pair(variant, feature_set, train_texts, config, fold_index=0)
+    alpha = resolve_alpha(feature_set, config, _predictions(models, train_texts))
     tp = fp = fn = 0
-    for t in sorted(test_corpus, key=lambda x: x.id):
-        p_lex = _predict_probs(lex_bundle, lex_enc, t) if feature_set.has_lexical else None
-        p_pros = _predict_probs(pros_bundle, pros_enc, t) if feature_set.prosody else None
+    test_texts = sorted(test_corpus, key=lambda t: t.id)
+    for p_lex, p_pros, gold in _predictions(models, test_texts):
         pred = _labels_for(p_lex, p_pros, feature_set, alpha)
-        a, b, c = boundary_counts(t.labels, pred)
-        tp += a
-        fp += b
-        fn += c
+        a, b, c = boundary_counts(gold, pred)
+        tp, fp, fn = tp + a, fp + b, fn + c
     return _report_from_counts(
         tp, fp, fn,
         config={
@@ -394,25 +325,11 @@ def train_segmenter(corpus, variant, feature_set, config: EvalConfig, logs=None)
     if not feature_set.has_lexical:
         raise ContractError("a segmenter needs a lexical model")
     texts = sorted(corpus, key=lambda t: t.id)
-    lex_bundle, lex_enc, pros_bundle, pros_enc, stats = _train_pair(
-        variant, feature_set, texts, config, fold_index=0, logs=logs
-    )
-    if pros_bundle is None:
-        alpha = 1.0
-    elif config.alpha is not None:
-        alpha = config.alpha
-    else:
-        lex_probs, pros_probs, gold = [], [], []
-        for t in texts:
-            lex_probs.append(_predict_probs(lex_bundle, lex_enc, t))
-            pros_probs.append(_predict_probs(pros_bundle, pros_enc, t))
-            gold.append(t.labels)
-        alpha = tune_alpha_from_probs(
-            lex_probs, pros_probs, gold, config.train.alpha_grid
-        )
+    models = _train_pair(variant, feature_set, texts, config, fold_index=0, logs=logs)
+    lex_bundle, _, pros_bundle, _, stats = models
     return TrainedSegmenter(
         lexical=lex_bundle,
-        alpha=alpha,
+        alpha=resolve_alpha(feature_set, config, _predictions(models, texts)),
         prosodic=pros_bundle,
         prosody_stats=stats,
     )

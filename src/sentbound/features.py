@@ -22,10 +22,9 @@ OOV_SEED = 0x00B5EED
 class EmbeddingTable:
     """Token-to-vector lookup with a dedicated out-of-vocabulary row."""
 
-    def __init__(self, vocab, vectors, trainable=True):
+    def __init__(self, vocab, vectors):
         self.vocab = dict(vocab)
         self.vectors = np.asarray(vectors, dtype=np.float64)
-        self.trainable = trainable
         if self.vectors.ndim != 2 or self.vectors.shape[1] < 1:
             raise ContractError("embedding vectors must be a nonempty 2-D array")
         if len(self.vocab) + 1 != self.vectors.shape[0]:
@@ -58,17 +57,17 @@ class EmbeddingTable:
         return ordered
 
     @classmethod
-    def from_tokens(cls, tokens, dim, rng, trainable=True):
+    def from_tokens(cls, tokens, dim, rng):
         """Fresh table over the given tokens, Glorot-initialised (plus OOV)."""
         unique = sorted(set(tokens))
         vocab = {tok: i for i, tok in enumerate(unique)}
         vectors = glorot_init(len(unique) + 1, dim, rng)
-        return cls(vocab, vectors, trainable=trainable)
+        return cls(vocab, vectors)
 
     @classmethod
-    def from_rows(cls, tokens_in_row_order, vectors, trainable=True):
+    def from_rows(cls, tokens_in_row_order, vectors):
         vocab = {tok: i for i, tok in enumerate(tokens_in_row_order)}
-        return cls(vocab, vectors, trainable=trainable)
+        return cls(vocab, vectors)
 
 
 def load_embeddings(path):

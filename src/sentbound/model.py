@@ -1,4 +1,4 @@
-"""Model assembly, probability fusion, and the binary model container.
+"""Model assembly, probability fusion, boundary scoring, and the model container.
 
 A trained segmenter couples a lexical model (word/tag embeddings in front
 of the sequence network) with an optional prosodic model (dense 13-dim
@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import LABEL_B, LABEL_NB, PROSODY_DIM
 from .errors import ContractError, ModelFileError
-from .features import EmbeddingTable, ProsodyStats
+from .features import EmbeddingTable, LexicalEncoder, ProsodicEncoder, ProsodyStats
 from .numerics import NetConfig, SequenceNet
 
 MAGIC = b"DBND"
@@ -186,22 +186,6 @@ class ModelBundle:
         return EmbeddingTable.from_rows(self.tag_tokens, self.params["emb_tag"])
 
 
-# ----------------------------------------------------------------- forward
-
-
-def variant_forward(model: ModelBundle, x, mode="inference", rng=None):
-    """Probabilities (m, 2) for a prebuilt feature matrix x."""
-    probs, _ = model.net.forward(model.params, np.asarray(x, dtype=np.float64),
-                                 mode=mode, rng=rng)
-    return probs
-
-
-def rcnn_forward(model: ModelBundle, x, mode="inference", rng=None):
-    if model.variant != "rcnn":
-        raise ContractError(f"model is a {model.variant}, not an rcnn")
-    return variant_forward(model, x, mode=mode, rng=rng)
-
-
 # ------------------------------------------------------------------ fusion
 
 
@@ -240,6 +224,34 @@ def fuse(p_lex, p_pros=None, alpha=1.0):
     return labels_from_probs(fused), fused
 
 
+# ----------------------------------------------------------------- scoring
+
+
+def boundary_counts(gold, pred):
+    """(tp, fp, fn) of the boundary class over parallel label sequences."""
+    if len(gold) != len(pred):
+        raise ContractError(
+            f"label sequences disagree in length: {len(gold)} vs {len(pred)}"
+        )
+    tp = fp = fn = 0
+    for g, p in zip(gold, pred):
+        if p == LABEL_B and g == LABEL_B:
+            tp += 1
+        elif p == LABEL_B:
+            fp += 1
+        elif g == LABEL_B:
+            fn += 1
+    return tp, fp, fn
+
+
+def prf_from_counts(tp, fp, fn):
+    """Boundary (precision, recall, F1); a zero denominator gives 0."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
 # --------------------------------------------------------------- segmenter
 
 
@@ -261,8 +273,6 @@ class TrainedSegmenter:
             raise ContractError("a prosodic model needs prosody statistics")
 
     def encode_lexical(self, text):
-        from .features import LexicalEncoder  # local to avoid import cycle
-
         return LexicalEncoder(self.lexical.word_table(), self.lexical.tag_table()).encode(text)
 
     def predict_probs(self, text, alpha=None):
@@ -276,8 +286,6 @@ class TrainedSegmenter:
                     f"text {text.id!r} has no prosody but the model fuses a "
                     "prosodic component; pass alpha=1.0 for lexical-only use"
                 )
-            from .features import ProsodicEncoder
-
             enc = ProsodicEncoder(self.prosody_stats)
             p_pros, _ = self.prosodic.net.forward(self.prosodic.params, enc.encode(text))
         return fuse(p_lex, p_pros, alpha if p_pros is not None else 1.0)
@@ -325,6 +333,9 @@ class _Reader:
         return struct.unpack("<i", self.take(4))[0]
 
 
+_BUNDLE_META_KEYS = {"variant", "hyperparams", "word_tokens", "tag_tokens", "dense_dim"}
+
+
 def _bundle_meta(bundle):
     return {
         "variant": bundle.variant,
@@ -365,7 +376,12 @@ def save_model(segmenter: TrainedSegmenter, path):
 
 
 def _rebuild_bundle(meta, blocks, prefix):
-    hp = Hyperparams(**meta["hyperparams"])
+    if not isinstance(meta, dict) or not _BUNDLE_META_KEYS <= meta.keys():
+        raise ModelFileError(f"{prefix} meta lacks one of {sorted(_BUNDLE_META_KEYS)}")
+    try:
+        hp = Hyperparams(**meta["hyperparams"])
+    except TypeError as exc:
+        raise ModelFileError(f"{prefix} meta has bad hyperparams: {exc}") from exc
     word_tokens = meta["word_tokens"]
     tag_tokens = meta["tag_tokens"]
     if meta["dense_dim"]:
@@ -407,7 +423,12 @@ def load_model(path) -> TrainedSegmenter:
         raise ModelFileError(f"{path}: checksum mismatch (corrupt or truncated file)")
     reader = _Reader(data[:-4])
     reader.take(8)  # magic + version
-    meta = json.loads(reader.take(reader.u32()).decode("utf-8"))
+    try:
+        meta = json.loads(reader.take(reader.u32()).decode("utf-8"))
+    except ValueError as exc:  # includes UnicodeDecodeError
+        raise ModelFileError(f"{path}: unreadable meta: {exc}") from exc
+    if not isinstance(meta, dict) or not {"alpha", "lexical", "prosodic"} <= meta.keys():
+        raise ModelFileError(f"{path}: meta needs alpha, lexical and prosodic entries")
     blocks = {}
     for _ in range(reader.u32()):
         name = reader.take(reader.u16()).decode("utf-8")
@@ -421,6 +442,8 @@ def load_model(path) -> TrainedSegmenter:
     stats = None
     if meta["prosodic"] is not None:
         prosodic = _rebuild_bundle(meta["prosodic"], blocks, "prosodic")
+        if not {"stats/mean", "stats/std"} <= blocks.keys():
+            raise ModelFileError(f"{path}: prosodic model without prosody statistics")
         stats = ProsodyStats(blocks["stats/mean"], blocks["stats/std"])
     return TrainedSegmenter(
         lexical=lexical, alpha=meta["alpha"], prosodic=prosodic, prosody_stats=stats

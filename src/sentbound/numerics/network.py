@@ -149,18 +149,16 @@ class SequenceNet:
     # --------------------------------------------------------------- forward
 
     def _assemble_input(self, params, inp):
-        """Build the (m, d) feature matrix from ids or accept one prebuilt.
-
-        A dense matrix of full input width on an embedding-fronted network
-        bypasses the lookup (inference on precomputed features); gradients
-        then stop at the matrix instead of reaching the tables.
-        """
+        """Build the (m, d) feature matrix: the dense block of a dense-input
+        network, else the embedding rows of the word and tag ids."""
         cfg = self.cfg
-        if inp.dense is not None and inp.word_ids is None and inp.tag_ids is None:
+        if cfg.dense_dim:
+            if inp.dense is None:
+                raise ContractError("network expects dense features")
             x = np.asarray(inp.dense, dtype=np.float64)
-            if x.ndim != 2 or x.shape[1] != cfg.input_dim:
+            if x.ndim != 2 or x.shape[1] != cfg.dense_dim:
                 raise ContractError(
-                    f"dense input has shape {x.shape}, expected (m, {cfg.input_dim})"
+                    f"dense input has shape {x.shape}, expected (m, {cfg.dense_dim})"
                 )
             return np.ascontiguousarray(x)
         parts = []
@@ -172,8 +170,6 @@ class SequenceNet:
             if inp.tag_ids is None:
                 raise ContractError("network expects tag ids")
             parts.append(params["emb_tag"][inp.tag_ids])
-        if cfg.dense_dim:
-            raise ContractError("network expects dense features")
         if not parts:
             raise ContractError("network input carries no usable features")
         x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
@@ -195,8 +191,6 @@ class SequenceNet:
         if mode not in ("train", "inference"):
             raise ContractError(f"unknown mode {mode!r}")
         cfg = self.cfg
-        if isinstance(inp, np.ndarray):
-            inp = NetInput(dense=np.asarray(inp, dtype=np.float64))
         x = self._assemble_input(params, inp)
         if x.shape[0] < 1:
             raise ContractError("empty sequence")

@@ -16,8 +16,14 @@ import numpy as np
 
 from .corpus import LABEL_B, LABEL_NB
 from .errors import ContractError, NumericError
-from .features import LexicalEncoder, ProsodicEncoder
-from .model import ModelBundle, fuse, lexical_config, prosodic_config
+from .model import (
+    ModelBundle,
+    boundary_counts,
+    fuse,
+    lexical_config,
+    prf_from_counts,
+    prosodic_config,
+)
 from .numerics import RmsPropState, SequenceNet, rmsprop_step
 
 RMSPROP_EPSILON = 1e-8
@@ -293,45 +299,18 @@ def train_model(bundle, train_texts, encoder, config, rng,
 # --------------------------------------------------------------- alpha grid
 
 
-def _f1_from_counts(tp, fp, fn):
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    return 2.0 * p * r / (p + r) if p + r else 0.0
-
-
 def tune_alpha_from_probs(lex_probs, pros_probs, gold_labels, alpha_grid):
     """Grid value maximising boundary F1; exact ties go to the larger alpha."""
     if not alpha_grid:
         raise ContractError("alpha grid is empty")
-    grid = sorted(alpha_grid)
     best_alpha, best_f1 = None, -1.0
-    for alpha in grid:
+    for alpha in sorted(alpha_grid):
         tp = fp = fn = 0
         for p_lex, p_pros, gold in zip(lex_probs, pros_probs, gold_labels):
             pred, _ = fuse(p_lex, p_pros, alpha)
-            for g, p in zip(gold, pred):
-                if g == LABEL_B and p == LABEL_B:
-                    tp += 1
-                elif g != LABEL_B and p == LABEL_B:
-                    fp += 1
-                elif g == LABEL_B:
-                    fn += 1
-        f1 = _f1_from_counts(tp, fp, fn)
+            a, b, c = boundary_counts(gold, pred)
+            tp, fp, fn = tp + a, fp + b, fn + c
+        f1 = prf_from_counts(tp, fp, fn)[2]
         if f1 >= best_f1:
             best_alpha, best_f1 = alpha, f1
     return best_alpha
-
-
-def tune_alpha(lexical, prosodic, prosody_stats, validation_texts,
-               alpha_grid=DEFAULT_ALPHA_GRID):
-    """Tune the fusion weight on labelled validation texts with prosody."""
-    lex_enc = LexicalEncoder(lexical.word_table(), lexical.tag_table())
-    pros_enc = ProsodicEncoder(prosody_stats)
-    lex_probs, pros_probs, gold = [], [], []
-    for text in validation_texts:
-        p, _ = lexical.net.forward(lexical.params, lex_enc.encode(text))
-        q, _ = prosodic.net.forward(prosodic.params, pros_enc.encode(text))
-        lex_probs.append(p)
-        pros_probs.append(q)
-        gold.append(text.labels)
-    return tune_alpha_from_probs(lex_probs, pros_probs, gold, alpha_grid)

@@ -18,6 +18,7 @@ from sentbound.corpus import (
     synth_generate,
     write_corpus,
 )
+from sentbound import evaluation
 from sentbound.errors import ContractError, ParseError
 
 
@@ -200,6 +201,17 @@ class TestCorpusIO:
         with pytest.raises(ParseError, match="all texts or none"):
             read_corpus(path)
 
+    @pytest.mark.parametrize("missing", [0, 1])
+    def test_has_prosody_checks_every_text(self, missing):
+        texts = [
+            LabeledText(i, ["a"], ["t01"], ["B"], prosody=np.zeros((1, 13)))
+            for i in ("x", "y")
+        ]
+        texts[missing].prosody = None
+        assert not Corpus(texts).has_prosody
+        texts[missing].prosody = np.zeros((1, 13))
+        assert Corpus(texts).has_prosody
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("#id x team CTL\na\tt01\t-\tNB\n")
@@ -333,3 +345,19 @@ class TestSynthGenerate:
             SynthSpec(n_texts=1, mean_sentence_len=1.0)
         with pytest.raises(ContractError):
             SynthSpec(n_texts=1, cue_reliability=1.5)
+
+
+@pytest.mark.parametrize("missing", [0, -1])
+def test_mixed_prosody_corpus_is_refused_before_training(missing, monkeypatch):
+    texts = list(synth_generate(SynthSpec(n_texts=6, mean_sentences_per_text=2.0)))
+    bare = texts[missing]
+    texts[missing] = LabeledText(bare.id, bare.tokens, bare.pos_tags, bare.labels)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(evaluation, "train_model", no_training)
+    with pytest.raises(ContractError, match="needs prosody"):
+        evaluation.cross_validated_eval(
+            Corpus(texts, name="mixed"), "rcnn", "all", evaluation.EvalConfig(folds=2)
+        )
