@@ -15,6 +15,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -272,8 +273,16 @@ class TrainedSegmenter:
         if self.prosodic is not None and self.prosody_stats is None:
             raise ContractError("a prosodic model needs prosody statistics")
 
+    @cached_property
+    def _lexical_encoder(self):
+        return LexicalEncoder(self.lexical.word_table(), self.lexical.tag_table())
+
+    @cached_property
+    def _prosodic_encoder(self):
+        return ProsodicEncoder(self.prosody_stats)
+
     def encode_lexical(self, text):
-        return LexicalEncoder(self.lexical.word_table(), self.lexical.tag_table()).encode(text)
+        return self._lexical_encoder.encode(text)
 
     def predict_probs(self, text, alpha=None):
         """Per-word fused probabilities for one text. Returns (labels, fused)."""
@@ -286,8 +295,9 @@ class TrainedSegmenter:
                     f"text {text.id!r} has no prosody but the model fuses a "
                     "prosodic component; pass alpha=1.0 for lexical-only use"
                 )
-            enc = ProsodicEncoder(self.prosody_stats)
-            p_pros, _ = self.prosodic.net.forward(self.prosodic.params, enc.encode(text))
+            p_pros, _ = self.prosodic.net.forward(
+                self.prosodic.params, self._prosodic_encoder.encode(text)
+            )
         return fuse(p_lex, p_pros, alpha if p_pros is not None else 1.0)
 
     def predict(self, text, alpha=None):

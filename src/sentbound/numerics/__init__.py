@@ -1,9 +1,12 @@
 """Dense numeric kernels, neural layers with analytic gradients, and RMSProp.
 
-All arrays are float64 numpy arrays. A "matrix" is a 2-D row-major array;
-sequence data is laid out one timestep per row. No deep-learning framework
-is used anywhere: every gradient in this package is derived by hand and
-checked against finite differences in the test suite.
+All arrays are float64 numpy arrays. A "matrix" is a 2-D row-major array.
+One sequence is laid out one timestep per row, (m, d); a batch of
+sequences travels as a time-major block (T, B, d), each row padded at its
+end to the block's length T and carrying its own live length. No
+deep-learning framework is used anywhere: every gradient in this package
+is derived by hand and checked against finite differences in the test
+suite.
 """
 
 from .kernels import (
@@ -14,10 +17,9 @@ from .kernels import (
     dropout_apply,
     glorot_init,
 )
-from .lstm import lstm_cell_step, bilstm_forward
 from .loss import weighted_cross_entropy
 from .optim import RmsPropState, rmsprop_step
-from .network import NetConfig, NetInput, SequenceNet
+from .network import NetBatch, NetConfig, NetInput, SequenceNet
 
 __all__ = [
     "dense_forward",
@@ -26,11 +28,10 @@ __all__ = [
     "maxpool1d_same",
     "dropout_apply",
     "glorot_init",
-    "lstm_cell_step",
-    "bilstm_forward",
     "weighted_cross_entropy",
     "RmsPropState",
     "rmsprop_step",
+    "NetBatch",
     "NetConfig",
     "NetInput",
     "SequenceNet",

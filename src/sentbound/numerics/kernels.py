@@ -1,6 +1,7 @@
 """Stateless numeric kernels: activations, dense, convolution, pooling."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ContractError
 
@@ -41,6 +42,24 @@ def activation_grad(name, out):
     raise ContractError(f"unknown activation {name!r}")
 
 
+def row_matmul(a, w):
+    """a @ w over the last axis of a, whatever its leading shape, as one
+    2-D GEMM (numpy's matmul would run one GEMM per leading index)."""
+    return (a.reshape(-1, a.shape[-1]) @ w).reshape(a.shape[:-1] + (w.shape[1],))
+
+
+def row_outer_sum(a, b):
+    """Sum over all rows of the outer products a_r b_r^T, i.e. a^T b with
+    the leading axes of a and b flattened: the weight gradient of a
+    row_matmul."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
+def row_sum(a):
+    """Sum over every axis but the last."""
+    return a.reshape(-1, a.shape[-1]).sum(axis=0)
+
+
 def dense_forward(x, w, b, activation="identity"):
     """Fully connected layer for a single vector: activation(W^T x + b).
 
@@ -76,19 +95,21 @@ def _conv_pad(h_c):
 
 
 def conv_windows(x, h_c):
-    """Stack of flattened length-h_c row windows after zero padding.
+    """Stack of flattened length-h_c windows along the time axis.
 
-    Output row j is rows j-p .. j-p+h_c-1 of x (p = h_c//2), flattened in
-    row-major order, so that the window for output j is centred on row j
-    (odd h_c) or ends one row past centre (even h_c, surplus dropped).
+    x is (m, d), or a time-major block (T, B, d) whose rows are windowed
+    independently. After zero padding, output row j is rows
+    j-p .. j-p+h_c-1 of x (p = h_c//2), flattened in row-major order, so
+    that the window for output j is centred on row j (odd h_c) or ends
+    one row past centre (even h_c, surplus dropped).
     """
-    m, d = x.shape
+    m, d = x.shape[0], x.shape[-1]
     p = _conv_pad(h_c)
-    padded = np.zeros((m + 2 * p, d), dtype=np.float64)
+    padded = np.zeros((m + 2 * p,) + x.shape[1:], dtype=np.float64)
     padded[p : p + m] = x
-    windows = np.empty((m, h_c * d), dtype=np.float64)
+    windows = np.empty(x.shape[:-1] + (h_c * d,), dtype=np.float64)
     for k in range(h_c):
-        windows[:, k * d : (k + 1) * d] = padded[k : k + m]
+        windows[..., k * d : (k + 1) * d] = padded[k : k + m]
     return windows
 
 
@@ -115,57 +136,60 @@ def conv1d_same_forward(x, filters, bias, activation="relu"):
 def conv1d_backward(d_out_pre, x, filters):
     """Gradients of the convolution given d(loss)/d(pre-activation).
 
-    Returns (d_filters, d_bias, d_x).
+    x and d_out_pre share conv_windows' layout. The work goes one window
+    offset at a time, so no stack of windows is built. Returns
+    (d_filters, d_bias, d_x).
     """
-    m, d = x.shape
+    m, d = x.shape[0], x.shape[-1]
     h_c = filters.shape[1] // d
     p = _conv_pad(h_c)
-    windows = conv_windows(x, h_c)
-    d_filters = d_out_pre.T @ windows
-    d_bias = d_out_pre.sum(axis=0)
-    d_windows = d_out_pre @ filters
-    d_padded = np.zeros((m + 2 * p, d), dtype=np.float64)
+    padded = np.zeros((m + 2 * p,) + x.shape[1:], dtype=np.float64)
+    padded[p : p + m] = x
+    d_filters = np.empty_like(filters)
+    d_padded = np.zeros_like(padded)
     for k in range(h_c):
-        d_padded[k : k + m] += d_windows[:, k * d : (k + 1) * d]
-    return d_filters, d_bias, d_padded[p : p + m]
+        cols = slice(k * d, (k + 1) * d)
+        d_filters[:, cols] = row_outer_sum(d_out_pre, padded[k : k + m])
+        d_padded[k : k + m] += row_matmul(d_out_pre, filters[:, cols])
+    return d_filters, row_sum(d_out_pre), d_padded[p : p + m]
 
 
 def maxpool1d_same(c, h_m, return_argmax=False):
     """Stride-1 max pooling over time with centred, edge-clipped windows.
 
-    Output row j is the columnwise max of input rows
-    j - h_m//2 .. j + ceil(h_m/2) - 1, clipped to [0, m). Output keeps the
-    input shape. With return_argmax=True also returns the source row of
-    each maximum (first occurrence on ties), needed for the backward pass.
+    c is (m, n_f), or a time-major block (T, B, n_f) pooled along T. Output
+    row j is the max of input rows j - h_m//2 .. j + ceil(h_m/2) - 1,
+    clipped to [0, m); output keeps the input shape. A -inf row never
+    wins a window that holds a finite value. With return_argmax=True also
+    returns the source row of each maximum (first occurrence on ties),
+    needed for the backward pass.
     """
     c = np.asarray(c, dtype=np.float64)
     if h_m < 1:
         raise ContractError("pool window must be >= 1")
-    m, n_f = c.shape
+    m = c.shape[0]
     lo_off = h_m // 2
-    hi_off = h_m - lo_off  # window is [j - lo_off, j + hi_off)
-    out = np.empty_like(c)
-    argrow = np.empty((m, n_f), dtype=np.intp)
-    cols = np.arange(n_f)
-    for j in range(m):
-        lo = max(0, j - lo_off)
-        hi = min(m, j + hi_off)
-        seg = c[lo:hi]
-        k = seg.argmax(axis=0)
-        out[j] = seg[k, cols]
-        argrow[j] = lo + k
-    if return_argmax:
-        return out, argrow
-    return out
+    padded = np.full((m + h_m - 1,) + c.shape[1:], -np.inf)
+    padded[lo_off : lo_off + m] = c
+    windows = sliding_window_view(padded, h_m, axis=0)  # (m, ..., h_m)
+    out = windows.max(axis=-1)
+    if not return_argmax:
+        return out
+    start = (np.arange(m) - lo_off).reshape((m,) + (1,) * (c.ndim - 1))
+    return out, start + windows.argmax(axis=-1)
 
 
 def maxpool1d_backward(d_out, argrow):
-    """Route pooled gradients back to the argmax rows."""
-    m, n_f = d_out.shape
-    d_in = np.zeros_like(d_out)
-    cols = np.arange(n_f)
-    for j in range(m):
-        np.add.at(d_in, (argrow[j], cols), d_out[j])
+    """Route pooled gradients back to the argmax rows in one scatter-add.
+
+    Contributions to a row arrive in output-row order, as a loop over the
+    output rows would add them.
+    """
+    m = d_out.shape[0]
+    per_row = d_out.size // m
+    d_in = np.zeros(d_out.shape, dtype=np.float64)
+    target = argrow.reshape(m, per_row) * per_row + np.arange(per_row)
+    np.add.at(d_in.reshape(-1), target.reshape(-1), d_out.reshape(-1))
     return d_in
 
 

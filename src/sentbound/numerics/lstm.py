@@ -1,4 +1,4 @@
-"""LSTM cell, fused sequence passes, and the bidirectional layer.
+"""Fused LSTM passes over time-major blocks of sequences, one direction.
 
 A direction's weights live in a plain dict with per-gate matrices in the
 conventional orientation (rows = units):
@@ -10,27 +10,25 @@ conventional orientation (rows = units):
     by                     : (n_r,)
 
 The cell has no peephole connections; the candidate gate uses tanh and
-the i/f/o gates use the logistic sigmoid. Bidirectionality is realised
-by running a second, independently parameterised pass over the reversed
-sequence and summing the two projected output sequences.
+the i/f/o gates use the logistic sigmoid.
+
+Sequences travel as a time-major block x of shape (T, B, d): x[t, b] is
+step t of row b, and every row starts from a zero state at step 0. A
+row shorter than T is padded at its end, so its padded steps run after
+its live prefix and never reach a live output; when the gradient on
+every padded output is zero, BPTT gives the padded steps exactly zero
+gradient too. A plain (m, d) array is one sequence (B = 1) and its
+results keep the (m, ...) layout. SequenceNet builds the bidirectional
+layer from two independently parameterised directions: the second runs
+over each row's reversed live prefix, and the two projected output
+sequences are summed.
 """
 
 import numpy as np
 
-from .kernels import sigmoid
+from .kernels import row_matmul, row_outer_sum, row_sum
 
 GATES = ("i", "f", "o", "g")
-
-
-def lstm_cell_step(x_t, h_prev, c_prev, weights):
-    """One LSTM step. Returns (h_t, c_t)."""
-    i = sigmoid(weights["wx_i"] @ x_t + weights["wh_i"] @ h_prev + weights["b_i"])
-    f = sigmoid(weights["wx_f"] @ x_t + weights["wh_f"] @ h_prev + weights["b_f"])
-    o = sigmoid(weights["wx_o"] @ x_t + weights["wh_o"] @ h_prev + weights["b_o"])
-    g = np.tanh(weights["wx_g"] @ x_t + weights["wh_g"] @ h_prev + weights["b_g"])
-    c_t = f * c_prev + i * g
-    h_t = o * np.tanh(c_t)
-    return h_t, c_t
 
 
 def fuse_gate_weights(weights):
@@ -42,118 +40,122 @@ def fuse_gate_weights(weights):
 
 
 def lstm_sequence_forward(x, wx, wh, b):
-    """Run a fused-gate LSTM over the rows of x (zero initial state).
+    """Run a fused-gate LSTM over a block (zero initial state).
 
-    x: (m, d_in); wx: (4n, d_in); wh: (4n, n); b: (4n,).
-    Returns (h_seq, cache) where h_seq is (m, n).
+    x: (T, B, d_in), or (m, d_in) for one sequence; wx: (4n, d_in);
+    wh: (4n, n); b: (4n,). Returns (h_seq, cache) where h_seq is x's
+    shape with n columns.
     """
-    m = x.shape[0]
+    block = x if x.ndim == 3 else x[:, None, :]
+    steps, rows, _ = block.shape
     n = wh.shape[1]
-    zx = x @ wx.T + b  # input projections for every step at once
-    gi = np.empty((m, n))
-    gf = np.empty((m, n))
-    go = np.empty((m, n))
-    gg = np.empty((m, n))
-    cs = np.empty((m, n))
-    tc = np.empty((m, n))
-    hs = np.empty((m, n))
-    h = np.zeros(n)
-    c = np.zeros(n)
-    for t in range(m):
-        z = zx[t] + wh @ h
-        sig = sigmoid(z[: 3 * n])
-        i_t = sig[:n]
-        f_t = sig[n : 2 * n]
-        o_t = sig[2 * n :]
-        g_t = np.tanh(z[3 * n :])
-        c = f_t * c + i_t * g_t
-        t_c = np.tanh(c)
-        h = o_t * t_c
-        gi[t] = i_t
-        gf[t] = f_t
-        go[t] = o_t
-        gg[t] = g_t
-        cs[t] = c
-        tc[t] = t_c
-        hs[t] = h
-    cache = {"x": x, "i": gi, "f": gf, "o": go, "g": gg, "c": cs, "tanh_c": tc, "h": hs}
-    return hs, cache
+    # Pre-activations of every step at once; the loop adds the recurrent
+    # term and turns each step's slice into gate activations in place, so
+    # the cache holds one (T, B, 4n) gate array. The i, f, o columns carry
+    # -z (negated weights give exactly the negated sums), so their sigmoid
+    # 1 / (1 + exp(-z)), as in kernels.sigmoid, needs no negation step.
+    sign = np.ones(4 * n)
+    sign[: 3 * n] = -1.0
+    gates = row_matmul(block, wx.T * sign) + b * sign
+    wh_t = wh.T * sign
+    sig = gates[..., : 3 * n]
+    i, f, o, g = (gates[..., k * n : (k + 1) * n] for k in range(4))
+    cs = np.empty((steps, rows, n))
+    tc = np.empty((steps, rows, n))
+    hs = np.empty((steps, rows, n))
+    c = np.zeros((rows, n))
+    for t in range(steps):
+        if t:
+            z = gates[t]
+            z += hs[t - 1] @ wh_t
+        s = sig[t]
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        g_t = g[t]
+        np.tanh(g_t, out=g_t)
+        c_t = cs[t]
+        np.multiply(f[t], c, out=c_t)
+        c_t += i[t] * g_t
+        tc_t = tc[t]
+        np.tanh(c_t, out=tc_t)
+        np.multiply(o[t], tc_t, out=hs[t])
+        c = c_t
+    cache = {"x": block, "gates": gates, "c": cs, "tanh_c": tc, "h": hs}
+    return (hs if x.ndim == 3 else hs[:, 0]), cache
 
 
 def lstm_sequence_backward(d_h_seq, cache, wx, wh):
     """Backpropagation through time for lstm_sequence_forward.
 
-    d_h_seq: (m, n) gradient w.r.t. every hidden output row.
-    Returns (d_wx, d_wh, d_b, d_x).
+    d_h_seq: gradient w.r.t. every hidden output, shaped like h_seq.
+    Returns (d_wx, d_wh, d_b, d_x) with d_x shaped like the forward's x.
+    The cache's gate array is overwritten, so a cache serves one call.
     """
-    x = cache["x"]
-    gi, gf, go, gg = cache["i"], cache["f"], cache["o"], cache["g"]
-    cs, tc, hs = cache["c"], cache["tanh_c"], cache["h"]
-    m, n = d_h_seq.shape
-    dz_seq = np.empty((m, 4 * n))
-    dh = np.zeros(n)
-    dc = np.zeros(n)
-    for t in range(m - 1, -1, -1):
-        dh = dh + d_h_seq[t]
-        i_t, f_t, o_t, g_t = gi[t], gf[t], go[t], gg[t]
-        t_c = tc[t]
-        do = dh * t_c
-        dc = dc + dh * o_t * (1.0 - t_c * t_c)
-        c_prev = cs[t - 1] if t > 0 else 0.0
-        dz = dz_seq[t]
-        dz[:n] = dc * g_t * i_t * (1.0 - i_t)
-        dz[n : 2 * n] = dc * c_prev * f_t * (1.0 - f_t)
-        dz[2 * n : 3 * n] = do * o_t * (1.0 - o_t)
-        dz[3 * n :] = dc * i_t * (1.0 - g_t * g_t)
-        dh = wh.T @ dz
-        dc = dc * f_t
-    h_prev = np.zeros_like(hs)
-    h_prev[1:] = hs[:-1]
-    d_wx = dz_seq.T @ x
-    d_wh = dz_seq.T @ h_prev
-    d_b = dz_seq.sum(axis=0)
-    d_x = dz_seq @ wx
+    x, gates, cs, tc, hs = (cache[k] for k in ("x", "gates", "c", "tanh_c", "h"))
+    steps, rows, n = hs.shape
+    d_h = d_h_seq.reshape(hs.shape)
+    i, f, o, g = (gates[..., k * n : (k + 1) * n] for k in range(4))
+    # Step-independent factors, for all steps at once. A step's dc scales
+    # the i, f and g factors and its dh the o factor into dz, and dh
+    # feeds dc through o * (1 - tanh(c)^2).
+    forget = f.copy()
+    o_dtanh = o * (1.0 - tc * tc)
+    g_factor = i * (1.0 - g * g)
+    sig = gates[..., : 3 * n]
+    sig *= 1.0 - sig
+    i *= g
+    g[...] = g_factor
+    f[1:] *= cs[:-1]
+    f[0] = 0.0  # zero initial cell state
+    o *= tc
+    per_gate = gates.reshape(steps, rows, 4, n)
+    dh = np.zeros((rows, n))
+    dc = np.zeros((rows, n))
+    for t in range(steps - 1, -1, -1):
+        dh += d_h[t]
+        dc += dh * o_dtanh[t]
+        k = per_gate[t]
+        k[:, :2] *= dc[:, None]
+        k[:, 2] *= dh
+        k[:, 3] *= dc
+        dh = gates[t] @ wh
+        dc *= forget[t]
+    d_wx = row_outer_sum(gates, x)
+    d_wh = row_outer_sum(gates[1:], hs[:-1])
+    d_b = row_sum(gates)
+    d_x = row_matmul(gates, wx).reshape(d_h_seq.shape[:-1] + (wx.shape[1],))
     return d_wx, d_wh, d_b, d_x
 
 
 def direction_forward(x, weights):
     """One direction of the bidirectional layer: LSTM plus output projection.
 
-    Returns (y_seq, cache); y_t = wy @ h_t + by (identity activation).
+    x is a time-major (T, B, d) block or one (m, d) sequence. Returns
+    (y_seq, cache); y_t = wy @ h_t + by (identity activation).
     """
     wx, wh, b = fuse_gate_weights(weights)
     h_seq, cache = lstm_sequence_forward(x, wx, wh, b)
-    y_seq = h_seq @ weights["wy"].T + weights["by"]
+    y_seq = row_matmul(h_seq, weights["wy"].T) + weights["by"]
     cache["fused"] = (wx, wh)
     return y_seq, cache
 
 
 def direction_backward(d_y_seq, cache, weights):
-    """Gradients for direction_forward.
+    """Gradients for direction_forward; consumes the cache.
 
     Returns (grads, d_x) with grads keyed like the weights dict.
     """
     h_seq = cache["h"]
-    d_wy = d_y_seq.T @ h_seq
-    d_by = d_y_seq.sum(axis=0)
-    d_h_seq = d_y_seq @ weights["wy"]
+    n = h_seq.shape[-1]
+    d_wy = row_outer_sum(d_y_seq, h_seq)
+    d_by = row_sum(d_y_seq)
+    d_h_seq = row_matmul(d_y_seq, weights["wy"])
     wx, wh = cache["fused"]
     d_wx, d_wh, d_b, d_x = lstm_sequence_backward(d_h_seq, cache, wx, wh)
-    n = h_seq.shape[1]
     grads = {"wy": d_wy, "by": d_by}
     for k, gate in enumerate(GATES):
         grads[f"wx_{gate}"] = d_wx[k * n : (k + 1) * n]
         grads[f"wh_{gate}"] = d_wh[k * n : (k + 1) * n]
         grads[f"b_{gate}"] = d_b[k * n : (k + 1) * n]
     return grads, d_x
-
-
-def bilstm_forward(x, fwd_weights, bwd_weights):
-    """Bidirectional pass: forward over x, backward over reversed x.
-
-    The backward direction's outputs are re-reversed and the two projected
-    sequences are summed elementwise, preserving the m rows of x.
-    """
-    y_f, _ = direction_forward(x, fwd_weights)
-    y_b, _ = direction_forward(x[::-1], bwd_weights)
-    return y_f + y_b[::-1]

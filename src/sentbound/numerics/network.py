@@ -5,12 +5,20 @@ dict of named float64 arrays so the optimizer, the serializer, and the
 finite-difference tests can all iterate them uniformly. 1-D parameters are
 biases; everything else is a weight matrix.
 
-Variant stacks (all per-sequence, one timestep per row, m preserved):
+Variant stacks (every layer keeps the sequence length):
 
     rcnn  embed? -> conv(relu) -> maxpool -> bilstm -> dropout -> dense+softmax
     cnn   embed? -> conv(relu) -> maxpool ->           dropout -> dense+softmax
     rnn   embed? ->                bilstm ->           dropout -> dense+softmax
     mlp   embed? -> dense(sigmoid) ->                             dense+softmax
+
+Every pass runs on a time-major NetBatch block; one NetInput is a block
+of one. Padding never reaches an active result: input rows past a
+sequence's end are zeroed before the conv (the zero padding a lone
+sequence gets), max-pool sees padded conv rows as -inf and emits zero
+there, the backward LSTM direction reverses each row's live prefix with
+an index gather, dropout masks are drawn per sequence over its live
+rows, and padded rows carry no loss gradient.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +36,9 @@ from .kernels import (
     glorot_init,
     maxpool1d_backward,
     maxpool1d_same,
+    row_matmul,
+    row_outer_sum,
+    row_sum,
     softmax,
 )
 from .loss import weighted_cross_entropy
@@ -90,11 +101,42 @@ class NetInput:
                 return len(part)
         raise ContractError("empty network input")
 
-    def sliced(self, length):
-        take = lambda a: None if a is None else a[:length]
-        return NetInput(
-            take(self.word_ids), take(self.tag_ids), take(self.dense), take(self.label01)
+
+def time_major(rows, lengths):
+    """Zero-padded (T, B, ...) block holding rows[b][:lengths[b]] at [:, b];
+    None when the rows are None."""
+    if rows[0] is None:
+        return None
+    first = np.asarray(rows[0])
+    block = np.zeros((max(lengths), len(rows)) + first.shape[1:], dtype=first.dtype)
+    for b, (row, length) in enumerate(zip(rows, lengths)):
+        block[:length, b] = row[:length]
+    return block
+
+
+@dataclass
+class NetBatch:
+    """Time-major block of sequences padded at the end to a common length.
+
+    word_ids, tag_ids and label01 are (T, B) and dense is (T, B, d); row b
+    is live for its first lengths[b] steps. Values on padded steps reach
+    no live output and no gradient.
+    """
+
+    lengths: np.ndarray
+    word_ids: np.ndarray | None = None
+    tag_ids: np.ndarray | None = None
+    dense: np.ndarray | None = None
+    label01: np.ndarray | None = field(default=None, repr=False)
+
+    @classmethod
+    def stack(cls, inputs, lengths):
+        """Block of the first lengths[b] rows of each NetInput."""
+        parts = (
+            time_major([getattr(inp, name) for inp in inputs], lengths)
+            for name in ("word_ids", "tag_ids", "dense", "label01")
         )
+        return cls(np.asarray(lengths, dtype=np.intp), *parts)
 
 
 class SequenceNet:
@@ -143,37 +185,34 @@ class SequenceNet:
                 params[name] = glorot_init(shape[0], shape[1], rng)
         return params
 
-    def zero_grads(self, params):
-        return {name: np.zeros_like(value) for name, value in params.items()}
-
     # --------------------------------------------------------------- forward
 
-    def _assemble_input(self, params, inp):
-        """Build the (m, d) feature matrix: the dense block of a dense-input
-        network, else the embedding rows of the word and tag ids."""
+    def _assemble_input(self, params, block):
+        """Build the (T, B, d) feature block: the dense block of a
+        dense-input network, else the embedding rows of the word and tag
+        ids."""
         cfg = self.cfg
         if cfg.dense_dim:
-            if inp.dense is None:
+            if block.dense is None:
                 raise ContractError("network expects dense features")
-            x = np.asarray(inp.dense, dtype=np.float64)
-            if x.ndim != 2 or x.shape[1] != cfg.dense_dim:
+            x = np.asarray(block.dense, dtype=np.float64)
+            if x.ndim != 3 or x.shape[2] != cfg.dense_dim:
                 raise ContractError(
-                    f"dense input has shape {x.shape}, expected (m, {cfg.dense_dim})"
+                    f"dense rows have shape {x.shape[2:]}, expected ({cfg.dense_dim},)"
                 )
-            return np.ascontiguousarray(x)
+            return x
         parts = []
         if cfg.word_vocab:
-            if inp.word_ids is None:
+            if block.word_ids is None:
                 raise ContractError("network expects word ids")
-            parts.append(params["emb_word"][inp.word_ids])
+            parts.append(params["emb_word"][block.word_ids])
         if cfg.tag_vocab:
-            if inp.tag_ids is None:
+            if block.tag_ids is None:
                 raise ContractError("network expects tag ids")
-            parts.append(params["emb_tag"][inp.tag_ids])
+            parts.append(params["emb_tag"][block.tag_ids])
         if not parts:
             raise ContractError("network input carries no usable features")
-        x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        return np.ascontiguousarray(x)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
 
     def _direction_weights(self, params, direction):
         keys = [f"wx_{g}" for g in lstm_ops.GATES]
@@ -183,99 +222,132 @@ class SequenceNet:
         return {k: params[f"{direction}_{k}"] for k in keys}
 
     def forward(self, params, inp, mode="inference", rng=None):
-        """Run the stack on one sequence. Returns (probs, cache).
+        """Run the stack on one sequence or on a block. Returns (probs, cache).
 
-        probs is (m, 2) row-stochastic; cache feeds backward(). In train
-        mode dropout consumes draws from rng; inference is deterministic.
+        A NetInput gives (m, 2) probs; a NetBatch gives (T, B, 2) probs,
+        finite but meaningless on padded steps. Rows are row-stochastic;
+        cache feeds backward(). In train mode dropout consumes draws from
+        rng, one (length, units) mask per sequence in row order;
+        inference is deterministic.
         """
         if mode not in ("train", "inference"):
             raise ContractError(f"unknown mode {mode!r}")
         cfg = self.cfg
-        x = self._assemble_input(params, inp)
-        if x.shape[0] < 1:
-            raise ContractError("empty sequence")
-        cache = {"inp": inp, "x": x, "mode": mode}
+        single = not isinstance(inp, NetBatch)
+        block = NetBatch.stack([inp], [len(inp)]) if single else inp
+        x = self._assemble_input(params, block)
+        lengths = block.lengths
+        if x.shape[0] < 1 or lengths.min() < 1 or lengths.max() > x.shape[0]:
+            raise ContractError("empty sequence or length outside the block")
+        live = np.arange(x.shape[0])[:, None] < lengths
+        pad = None if live.all() else ~live
+        if pad is not None:
+            x = np.where(pad[..., None], 0.0, x)
+        cache = {"single": single, "inp": block, "pad": pad}
         h = x
         if cfg.variant in ("rcnn", "cnn"):
-            pre = conv_windows(h, cfg.conv_width) @ params["conv_w"].T + params["conv_b"]
-            conv_out = activation_fn(CONV_ACTIVATION)(pre)
+            pre = row_matmul(conv_windows(h, cfg.conv_width), params["conv_w"].T)
+            conv_out = activation_fn(CONV_ACTIVATION)(pre + params["conv_b"])
+            if pad is not None:
+                conv_out[pad] = -np.inf
             pooled, argrow = maxpool1d_same(conv_out, cfg.pool_width, return_argmax=True)
+            if pad is not None:
+                pooled[pad] = 0.0
             cache["conv_in"] = h
             cache["conv_out"] = conv_out
             cache["pool_argrow"] = argrow
             h = pooled
         if cfg.variant == "mlp":
-            hidden = activation_fn("sigmoid")(h @ params["mlp_w"] + params["mlp_b"])
+            pre = row_matmul(h, params["mlp_w"]) + params["mlp_b"]
+            hidden = activation_fn("sigmoid")(pre)
             cache["mlp_in"] = h
             cache["mlp_out"] = hidden
             h = hidden
         if cfg.variant in ("rcnn", "rnn"):
+            steps = np.arange(h.shape[0])[:, None]
+            # An involution: each row's live prefix reversed, padding kept.
+            rev = (np.where(live, lengths - 1 - steps, steps), np.arange(len(lengths)))
             fwd_w = self._direction_weights(params, "fwd")
             bwd_w = self._direction_weights(params, "bwd")
             y_f, cache_f = lstm_ops.direction_forward(h, fwd_w)
-            y_b, cache_b = lstm_ops.direction_forward(h[::-1], bwd_w)
+            y_b, cache_b = lstm_ops.direction_forward(h[rev], bwd_w)
             cache["lstm_fwd"] = cache_f
             cache["lstm_bwd"] = cache_b
-            h = y_f + y_b[::-1]
+            cache["rev"] = rev
+            h = y_f + y_b[rev]
         if cfg.variant != "mlp":
-            h, mask = dropout_apply(h, cfg.dropout, mode, rng, return_mask=True)
+            dropped = np.zeros_like(h)
+            mask = np.zeros_like(h)
+            for b, length in enumerate(lengths):
+                dropped[:length, b], mask[:length, b] = dropout_apply(
+                    h[:length, b], cfg.dropout, mode, rng, return_mask=True
+                )
             cache["dropout_mask"] = mask
-        logits = h @ params["out_w"] + params["out_b"]
+            h = dropped
+        logits = row_matmul(h, params["out_w"]) + params["out_b"]
         probs = softmax(logits)
         cache["out_in"] = h
-        cache["probs"] = probs
-        return probs, cache
+        return (probs[:, 0] if single else probs), cache
 
     # -------------------------------------------------------------- backward
 
     def backward(self, params, cache, d_logits):
         """Exact gradients of the summed loss for every parameter.
 
-        Requires the cache of a prior forward pass on the same sequence;
-        d_logits is the loss gradient at the pre-softmax logits.
+        Requires the cache of a prior forward pass on the same input and
+        consumes its LSTM part; d_logits is the loss gradient at the
+        pre-softmax logits, shaped like the probs and zero on a block's
+        padded steps (as loss_and_grads makes it).
         """
         if cache is None:
             raise ContractError("backward called before forward")
         cfg = self.cfg
-        grads = self.zero_grads(params)
-        grads["out_w"] = cache["out_in"].T @ d_logits
-        grads["out_b"] = d_logits.sum(axis=0)
-        dh = d_logits @ params["out_w"].T
+        pad = cache["pad"]
+        if cache["single"]:
+            d_logits = d_logits[:, None]
+        grads = {
+            "out_w": row_outer_sum(cache["out_in"], d_logits),
+            "out_b": row_sum(d_logits),
+        }
+        dh = row_matmul(d_logits, params["out_w"].T)
         if cfg.variant != "mlp":
             dh = dh * cache["dropout_mask"]
         if cfg.variant in ("rcnn", "rnn"):
+            rev = cache["rev"]
             fwd_w = self._direction_weights(params, "fwd")
             bwd_w = self._direction_weights(params, "bwd")
-            g_f, dx_f = lstm_ops.direction_backward(dh, cache["lstm_fwd"], fwd_w)
-            g_b, dx_b = lstm_ops.direction_backward(dh[::-1], cache["lstm_bwd"], bwd_w)
+            g_f, dx_f = lstm_ops.direction_backward(dh, cache.pop("lstm_fwd"), fwd_w)
+            g_b, dx_b = lstm_ops.direction_backward(dh[rev], cache.pop("lstm_bwd"), bwd_w)
             for key, value in g_f.items():
                 grads[f"fwd_{key}"] = value
             for key, value in g_b.items():
                 grads[f"bwd_{key}"] = value
-            dh = dx_f + dx_b[::-1]
+            dh = dx_f + dx_b[rev]
         if cfg.variant == "mlp":
             d_pre = dh * activation_grad("sigmoid", cache["mlp_out"])
-            grads["mlp_w"] = cache["mlp_in"].T @ d_pre
-            grads["mlp_b"] = d_pre.sum(axis=0)
-            dh = d_pre @ params["mlp_w"].T
+            grads["mlp_w"] = row_outer_sum(cache["mlp_in"], d_pre)
+            grads["mlp_b"] = row_sum(d_pre)
+            dh = row_matmul(d_pre, params["mlp_w"].T)
         if cfg.variant in ("rcnn", "cnn"):
             d_conv = maxpool1d_backward(dh, cache["pool_argrow"])
             d_pre = d_conv * activation_grad(CONV_ACTIVATION, cache["conv_out"])
             d_w, d_b, dh = conv1d_backward(d_pre, cache["conv_in"], params["conv_w"])
             grads["conv_w"] = d_w
             grads["conv_b"] = d_b
-        self._scatter_input_grads(cache["inp"], dh, grads)
-        return grads
+        if pad is not None:
+            dh[pad] = 0.0  # the zeroed padding rows are constants
+        self._scatter_input_grads(params, cache["inp"], dh, grads)
+        return {name: grads[name] for name in params}
 
-    def _scatter_input_grads(self, inp, d_x, grads):
+    def _scatter_input_grads(self, params, block, d_x, grads):
         cfg = self.cfg
         col = 0
-        if cfg.word_vocab and inp.word_ids is not None:
-            np.add.at(grads["emb_word"], inp.word_ids, d_x[:, col : col + cfg.word_dim])
-            col += cfg.word_dim
-        if cfg.tag_vocab and inp.tag_ids is not None:
-            np.add.at(grads["emb_tag"], inp.tag_ids, d_x[:, col : col + cfg.tag_dim])
-            col += cfg.tag_dim
+        for name, ids, dim in (("emb_word", block.word_ids, cfg.word_dim),
+                               ("emb_tag", block.tag_ids, cfg.tag_dim)):
+            if name in params:
+                grads[name] = np.zeros_like(params[name])
+                np.add.at(grads[name], ids, d_x[..., col : col + dim])
+                col += dim
 
     # ------------------------------------------------------------------ loss
 
@@ -283,14 +355,24 @@ class SequenceNet:
                        mode="train", rng=None):
         """Forward, weighted cross-entropy, backward, in one call.
 
-        labels01: (m,) ints with 1 = boundary. Returns the summed loss over
-        active positions, the gradient dict, and the active-position count.
+        labels01 holds ints with 1 = boundary, (m,) for a NetInput and
+        (T, B) for a NetBatch; mask, shaped like labels01, leaves rows
+        out of the loss, and a block's padded steps always are. Returns
+        the summed loss over active positions, the gradient dict, and the
+        active-position count.
         """
         probs, cache = self.forward(params, inp, mode=mode, rng=rng)
-        labels01 = np.asarray(labels01)
-        y_true = np.zeros_like(probs)
-        y_true[np.arange(len(labels01)), labels01] = 1.0
-        loss, d_logits = weighted_cross_entropy(y_true, probs, class_weights, mask)
-        grads = self.backward(params, cache, d_logits)
-        n_active = len(labels01) if mask is None else int(np.asarray(mask).astype(bool).sum())
-        return loss, grads, n_active
+        rows = probs.reshape(-1, N_CLASSES)
+        labels = np.asarray(labels01).reshape(-1)
+        y_true = np.zeros_like(rows)
+        y_true[np.arange(len(labels)), labels] = 1.0
+        active = np.ones(probs.shape[:-1], dtype=bool) if mask is None else (
+            np.asarray(mask).astype(bool)
+        )
+        if cache["pad"] is not None:
+            active = active & ~cache["pad"]
+        loss, d_logits = weighted_cross_entropy(
+            y_true, rows, class_weights, active.reshape(-1)
+        )
+        grads = self.backward(params, cache, d_logits.reshape(probs.shape))
+        return loss, grads, int(active.sum())

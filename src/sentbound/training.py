@@ -1,12 +1,14 @@
 """Training orchestration: class weights, buckets, folds, and the epoch loop.
 
 Batches are drawn inside length buckets and padded to the batch maximum
-with masked rows; the update step slices every sequence back to its
-active prefix before any arithmetic, so padding can never change a
-result. Gradients are averaged over the active positions of the batch
-and applied with RMSProp. All shuffling, initialisation, and dropout
-randomness flows from one generator, so a fixed seed reproduces the loss
-trace and the final parameters bit for bit.
+with masked rows. The update step stacks each sequence's active prefix
+into time-major blocks (NetBatch) and runs one forward and one backward
+pass per block; the network keeps padded steps out of every active
+result, so padding can never change one. Gradients are averaged over the
+active positions of the batch and applied with RMSProp. All shuffling,
+initialisation, and dropout randomness flows from one generator, so a
+fixed seed reproduces the loss trace and the final parameters bit for
+bit.
 """
 
 import time
@@ -24,9 +26,15 @@ from .model import (
     prf_from_counts,
     prosodic_config,
 )
-from .numerics import RmsPropState, SequenceNet, rmsprop_step
+from .numerics import NetBatch, RmsPropState, SequenceNet, rmsprop_step
+from .numerics.network import time_major
 
 RMSPROP_EPSILON = 1e-8
+# Most padded rows (sequences x steps) in one block of a batch. A block
+# keeps an LSTM cache per row alive until its backward pass, so the cap
+# bounds peak memory: five texts of up to 50 tokens (the default bucket
+# width) share a block, and a text longer than the cap is a block alone.
+BLOCK_ROWS = 256
 DEFAULT_ALPHA_GRID = tuple(round(i / 10, 1) for i in range(11))
 
 
@@ -164,27 +172,39 @@ def active_prefix_length(mask):
     return 0 if len(active) == 0 else int(active[-1]) + 1
 
 
+def _blocks(items):
+    """Consecutive runs of (input, mask, length) items, each padded to its
+    longest length in at most BLOCK_ROWS rows; one item always fits."""
+    block, steps = [], 0
+    for item in items:
+        steps = max(steps, item[2])
+        if block and steps * (len(block) + 1) > BLOCK_ROWS:
+            yield block
+            block, steps = [], item[2]
+        block.append(item)
+    yield block
+
+
 def batch_loss_and_grads(net, params, items, class_weights, mode="train", rng=None):
     """Summed loss and gradients over a batch of (input, mask) pairs.
 
-    Each sequence is sliced back to its active prefix before the forward
-    pass, so trailing padded rows are bit-for-bit inert.
+    Each sequence enters its block up to the end of its active prefix, in
+    item order, and trailing padded rows are bit-for-bit inert.
     """
-    total_loss = 0.0
-    total_active = 0
-    acc = None
+    live = []
     for inp, mask in items:
-        if mask is None:
-            sliced, sub_mask = inp, None
-        else:
-            length = active_prefix_length(mask)
-            if length == 0:
-                continue
-            sliced = inp.sliced(length)
-            sub_mask = np.asarray(mask, dtype=bool)[:length]
+        length = len(inp) if mask is None else active_prefix_length(mask)
+        if length:
+            live.append((inp, np.ones(length, dtype=bool) if mask is None else mask, length))
+    if not live:
+        raise ContractError("batch has no active positions")
+    total_loss, total_active, acc = 0.0, 0, None
+    for block in _blocks(live):
+        inputs, masks, lengths = zip(*block)
+        batch = NetBatch.stack(inputs, lengths)
         loss, grads, n_active = net.loss_and_grads(
-            params, sliced, sliced.label01, class_weights,
-            mask=sub_mask, mode=mode, rng=rng,
+            params, batch, batch.label01, class_weights,
+            mask=time_major(masks, lengths), mode=mode, rng=rng,
         )
         total_loss += loss
         total_active += n_active
@@ -193,8 +213,6 @@ def batch_loss_and_grads(net, params, items, class_weights, mode="train", rng=No
         else:
             for name in acc:
                 acc[name] += grads[name]
-    if acc is None:
-        raise ContractError("batch has no active positions")
     return total_loss, acc, total_active
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sentbound import training
 from sentbound.errors import ContractError
-from sentbound.numerics import NetConfig, NetInput, SequenceNet
+from sentbound.numerics import NetBatch, NetConfig, NetInput, SequenceNet
 from sentbound.numerics.loss import weighted_cross_entropy
 
 FD_STEP = 1e-5
@@ -46,12 +47,14 @@ def tiny_problem(variant, seed=7, m=9, dropout=0.0):
 
 
 def loss_value(net, params, inp, labels, mask, rng_factory=None):
+    """Loss over the rows flagged in mask, from the forward pass alone."""
     rng = None if rng_factory is None else rng_factory()
     mode = "inference" if rng_factory is None else "train"
     probs, _ = net.forward(params, inp, mode=mode, rng=rng)
-    y_true = np.zeros_like(probs)
-    y_true[np.arange(len(labels)), labels] = 1.0
-    loss, _ = weighted_cross_entropy(y_true, probs, CLASS_WEIGHTS, mask)
+    rows = probs.reshape(-1, 2)
+    y_true = np.zeros_like(rows)
+    y_true[np.arange(len(rows)), np.ravel(labels)] = 1.0
+    loss, _ = weighted_cross_entropy(y_true, rows, CLASS_WEIGHTS, np.ravel(mask))
     return loss
 
 
@@ -159,3 +162,161 @@ def test_backward_before_forward_is_rejected():
     net, params, _, _, _ = tiny_problem("rcnn")
     with pytest.raises(ContractError):
         net.backward(params, None, np.zeros((3, 2)))
+
+
+# ------------------------------------------------------------ batched path
+
+RAGGED = (9, 4, 1)  # includes a length-1 row
+
+
+def dense_config(dropout=0.0):
+    return NetConfig(variant="rcnn", conv_filters=4, conv_width=5, pool_width=3,
+                     rec_units=4, dropout=dropout, dense_dim=13)
+
+
+def ragged_items(cfg, lengths, seed=5):
+    """One NetInput and one loss mask per length; every mask leaves one
+    row out when the sequence has more than two."""
+    rng = np.random.default_rng(seed)
+    items = []
+    for m in lengths:
+        if cfg.dense_dim:
+            inp = NetInput(dense=rng.standard_normal((m, cfg.dense_dim)))
+        else:
+            inp = NetInput(word_ids=rng.integers(0, cfg.word_vocab, size=m),
+                           tag_ids=rng.integers(0, cfg.tag_vocab, size=m))
+        inp.label01 = rng.integers(0, 2, size=m)
+        inp.label01[0] = 1
+        mask = np.ones(m, dtype=bool)
+        if m > 2:
+            mask[m // 2] = False
+        items.append((inp, mask))
+    return items
+
+
+def stacked(items):
+    """NetBatch of the items with random values on every padded step."""
+    lengths = [len(inp) for inp, _ in items]
+    batch = NetBatch.stack([inp for inp, _ in items], lengths)
+    pad = np.arange(max(lengths))[:, None] >= np.array(lengths)
+    rng = np.random.default_rng(11)
+    for name in ("word_ids", "tag_ids"):
+        ids = getattr(batch, name)
+        if ids is not None:
+            ids[pad] = rng.integers(0, ids.max() + 1, size=int(pad.sum()))
+    if batch.dense is not None:
+        batch.dense[pad] = rng.standard_normal((int(pad.sum()), batch.dense.shape[2]))
+    mask = np.zeros(pad.shape, dtype=bool)
+    for b, (_, row_mask) in enumerate(items):
+        mask[: lengths[b], b] = row_mask
+    return batch, mask
+
+
+def batch_net(variant, dropout=0.0):
+    cfg = dense_config(dropout) if variant == "dense" else tiny_config(variant, dropout)
+    net = SequenceNet(cfg)
+    return net, net.init_params(np.random.default_rng(2))
+
+
+def assert_grads_close(got, want, rel=1e-12):
+    assert got.keys() == want.keys()
+    for name in want:
+        scale = max(np.abs(want[name]).max(), 1e-300)
+        assert np.abs(got[name] - want[name]).max() <= rel * scale, name
+
+
+@pytest.mark.parametrize("variant", ["rcnn", "cnn", "rnn", "mlp", "dense"])
+def test_ragged_batch_matches_finite_differences(variant):
+    net, params = batch_net(variant)
+    batch, mask = stacked(ragged_items(net.cfg, RAGGED))
+    _, grads, n_active = net.loss_and_grads(
+        params, batch, batch.label01, CLASS_WEIGHTS, mask=mask, mode="inference"
+    )
+    assert n_active == int(mask.sum())
+    worst = max_relative_error(net, params, batch, batch.label01, mask, grads)
+    assert worst <= REL_TOL, f"{variant}: worst relative error {worst:.3e}"
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.4])
+@pytest.mark.parametrize("variant", ["rcnn", "cnn", "rnn", "mlp", "dense"])
+def test_batch_equals_sum_of_batches_of_one(variant, dropout):
+    """Same loss and gradients, and with dropout the same rng draws."""
+    net, params = batch_net(variant, dropout)
+    items = ragged_items(net.cfg, RAGGED)
+    rng = np.random.default_rng(8)
+    want_loss, want, want_active = 0.0, None, 0
+    for inp, mask in items:
+        loss, grads, n_active = net.loss_and_grads(
+            params, inp, inp.label01, CLASS_WEIGHTS, mask=mask, mode="train", rng=rng
+        )
+        want_loss += loss
+        want_active += n_active
+        want = grads if want is None else {k: want[k] + grads[k] for k in want}
+    after = rng.random()
+    rng = np.random.default_rng(8)
+    batch, mask = stacked(items)
+    loss, grads, n_active = net.loss_and_grads(
+        params, batch, batch.label01, CLASS_WEIGHTS, mask=mask, mode="train", rng=rng
+    )
+    assert rng.random() == after
+    assert n_active == want_active
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert_grads_close(grads, want)
+
+
+@pytest.mark.parametrize("variant", ["rcnn", "rnn", "dense"])
+def test_padded_steps_are_inert(variant):
+    """Ids or dense values on padded steps change nothing, bit for bit,
+    in the network and in the training update."""
+    net, params = batch_net(variant)
+    items = ragged_items(net.cfg, RAGGED)
+    batch, mask = stacked(items)
+    loss, grads, _ = net.loss_and_grads(
+        params, batch, batch.label01, CLASS_WEIGHTS, mask=mask, mode="inference"
+    )
+    zeroed = NetBatch.stack([inp for inp, _ in items], RAGGED)
+    loss_0, grads_0, _ = net.loss_and_grads(
+        params, zeroed, zeroed.label01, CLASS_WEIGHTS, mask=mask, mode="inference"
+    )
+    assert loss == loss_0
+    for name in grads:
+        npt.assert_array_equal(grads[name], grads_0[name], err_msg=name)
+
+    padded = [training.pad_item(inp, 12) for inp, _ in items]
+    for (_, pad_mask), (_, row_mask) in zip(padded, items):
+        pad_mask[: len(row_mask)] = row_mask
+    results = []
+    for fill in (0, 1):
+        for (inp, _), m in zip(padded, RAGGED):
+            for part in (inp.word_ids, inp.tag_ids, inp.dense):
+                if part is not None:
+                    part[m:] = fill
+        results.append(training.batch_loss_and_grads(
+            net, params, padded, CLASS_WEIGHTS, mode="inference"
+        ))
+    (loss_a, grads_a, active_a), (loss_b, grads_b, active_b) = results
+    assert (loss_a, active_a) == (loss_b, active_b)
+    for name in grads_a:
+        npt.assert_array_equal(grads_a[name], grads_b[name], err_msg=name)
+
+
+def test_batch_over_the_row_cap_is_split_into_blocks(monkeypatch):
+    net, params = batch_net("rcnn", dropout=0.4)
+    lengths = (100, 90, 80)  # 2 x 100 rows fit under the cap, 3 x 100 do not
+    assert 2 * lengths[0] <= training.BLOCK_ROWS < 3 * lengths[0]
+    items = [training.pad_item(inp, 100) for inp, _ in ragged_items(net.cfg, lengths)]
+    rng = np.random.default_rng(4)
+    want = training.batch_loss_and_grads(net, params, items[:2], CLASS_WEIGHTS, rng=rng)
+    rest = training.batch_loss_and_grads(net, params, items[2:], CLASS_WEIGHTS, rng=rng)
+    blocks = []
+    backward = SequenceNet.backward
+    monkeypatch.setattr(SequenceNet, "backward",
+                        lambda self, *a: blocks.append(1) or backward(self, *a))
+    loss, grads, n_active = training.batch_loss_and_grads(
+        net, params, items, CLASS_WEIGHTS, rng=np.random.default_rng(4)
+    )
+    assert len(blocks) == 2
+    want_grads = {k: want[1][k] + rest[1][k] for k in want[1]}
+    assert n_active == want[2] + rest[2] == sum(lengths)
+    assert abs(loss - (want[0] + rest[0])) <= 1e-12 * loss
+    assert_grads_close(grads, want_grads)

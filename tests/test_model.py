@@ -101,3 +101,27 @@ def test_half_valid_container_raises_model_file_error(tmp_path, craft, message):
     path.write_bytes(container(meta, segmenter, with_stats))
     with pytest.raises(ModelFileError, match=message):
         load_model(path)
+
+
+def test_requests_build_the_encoders_once(monkeypatch):
+    """The vocabularies are indexed on the first request only, and later
+    requests predict bit-identically."""
+    from sentbound.corpus import LABEL_B, LABEL_NB, LabeledText
+
+    segmenter = tiny_segmenter()
+    text = LabeledText(
+        id="t", tokens=["a", "b", "c", "a"], pos_tags=["t01"] * 4,
+        labels=[LABEL_NB, LABEL_B, LABEL_NB, LABEL_B],
+        prosody=np.random.default_rng(1).standard_normal((4, 13)),
+    )
+    first = segmenter.predict_probs(text)
+    built = []
+    from_rows = EmbeddingTable.from_rows.__func__
+    monkeypatch.setattr(EmbeddingTable, "from_rows", classmethod(
+        lambda cls, *args: built.append(args) or from_rows(cls, *args)
+    ))
+    for _ in range(3):
+        labels, fused = segmenter.predict_probs(text)
+        assert labels == first[0]
+        np.testing.assert_array_equal(fused, first[1])
+    assert built == []

@@ -12,23 +12,25 @@ from hypothesis.extra.numpy import arrays
 from sentbound.errors import ContractError
 from sentbound.numerics import (
     RmsPropState,
-    bilstm_forward,
     conv1d_same_forward,
     dense_forward,
     dropout_apply,
     glorot_init,
-    lstm_cell_step,
     maxpool1d_same,
     rmsprop_step,
     softmax,
     weighted_cross_entropy,
 )
 from sentbound.numerics.kernels import conv_windows
+from sentbound.numerics import NetBatch, NetConfig, NetInput, SequenceNet
 from sentbound.numerics.lstm import (
     GATES,
+    direction_forward,
     fuse_gate_weights,
     lstm_sequence_forward,
 )
+
+from lstm_reference import bilstm_forward, lstm_cell_step
 
 
 class TestDenseForward:
@@ -282,6 +284,42 @@ class TestBilstm:
         fwd = random_direction_weights(3, 2, rng)
         bwd = random_direction_weights(3, 2, rng)
         assert bilstm_forward(rng.normal(size=(m, 2)), fwd, bwd).shape == (m, 3)
+
+
+class TestBlockLstm:
+    """Time-major blocks against the per-sequence oracles, row by row."""
+
+    LENGTHS = (7, 3, 1)
+
+    def test_direction_rows_match_stepwise_oracle(self, rng):
+        n_r, d_in = 4, 3
+        w = random_direction_weights(n_r, d_in, rng)
+        block = rng.normal(size=(max(self.LENGTHS), len(self.LENGTHS), d_in))
+        y, _ = direction_forward(block, w)
+        for b, m in enumerate(self.LENGTHS):
+            h, c = np.zeros(n_r), np.zeros(n_r)
+            for t in range(m):
+                h, c = lstm_cell_step(block[t, b], h, c, w)
+                npt.assert_allclose(y[t, b], w["wy"] @ h + w["by"], atol=1e-12)
+
+    def test_bidirectional_rows_match_bilstm_oracle(self, rng):
+        net = SequenceNet(NetConfig(variant="rnn", rec_units=3, dropout=0.5,
+                                    word_vocab=6, word_dim=2, tag_vocab=4, tag_dim=2))
+        params = net.init_params(rng)
+        inputs = [NetInput(word_ids=rng.integers(0, 6, size=m),
+                           tag_ids=rng.integers(0, 4, size=m)) for m in self.LENGTHS]
+        probs, _ = net.forward(params, NetBatch.stack(inputs, self.LENGTHS))
+        weights = {
+            d: {k[len(d) + 1 :]: v for k, v in params.items() if k.startswith(d + "_")}
+            for d in ("fwd", "bwd")
+        }
+        for b, inp in enumerate(inputs):
+            x = np.concatenate(
+                [params["emb_word"][inp.word_ids], params["emb_tag"][inp.tag_ids]], axis=1
+            )
+            y = bilstm_forward(x, weights["fwd"], weights["bwd"])
+            want = softmax(y @ params["out_w"] + params["out_b"])
+            npt.assert_allclose(probs[: len(x), b], want, atol=1e-12)
 
 
 class TestDropout:
