@@ -22,8 +22,10 @@ from .model import (
     parse_feature_set,
     prf_from_counts,
 )
+from .numerics import NetBatch
 from .training import (
     TrainConfig,
+    blocks,
     kfold_split,
     make_lexical_bundle,
     make_prosodic_bundle,
@@ -191,19 +193,36 @@ def _train_pair(variant, feature_set, train_texts, config, fold_index, logs=None
     return lex_bundle, lex_enc, pros_bundle, pros_enc, stats
 
 
-def _predict_probs(bundle, encoder, text):
-    probs, _ = bundle.net.forward(bundle.params, encoder.encode(text))
+def _block_probs(bundle, encoder, texts, batch_size):
+    """One model's (m, 2) probs per text; None per text without a model.
+
+    The texts go through the network in order, batch_size texts at a time
+    like a training batch, so that a block's transient arrays (the conv
+    window stack above all) grow no larger than in training; each batch
+    goes as time-major blocks of at most training.BLOCK_ROWS padded rows,
+    and each row's live prefix is cut out of its block's probs.
+    """
+    if bundle is None:
+        return [None] * len(texts)
+    items = [(inp, len(inp)) for inp in (encoder.encode(t) for t in texts)]
+    probs = []
+    for start in range(0, len(items), batch_size):
+        for block in blocks(items[start : start + batch_size]):
+            inputs, lengths = zip(*block)
+            out, _ = bundle.net.forward(bundle.params, NetBatch.stack(inputs, lengths))
+            probs.extend(out[:m, b].copy() for b, m in enumerate(lengths))
     return probs
 
 
-def _predictions(models, texts):
+def _predictions(models, texts, config):
     """(p_lex, p_pros, gold) per text from _train_pair's models; an absent
-    model gives None."""
+    model gives None. Nothing runs until the first triple is asked for."""
     lex_bundle, lex_enc, pros_bundle, pros_enc, _ = models
-    for t in texts:
-        p_lex = None if lex_bundle is None else _predict_probs(lex_bundle, lex_enc, t)
-        p_pros = None if pros_bundle is None else _predict_probs(pros_bundle, pros_enc, t)
-        yield p_lex, p_pros, t.labels
+    batch_size = config.train.batch_size
+    p_lex = _block_probs(lex_bundle, lex_enc, texts, batch_size)
+    p_pros = _block_probs(pros_bundle, pros_enc, texts, batch_size)
+    for t, lex, pros in zip(texts, p_lex, p_pros):
+        yield lex, pros, t.labels
 
 
 def resolve_alpha(feature_set, config, predictions):
@@ -247,7 +266,7 @@ def cross_validated_eval(corpus, variant, feature_set, config: EvalConfig):
         train_texts = [by_id[tid] for tid in sorted(plan.train_ids(fold))]
         test_texts = [by_id[tid] for tid in sorted(plan.test_ids(fold))]
         models = _train_pair(variant, feature_set, train_texts, config, fold)
-        for t, triple in zip(test_texts, _predictions(models, test_texts)):
+        for t, triple in zip(test_texts, _predictions(models, test_texts, config)):
             oof[t.id] = (fold, triple)
     alpha = resolve_alpha(feature_set, config, (oof[tid][1] for tid in sorted(oof)))
     per_fold_counts = [[0, 0, 0] for _ in range(plan.k)]
@@ -296,10 +315,10 @@ def robustness_eval(train_corpus, test_corpus, config: EvalConfig,
         )
     train_texts = sorted(train_corpus, key=lambda t: t.id)
     models = _train_pair(variant, feature_set, train_texts, config, fold_index=0)
-    alpha = resolve_alpha(feature_set, config, _predictions(models, train_texts))
+    alpha = resolve_alpha(feature_set, config, _predictions(models, train_texts, config))
     tp = fp = fn = 0
     test_texts = sorted(test_corpus, key=lambda t: t.id)
-    for p_lex, p_pros, gold in _predictions(models, test_texts):
+    for p_lex, p_pros, gold in _predictions(models, test_texts, config):
         pred = _labels_for(p_lex, p_pros, feature_set, alpha)
         a, b, c = boundary_counts(gold, pred)
         tp, fp, fn = tp + a, fp + b, fn + c
@@ -329,7 +348,7 @@ def train_segmenter(corpus, variant, feature_set, config: EvalConfig, logs=None)
     lex_bundle, _, pros_bundle, _, stats = models
     return TrainedSegmenter(
         lexical=lex_bundle,
-        alpha=resolve_alpha(feature_set, config, _predictions(models, texts)),
+        alpha=resolve_alpha(feature_set, config, _predictions(models, texts, config)),
         prosodic=pros_bundle,
         prosody_stats=stats,
     )

@@ -7,6 +7,7 @@ training data only and applied unchanged at test time.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -47,7 +48,9 @@ class EmbeddingTable:
         return self.vocab.get(token, self.oov_row)
 
     def encode(self, tokens):
-        return np.array([self.lookup(t) for t in tokens], dtype=np.intp)
+        """Row ids of a token sequence, as lookup gives them one by one."""
+        rows = map(self.vocab.get, tokens, repeat(self.oov_row))
+        return np.fromiter(rows, dtype=np.intp, count=len(tokens))
 
     def sorted_tokens(self):
         """Tokens in row order, used when persisting a trained model."""
@@ -123,18 +126,6 @@ def load_embeddings(path):
 
 def encode_labels(labels):
     return np.array([1 if lab == LABEL_B else 0 for lab in labels], dtype=np.intp)
-
-
-def build_lexical_input(text, word_table=None, tag_table=None):
-    """Word-then-tag embedding concatenation, one row per token."""
-    if word_table is None and tag_table is None:
-        raise ContractError("need at least one embedding table")
-    parts = []
-    if word_table is not None:
-        parts.append(word_table.vectors[word_table.encode(text.tokens)])
-    if tag_table is not None:
-        parts.append(tag_table.vectors[tag_table.encode(text.pos_tags)])
-    return parts[0].copy() if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 @dataclass(frozen=True)

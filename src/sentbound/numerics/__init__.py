@@ -9,22 +9,13 @@ is derived by hand and checked against finite differences in the test
 suite.
 """
 
-from .kernels import (
-    dense_forward,
-    softmax,
-    conv1d_same_forward,
-    maxpool1d_same,
-    dropout_apply,
-    glorot_init,
-)
+from .kernels import softmax, maxpool1d_same, dropout_apply, glorot_init
 from .loss import weighted_cross_entropy
 from .optim import RmsPropState, rmsprop_step
 from .network import NetBatch, NetConfig, NetInput, SequenceNet
 
 __all__ = [
-    "dense_forward",
     "softmax",
-    "conv1d_same_forward",
     "maxpool1d_same",
     "dropout_apply",
     "glorot_init",

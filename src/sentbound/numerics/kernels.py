@@ -1,4 +1,4 @@
-"""Stateless numeric kernels: activations, dense, convolution, pooling."""
+"""Stateless numeric kernels: activations, convolution, pooling, dropout."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -14,12 +14,7 @@ def relu(z):
     return np.maximum(z, 0.0)
 
 
-_ACTIVATIONS = {
-    "identity": lambda z: z,
-    "sigmoid": sigmoid,
-    "tanh": np.tanh,
-    "relu": relu,
-}
+_ACTIVATIONS = {"sigmoid": sigmoid, "relu": relu}
 
 
 def activation_fn(name):
@@ -31,12 +26,8 @@ def activation_fn(name):
 
 def activation_grad(name, out):
     """Derivative of the named activation expressed through its output."""
-    if name == "identity":
-        return np.ones_like(out)
     if name == "sigmoid":
         return out * (1.0 - out)
-    if name == "tanh":
-        return 1.0 - out * out
     if name == "relu":
         return (out > 0.0).astype(out.dtype)
     raise ContractError(f"unknown activation {name!r}")
@@ -58,21 +49,6 @@ def row_outer_sum(a, b):
 def row_sum(a):
     """Sum over every axis but the last."""
     return a.reshape(-1, a.shape[-1]).sum(axis=0)
-
-
-def dense_forward(x, w, b, activation="identity"):
-    """Fully connected layer for a single vector: activation(W^T x + b).
-
-    x: (k,), w: (k, j), b: (j,).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if w.ndim != 2 or x.shape != (w.shape[0],) or b.shape != (w.shape[1],):
-        raise ContractError(
-            f"dense_forward shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}"
-        )
-    return activation_fn(activation)(x @ w + b)
 
 
 def softmax(z):
@@ -111,26 +87,6 @@ def conv_windows(x, h_c):
     for k in range(h_c):
         windows[..., k * d : (k + 1) * d] = padded[k : k + m]
     return windows
-
-
-def conv1d_same_forward(x, filters, bias, activation="relu"):
-    """Length-preserving 1-D convolution over the rows of x.
-
-    x: (m, d); filters: (n_f, h_c*d) with each row a flattened window
-    filter; bias: (n_f,). Returns (m, n_f).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    filters = np.asarray(filters, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    m, d = x.shape
-    n_f, wd = filters.shape
-    if wd % d != 0:
-        raise ContractError(f"filter width {wd} not a multiple of input dim {d}")
-    h_c = wd // d
-    if h_c < 1 or m < 1:
-        raise ContractError("conv1d requires h_c >= 1 and m >= 1")
-    pre = conv_windows(x, h_c) @ filters.T + bias
-    return activation_fn(activation)(pre)
 
 
 def conv1d_backward(d_out_pre, x, filters):

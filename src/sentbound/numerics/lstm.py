@@ -1,4 +1,4 @@
-"""Fused LSTM passes over time-major blocks of sequences, one direction.
+"""Fused LSTM passes over time-major blocks, both directions in lockstep.
 
 A direction's weights live in a plain dict with per-gate matrices in the
 conventional orientation (rows = units):
@@ -17,11 +17,20 @@ step t of row b, and every row starts from a zero state at step 0. A
 row shorter than T is padded at its end, so its padded steps run after
 its live prefix and never reach a live output; when the gradient on
 every padded output is zero, BPTT gives the padded steps exactly zero
-gradient too. A plain (m, d) array is one sequence (B = 1) and its
-results keep the (m, ...) layout. SequenceNet builds the bidirectional
-layer from two independently parameterised directions: the second runs
-over each row's reversed live prefix, and the two projected output
-sequences are summed.
+gradient too.
+
+The D = 2 directions of the bidirectional layer are independently
+parameterised LSTMs over two blocks of the same shape; SequenceNet
+feeds the second one each row's reversed live prefix and sums the two
+projected outputs. Their recurrences are independent, so one Python
+time-step loop advances both: the gate pre-activations are held as
+(T, 4, D, B, n), so a step's i/f/o slice (3, D, B, n) and g slice
+(D, B, n) are contiguous, and each step runs one stacked (D, B, n) @
+(D, n, 4n) matmul. Each direction's input projection, recurrent GEMM
+and gradient epilogue keep the shapes of a lone direction, so a
+direction's outputs and gradients do not depend on its partner.
+direction_forward and direction_backward keep their names as the entry
+points of that lockstep pair.
 """
 
 import numpy as np
@@ -39,35 +48,42 @@ def fuse_gate_weights(weights):
     return wx, wh, b
 
 
-def lstm_sequence_forward(x, wx, wh, b):
-    """Run a fused-gate LSTM over a block (zero initial state).
+def lstm_sequence_forward(xs, fused):
+    """Run D fused-gate LSTMs in lockstep, each over its own block.
 
-    x: (T, B, d_in), or (m, d_in) for one sequence; wx: (4n, d_in);
-    wh: (4n, n); b: (4n,). Returns (h_seq, cache) where h_seq is x's
-    shape with n columns.
+    xs: D blocks (T, B, d_in) of one shape; fused: D (wx, wh, b) triples
+    from fuse_gate_weights, wx (4n, d_in), wh (4n, n), b (4n,). Every
+    row starts from a zero state. Returns (h, cache), h of shape
+    (T, D, B, n).
     """
-    block = x if x.ndim == 3 else x[:, None, :]
-    steps, rows, _ = block.shape
-    n = wh.shape[1]
-    # Pre-activations of every step at once; the loop adds the recurrent
-    # term and turns each step's slice into gate activations in place, so
-    # the cache holds one (T, B, 4n) gate array. The i, f, o columns carry
-    # -z (negated weights give exactly the negated sums), so their sigmoid
-    # 1 / (1 + exp(-z)), as in kernels.sigmoid, needs no negation step.
+    steps, rows = xs[0].shape[:2]
+    dirs = len(xs)
+    n = fused[0][1].shape[1]
+    # The loop adds the recurrent term to each step's pre-activations and
+    # turns them into gate activations in place, so the cache holds one
+    # gate array. The i, f, o rows carry -z (negated weights give exactly
+    # the negated sums), so their sigmoid 1 / (1 + exp(-z)), as in
+    # kernels.sigmoid, needs no negation step.
     sign = np.ones(4 * n)
     sign[: 3 * n] = -1.0
-    gates = row_matmul(block, wx.T * sign) + b * sign
-    wh_t = wh.T * sign
-    sig = gates[..., : 3 * n]
-    i, f, o, g = (gates[..., k * n : (k + 1) * n] for k in range(4))
-    cs = np.empty((steps, rows, n))
-    tc = np.empty((steps, rows, n))
-    hs = np.empty((steps, rows, n))
-    c = np.zeros((rows, n))
+    gates = np.empty((steps, 4, dirs, rows, n))
+    for d, (x, (wx, _, b)) in enumerate(zip(xs, fused)):
+        z = row_matmul(x, wx.T * sign)
+        z += b * sign
+        gates[:, :, d] = z.reshape(steps, rows, 4, n).transpose(0, 2, 1, 3)
+        del z
+    wh = np.stack([w_h for _, w_h, _ in fused])  # (D, 4n, n)
+    wh_t = wh.transpose(0, 2, 1) * sign  # each block a scaled view of wh.T
+    sig = gates[:, :3]
+    i, f, o, g = (gates[:, k] for k in range(4))
+    cs = np.empty((steps, dirs, rows, n))
+    tc = np.empty((steps, dirs, rows, n))
+    hs = np.empty((steps, dirs, rows, n))
+    c = np.zeros((dirs, rows, n))
     for t in range(steps):
         if t:
-            z = gates[t]
-            z += hs[t - 1] @ wh_t
+            rec = np.matmul(hs[t - 1], wh_t)
+            gates[t] += rec.reshape(dirs, rows, 4, n).transpose(2, 0, 1, 3)
         s = sig[t]
         np.exp(s, out=s)
         s += 1.0
@@ -81,81 +97,118 @@ def lstm_sequence_forward(x, wx, wh, b):
         np.tanh(c_t, out=tc_t)
         np.multiply(o[t], tc_t, out=hs[t])
         c = c_t
-    cache = {"x": block, "gates": gates, "c": cs, "tanh_c": tc, "h": hs}
-    return (hs if x.ndim == 3 else hs[:, 0]), cache
+    cache = {"x": list(xs), "wx": [wx for wx, _, _ in fused], "wh": wh,
+             "gates": gates, "c": cs, "tanh_c": tc, "h": hs}
+    return hs, cache
 
 
-def lstm_sequence_backward(d_h_seq, cache, wx, wh):
-    """Backpropagation through time for lstm_sequence_forward.
+def _bptt_factors(gates, c, tanh_c):
+    """Turn a forward cache's gate activations into BPTT's per-step factors.
 
-    d_h_seq: gradient w.r.t. every hidden output, shaped like h_seq.
-    Returns (d_wx, d_wh, d_b, d_x) with d_x shaped like the forward's x.
-    The cache's gate array is overwritten, so a cache serves one call.
+    Works for all steps at once and in place, on the cache's buffers: a
+    step's dc scales the i, f and g rows of gates and its dh the o rows,
+    giving the gate gradients. Returns the forget gates, by which dc
+    decays, o * (1 - tanh(c)^2) in c's buffer, by which dh feeds dc, and
+    one more free (T, D, B, n) buffer.
     """
-    x, gates, cs, tc, hs = (cache[k] for k in ("x", "gates", "c", "tanh_c", "h"))
-    steps, rows, n = hs.shape
-    d_h = d_h_seq.reshape(hs.shape)
-    i, f, o, g = (gates[..., k * n : (k + 1) * n] for k in range(4))
-    # Step-independent factors, for all steps at once. A step's dc scales
-    # the i, f and g factors and its dh the o factor into dz, and dh
-    # feeds dc through o * (1 - tanh(c)^2).
+    i, f, o, g = (gates[:, k] for k in range(4))
     forget = f.copy()
-    o_dtanh = o * (1.0 - tc * tc)
-    g_factor = i * (1.0 - g * g)
-    sig = gates[..., : 3 * n]
-    sig *= 1.0 - sig
+    free = np.empty_like(forget)
+    f *= np.subtract(1.0, f, out=free)
+    f[1:] *= c[:-1]
+    f[0] = 0.0  # zero initial cell state
+    g_factor = np.subtract(1.0, np.multiply(g, g, out=c), out=c)
+    g_factor *= i
+    i *= np.subtract(1.0, i, out=free)
     i *= g
     g[...] = g_factor
-    f[1:] *= cs[:-1]
-    f[0] = 0.0  # zero initial cell state
-    o *= tc
-    per_gate = gates.reshape(steps, rows, 4, n)
-    dh = np.zeros((rows, n))
-    dc = np.zeros((rows, n))
+    o_dtanh = np.subtract(1.0, np.multiply(tanh_c, tanh_c, out=c), out=c)
+    o_dtanh *= o
+    o *= np.subtract(1.0, o, out=free)
+    o *= tanh_c
+    return forget, o_dtanh, free
+
+
+def lstm_sequence_backward(d_hs, cache):
+    """Backpropagation through time for lstm_sequence_forward.
+
+    d_hs: D gradients (T, B, n), one per direction's hidden outputs, in
+    any iterable; they are read after the cache's buffers are reused.
+    Returns one (d_wx, d_wh, d_b, d_x) per direction. The cache is
+    consumed: its buffers are overwritten and its entries popped.
+    """
+    gates, hs, wh = cache.pop("gates"), cache.pop("h"), cache.pop("wh")
+    steps, _, dirs, rows, n = gates.shape
+    forget, o_dtanh, d_h = _bptt_factors(gates, cache.pop("c"), cache.pop("tanh_c"))
+    for d, d_h_d in enumerate(d_hs):
+        d_h[:, d] = d_h_d
+    del d_h_d
+    dh = np.zeros((dirs, rows, n))
+    dc = np.zeros((dirs, rows, n))
     for t in range(steps - 1, -1, -1):
         dh += d_h[t]
         dc += dh * o_dtanh[t]
-        k = per_gate[t]
-        k[:, :2] *= dc[:, None]
-        k[:, 2] *= dh
-        k[:, 3] *= dc
-        dh = gates[t] @ wh
+        dz = gates[t]
+        dz[:2] *= dc
+        dz[2] *= dh
+        dz[3] *= dc
+        dh = np.matmul(dz.transpose(1, 2, 0, 3).reshape(dirs, rows, 4 * n), wh)
         dc *= forget[t]
-    d_wx = row_outer_sum(gates, x)
-    d_wh = row_outer_sum(gates[1:], hs[:-1])
-    d_b = row_sum(gates)
-    d_x = row_matmul(gates, wx).reshape(d_h_seq.shape[:-1] + (wx.shape[1],))
-    return d_wx, d_wh, d_b, d_x
+    del forget, o_dtanh, d_h, wh
+    # One direction at a time, on a (T, B, 4n) copy of its gate gradients
+    # in the freed buffers' place.
+    dz = np.empty((steps, rows, 4 * n))
+    out = []
+    for d, (x, wx) in enumerate(zip(cache.pop("x"), cache.pop("wx"))):
+        dz.reshape(steps, rows, 4, n)[...] = gates[:, :, d].transpose(0, 2, 1, 3)
+        h = hs[:, d]
+        out.append((
+            row_outer_sum(dz, x),
+            row_outer_sum(dz[1:], h[:-1]),
+            row_sum(dz),
+            row_matmul(dz, wx),
+        ))
+    return out
 
 
-def direction_forward(x, weights):
-    """One direction of the bidirectional layer: LSTM plus output projection.
+def direction_forward(x_fwd, x_bwd, weights):
+    """Both directions of the bidirectional layer: LSTM plus output projection.
 
-    x is a time-major (T, B, d) block or one (m, d) sequence. Returns
-    (y_seq, cache); y_t = wy @ h_t + by (identity activation).
+    x_fwd and x_bwd are (T, B, d) blocks, the second direction's input
+    already reversed by the caller; weights holds the two directions'
+    dicts. Returns ((y_fwd, y_bwd), cache); y_t = wy @ h_t + by
+    (identity activation) in each direction.
     """
-    wx, wh, b = fuse_gate_weights(weights)
-    h_seq, cache = lstm_sequence_forward(x, wx, wh, b)
-    y_seq = row_matmul(h_seq, weights["wy"].T) + weights["by"]
-    cache["fused"] = (wx, wh)
-    return y_seq, cache
+    hs, cache = lstm_sequence_forward(
+        (x_fwd, x_bwd), [fuse_gate_weights(w) for w in weights]
+    )
+    ys = tuple(
+        row_matmul(hs[:, d], w["wy"].T) + w["by"] for d, w in enumerate(weights)
+    )
+    return ys, cache
 
 
-def direction_backward(d_y_seq, cache, weights):
-    """Gradients for direction_forward; consumes the cache.
+def direction_backward(d_y_fwd, d_y_bwd, cache, weights):
+    """Gradients for direction_forward, both directions; consumes the cache.
 
-    Returns (grads, d_x) with grads keyed like the weights dict.
+    Returns ((grads_fwd, grads_bwd), (d_x_fwd, d_x_bwd)), each grads dict
+    keyed like its weights dict.
     """
-    h_seq = cache["h"]
-    n = h_seq.shape[-1]
-    d_wy = row_outer_sum(d_y_seq, h_seq)
-    d_by = row_sum(d_y_seq)
-    d_h_seq = row_matmul(d_y_seq, weights["wy"])
-    wx, wh = cache["fused"]
-    d_wx, d_wh, d_b, d_x = lstm_sequence_backward(d_h_seq, cache, wx, wh)
-    grads = {"wy": d_wy, "by": d_by}
-    for k, gate in enumerate(GATES):
-        grads[f"wx_{gate}"] = d_wx[k * n : (k + 1) * n]
-        grads[f"wh_{gate}"] = d_wh[k * n : (k + 1) * n]
-        grads[f"b_{gate}"] = d_b[k * n : (k + 1) * n]
-    return grads, d_x
+    hs = cache["h"]
+    n = hs.shape[-1]
+    d_ys = (d_y_fwd, d_y_bwd)
+    grads = [
+        {"wy": row_outer_sum(d_y, hs[:, d]), "by": row_sum(d_y)}
+        for d, d_y in enumerate(d_ys)
+    ]
+    # lazy, so each (T, B, n) product lives only until the BPTT copies it
+    d_hs = (row_matmul(d_y, w["wy"]) for d_y, w in zip(d_ys, weights))
+    results = lstm_sequence_backward(d_hs, cache)
+    d_xs = []
+    for grad, (d_wx, d_wh, d_b, d_x) in zip(grads, results):
+        for k, gate in enumerate(GATES):
+            grad[f"wx_{gate}"] = d_wx[k * n : (k + 1) * n]
+            grad[f"wh_{gate}"] = d_wh[k * n : (k + 1) * n]
+            grad[f"b_{gate}"] = d_b[k * n : (k + 1) * n]
+        d_xs.append(d_x)
+    return tuple(grads), tuple(d_xs)

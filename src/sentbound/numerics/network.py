@@ -16,9 +16,12 @@ Every pass runs on a time-major NetBatch block; one NetInput is a block
 of one. Padding never reaches an active result: input rows past a
 sequence's end are zeroed before the conv (the zero padding a lone
 sequence gets), max-pool sees padded conv rows as -inf and emits zero
-there, the backward LSTM direction reverses each row's live prefix with
-an index gather, dropout masks are drawn per sequence over its live
-rows, and padded rows carry no loss gradient.
+there, the backward LSTM direction reads each row's live prefix
+reversed by an index gather (an involution, so the same gather puts its
+outputs and input gradients back in order), dropout masks are drawn per
+sequence over its live rows, and padded rows carry no loss gradient.
+Both LSTM directions run in one lockstep call, lstm_ops.direction_forward
+and direction_backward, on the block and its reversed copy.
 """
 
 from dataclasses import dataclass, field
@@ -214,12 +217,13 @@ class SequenceNet:
             raise ContractError("network input carries no usable features")
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
 
-    def _direction_weights(self, params, direction):
-        keys = [f"wx_{g}" for g in lstm_ops.GATES]
-        keys += [f"wh_{g}" for g in lstm_ops.GATES]
-        keys += [f"b_{g}" for g in lstm_ops.GATES]
+    def _lstm_weights(self, params):
+        """The fwd and bwd direction weight dicts, keyed as lstm.py reads them."""
+        keys = [f"{w}_{g}" for w in ("wx", "wh", "b") for g in lstm_ops.GATES]
         keys += ["wy", "by"]
-        return {k: params[f"{direction}_{k}"] for k in keys}
+        return tuple(
+            {k: params[f"{direction}_{k}"] for k in keys} for direction in ("fwd", "bwd")
+        )
 
     def forward(self, params, inp, mode="inference", rng=None):
         """Run the stack on one sequence or on a block. Returns (probs, cache).
@@ -228,7 +232,8 @@ class SequenceNet:
         finite but meaningless on padded steps. Rows are row-stochastic;
         cache feeds backward(). In train mode dropout consumes draws from
         rng, one (length, units) mask per sequence in row order;
-        inference is deterministic.
+        inference is deterministic and skips dropout, which is the
+        identity there, so its cache holds no mask.
         """
         if mode not in ("train", "inference"):
             raise ContractError(f"unknown mode {mode!r}")
@@ -267,15 +272,12 @@ class SequenceNet:
             steps = np.arange(h.shape[0])[:, None]
             # An involution: each row's live prefix reversed, padding kept.
             rev = (np.where(live, lengths - 1 - steps, steps), np.arange(len(lengths)))
-            fwd_w = self._direction_weights(params, "fwd")
-            bwd_w = self._direction_weights(params, "bwd")
-            y_f, cache_f = lstm_ops.direction_forward(h, fwd_w)
-            y_b, cache_b = lstm_ops.direction_forward(h[rev], bwd_w)
-            cache["lstm_fwd"] = cache_f
-            cache["lstm_bwd"] = cache_b
+            (y_f, y_b), cache["lstm"] = lstm_ops.direction_forward(
+                h, h[rev], self._lstm_weights(params)
+            )
             cache["rev"] = rev
             h = y_f + y_b[rev]
-        if cfg.variant != "mlp":
+        if cfg.variant != "mlp" and mode == "train":
             dropped = np.zeros_like(h)
             mask = np.zeros_like(h)
             for b, length in enumerate(lengths):
@@ -310,18 +312,17 @@ class SequenceNet:
             "out_b": row_sum(d_logits),
         }
         dh = row_matmul(d_logits, params["out_w"].T)
-        if cfg.variant != "mlp":
+        if "dropout_mask" in cache:
             dh = dh * cache["dropout_mask"]
         if cfg.variant in ("rcnn", "rnn"):
             rev = cache["rev"]
-            fwd_w = self._direction_weights(params, "fwd")
-            bwd_w = self._direction_weights(params, "bwd")
-            g_f, dx_f = lstm_ops.direction_backward(dh, cache.pop("lstm_fwd"), fwd_w)
-            g_b, dx_b = lstm_ops.direction_backward(dh[rev], cache.pop("lstm_bwd"), bwd_w)
-            for key, value in g_f.items():
-                grads[f"fwd_{key}"] = value
-            for key, value in g_b.items():
-                grads[f"bwd_{key}"] = value
+            weights = self._lstm_weights(params)
+            grads_fb, (dx_f, dx_b) = lstm_ops.direction_backward(
+                dh, dh[rev], cache.pop("lstm"), weights
+            )
+            for direction, g in zip(("fwd", "bwd"), grads_fb):
+                for key, value in g.items():
+                    grads[f"{direction}_{key}"] = value
             dh = dx_f + dx_b[rev]
         if cfg.variant == "mlp":
             d_pre = dh * activation_grad("sigmoid", cache["mlp_out"])

@@ -172,15 +172,16 @@ def active_prefix_length(mask):
     return 0 if len(active) == 0 else int(active[-1]) + 1
 
 
-def _blocks(items):
-    """Consecutive runs of (input, mask, length) items, each padded to its
-    longest length in at most BLOCK_ROWS rows; one item always fits."""
+def blocks(items):
+    """Consecutive runs of items, each padded to its longest length in at
+    most BLOCK_ROWS rows; an item's last element is its length, and one
+    item always fits."""
     block, steps = [], 0
     for item in items:
-        steps = max(steps, item[2])
+        steps = max(steps, item[-1])
         if block and steps * (len(block) + 1) > BLOCK_ROWS:
             yield block
-            block, steps = [], item[2]
+            block, steps = [], item[-1]
         block.append(item)
     yield block
 
@@ -199,7 +200,7 @@ def batch_loss_and_grads(net, params, items, class_weights, mode="train", rng=No
     if not live:
         raise ContractError("batch has no active positions")
     total_loss, total_active, acc = 0.0, 0, None
-    for block in _blocks(live):
+    for block in blocks(live):
         inputs, masks, lengths = zip(*block)
         batch = NetBatch.stack(inputs, lengths)
         loss, grads, n_active = net.loss_and_grads(

@@ -1,14 +1,13 @@
 """Per-sequence LSTM oracles: one cell step, and the bidirectional layer.
 
 They transcribe the gate equations one timestep at a time, with no
-batching, fused gates or padding, and serve as the reference that the
-library's batched passes are compared against.
+batching, fused gates, lockstep directions or padding, and serve as the
+reference that the library's block passes are compared against.
 """
 
 import numpy as np
 
 from sentbound.numerics.kernels import sigmoid
-from sentbound.numerics.lstm import direction_forward
 
 
 def lstm_cell_step(x_t, h_prev, c_prev, weights):
@@ -22,6 +21,18 @@ def lstm_cell_step(x_t, h_prev, c_prev, weights):
     return h_t, c_t
 
 
+def direction_outputs(x, weights):
+    """One direction over one (m, d) sequence from a zero state: the
+    projected outputs wy @ h_t + by, one row per step."""
+    n = weights["wh_i"].shape[0]
+    h, c = np.zeros(n), np.zeros(n)
+    rows = []
+    for x_t in x:
+        h, c = lstm_cell_step(x_t, h, c, weights)
+        rows.append(weights["wy"] @ h + weights["by"])
+    return np.array(rows)
+
+
 def bilstm_forward(x, fwd_weights, bwd_weights):
     """Bidirectional pass over one (m, d) sequence: forward over x,
     backward over reversed x.
@@ -29,6 +40,4 @@ def bilstm_forward(x, fwd_weights, bwd_weights):
     The backward direction's outputs are re-reversed and the two projected
     sequences are summed elementwise, preserving the m rows of x.
     """
-    y_f, _ = direction_forward(x, fwd_weights)
-    y_b, _ = direction_forward(x[::-1], bwd_weights)
-    return y_f + y_b[::-1]
+    return direction_outputs(x, fwd_weights) + direction_outputs(x[::-1], bwd_weights)[::-1]

