@@ -4,11 +4,18 @@ Exit codes: 0 success, 1 usage error, 2 data or contract error,
 3 numeric failure during training. Flags override values from an
 optional line-oriented "key = value" config file, and every run logs
 its fully resolved configuration.
+
+`segment` reads plain tokens, which carry no prosody and no PoS tags.
+Without --alpha it therefore segments with the lexical model alone
+(alpha 1.0) and warns when the stored alpha is below 1; an explicit
+--alpha below 1 is a data error. It also warns when the model was
+trained on PoS tags, since every token gets the unknown-tag row.
 """
 
 import argparse
 import logging
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .corpus import (
@@ -139,7 +146,9 @@ def build_parser():
     p_seg.add_argument("--input", required=True, help="whitespace token file")
     p_seg.add_argument("--emit", default="text", choices=["text", "tsv"])
     p_seg.add_argument("--alpha", type=float, default=None,
-                       help="override the stored fusion weight (1.0 = lexical only)")
+                       help="fusion weight (1.0 = lexical only); token input has "
+                            "no prosody, so the default is 1.0 with a warning "
+                            "when the stored weight is below 1")
     p_seg.add_argument("--output", default=None, help="write here instead of stdout")
     _add_common(p_seg)
     p_seg.set_defaults(func=cmd_segment)
@@ -277,7 +286,15 @@ def cmd_segment(args):
     try:
         if text is None:
             return EXIT_OK
-        labels, fused = segmenter.predict_probs(text, alpha=args.alpha)
+        alpha = args.alpha
+        if alpha is None and segmenter.alpha < 1.0:
+            log.warning("token input has no prosody: segmenting with the lexical "
+                        "model alone (alpha 1.0, stored alpha %g)", segmenter.alpha)
+            alpha = 1.0
+        if segmenter.lexical.tag_tokens is not None:  # every input tag is <notag>
+            log.warning("the model was trained with PoS tags but the input has "
+                        "none; every token gets the unknown-tag row")
+        labels, fused = segmenter.predict_probs(text, alpha=alpha)
         if args.emit == "text":
             parts = []
             for token, label in zip(text.tokens, labels):
@@ -324,19 +341,10 @@ def cmd_eval(args):
 def cmd_synth(args):
     if args.from_manifest:
         manifest = load_config_file(args.from_manifest)
-        manifest.pop("command", None)
-        spec = SynthSpec(
-            n_texts=int(manifest["n_texts"]),
-            mean_sentence_len=float(manifest["mean_sentence_len"]),
-            boundary_cue_token=str(manifest["boundary_cue_token"]),
-            cue_reliability=float(manifest["cue_reliability"]),
-            prosody_cue_strength=float(manifest["prosody_cue_strength"]),
-            vocab_size=int(manifest["vocab_size"]),
-            seed=int(manifest["seed"]),
-            cue_offset=int(manifest["cue_offset"]),
-            mean_sentences_per_text=float(manifest["mean_sentences_per_text"]),
-            name=str(manifest["name"]),
-        )
+        try:
+            spec = SynthSpec(**{f.name: f.type(manifest[f.name]) for f in fields(SynthSpec)})
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"missing or malformed entry: {exc}", args.from_manifest) from exc
     else:
         if args.texts is None or args.texts < 1:
             raise _UsageError("--texts must be a positive integer")
@@ -355,21 +363,7 @@ def cmd_synth(args):
     corpus = synth_generate(spec)
     out = Path(args.out)
     write_corpus(corpus, out, one_file_per_text=True)
-    _write_manifest(
-        out / "synth.manifest",
-        {
-            "n_texts": spec.n_texts,
-            "mean_sentence_len": spec.mean_sentence_len,
-            "boundary_cue_token": spec.boundary_cue_token,
-            "cue_reliability": spec.cue_reliability,
-            "prosody_cue_strength": spec.prosody_cue_strength,
-            "vocab_size": spec.vocab_size,
-            "seed": spec.seed,
-            "cue_offset": spec.cue_offset,
-            "mean_sentences_per_text": spec.mean_sentences_per_text,
-            "name": spec.name,
-        },
-    )
+    _write_manifest(out / "synth.manifest", asdict(spec))
     log.info("wrote %d texts to %s", len(corpus), out)
     return EXIT_OK
 

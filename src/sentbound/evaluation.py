@@ -4,6 +4,11 @@ Scoring ignores the NB class entirely: precision, recall, and F1 are
 computed for boundary predictions at exact token positions. Fold results
 are pooled by summing tp/fp/fn counts (micro-averaging) because per-fold
 boundary counts are small.
+
+A split trains one ModelBundle per active feature family. Each bundle
+encodes and predicts its own texts (ModelBundle.probs, the path the
+segmenter uses too), and every run scores the fused rows, with the
+absent family's weight at 0.
 """
 
 from dataclasses import dataclass, field
@@ -12,20 +17,17 @@ import numpy as np
 
 from .corpus import LABEL_B
 from .errors import ContractError
-from .features import EmbeddingTable, LexicalEncoder, ProsodicEncoder, fit_prosody_stats
+from .features import EmbeddingTable, fit_prosody_stats
 from .model import (
     Hyperparams,
     TrainedSegmenter,
     boundary_counts,
     fuse,
-    labels_from_probs,
     parse_feature_set,
     prf_from_counts,
 )
-from .numerics import NetBatch
 from .training import (
     TrainConfig,
-    blocks,
     kfold_split,
     make_lexical_bundle,
     make_prosodic_bundle,
@@ -146,12 +148,11 @@ def _fold_rng(seed, fold, stream):
 def _train_pair(variant, feature_set, train_texts, config, fold_index, logs=None):
     """Train the lexical and/or prosodic model for one split.
 
-    Returns (lexical_bundle, lex_encoder, prosodic_bundle, pros_encoder,
-    prosody_stats); absent parts are None. `logs` may map "lexical" /
-    "prosodic" to per-epoch log callbacks.
+    Returns (lexical_bundle, prosodic_bundle); an absent one is None.
+    `logs` may map "lexical" / "prosodic" to per-epoch log callbacks.
     """
     logs = logs or {}
-    lex_bundle = lex_enc = pros_bundle = pros_enc = stats = None
+    lex_bundle = pros_bundle = None
     if feature_set.has_lexical:
         rng = _fold_rng(config.train.seed, fold_index, 0)
         word_table = None
@@ -170,59 +171,21 @@ def _train_pair(variant, feature_set, train_texts, config, fold_index, logs=None
         lex_bundle = make_lexical_bundle(
             variant, config.lexical_hp, word_table, tag_table, rng
         )
-        lex_enc = LexicalEncoder(
-            lex_bundle.word_table() if feature_set.words else None,
-            lex_bundle.tag_table() if feature_set.tags else None,
-        )
-        # encoder tables above share vocab with the bundle; vectors are the
-        # bundle's live parameters, but the encoder only uses the vocab
-        train_model(
-            lex_bundle, train_texts, lex_enc, config.train, rng,
-            model_kind="lexical", log=logs.get("lexical"),
-        )
+        train_model(lex_bundle, train_texts, config.train, rng, log=logs.get("lexical"))
     if feature_set.prosody:
         rng = _fold_rng(config.train.seed, fold_index, 1)
-        non_ad = [t for t in train_texts if t.group != "AD"]
-        stats = fit_prosody_stats(non_ad)
-        pros_bundle = make_prosodic_bundle(variant, config.prosodic_hp, rng)
-        pros_enc = ProsodicEncoder(stats)
-        train_model(
-            pros_bundle, train_texts, pros_enc, config.train, rng,
-            model_kind="prosodic", log=logs.get("prosodic"),
-        )
-    return lex_bundle, lex_enc, pros_bundle, pros_enc, stats
-
-
-def _block_probs(bundle, encoder, texts, batch_size):
-    """One model's (m, 2) probs per text; None per text without a model.
-
-    The texts go through the network in order, batch_size texts at a time
-    like a training batch, so that a block's transient arrays (the conv
-    window stack above all) grow no larger than in training; each batch
-    goes as time-major blocks of at most training.BLOCK_ROWS padded rows,
-    and each row's live prefix is cut out of its block's probs.
-    """
-    if bundle is None:
-        return [None] * len(texts)
-    items = [(inp, len(inp)) for inp in (encoder.encode(t) for t in texts)]
-    probs = []
-    for start in range(0, len(items), batch_size):
-        for block in blocks(items[start : start + batch_size]):
-            inputs, lengths = zip(*block)
-            out, _ = bundle.net.forward(bundle.params, NetBatch.stack(inputs, lengths))
-            probs.extend(out[:m, b].copy() for b, m in enumerate(lengths))
-    return probs
+        stats = fit_prosody_stats([t for t in train_texts if t.group != "AD"])
+        pros_bundle = make_prosodic_bundle(variant, config.prosodic_hp, stats, rng)
+        train_model(pros_bundle, train_texts, config.train, rng, log=logs.get("prosodic"))
+    return lex_bundle, pros_bundle
 
 
 def _predictions(models, texts, config):
     """(p_lex, p_pros, gold) per text from _train_pair's models; an absent
     model gives None. Nothing runs until the first triple is asked for."""
-    lex_bundle, lex_enc, pros_bundle, pros_enc, _ = models
-    batch_size = config.train.batch_size
-    p_lex = _block_probs(lex_bundle, lex_enc, texts, batch_size)
-    p_pros = _block_probs(pros_bundle, pros_enc, texts, batch_size)
-    for t, lex, pros in zip(texts, p_lex, p_pros):
-        yield lex, pros, t.labels
+    probs = [[None] * len(texts) if m is None else m.probs(texts, config.train.batch_size)
+             for m in models]
+    yield from zip(*probs, (t.labels for t in texts))
 
 
 def resolve_alpha(feature_set, config, predictions):
@@ -237,18 +200,7 @@ def resolve_alpha(feature_set, config, predictions):
         return 1.0 if feature_set.has_lexical else 0.0
     if config.alpha is not None:
         return config.alpha
-    lex_probs, pros_probs, gold = zip(*predictions)
-    return tune_alpha_from_probs(lex_probs, pros_probs, gold, config.train.alpha_grid)
-
-
-def _labels_for(p_lex, p_pros, feature_set, alpha):
-    if feature_set.has_lexical and feature_set.prosody:
-        labels, _ = fuse(p_lex, p_pros, alpha)
-    elif feature_set.has_lexical:
-        labels = labels_from_probs(p_lex)
-    else:
-        labels = labels_from_probs(p_pros)
-    return labels
+    return tune_alpha_from_probs(*zip(*predictions))
 
 
 def cross_validated_eval(corpus, variant, feature_set, config: EvalConfig):
@@ -272,7 +224,7 @@ def cross_validated_eval(corpus, variant, feature_set, config: EvalConfig):
     per_fold_counts = [[0, 0, 0] for _ in range(plan.k)]
     for tid in sorted(oof):
         fold, (p_lex, p_pros, gold) = oof[tid]
-        tp, fp, fn = boundary_counts(gold, _labels_for(p_lex, p_pros, feature_set, alpha))
+        tp, fp, fn = boundary_counts(gold, fuse(p_lex, p_pros, alpha)[0])
         per_fold_counts[fold][0] += tp
         per_fold_counts[fold][1] += fp
         per_fold_counts[fold][2] += fn
@@ -319,8 +271,7 @@ def robustness_eval(train_corpus, test_corpus, config: EvalConfig,
     tp = fp = fn = 0
     test_texts = sorted(test_corpus, key=lambda t: t.id)
     for p_lex, p_pros, gold in _predictions(models, test_texts, config):
-        pred = _labels_for(p_lex, p_pros, feature_set, alpha)
-        a, b, c = boundary_counts(gold, pred)
+        a, b, c = boundary_counts(gold, fuse(p_lex, p_pros, alpha)[0])
         tp, fp, fn = tp + a, fp + b, fn + c
     return _report_from_counts(
         tp, fp, fn,
@@ -345,10 +296,8 @@ def train_segmenter(corpus, variant, feature_set, config: EvalConfig, logs=None)
         raise ContractError("a segmenter needs a lexical model")
     texts = sorted(corpus, key=lambda t: t.id)
     models = _train_pair(variant, feature_set, texts, config, fold_index=0, logs=logs)
-    lex_bundle, _, pros_bundle, _, stats = models
     return TrainedSegmenter(
-        lexical=lex_bundle,
+        lexical=models[0],
         alpha=resolve_alpha(feature_set, config, _predictions(models, texts, config)),
-        prosodic=pros_bundle,
-        prosody_stats=stats,
+        prosodic=models[1],
     )

@@ -9,12 +9,17 @@ probabilities are combined as
 
 and the predicted label is the argmax of the fused row, with exact ties
 resolved to NB (the majority class).
+
+Each model is a ModelBundle that owns its whole input identity (its
+vocabularies, or its prosody statistics), the encoder built from it, and
+its prediction: ModelBundle.probs is the one place that turns texts into
+probabilities, for the segmenter and the evaluation runs alike.
 """
 
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,7 +27,8 @@ import numpy as np
 from .corpus import LABEL_B, LABEL_NB, PROSODY_DIM
 from .errors import ContractError, ModelFileError
 from .features import EmbeddingTable, LexicalEncoder, ProsodicEncoder, ProsodyStats
-from .numerics import NetConfig, SequenceNet
+from .numerics import NetBatch, NetConfig, SequenceNet
+from .numerics.network import blocks as row_blocks
 
 MAGIC = b"DBND"
 FORMAT_VERSION = 1
@@ -63,15 +69,6 @@ class Hyperparams:
         overrides.setdefault("conv_filters", 8)
         overrides.setdefault("conv_width", 5)
         return cls(**overrides)
-
-    def to_dict(self):
-        return {
-            "word_dim": self.word_dim, "tag_dim": self.tag_dim,
-            "conv_filters": self.conv_filters, "conv_width": self.conv_width,
-            "pool_width": self.pool_width, "rec_units": self.rec_units,
-            "mlp_hidden": self.mlp_hidden, "gamma": self.gamma, "eta": self.eta,
-            "dropout_rate": self.dropout_rate, "epochs": self.epochs,
-        }
 
 
 @dataclass(frozen=True)
@@ -164,27 +161,53 @@ def prosodic_config(variant, hp):
 
 @dataclass
 class ModelBundle:
-    """One trained (or initialised) network with its input identity."""
+    """One trained (or initialised) network with its input identity: the
+    vocabularies of a lexical model, the prosody statistics of a prosodic
+    one."""
 
     net: SequenceNet
     params: dict
     hyperparams: Hyperparams
     word_tokens: list | None = None
     tag_tokens: list | None = None
+    prosody_stats: ProsodyStats | None = None
+
+    def __post_init__(self):
+        if self.net.cfg.dense_dim and self.prosody_stats is None:
+            raise ContractError("a prosodic model needs prosody statistics")
 
     @property
     def variant(self):
         return self.net.cfg.variant
 
-    def word_table(self):
-        if self.word_tokens is None:
-            return None
-        return EmbeddingTable.from_rows(self.word_tokens, self.params["emb_word"])
+    @cached_property
+    def encoder(self):
+        """ProsodicEncoder over the stats, else LexicalEncoder over the
+        vocabularies (built once: indexing a vocabulary is not free)."""
+        if self.prosody_stats is not None:
+            return ProsodicEncoder(self.prosody_stats)
+        return LexicalEncoder(*(
+            None if tokens is None else EmbeddingTable.from_rows(tokens, self.params[name])
+            for tokens, name in ((self.word_tokens, "emb_word"), (self.tag_tokens, "emb_tag"))
+        ))
 
-    def tag_table(self):
-        if self.tag_tokens is None:
-            return None
-        return EmbeddingTable.from_rows(self.tag_tokens, self.params["emb_tag"])
+    def probs(self, texts, batch_size=1):
+        """The (m, 2) probability rows of each text, in order.
+
+        The texts go through the network batch_size at a time like a
+        training batch, so that a block's transient arrays (the conv
+        window stack above all) grow no larger than in training; each
+        batch goes as time-major blocks of at most BLOCK_ROWS padded rows,
+        and each row's live prefix is cut out of its block's probs.
+        """
+        items = [(inp, len(inp)) for inp in map(self.encoder.encode, texts)]
+        out = []
+        for start in range(0, len(items), batch_size):
+            for block in row_blocks(items[start : start + batch_size]):
+                inputs, lengths = zip(*block)
+                probs, _ = self.net.forward(self.params, NetBatch.stack(inputs, lengths))
+                out.extend(probs[:m, b].copy() for b, m in enumerate(lengths))
+        return out
 
 
 # ------------------------------------------------------------------ fusion
@@ -196,32 +219,30 @@ def labels_from_probs(probs):
     return [LABEL_B if row[1] > row[0] else LABEL_NB for row in probs]
 
 
-def fuse(p_lex, p_pros=None, alpha=1.0):
+def fuse(p_lex, p_pros, alpha):
     """Convex combination of the two models' probability rows.
 
-    Returns (labels, fused). A missing prosodic matrix forces alpha = 1;
-    the endpoints alpha = 1 and alpha = 0 reproduce the lexical and
+    Returns (labels, fused). Either matrix may be None where its weight
+    is 0; the endpoints alpha = 1 and alpha = 0 reproduce the lexical and
     prosodic rows bit for bit.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ContractError(f"alpha must be in [0, 1], got {alpha}")
-    p_lex = np.asarray(p_lex, dtype=np.float64)
-    if p_pros is None:
-        if alpha != 1.0:
-            raise ContractError("alpha < 1 needs a prosodic model")
-        fused = p_lex.copy()
+    if p_pros is None and alpha < 1.0:
+        raise ContractError("alpha < 1 needs a prosodic model")
+    if p_lex is None and alpha > 0.0:
+        raise ContractError("alpha > 0 needs a lexical model")
+    if p_lex is not None and p_pros is not None and np.shape(p_lex) != np.shape(p_pros):
+        raise ContractError(
+            f"probability shapes disagree: {np.shape(p_lex)} vs {np.shape(p_pros)}"
+        )
+    if alpha == 1.0:
+        fused = np.array(p_lex, dtype=np.float64)
+    elif alpha == 0.0:
+        fused = np.array(p_pros, dtype=np.float64)
     else:
         p_pros = np.asarray(p_pros, dtype=np.float64)
-        if p_pros.shape != p_lex.shape:
-            raise ContractError(
-                f"probability shapes disagree: {p_lex.shape} vs {p_pros.shape}"
-            )
-        if alpha == 1.0:
-            fused = p_lex.copy()
-        elif alpha == 0.0:
-            fused = p_pros.copy()
-        else:
-            fused = p_pros + alpha * (p_lex - p_pros)
+        fused = p_pros + alpha * (np.asarray(p_lex, dtype=np.float64) - p_pros)
     return labels_from_probs(fused), fused
 
 
@@ -258,47 +279,27 @@ def prf_from_counts(tp, fp, fn):
 
 @dataclass
 class TrainedSegmenter:
-    """Lexical model, optional prosodic model, fusion weight, and stats."""
+    """Lexical model, optional prosodic model, and fusion weight."""
 
     lexical: ModelBundle
     alpha: float = 1.0
     prosodic: ModelBundle | None = None
-    prosody_stats: ProsodyStats | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ContractError("alpha must be in [0, 1]")
         if self.prosodic is None and self.alpha < 1.0:
             raise ContractError("alpha < 1 needs a prosodic model")
-        if self.prosodic is not None and self.prosody_stats is None:
-            raise ContractError("a prosodic model needs prosody statistics")
-
-    @cached_property
-    def _lexical_encoder(self):
-        return LexicalEncoder(self.lexical.word_table(), self.lexical.tag_table())
-
-    @cached_property
-    def _prosodic_encoder(self):
-        return ProsodicEncoder(self.prosody_stats)
-
-    def encode_lexical(self, text):
-        return self._lexical_encoder.encode(text)
 
     def predict_probs(self, text, alpha=None):
-        """Per-word fused probabilities for one text. Returns (labels, fused)."""
+        """Per-word fused probabilities for one text. Returns (labels, fused);
+        the prosodic model runs only when its weight 1 - alpha is nonzero."""
         alpha = self.alpha if alpha is None else alpha
-        p_lex, _ = self.lexical.net.forward(self.lexical.params, self.encode_lexical(text))
+        [p_lex] = self.lexical.probs([text])
         p_pros = None
         if self.prosodic is not None and alpha < 1.0:
-            if text.prosody is None:
-                raise ContractError(
-                    f"text {text.id!r} has no prosody but the model fuses a "
-                    "prosodic component; pass alpha=1.0 for lexical-only use"
-                )
-            p_pros, _ = self.prosodic.net.forward(
-                self.prosodic.params, self._prosodic_encoder.encode(text)
-            )
-        return fuse(p_lex, p_pros, alpha if p_pros is not None else 1.0)
+            [p_pros] = self.prosodic.probs([text])
+        return fuse(p_lex, p_pros, alpha)
 
     def predict(self, text, alpha=None):
         labels, _ = self.predict_probs(text, alpha=alpha)
@@ -349,7 +350,7 @@ _BUNDLE_META_KEYS = {"variant", "hyperparams", "word_tokens", "tag_tokens", "den
 def _bundle_meta(bundle):
     return {
         "variant": bundle.variant,
-        "hyperparams": bundle.hyperparams.to_dict(),
+        "hyperparams": asdict(bundle.hyperparams),
         "word_tokens": bundle.word_tokens,
         "tag_tokens": bundle.tag_tokens,
         "dense_dim": bundle.net.cfg.dense_dim,
@@ -369,8 +370,8 @@ def save_model(segmenter: TrainedSegmenter, path):
     if segmenter.prosodic is not None:
         for name, value in segmenter.prosodic.params.items():
             blocks.append(_pack_block(f"prosodic/{name}", value))
-        blocks.append(_pack_block("stats/mean", segmenter.prosody_stats.mean))
-        blocks.append(_pack_block("stats/std", segmenter.prosody_stats.std))
+        blocks.append(_pack_block("stats/mean", segmenter.prosodic.prosody_stats.mean))
+        blocks.append(_pack_block("stats/std", segmenter.prosodic.prosody_stats.std))
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     body = (
         MAGIC
@@ -385,7 +386,7 @@ def save_model(segmenter: TrainedSegmenter, path):
         fh.write(body)
 
 
-def _rebuild_bundle(meta, blocks, prefix):
+def _rebuild_bundle(meta, blocks, prefix, stats=None):
     if not isinstance(meta, dict) or not _BUNDLE_META_KEYS <= meta.keys():
         raise ModelFileError(f"{prefix} meta lacks one of {sorted(_BUNDLE_META_KEYS)}")
     try:
@@ -415,7 +416,7 @@ def _rebuild_bundle(meta, blocks, prefix):
                 f"parameter {key!r} has shape {value.shape}, expected {shape}"
             )
         params[name] = value
-    return ModelBundle(net, params, hp, word_tokens=word_tokens, tag_tokens=tag_tokens)
+    return ModelBundle(net, params, hp, word_tokens, tag_tokens, stats)
 
 
 def load_model(path) -> TrainedSegmenter:
@@ -446,15 +447,14 @@ def load_model(path) -> TrainedSegmenter:
         cols = reader.u32()
         count = cols if rows < 0 else rows * cols
         flat = np.frombuffer(reader.take(count * 8), dtype="<f8").astype(np.float64)
+        if not np.isfinite(flat).all():
+            raise ModelFileError(f"{path}: parameter block {name!r} is not finite")
         blocks[name] = flat if rows < 0 else flat.reshape(rows, cols)
     lexical = _rebuild_bundle(meta["lexical"], blocks, "lexical")
     prosodic = None
-    stats = None
     if meta["prosodic"] is not None:
-        prosodic = _rebuild_bundle(meta["prosodic"], blocks, "prosodic")
         if not {"stats/mean", "stats/std"} <= blocks.keys():
             raise ModelFileError(f"{path}: prosodic model without prosody statistics")
         stats = ProsodyStats(blocks["stats/mean"], blocks["stats/std"])
-    return TrainedSegmenter(
-        lexical=lexical, alpha=meta["alpha"], prosodic=prosodic, prosody_stats=stats
-    )
+        prosodic = _rebuild_bundle(meta["prosodic"], blocks, "prosodic", stats)
+    return TrainedSegmenter(lexical=lexical, alpha=meta["alpha"], prosodic=prosodic)

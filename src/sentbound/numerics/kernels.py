@@ -3,7 +3,7 @@
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import ContractError
+from ..errors import ContractError, NumericError
 
 
 def sigmoid(z):
@@ -54,11 +54,12 @@ def row_sum(a):
 def softmax(z):
     """Row-stochastic softmax with max-subtraction for overflow safety.
 
-    Accepts a single vector (K,) or a matrix (m, K) of row logits.
+    Accepts a single vector (K,) or a matrix (m, K) of row logits; a
+    non-finite logit (a diverged network) raises NumericError.
     """
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
-        raise ContractError("softmax input must be finite")
+        raise NumericError("softmax input must be finite")
     if z.shape[-1] < 2:
         raise ContractError("softmax needs at least 2 classes")
     shifted = z - z.max(axis=-1, keepdims=True)

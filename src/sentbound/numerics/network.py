@@ -49,6 +49,11 @@ from .loss import weighted_cross_entropy
 VARIANTS = ("rcnn", "mlp", "cnn", "rnn")
 N_CLASSES = 2  # column 0 = non-boundary, column 1 = boundary
 CONV_ACTIVATION = "relu"
+# Most padded rows (sequences x steps) in one block. A training block
+# keeps an LSTM cache per row alive until its backward pass, so the cap
+# bounds peak memory: five texts of up to 50 tokens (the default bucket
+# width) share a block, and a text longer than the cap is a block alone.
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,20 @@ class NetBatch:
             for name in ("word_ids", "tag_ids", "dense", "label01")
         )
         return cls(np.asarray(lengths, dtype=np.intp), *parts)
+
+
+def blocks(items):
+    """Consecutive runs of items, each padded to its longest length in at
+    most BLOCK_ROWS rows; an item's last element is its length, and one
+    item always fits."""
+    block, steps = [], 0
+    for item in items:
+        steps = max(steps, item[-1])
+        if block and steps * (len(block) + 1) > BLOCK_ROWS:
+            yield block
+            block, steps = [], item[-1]
+        block.append(item)
+    yield block
 
 
 class SequenceNet:

@@ -27,15 +27,10 @@ from .model import (
     prosodic_config,
 )
 from .numerics import NetBatch, RmsPropState, SequenceNet, rmsprop_step
-from .numerics.network import time_major
+from .numerics.network import BLOCK_ROWS, blocks, time_major
 
 RMSPROP_EPSILON = 1e-8
-# Most padded rows (sequences x steps) in one block of a batch. A block
-# keeps an LSTM cache per row alive until its backward pass, so the cap
-# bounds peak memory: five texts of up to 50 tokens (the default bucket
-# width) share a block, and a text longer than the cap is a block alone.
-BLOCK_ROWS = 256
-DEFAULT_ALPHA_GRID = tuple(round(i / 10, 1) for i in range(11))
+ALPHA_GRID = tuple(round(i / 10, 1) for i in range(11))
 
 
 def compute_class_weights(labels):
@@ -124,13 +119,10 @@ class TrainConfig:
     batch_size: int = 8
     bucket_width: int = 50
     seed: int = 0
-    alpha_grid: tuple = DEFAULT_ALPHA_GRID
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1 or self.bucket_width < 1:
             raise ContractError("epochs, batch_size, bucket_width must be positive")
-        if any(not 0.0 <= a <= 1.0 for a in self.alpha_grid):
-            raise ContractError("alpha grid values must lie in [0, 1]")
 
 
 # ------------------------------------------------------------ batch updates
@@ -170,20 +162,6 @@ def active_prefix_length(mask):
     """Length of the live prefix of a padding mask (padding is trailing)."""
     active = np.flatnonzero(mask)
     return 0 if len(active) == 0 else int(active[-1]) + 1
-
-
-def blocks(items):
-    """Consecutive runs of items, each padded to its longest length in at
-    most BLOCK_ROWS rows; an item's last element is its length, and one
-    item always fits."""
-    block, steps = [], 0
-    for item in items:
-        steps = max(steps, item[-1])
-        if block and steps * (len(block) + 1) > BLOCK_ROWS:
-            yield block
-            block, steps = [], item[-1]
-        block.append(item)
-    yield block
 
 
 def batch_loss_and_grads(net, params, items, class_weights, mode="train", rng=None):
@@ -230,19 +208,20 @@ def make_lexical_bundle(variant, hp, word_table, tag_table, rng):
     )
     net = SequenceNet(cfg)
     params = net.init_params(rng)
-    bundle = ModelBundle(net, params, hp)
+    word_tokens = tag_tokens = None
     if word_table is not None:
         params["emb_word"][...] = word_table.vectors
-        bundle.word_tokens = word_table.sorted_tokens()
+        word_tokens = word_table.sorted_tokens()
     if tag_table is not None:
         params["emb_tag"][...] = tag_table.vectors
-        bundle.tag_tokens = tag_table.sorted_tokens()
-    return bundle
+        tag_tokens = tag_table.sorted_tokens()
+    return ModelBundle(net, params, hp, word_tokens, tag_tokens)
 
 
-def make_prosodic_bundle(variant, hp, rng):
+def make_prosodic_bundle(variant, hp, stats, rng):
+    """Initialise a prosodic model over inputs z-scored with stats."""
     net = SequenceNet(prosodic_config(variant, hp))
-    return ModelBundle(net, net.init_params(rng), hp)
+    return ModelBundle(net, net.init_params(rng), hp, prosody_stats=stats)
 
 
 # ----------------------------------------------------------------- training
@@ -252,26 +231,25 @@ def _param_norms(params):
     return {name: float(np.linalg.norm(v)) for name, v in params.items()}
 
 
-def train_model(bundle, train_texts, encoder, config, rng,
-                model_kind="lexical", log=None):
+def train_model(bundle, train_texts, config, rng, log=None):
     """Run the bucketed epoch loop on an initialised bundle.
 
-    AD-group texts are admitted only when training the lexical model.
+    AD-group texts are admitted only when training a lexical model.
     Returns (bundle, trace) where trace is the per-epoch mean loss over
     active positions. `log`, when given, receives
-    (epoch, mean_loss, elapsed_ms) after every epoch.
+    (epoch, mean_loss, elapsed_ms) after every epoch. A non-finite logit
+    raises NumericError naming the epoch, the batch and the parameter
+    norms.
     """
-    if model_kind not in ("lexical", "prosodic"):
-        raise ContractError(f"unknown model kind {model_kind!r}")
     texts = list(train_texts)
-    if model_kind == "prosodic":
+    if bundle.prosody_stats is not None:
         texts = [t for t in texts if t.group != "AD"]
     if not texts:
         raise ContractError("no training texts after group filtering")
     class_weights = compute_class_weights(
         [lab for t in texts for lab in t.labels]
     )
-    encoded = {t.id: encoder.encode(t) for t in texts}
+    encoded = {t.id: bundle.encoder.encode(t) for t in texts}
     buckets = make_buckets(texts, config.bucket_width)
     state = RmsPropState(
         bundle.params, gamma=bundle.hyperparams.gamma,
@@ -292,15 +270,16 @@ def train_model(bundle, train_texts, encoder, config, rng,
             chunk = [encoded[tid] for tid in batches[b]]
             target = max(len(item) for item in chunk)
             items = [pad_item(item, target) for item in chunk]
-            loss, grads, n_active = batch_loss_and_grads(
-                bundle.net, bundle.params, items, class_weights,
-                mode="train", rng=rng,
-            )
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch} batch {step}; "
-                    f"parameter norms: {_param_norms(bundle.params)}"
+            try:
+                loss, grads, n_active = batch_loss_and_grads(
+                    bundle.net, bundle.params, items, class_weights,
+                    mode="train", rng=rng,
                 )
+            except NumericError as exc:
+                raise NumericError(
+                    f"{exc} at epoch {epoch} batch {step}; "
+                    f"parameter norms: {_param_norms(bundle.params)}"
+                ) from exc
             scale = 1.0 / n_active
             for name in grads:
                 grads[name] *= scale
@@ -318,12 +297,11 @@ def train_model(bundle, train_texts, encoder, config, rng,
 # --------------------------------------------------------------- alpha grid
 
 
-def tune_alpha_from_probs(lex_probs, pros_probs, gold_labels, alpha_grid):
-    """Grid value maximising boundary F1; exact ties go to the larger alpha."""
-    if not alpha_grid:
-        raise ContractError("alpha grid is empty")
+def tune_alpha_from_probs(lex_probs, pros_probs, gold_labels):
+    """ALPHA_GRID value maximising boundary F1; exact ties go to the larger
+    alpha."""
     best_alpha, best_f1 = None, -1.0
-    for alpha in sorted(alpha_grid):
+    for alpha in ALPHA_GRID:
         tp = fp = fn = 0
         for p_lex, p_pros, gold in zip(lex_probs, pros_probs, gold_labels):
             pred, _ = fuse(p_lex, p_pros, alpha)

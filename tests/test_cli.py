@@ -1,6 +1,7 @@
 """Exit codes of the command-line interface on a tiny synthetic corpus.
 
-0 success, 1 usage error, 2 data or contract error.
+0 success, 1 usage error, 2 data or contract error, 3 numeric failure
+during training.
 """
 
 import json
@@ -10,7 +11,7 @@ import zlib
 import pytest
 
 from sentbound import cli
-from sentbound.model import FORMAT_VERSION, MAGIC
+from sentbound.model import FORMAT_VERSION, MAGIC, load_model
 
 SMALL_MODEL = ["--epochs", "1", "--conv-filters", "4", "--rec-units", "4"]
 
@@ -57,6 +58,60 @@ def test_segment_lexical_only(workdir, capsys):
     assert code == 0
     rows = capsys.readouterr().out.splitlines()
     assert [row.split("\t")[0] for row in rows] == "então a b c então d e".split()
+
+
+def test_default_train_then_segment_falls_back_to_lexical(workdir, capsys, caplog):
+    """The fixture's model was trained with default flags, so it fuses
+    (alpha < 1) and uses PoS tags; token input has neither prosody nor tags."""
+    stored = load_model(workdir / "m.dbnd").alpha
+    assert stored < 1.0
+    args = ["segment", "--model", str(workdir / "m.dbnd"),
+            "--input", str(workdir / "input.txt")]
+    assert cli.main(args) == 0
+    words = capsys.readouterr().out.replace(" .", "").split()
+    assert words == "então a b c então d e".split()
+    assert f"stored alpha {stored:g}" in caplog.text
+    assert "trained with PoS tags" in caplog.text
+    assert cli.main([*args, "--alpha", "0.5"]) == 2
+    assert "has no prosody" in capsys.readouterr().err
+
+
+def test_diverging_train_is_a_numeric_failure(workdir, capsys):
+    code = cli.main([
+        "train", "--corpus", str(workdir / "corpus"), "--out", str(workdir / "d.dbnd"),
+        "--eta", "1e300", "--epochs", "3", "--conv-filters", "4", "--rec-units", "4",
+        "--alpha", "1.0",
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "parameter norms" in err
+
+
+def test_synth_manifest_regenerates_the_corpus(workdir, tmp_path):
+    manifest = workdir / "corpus" / "synth.manifest"
+    assert cli.main(["synth", "--from-manifest", str(manifest), "--out", str(tmp_path)]) == 0
+    files = sorted(p.name for p in (workdir / "corpus").iterdir())
+    assert files == sorted(p.name for p in tmp_path.iterdir())
+    for name in files:
+        assert (tmp_path / name).read_bytes() == (workdir / "corpus" / name).read_bytes()
+
+
+def _drop_n_texts(lines):
+    return [line for line in lines if not line.startswith("n_texts")]
+
+
+def _vocab_size_lots(lines):
+    return [("vocab_size = lots" if line.startswith("vocab_size") else line) for line in lines]
+
+
+@pytest.mark.parametrize("edit", [_drop_n_texts, _vocab_size_lots])
+def test_malformed_synth_manifest_is_a_data_error(workdir, tmp_path, edit, capsys):
+    lines = (workdir / "corpus" / "synth.manifest").read_text().splitlines()
+    bad = tmp_path / "bad.manifest"
+    bad.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    code = cli.main(["synth", "--from-manifest", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_eval(workdir, capsys):

@@ -12,6 +12,7 @@ import pytest
 from sentbound.corpus import SynthSpec, synth_generate
 from sentbound.evaluation import (
     EvalConfig,
+    all_boundary_baseline,
     cross_validated_eval,
     robustness_eval,
     train_segmenter,
@@ -77,6 +78,13 @@ def test_cross_validated_counts_are_pinned(genre_a, variant, features, alpha,
     assert [f["alpha"] for f in report.per_fold] == [chosen] * 4
     gold = sum(t.n_boundaries for t in genre_a)
     assert report.tp + report.fn == gold
+
+
+def test_rcnn_beats_the_all_boundary_baseline(genre_a):
+    report = cross_validated_eval(genre_a, "rcnn", "all", small_config())
+    assert counts(report) == (43, 42, 14)
+    gold = [label for t in genre_a for label in t.labels]
+    assert report.f1 > all_boundary_baseline(gold).f1
 
 
 def test_robustness_counts_are_pinned(genre_a, genre_b):

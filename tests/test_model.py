@@ -1,4 +1,5 @@
-"""Tests for the DBND model container: round trip and half-valid files."""
+"""Tests for probability fusion and the DBND model container: round trip
+and half-valid files."""
 
 import json
 import struct
@@ -7,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from sentbound.errors import ModelFileError
+from sentbound.errors import ContractError, ModelFileError
 from sentbound.features import EmbeddingTable, ProsodyStats
 from sentbound.model import (
     FORMAT_VERSION,
@@ -16,10 +17,49 @@ from sentbound.model import (
     TrainedSegmenter,
     _bundle_meta,
     _pack_block,
+    fuse,
+    labels_from_probs,
     load_model,
     save_model,
 )
 from sentbound.training import make_lexical_bundle, make_prosodic_bundle
+
+
+def prob_rows(seed, m=64):
+    """Rows whose boundary probabilities span 20 orders of magnitude."""
+    p_b = 10.0 ** -np.random.default_rng(seed).uniform(0.0, 20.0, m)
+    return np.stack([1.0 - p_b, p_b], axis=1)
+
+
+def test_fuse_endpoints_reproduce_their_rows_bit_for_bit():
+    p_lex, p_pros = prob_rows(0), prob_rows(1)
+    # the general formula is off in the last bit here, so only a true
+    # endpoint passes
+    assert not np.array_equal(p_pros + 1.0 * (p_lex - p_pros), p_lex)
+    for alpha, want in ((1.0, p_lex), (0.0, p_pros)):
+        labels, fused = fuse(p_lex, p_pros, alpha)
+        np.testing.assert_array_equal(fused, want)
+        assert labels == labels_from_probs(want)
+        assert fused is not want
+
+
+def test_fuse_takes_none_only_where_its_weight_is_zero():
+    p_lex, p_pros = prob_rows(0), prob_rows(1)
+    np.testing.assert_array_equal(fuse(p_lex, None, 1.0)[1], p_lex)
+    np.testing.assert_array_equal(fuse(None, p_pros, 0.0)[1], p_pros)
+    for args in ((p_lex, None, 0.5), (p_lex, None, 0.0),
+                 (None, p_pros, 0.5), (None, p_pros, 1.0)):
+        with pytest.raises(ContractError, match="needs a"):
+            fuse(*args)
+
+
+def test_fuse_rejects_mismatched_shapes_and_bad_alpha():
+    p_lex, p_pros = prob_rows(0), prob_rows(1)
+    for alpha in (0.0, 0.5, 1.0):
+        with pytest.raises(ContractError, match="shapes disagree"):
+            fuse(p_lex, p_pros[:-1], alpha)
+    with pytest.raises(ContractError, match="alpha must be in"):
+        fuse(p_lex, p_pros, 1.5)
 
 
 def tiny_segmenter():
@@ -31,8 +71,9 @@ def tiny_segmenter():
     return TrainedSegmenter(
         lexical=make_lexical_bundle("rcnn", hp, words, tags, rng),
         alpha=0.5,
-        prosodic=make_prosodic_bundle("rcnn", hp, rng),
-        prosody_stats=ProsodyStats(np.zeros(13), np.ones(13)),
+        prosodic=make_prosodic_bundle(
+            "rcnn", hp, ProsodyStats(np.zeros(13), np.ones(13)), rng
+        ),
     )
 
 
@@ -44,8 +85,9 @@ def container(meta, segmenter, with_stats=True):
         for name, value in bundle.params.items()
     ]
     if with_stats:
-        blocks.append(_pack_block("stats/mean", segmenter.prosody_stats.mean))
-        blocks.append(_pack_block("stats/std", segmenter.prosody_stats.std))
+        stats = segmenter.prosodic.prosody_stats
+        blocks.append(_pack_block("stats/mean", stats.mean))
+        blocks.append(_pack_block("stats/std", stats.std))
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     body = (
         MAGIC + struct.pack("<II", FORMAT_VERSION, len(meta_bytes)) + meta_bytes
@@ -100,6 +142,15 @@ def test_half_valid_container_raises_model_file_error(tmp_path, craft, message):
     path = tmp_path / "m.dbnd"
     path.write_bytes(container(meta, segmenter, with_stats))
     with pytest.raises(ModelFileError, match=message):
+        load_model(path)
+
+
+def test_non_finite_parameter_is_a_model_file_error(tmp_path):
+    segmenter = tiny_segmenter()
+    segmenter.prosodic.params["out_b"][0] = np.nan
+    path = tmp_path / "m.dbnd"
+    save_model(segmenter, path)
+    with pytest.raises(ModelFileError, match="'prosodic/out_b' is not finite"):
         load_model(path)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sentbound.errors import ContractError
+from sentbound.errors import ContractError, NumericError
 from sentbound.numerics import (
     RmsPropState,
     dropout_apply,
@@ -76,7 +76,7 @@ class TestSoftmax:
         npt.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(NumericError):
             softmax([np.inf, 0.0])
 
     def test_single_class_rejected(self):
