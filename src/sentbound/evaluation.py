@@ -220,6 +220,7 @@ def cross_validated_eval(corpus, variant, feature_set, config: EvalConfig):
         models = _train_pair(variant, feature_set, train_texts, config, fold)
         for t, triple in zip(test_texts, _predictions(models, test_texts, config)):
             oof[t.id] = (fold, triple)
+        del models  # frees them and their prepared weights before the next fold trains
     alpha = resolve_alpha(feature_set, config, (oof[tid][1] for tid in sorted(oof)))
     per_fold_counts = [[0, 0, 0] for _ in range(plan.k)]
     for tid in sorted(oof):

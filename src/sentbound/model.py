@@ -13,13 +13,18 @@ resolved to NB (the majority class).
 Each model is a ModelBundle that owns its whole input identity (its
 vocabularies, or its prosody statistics), the encoder built from it, and
 its prediction: ModelBundle.probs is the one place that turns texts into
-probabilities, for the segmenter and the evaluation runs alike.
+probabilities, for the segmenter and the evaluation runs alike. A bundle
+prepares its LSTM weights for inference on its first prediction and
+reuses them while its params are unchanged: train_model calls
+params_changed before each update, so the prepared weights never
+outlive the params they came from. A prediction keeps no backward
+state.
 """
 
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -51,6 +56,15 @@ class Hyperparams:
     epochs: int = 20
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(
+                value, int if f.type is int else (int, float)
+            ):
+                raise ContractError(
+                    f"hyperparameter {f.name} must be of type {f.type.__name__}, "
+                    f"got {value!r}"
+                )
         positive = (
             self.word_dim, self.tag_dim, self.conv_filters, self.conv_width,
             self.pool_width, self.rec_units, self.mlp_hidden, self.eta, self.epochs,
@@ -191,6 +205,18 @@ class ModelBundle:
             for tokens, name in ((self.word_tokens, "emb_word"), (self.tag_tokens, "emb_tag"))
         ))
 
+    @cached_property
+    def lstm_prep(self):
+        """The LSTM weights as a pass reads them (net.prepare_lstm), built
+        once and valid while params stay as they are; train_model calls
+        params_changed before each update."""
+        return self.net.prepare_lstm(self.params)
+
+    def params_changed(self):
+        """Forget the prepared LSTM weights; call it before changing params
+        in place, and the next probs call prepares them again."""
+        self.__dict__.pop("lstm_prep", None)
+
     def probs(self, texts, batch_size=1):
         """The (m, 2) probability rows of each text, in order.
 
@@ -205,7 +231,9 @@ class ModelBundle:
         for start in range(0, len(items), batch_size):
             for block in row_blocks(items[start : start + batch_size]):
                 inputs, lengths = zip(*block)
-                probs, _ = self.net.forward(self.params, NetBatch.stack(inputs, lengths))
+                probs, _ = self.net.forward(
+                    self.params, NetBatch.stack(inputs, lengths), lstm_prep=self.lstm_prep
+                )
                 out.extend(probs[:m, b].copy() for b, m in enumerate(lengths))
         return out
 
@@ -391,11 +419,22 @@ def _rebuild_bundle(meta, blocks, prefix, stats=None):
         raise ModelFileError(f"{prefix} meta lacks one of {sorted(_BUNDLE_META_KEYS)}")
     try:
         hp = Hyperparams(**meta["hyperparams"])
-    except TypeError as exc:
+    except (TypeError, ContractError) as exc:
         raise ModelFileError(f"{prefix} meta has bad hyperparams: {exc}") from exc
     word_tokens = meta["word_tokens"]
     tag_tokens = meta["tag_tokens"]
-    if meta["dense_dim"]:
+    for key, tokens in (("word_tokens", word_tokens), ("tag_tokens", tag_tokens)):
+        if tokens is not None and not (
+            isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)
+        ):
+            raise ModelFileError(f"{prefix} meta {key} is neither null nor a list of strings")
+    # a prosodic model reads the dense prosody vectors, a lexical one none
+    dense_dim = 0 if stats is None else PROSODY_DIM
+    if type(meta["dense_dim"]) is not int or meta["dense_dim"] != dense_dim:
+        raise ModelFileError(
+            f"{prefix} meta has dense_dim {meta['dense_dim']!r}, expected {dense_dim}"
+        )
+    if dense_dim:
         cfg = prosodic_config(meta["variant"], hp)
     else:
         cfg = lexical_config(
@@ -440,9 +479,15 @@ def load_model(path) -> TrainedSegmenter:
         raise ModelFileError(f"{path}: unreadable meta: {exc}") from exc
     if not isinstance(meta, dict) or not {"alpha", "lexical", "prosodic"} <= meta.keys():
         raise ModelFileError(f"{path}: meta needs alpha, lexical and prosodic entries")
+    alpha = meta["alpha"]
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise ModelFileError(f"{path}: meta alpha {alpha!r} is not a number")
     blocks = {}
     for _ in range(reader.u32()):
-        name = reader.take(reader.u16()).decode("utf-8")
+        try:
+            name = reader.take(reader.u16()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFileError(f"{path}: a parameter block name is not UTF-8") from exc
         rows = reader.i32()
         cols = reader.u32()
         count = cols if rows < 0 else rows * cols
@@ -457,4 +502,4 @@ def load_model(path) -> TrainedSegmenter:
             raise ModelFileError(f"{path}: prosodic model without prosody statistics")
         stats = ProsodyStats(blocks["stats/mean"], blocks["stats/std"])
         prosodic = _rebuild_bundle(meta["prosodic"], blocks, "prosodic", stats)
-    return TrainedSegmenter(lexical=lexical, alpha=meta["alpha"], prosodic=prosodic)
+    return TrainedSegmenter(lexical=lexical, alpha=alpha, prosodic=prosodic)

@@ -31,6 +31,14 @@ and gradient epilogue keep the shapes of a lone direction, so a
 direction's outputs and gradients do not depend on its partner.
 direction_forward and direction_backward keep their names as the entry
 points of that lockstep pair.
+
+A pass reads the weights in a prepared form (prepare_weights): gates
+fused, transposed, sign-folded and stacked. The form is a pure function
+of the weight dicts, so a caller whose weights do not change builds it
+once and passes it to every pass. A pass keeps its backward state only
+when asked: an inference pass holds the gate pre-activations and the h
+history its outputs need, c and tanh(c) in one-step buffers, and
+returns no cache.
 """
 
 import numpy as np
@@ -40,44 +48,59 @@ from .kernels import row_matmul, row_outer_sum, row_sum
 GATES = ("i", "f", "o", "g")
 
 
-def fuse_gate_weights(weights):
-    """Stack the four per-gate parameter blocks for one-GEMM-per-step math."""
-    wx = np.concatenate([weights[f"wx_{g}"] for g in GATES], axis=0)
-    wh = np.concatenate([weights[f"wh_{g}"] for g in GATES], axis=0)
-    b = np.concatenate([weights[f"b_{g}"] for g in GATES])
-    return wx, wh, b
+def fuse_gates(weights, name):
+    """The four per-gate blocks of one of a direction's parameters ("wx",
+    "wh" or "b"), stacked in GATES order for one-GEMM-per-step math."""
+    return np.concatenate([weights[f"{name}_{g}"] for g in GATES])
 
 
-def lstm_sequence_forward(xs, fused):
-    """Run D fused-gate LSTMs in lockstep, each over its own block.
+def prepare_weights(weights):
+    """What a pass reads of the D directions' weight dicts: (wx_t, b, wh_t).
 
-    xs: D blocks (T, B, d_in) of one shape; fused: D (wx, wh, b) triples
-    from fuse_gate_weights, wx (4n, d_in), wh (4n, n), b (4n,). Every
-    row starts from a zero state. Returns (h, cache), h of shape
-    (T, D, B, n).
+    wx_t holds each direction's fused input weights transposed, (d_in,
+    4n), b its fused bias, (4n,), and wh_t the D fused recurrent weights
+    transposed and stacked, (D, n, 4n). The i, f and o columns of all
+    three are negated: negated weights give exactly the negated sums, so
+    those rows come out as -z and their sigmoid 1 / (1 + exp(-z)), as in
+    kernels.sigmoid, needs no negation step.
     """
-    steps, rows = xs[0].shape[:2]
-    dirs = len(xs)
-    n = fused[0][1].shape[1]
-    # The loop adds the recurrent term to each step's pre-activations and
-    # turns them into gate activations in place, so the cache holds one
-    # gate array. The i, f, o rows carry -z (negated weights give exactly
-    # the negated sums), so their sigmoid 1 / (1 + exp(-z)), as in
-    # kernels.sigmoid, needs no negation step.
+    n = weights[0]["wh_i"].shape[0]
     sign = np.ones(4 * n)
     sign[: 3 * n] = -1.0
+    return (
+        [fuse_gates(w, "wx").T * sign for w in weights],
+        [fuse_gates(w, "b") * sign for w in weights],
+        np.stack([fuse_gates(w, "wh") for w in weights]).transpose(0, 2, 1) * sign,
+    )
+
+
+def lstm_sequence_forward(xs, prepared, keep_cache=False):
+    """Run D fused-gate LSTMs in lockstep, each over its own block.
+
+    xs: D blocks (T, B, d_in) of one shape; prepared: prepare_weights of
+    the D directions. Every row starts from a zero state. Returns (h,
+    cache), h of shape (T, D, B, n). The cache, which only
+    lstm_sequence_backward reads, is kept only when keep_cache is set;
+    otherwise it is None and c and tanh(c) live in one-step buffers.
+    """
+    wx_t, b, wh_t = prepared
+    steps, rows = xs[0].shape[:2]
+    dirs = len(xs)
+    n = wh_t.shape[1]
+    # The loop adds the recurrent term to each step's pre-activations and
+    # turns them into gate activations in place, so the cache holds one
+    # gate array.
     gates = np.empty((steps, 4, dirs, rows, n))
-    for d, (x, (wx, _, b)) in enumerate(zip(xs, fused)):
-        z = row_matmul(x, wx.T * sign)
-        z += b * sign
+    for d, (x, wx_t_d, b_d) in enumerate(zip(xs, wx_t, b)):
+        z = row_matmul(x, wx_t_d)
+        z += b_d
         gates[:, :, d] = z.reshape(steps, rows, 4, n).transpose(0, 2, 1, 3)
         del z
-    wh = np.stack([w_h for _, w_h, _ in fused])  # (D, 4n, n)
-    wh_t = wh.transpose(0, 2, 1) * sign  # each block a scaled view of wh.T
     sig = gates[:, :3]
     i, f, o, g = (gates[:, k] for k in range(4))
-    cs = np.empty((steps, dirs, rows, n))
-    tc = np.empty((steps, dirs, rows, n))
+    kept = steps if keep_cache else 1  # steps of c and tanh(c) held
+    cs = np.empty((kept, dirs, rows, n))
+    tc = np.empty((kept, dirs, rows, n))
     hs = np.empty((steps, dirs, rows, n))
     c = np.zeros((dirs, rows, n))
     for t in range(steps):
@@ -90,16 +113,16 @@ def lstm_sequence_forward(xs, fused):
         np.divide(1.0, s, out=s)
         g_t = g[t]
         np.tanh(g_t, out=g_t)
-        c_t = cs[t]
+        c_t = cs[t % kept]
         np.multiply(f[t], c, out=c_t)
         c_t += i[t] * g_t
-        tc_t = tc[t]
+        tc_t = tc[t % kept]
         np.tanh(c_t, out=tc_t)
         np.multiply(o[t], tc_t, out=hs[t])
         c = c_t
-    cache = {"x": list(xs), "wx": [wx for wx, _, _ in fused], "wh": wh,
-             "gates": gates, "c": cs, "tanh_c": tc, "h": hs}
-    return hs, cache
+    if not keep_cache:
+        return hs, None
+    return hs, {"x": list(xs), "gates": gates, "c": cs, "tanh_c": tc, "h": hs}
 
 
 def _bptt_factors(gates, c, tanh_c):
@@ -129,15 +152,17 @@ def _bptt_factors(gates, c, tanh_c):
     return forget, o_dtanh, free
 
 
-def lstm_sequence_backward(d_hs, cache):
+def lstm_sequence_backward(d_hs, cache, weights):
     """Backpropagation through time for lstm_sequence_forward.
 
     d_hs: D gradients (T, B, n), one per direction's hidden outputs, in
     any iterable; they are read after the cache's buffers are reused.
-    Returns one (d_wx, d_wh, d_b, d_x) per direction. The cache is
-    consumed: its buffers are overwritten and its entries popped.
+    weights: the D directions' dicts. Returns one (d_wx, d_wh, d_b, d_x)
+    per direction. The cache is consumed: its buffers are overwritten
+    and its entries popped.
     """
-    gates, hs, wh = cache.pop("gates"), cache.pop("h"), cache.pop("wh")
+    gates, hs = cache.pop("gates"), cache.pop("h")
+    wh = np.stack([fuse_gates(w, "wh") for w in weights])  # (D, 4n, n)
     steps, _, dirs, rows, n = gates.shape
     forget, o_dtanh, d_h = _bptt_factors(gates, cache.pop("c"), cache.pop("tanh_c"))
     for d, d_h_d in enumerate(d_hs):
@@ -159,29 +184,31 @@ def lstm_sequence_backward(d_hs, cache):
     # in the freed buffers' place.
     dz = np.empty((steps, rows, 4 * n))
     out = []
-    for d, (x, wx) in enumerate(zip(cache.pop("x"), cache.pop("wx"))):
+    for d, (x, w) in enumerate(zip(cache.pop("x"), weights)):
         dz.reshape(steps, rows, 4, n)[...] = gates[:, :, d].transpose(0, 2, 1, 3)
         h = hs[:, d]
         out.append((
             row_outer_sum(dz, x),
             row_outer_sum(dz[1:], h[:-1]),
             row_sum(dz),
-            row_matmul(dz, wx),
+            row_matmul(dz, fuse_gates(w, "wx")),
         ))
     return out
 
 
-def direction_forward(x_fwd, x_bwd, weights):
+def direction_forward(x_fwd, x_bwd, weights, prepared=None, keep_cache=False):
     """Both directions of the bidirectional layer: LSTM plus output projection.
 
     x_fwd and x_bwd are (T, B, d) blocks, the second direction's input
     already reversed by the caller; weights holds the two directions'
-    dicts. Returns ((y_fwd, y_bwd), cache); y_t = wy @ h_t + by
-    (identity activation) in each direction.
+    dicts, and prepared their prepare_weights, which is built from
+    weights when not given. Returns ((y_fwd, y_bwd), cache); y_t = wy @
+    h_t + by (identity activation) in each direction, and the cache,
+    which direction_backward needs, is None unless keep_cache is set.
     """
-    hs, cache = lstm_sequence_forward(
-        (x_fwd, x_bwd), [fuse_gate_weights(w) for w in weights]
-    )
+    if prepared is None:
+        prepared = prepare_weights(weights)
+    hs, cache = lstm_sequence_forward((x_fwd, x_bwd), prepared, keep_cache)
     ys = tuple(
         row_matmul(hs[:, d], w["wy"].T) + w["by"] for d, w in enumerate(weights)
     )
@@ -203,7 +230,7 @@ def direction_backward(d_y_fwd, d_y_bwd, cache, weights):
     ]
     # lazy, so each (T, B, n) product lives only until the BPTT copies it
     d_hs = (row_matmul(d_y, w["wy"]) for d_y, w in zip(d_ys, weights))
-    results = lstm_sequence_backward(d_hs, cache)
+    results = lstm_sequence_backward(d_hs, cache, weights)
     d_xs = []
     for grad, (d_wx, d_wh, d_b, d_x) in zip(grads, results):
         for k, gate in enumerate(GATES):

@@ -22,6 +22,12 @@ outputs and input gradients back in order), dropout masks are drawn per
 sequence over its live rows, and padded rows carry no loss gradient.
 Both LSTM directions run in one lockstep call, lstm_ops.direction_forward
 and direction_backward, on the block and its reversed copy.
+
+forward keeps what backward reads only when its caller asks for it, as
+loss_and_grads does whatever the mode; any other pass builds no pool
+argmax, keeps no layer inputs or outputs and no LSTM history, and
+returns no cache. It can also take the LSTM weights already prepared
+(prepare_lstm), which stay valid while the params do.
 """
 
 from dataclasses import dataclass, field
@@ -244,15 +250,26 @@ class SequenceNet:
             {k: params[f"{direction}_{k}"] for k in keys} for direction in ("fwd", "bwd")
         )
 
-    def forward(self, params, inp, mode="inference", rng=None):
+    def prepare_lstm(self, params):
+        """lstm_ops.prepare_weights of both directions; None without an LSTM."""
+        if self.cfg.variant not in ("rcnn", "rnn"):
+            return None
+        return lstm_ops.prepare_weights(self._lstm_weights(params))
+
+    def forward(self, params, inp, mode="inference", rng=None, keep_cache=False,
+                lstm_prep=None):
         """Run the stack on one sequence or on a block. Returns (probs, cache).
 
         A NetInput gives (m, 2) probs; a NetBatch gives (T, B, 2) probs,
-        finite but meaningless on padded steps. Rows are row-stochastic;
-        cache feeds backward(). In train mode dropout consumes draws from
-        rng, one (length, units) mask per sequence in row order;
-        inference is deterministic and skips dropout, which is the
-        identity there, so its cache holds no mask.
+        finite but meaningless on padded steps. Rows are row-stochastic.
+        In train mode dropout consumes draws from rng, one (length, units)
+        mask per sequence in row order; inference is deterministic and
+        skips dropout, which is the identity there. The cache feeds
+        backward() and is built only when keep_cache is set; otherwise it
+        is None and the pass holds nothing that only backward reads: no
+        pool argmax, no layer inputs or outputs, no LSTM history.
+        lstm_prep, prepare_lstm(params) built once, saves preparing the
+        LSTM weights on every pass; it must come from these params.
         """
         if mode not in ("train", "inference"):
             raise ContractError(f"unknown mode {mode!r}")
@@ -267,34 +284,35 @@ class SequenceNet:
         pad = None if live.all() else ~live
         if pad is not None:
             x = np.where(pad[..., None], 0.0, x)
-        cache = {"single": single, "inp": block, "pad": pad}
+        cache = {} if keep_cache else None
+        keep = cache.update if keep_cache else lambda **_: None
+        keep(single=single, inp=block, pad=pad)
         h = x
         if cfg.variant in ("rcnn", "cnn"):
             pre = row_matmul(conv_windows(h, cfg.conv_width), params["conv_w"].T)
             conv_out = activation_fn(CONV_ACTIVATION)(pre + params["conv_b"])
             if pad is not None:
                 conv_out[pad] = -np.inf
-            pooled, argrow = maxpool1d_same(conv_out, cfg.pool_width, return_argmax=True)
+            pooled = maxpool1d_same(conv_out, cfg.pool_width, return_argmax=keep_cache)
+            if keep_cache:
+                pooled, argrow = pooled
+                keep(conv_in=h, conv_out=conv_out, pool_argrow=argrow)
             if pad is not None:
                 pooled[pad] = 0.0
-            cache["conv_in"] = h
-            cache["conv_out"] = conv_out
-            cache["pool_argrow"] = argrow
             h = pooled
         if cfg.variant == "mlp":
             pre = row_matmul(h, params["mlp_w"]) + params["mlp_b"]
             hidden = activation_fn("sigmoid")(pre)
-            cache["mlp_in"] = h
-            cache["mlp_out"] = hidden
+            keep(mlp_in=h, mlp_out=hidden)
             h = hidden
         if cfg.variant in ("rcnn", "rnn"):
             steps = np.arange(h.shape[0])[:, None]
             # An involution: each row's live prefix reversed, padding kept.
             rev = (np.where(live, lengths - 1 - steps, steps), np.arange(len(lengths)))
-            (y_f, y_b), cache["lstm"] = lstm_ops.direction_forward(
-                h, h[rev], self._lstm_weights(params)
+            (y_f, y_b), lstm_cache = lstm_ops.direction_forward(
+                h, h[rev], self._lstm_weights(params), lstm_prep, keep_cache
             )
-            cache["rev"] = rev
+            keep(lstm=lstm_cache, rev=rev)
             h = y_f + y_b[rev]
         if cfg.variant != "mlp" and mode == "train":
             dropped = np.zeros_like(h)
@@ -303,11 +321,11 @@ class SequenceNet:
                 dropped[:length, b], mask[:length, b] = dropout_apply(
                     h[:length, b], cfg.dropout, mode, rng, return_mask=True
                 )
-            cache["dropout_mask"] = mask
+            keep(dropout_mask=mask)
             h = dropped
         logits = row_matmul(h, params["out_w"]) + params["out_b"]
         probs = softmax(logits)
-        cache["out_in"] = h
+        keep(out_in=h)
         return (probs[:, 0] if single else probs), cache
 
     # -------------------------------------------------------------- backward
@@ -315,13 +333,13 @@ class SequenceNet:
     def backward(self, params, cache, d_logits):
         """Exact gradients of the summed loss for every parameter.
 
-        Requires the cache of a prior forward pass on the same input and
-        consumes its LSTM part; d_logits is the loss gradient at the
-        pre-softmax logits, shaped like the probs and zero on a block's
-        padded steps (as loss_and_grads makes it).
+        Requires the cache of a prior keep_cache forward pass on the same
+        input and consumes its LSTM part; d_logits is the loss gradient at
+        the pre-softmax logits, shaped like the probs and zero on a
+        block's padded steps (as loss_and_grads makes it).
         """
         if cache is None:
-            raise ContractError("backward called before forward")
+            raise ContractError("backward needs the cache of a keep_cache forward pass")
         cfg = self.cfg
         pad = cache["pad"]
         if cache["single"]:
@@ -381,7 +399,7 @@ class SequenceNet:
         the summed loss over active positions, the gradient dict, and the
         active-position count.
         """
-        probs, cache = self.forward(params, inp, mode=mode, rng=rng)
+        probs, cache = self.forward(params, inp, mode=mode, rng=rng, keep_cache=True)
         rows = probs.reshape(-1, N_CLASSES)
         labels = np.asarray(labels01).reshape(-1)
         y_true = np.zeros_like(rows)

@@ -228,7 +228,9 @@ def make_prosodic_bundle(variant, hp, stats, rng):
 
 
 def _param_norms(params):
-    return {name: float(np.linalg.norm(v)) for name, v in params.items()}
+    """Max-abs (infinity) norm of each parameter group: finite while the
+    entries are, where the 2-norm squares them and overflows past 1e154."""
+    return {name: float(np.abs(v).max()) for name, v in params.items()}
 
 
 def train_model(bundle, train_texts, config, rng, log=None):
@@ -283,6 +285,7 @@ def train_model(bundle, train_texts, config, rng, log=None):
             scale = 1.0 / n_active
             for name in grads:
                 grads[name] *= scale
+            bundle.params_changed()
             rmsprop_step(bundle.params, grads, state)
             epoch_loss += loss
             epoch_active += n_active

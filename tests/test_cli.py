@@ -85,6 +85,8 @@ def test_diverging_train_is_a_numeric_failure(workdir, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and "parameter norms" in err
+    norms = err.split("parameter norms: ", 1)[1]
+    assert "inf" not in norms and "nan" not in norms
 
 
 def test_synth_manifest_regenerates_the_corpus(workdir, tmp_path):

@@ -237,6 +237,20 @@ def test_ragged_batch_matches_finite_differences(variant):
     assert worst <= REL_TOL, f"{variant}: worst relative error {worst:.3e}"
 
 
+@pytest.mark.parametrize("variant", ["rcnn", "cnn", "rnn", "mlp"])
+def test_inference_pass_matches_the_cache_keeping_pass(variant):
+    """A pass that keeps no backward state gives the probs of one that
+    does bit for bit, with the LSTM weights prepared per pass or ahead."""
+    net, params = batch_net(variant)
+    batch, _ = stacked(ragged_items(net.cfg, (7, 3, 1)))
+    want, cache = net.forward(params, batch, keep_cache=True)
+    assert cache is not None
+    for lstm_prep in (None, net.prepare_lstm(params)):
+        got, no_cache = net.forward(params, batch, lstm_prep=lstm_prep)
+        assert no_cache is None
+        npt.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("dropout", [0.0, 0.4])
 @pytest.mark.parametrize("variant", ["rcnn", "cnn", "rnn", "mlp", "dense"])
 def test_batch_equals_sum_of_batches_of_one(variant, dropout):

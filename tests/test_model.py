@@ -3,17 +3,23 @@ and half-valid files."""
 
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sentbound import SentboundError
+from sentbound.corpus import LABEL_B, LABEL_NB, LabeledText
 from sentbound.errors import ContractError, ModelFileError
 from sentbound.features import EmbeddingTable, ProsodyStats
 from sentbound.model import (
     FORMAT_VERSION,
     MAGIC,
     Hyperparams,
+    ModelBundle,
     TrainedSegmenter,
     _bundle_meta,
     _pack_block,
@@ -22,7 +28,14 @@ from sentbound.model import (
     load_model,
     save_model,
 )
-from sentbound.training import make_lexical_bundle, make_prosodic_bundle
+from sentbound.numerics import lstm as lstm_ops
+from sentbound.numerics import network
+from sentbound.training import (
+    TrainConfig,
+    make_lexical_bundle,
+    make_prosodic_bundle,
+    train_model,
+)
 
 
 def prob_rows(seed, m=64):
@@ -77,6 +90,21 @@ def tiny_segmenter():
     )
 
 
+def sample_text(m, seed=1, tokens=("a", "b", "c"), tags=("t01",)):
+    """A text of m words cycling through tokens and tags, every third a
+    boundary, with random prosody."""
+    return LabeledText(
+        id=f"t{seed}", tokens=[tokens[i % len(tokens)] for i in range(m)],
+        pos_tags=[tags[i % len(tags)] for i in range(m)],
+        labels=[LABEL_B if i % 3 == 1 else LABEL_NB for i in range(m)],
+        prosody=np.random.default_rng(seed).standard_normal((m, 13)),
+    )
+
+
+def with_crc(body):
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def container(meta, segmenter, with_stats=True):
     """The bytes save_model writes, but with the given meta and a valid CRC."""
     blocks = [
@@ -93,7 +121,7 @@ def container(meta, segmenter, with_stats=True):
         MAGIC + struct.pack("<II", FORMAT_VERSION, len(meta_bytes)) + meta_bytes
         + struct.pack("<I", len(blocks)) + b"".join(blocks)
     )
-    return body + struct.pack("<I", zlib.crc32(body))
+    return with_crc(body)
 
 
 def intact_meta(segmenter):
@@ -128,12 +156,33 @@ def _no_stats_blocks(meta):
     return meta, False
 
 
+def _set(path, value):
+    def craft(meta):
+        node = meta
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return meta, True
+
+    craft.__name__ = "_".join(["set"] + [str(key) for key in path])
+    return craft
+
+
 @pytest.mark.parametrize(
     "craft, message",
     [
         (_alpha_only, "meta needs alpha, lexical and prosodic"),
         (_unknown_hyperparam, "bad hyperparams"),
         (_no_stats_blocks, "without prosody statistics"),
+        (_set(("alpha",), "x"), "alpha 'x' is not a number"),
+        (_set(("alpha",), None), "alpha None is not a number"),
+        (_set(("alpha",), True), "alpha True is not a number"),
+        (_set(("lexical", "word_tokens"), 5), "word_tokens is neither null nor a list"),
+        (_set(("lexical", "tag_tokens"), ["t01", 3]), "tag_tokens is neither null nor"),
+        (_set(("prosodic", "dense_dim"), "13"), "dense_dim '13', expected 13"),
+        (_set(("lexical", "dense_dim"), 13), "dense_dim 13, expected 0"),
+        (_set(("lexical", "hyperparams", "conv_width"), 7.0), "bad hyperparams"),
+        (_set(("prosodic", "hyperparams", "dropout_rate"), "0.5"), "bad hyperparams"),
     ],
 )
 def test_half_valid_container_raises_model_file_error(tmp_path, craft, message):
@@ -157,14 +206,8 @@ def test_non_finite_parameter_is_a_model_file_error(tmp_path):
 def test_requests_build_the_encoders_once(monkeypatch):
     """The vocabularies are indexed on the first request only, and later
     requests predict bit-identically."""
-    from sentbound.corpus import LABEL_B, LABEL_NB, LabeledText
-
     segmenter = tiny_segmenter()
-    text = LabeledText(
-        id="t", tokens=["a", "b", "c", "a"], pos_tags=["t01"] * 4,
-        labels=[LABEL_NB, LABEL_B, LABEL_NB, LABEL_B],
-        prosody=np.random.default_rng(1).standard_normal((4, 13)),
-    )
+    text = sample_text(4)
     first = segmenter.predict_probs(text)
     built = []
     from_rows = EmbeddingTable.from_rows.__func__
@@ -176,3 +219,128 @@ def test_requests_build_the_encoders_once(monkeypatch):
         assert labels == first[0]
         np.testing.assert_array_equal(fused, first[1])
     assert built == []
+
+
+def test_block_name_that_is_not_utf8_is_a_model_file_error(tmp_path):
+    segmenter = tiny_segmenter()
+    body = container(intact_meta(segmenter), segmenter)[:-4]
+    assert body.count(b"lexical/out_b") == 1
+    path = tmp_path / "m.dbnd"
+    path.write_bytes(with_crc(body.replace(b"lexical/out_b", b"\xff\xfexical/out_b")))
+    with pytest.raises(ModelFileError, match="block name is not UTF-8"):
+        load_model(path)
+
+
+FUZZ_SEGMENTER = tiny_segmenter()
+FUZZ_META = intact_meta(FUZZ_SEGMENTER)
+FUZZ_BODY = container(FUZZ_META, FUZZ_SEGMENTER)[:-4]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 300) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=4,
+)
+
+
+def meta_paths(node, path=()):
+    """The key path of every entry below node, list items included."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from meta_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_containers(draw):
+    """A valid container with one meta entry replaced by any JSON value,
+    or with a few body bytes overwritten, or cut short; CRC recomputed."""
+    how = draw(st.sampled_from(("meta", "bytes", "cut")))
+    if how == "meta":
+        meta = json.loads(json.dumps(FUZZ_META))
+        path = draw(st.sampled_from(list(meta_paths(meta))))
+        return container(_set(path, draw(JSON_VALUES))(meta)[0], FUZZ_SEGMENTER)
+    body = bytearray(FUZZ_BODY)
+    if how == "cut":
+        return with_crc(bytes(body[: draw(st.integers(0, len(body) - 1))]))
+    offsets = st.integers(0, len(body) - 1)
+    for at, byte in draw(st.lists(st.tuples(offsets, st.integers(0, 255)), min_size=1,
+                                  max_size=4)):
+        body[at] = byte
+    return with_crc(bytes(body))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_containers())
+def test_mutated_container_loads_and_predicts_or_raises_a_sentbound_error(tmp_path, data):
+    path = tmp_path / "m.dbnd"
+    path.write_bytes(data)
+    try:
+        load_model(path).predict_probs(sample_text(5))
+    except SentboundError:
+        pass
+
+
+# ------------------------------------------------------ inference state
+
+
+def test_each_bundle_prepares_its_lstm_weights_once(monkeypatch):
+    """Over 10 requests each bundle prepares its LSTM weights once, and
+    no inference pass asks the max-pool for its argmax."""
+    segmenter = tiny_segmenter()
+    prepared, argmax_asked = [], []
+    prepare = lstm_ops.prepare_weights
+    pool = network.maxpool1d_same
+    monkeypatch.setattr(lstm_ops, "prepare_weights",
+                        lambda weights: prepared.append(1) or prepare(weights))
+    monkeypatch.setattr(network, "maxpool1d_same", lambda c, h_m, return_argmax=False: (
+        argmax_asked.append(return_argmax) or pool(c, h_m, return_argmax)
+    ))
+    for seed in range(10):
+        segmenter.predict_probs(sample_text(4 + seed, seed))
+    assert len(prepared) == 2  # lexical and prosodic
+    assert argmax_asked == [False] * 20
+
+
+def test_training_drops_the_prepared_weights():
+    """After train_model a bundle predicts like a fresh bundle on its
+    trained params, not from LSTM weights prepared before training."""
+    bundle = tiny_segmenter().lexical
+    texts = [sample_text(m, seed) for seed, m in enumerate((6, 9, 4))]
+    before = bundle.probs(texts)
+    train_model(bundle, texts, TrainConfig(epochs=1, batch_size=2), np.random.default_rng(0))
+    fresh = ModelBundle(
+        bundle.net, {name: value.copy() for name, value in bundle.params.items()},
+        bundle.hyperparams, bundle.word_tokens, bundle.tag_tokens,
+    )
+    for old, got, want in zip(before, bundle.probs(texts), fresh.probs(texts)):
+        assert not np.array_equal(got, old)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_a_request_holds_no_backward_state():
+    """A warm 200-token request to default-size models stays under 3 MB
+    of traced memory; keeping the backward state took 5.7 MB."""
+    rng = np.random.default_rng(0)
+    words = EmbeddingTable.from_tokens(["a", "b", "c"], Hyperparams().word_dim, rng)
+    tags = EmbeddingTable.from_tokens(["t01"], Hyperparams().tag_dim, rng)
+    segmenter = TrainedSegmenter(
+        lexical=make_lexical_bundle("rcnn", Hyperparams.lexical(), words, tags, rng),
+        alpha=0.5,
+        prosodic=make_prosodic_bundle(
+            "rcnn", Hyperparams.prosodic(), ProsodyStats(np.zeros(13), np.ones(13)), rng
+        ),
+    )
+    text = sample_text(200)
+    segmenter.predict_probs(text)
+    tracemalloc.start()
+    try:
+        segmenter.predict_probs(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6

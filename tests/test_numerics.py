@@ -25,8 +25,8 @@ from sentbound.numerics.lstm import (
     GATES,
     direction_backward,
     direction_forward,
-    fuse_gate_weights,
     lstm_sequence_forward,
+    prepare_weights,
 )
 
 from kernel_reference import conv1d_same_forward, dense_forward
@@ -242,7 +242,7 @@ class TestLstmCell:
         n_r, d_in, m = 4, 3, 11
         w = random_direction_weights(n_r, d_in, rng)
         x = rng.normal(size=(m, d_in))
-        h_seq, _ = lstm_sequence_forward([x[:, None]], [fuse_gate_weights(w)])
+        h_seq, _ = lstm_sequence_forward([x[:, None]], prepare_weights([w]))
         h = np.zeros(n_r)
         c = np.zeros(n_r)
         for t in range(m):
@@ -339,7 +339,7 @@ class TestBlockLstm:
         for _ in range(2):
             partner = random_direction_weights(n_r, d_in, rng)
             other = rng.normal(size=shape)
-            (y, y_other), cache = direction_forward(x, other, (w, partner))
+            (y, y_other), cache = direction_forward(x, other, (w, partner), keep_cache=True)
             (grads, _), (d_x, _) = direction_backward(
                 d_y, rng.normal(size=y_other.shape), cache, (w, partner)
             )
