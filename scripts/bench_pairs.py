@@ -12,8 +12,11 @@ slow stretch of the host does not always fall on the same side.
 
 The output file holds, per workload, the seeds, every run's two output
 lines (run description and result) and, per end-to-end metric of
-``BENCHMARK.json``, each side's median and quartiles and the pairs the
-change won, lost and tied.
+``BENCHMARK.json``, each side's median and quartiles, the median and
+quartiles of the per-pair ratio change / base, and the pairs the change
+won, lost and tied. The ratios compare the two runs of one pair, which
+sit minutes apart, so a host whose speed drifts over the whole run moves
+them less than it moves either side's own quartiles.
 """
 
 import argparse
@@ -65,7 +68,9 @@ def summarize(pairs, metrics):
     which either side lacks the metric is skipped. The change wins a pair
     when its value is better in the metric's direction; equal values tie.
     ``gap_exceeds_base_iqr`` says whether the medians differ by more than
-    the distance between the base's quartiles.
+    the distance between the base's quartiles. ``ratio`` holds the
+    quartiles of change / base over the pairs whose base value is not 0,
+    or is None when there are none.
     """
     summary = {}
     for metric in metrics:
@@ -79,11 +84,13 @@ def summarize(pairs, metrics):
             q1, median, q3 = quartiles(column)
             sides[side] = {"q1": q1, "median": median, "q3": q3}
         gaps = [sign * (b - c) for b, c in values]  # > 0: the change is better
+        ratios = [c / b for b, c in values if b]
         base, change = sides["base"]["median"], sides["change"]["median"]
         summary[name] = {
             "better": metric["better"],
             "pairs": len(values),
             **sides,
+            "ratio": dict(zip(("q1", "median", "q3"), quartiles(ratios))) if ratios else None,
             "wins": sum(g > 0 for g in gaps),
             "losses": sum(g < 0 for g in gaps),
             "ties": sum(g == 0 for g in gaps),

@@ -55,6 +55,18 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, and records the dest of each option it adds."""
+
+    def __init__(self, *args, **kwargs):
+        self.dests = set()
+        super().__init__(*args, **kwargs)
+        self.dests.discard("help")  # -h, which no config file sets
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.dests.add(action.dest)
+        return action
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -127,7 +139,8 @@ def _add_model_knobs(parser):
 
 
 def build_parser():
-    """The top-level parser and its subcommand parsers by name."""
+    """The top-level parser, its subcommand parsers by name, and the config
+    file keys: the dests of every subcommand option."""
     parser = _Parser(prog="sentbound",
                      description="Sentence boundary detection for speech transcripts")
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -180,7 +193,8 @@ def build_parser():
                          help="regenerate from a previously written manifest")
     _add_common(p_synth)
     p_synth.set_defaults(func=cmd_synth)
-    return parser, dict(sub.choices)
+    commands = dict(sub.choices)
+    return parser, commands, set().union(*(p.dests for p in commands.values()))
 
 
 def _resolved(args):
@@ -373,17 +387,12 @@ def cmd_synth(args):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser()
+    parser, commands, config_keys = build_parser()
     try:
         config_path = _scan_config_path(argv)
         if config_path:
             values = load_config_file(config_path)
-            known = {
-                action.dest
-                for p in [parser, *commands.values()]
-                for action in p._actions
-            }
-            unknown = set(values) - known
+            unknown = set(values) - config_keys
             if unknown:
                 raise _UsageError(f"unknown config keys: {sorted(unknown)}")
             for p in commands.values():

@@ -177,7 +177,8 @@ def prosodic_config(variant, hp):
 class ModelBundle:
     """One trained (or initialised) network with its input identity: the
     vocabularies of a lexical model, the prosody statistics of a prosodic
-    one."""
+    one. params are views of one vector in the net's layout, as
+    SequenceNet.init_params and load_model make them."""
 
     net: SequenceNet
     params: dict
@@ -444,17 +445,17 @@ def _rebuild_bundle(meta, blocks, prefix, stats=None):
             len(tag_tokens) + 1 if tag_tokens is not None else 0,
         )
     net = SequenceNet(cfg)
-    params = {}
-    for name, shape in net.param_shapes().items():
+    params = net.views(np.empty(net.size))
+    for name, view in params.items():
         key = f"{prefix}/{name}"
         if key not in blocks:
             raise ModelFileError(f"missing parameter block {key!r}")
         value = blocks[key]
-        if value.shape != shape:
+        if value.shape != view.shape:
             raise ModelFileError(
-                f"parameter {key!r} has shape {value.shape}, expected {shape}"
+                f"parameter {key!r} has shape {value.shape}, expected {view.shape}"
             )
-        params[name] = value
+        view[...] = value
     return ModelBundle(net, params, hp, word_tokens, tag_tokens, stats)
 
 

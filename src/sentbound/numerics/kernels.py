@@ -1,7 +1,6 @@
 """Stateless numeric kernels: activations, convolution, pooling, dropout."""
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ContractError, NumericError
 
@@ -117,9 +116,13 @@ def maxpool1d_same(c, h_m, return_argmax=False):
     c is (m, n_f), or a time-major block (T, B, n_f) pooled along T. Output
     row j is the max of input rows j - h_m//2 .. j + ceil(h_m/2) - 1,
     clipped to [0, m); output keeps the input shape. A -inf row never
-    wins a window that holds a finite value. With return_argmax=True also
-    returns the source row of each maximum (first occurrence on ties),
-    needed for the backward pass.
+    wins a window that holds a finite value, and a NaN propagates. With
+    return_argmax=True also returns the source row of each maximum
+    (first occurrence on ties), needed for the backward pass.
+
+    The max runs over the h_m shifted slices of the -inf-padded input,
+    one np.maximum each; the argmax moves to slice k only where slice k
+    is strictly greater, which keeps the first occurrence.
     """
     c = np.asarray(c, dtype=np.float64)
     if h_m < 1:
@@ -128,12 +131,20 @@ def maxpool1d_same(c, h_m, return_argmax=False):
     lo_off = h_m // 2
     padded = np.full((m + h_m - 1,) + c.shape[1:], -np.inf)
     padded[lo_off : lo_off + m] = c
-    windows = sliding_window_view(padded, h_m, axis=0)  # (m, ..., h_m)
-    out = windows.max(axis=-1)
+    out = padded[:m].copy()
     if not return_argmax:
+        for k in range(1, h_m):
+            np.maximum(out, padded[k : k + m], out=out)
         return out
+    arg = np.zeros(c.shape, dtype=np.intp)
+    wins = np.empty(c.shape, dtype=bool)
+    for k in range(1, h_m):
+        shifted = padded[k : k + m]
+        np.greater(shifted, out, out=wins)
+        np.copyto(arg, k, where=wins)
+        np.maximum(out, shifted, out=out)
     start = (np.arange(m) - lo_off).reshape((m,) + (1,) * (c.ndim - 1))
-    return out, start + windows.argmax(axis=-1)
+    return out, start + arg
 
 
 def maxpool1d_backward(d_out, argrow):

@@ -1,13 +1,18 @@
 """Fused LSTM passes over time-major blocks, both directions in lockstep.
 
-A direction's weights live in a plain dict with per-gate matrices in the
+A direction's weights live in a plain dict with the four gates fused in
+GATES order (rows i, f, o, g of n_r each) and matrices in the
 conventional orientation (rows = units):
 
-    wx_i, wx_f, wx_o, wx_g : (n_r, d_in)   input weights per gate
-    wh_i, wh_f, wh_o, wh_g : (n_r, n_r)    recurrent weights per gate
-    b_i,  b_f,  b_o,  b_g  : (n_r,)        gate biases
-    wy                     : (n_r, n_r)    per-timestep output projection
-    by                     : (n_r,)
+    wx : (4 n_r, d_in)   input weights
+    wh : (4 n_r, n_r)    recurrent weights
+    b  : (4 n_r,)        gate biases
+    wy : (n_r, n_r)      per-timestep output projection
+    by : (n_r,)
+
+SequenceNet hands these over as views of its parameter vector, whose
+layout keeps each parameter's gate blocks adjacent, so nothing here
+concatenates gate blocks.
 
 The cell has no peephole connections; the candidate gate uses tanh and
 the i/f/o gates use the logistic sigmoid.
@@ -32,10 +37,10 @@ direction's outputs and gradients do not depend on its partner.
 direction_forward and direction_backward keep their names as the entry
 points of that lockstep pair.
 
-A pass reads the weights in a prepared form (prepare_weights): gates
-fused, transposed, sign-folded and stacked. The form is a pure function
-of the weight dicts, so a caller whose weights do not change builds it
-once and passes it to every pass. A pass keeps its backward state only
+A pass reads the weights in a prepared form (prepare_weights):
+transposed, sign-folded and stacked. The form is a pure function of the
+weight dicts, so a caller whose weights do not change builds it once
+and passes it to every pass. A pass keeps its backward state only
 when asked: an inference pass holds the gate pre-activations and the h
 history its outputs need, c and tanh(c) in one-step buffers, and
 returns no cache.
@@ -48,29 +53,23 @@ from .kernels import row_matmul, row_outer_sum, row_sum
 GATES = ("i", "f", "o", "g")
 
 
-def fuse_gates(weights, name):
-    """The four per-gate blocks of one of a direction's parameters ("wx",
-    "wh" or "b"), stacked in GATES order for one-GEMM-per-step math."""
-    return np.concatenate([weights[f"{name}_{g}"] for g in GATES])
-
-
 def prepare_weights(weights):
     """What a pass reads of the D directions' weight dicts: (wx_t, b, wh_t).
 
-    wx_t holds each direction's fused input weights transposed, (d_in,
-    4n), b its fused bias, (4n,), and wh_t the D fused recurrent weights
-    transposed and stacked, (D, n, 4n). The i, f and o columns of all
-    three are negated: negated weights give exactly the negated sums, so
-    those rows come out as -z and their sigmoid 1 / (1 + exp(-z)), as in
-    kernels.sigmoid, needs no negation step.
+    wx_t holds each direction's input weights transposed, (d_in, 4n), b
+    its bias, (4n,), and wh_t the D recurrent weights transposed and
+    stacked, (D, n, 4n). The i, f and o columns of all three are negated:
+    negated weights give exactly the negated sums, so those rows come out
+    as -z and their sigmoid 1 / (1 + exp(-z)), as in kernels.sigmoid,
+    needs no negation step.
     """
-    n = weights[0]["wh_i"].shape[0]
+    n = weights[0]["wh"].shape[1]
     sign = np.ones(4 * n)
     sign[: 3 * n] = -1.0
     return (
-        [fuse_gates(w, "wx").T * sign for w in weights],
-        [fuse_gates(w, "b") * sign for w in weights],
-        np.stack([fuse_gates(w, "wh") for w in weights]).transpose(0, 2, 1) * sign,
+        [w["wx"].T * sign for w in weights],
+        [w["b"] * sign for w in weights],
+        np.stack([w["wh"] for w in weights]).transpose(0, 2, 1) * sign,
     )
 
 
@@ -103,23 +102,28 @@ def lstm_sequence_forward(xs, prepared, keep_cache=False):
     tc = np.empty((kept, dirs, rows, n))
     hs = np.empty((steps, dirs, rows, n))
     c = np.zeros((dirs, rows, n))
-    for t in range(steps):
-        if t:
-            rec = np.matmul(hs[t - 1], wh_t)
-            gates[t] += rec.reshape(dirs, rows, 4, n).transpose(2, 0, 1, 3)
-        s = sig[t]
-        np.exp(s, out=s)
-        s += 1.0
-        np.divide(1.0, s, out=s)
-        g_t = g[t]
-        np.tanh(g_t, out=g_t)
-        c_t = cs[t % kept]
-        np.multiply(f[t], c, out=c_t)
-        c_t += i[t] * g_t
-        tc_t = tc[t % kept]
-        np.tanh(c_t, out=tc_t)
-        np.multiply(o[t], tc_t, out=hs[t])
-        c = c_t
+    # A pre-activation z below about -709 makes the sigmoid's exp(-z)
+    # overflow to inf, and a huge recurrent sum overflows to +-inf; the
+    # gates then saturate at exactly 0 or 1, so neither is a fault. NaN
+    # (invalid) still warns, and softmax refuses it.
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            if t:
+                rec = np.matmul(hs[t - 1], wh_t)
+                gates[t] += rec.reshape(dirs, rows, 4, n).transpose(2, 0, 1, 3)
+            s = sig[t]
+            np.exp(s, out=s)
+            s += 1.0
+            np.divide(1.0, s, out=s)
+            g_t = g[t]
+            np.tanh(g_t, out=g_t)
+            c_t = cs[t % kept]
+            np.multiply(f[t], c, out=c_t)
+            c_t += i[t] * g_t
+            tc_t = tc[t % kept]
+            np.tanh(c_t, out=tc_t)
+            np.multiply(o[t], tc_t, out=hs[t])
+            c = c_t
     if not keep_cache:
         return hs, None
     return hs, {"x": list(xs), "gates": gates, "c": cs, "tanh_c": tc, "h": hs}
@@ -162,7 +166,7 @@ def lstm_sequence_backward(d_hs, cache, weights):
     and its entries popped.
     """
     gates, hs = cache.pop("gates"), cache.pop("h")
-    wh = np.stack([fuse_gates(w, "wh") for w in weights])  # (D, 4n, n)
+    wh = np.stack([w["wh"] for w in weights])  # (D, 4n, n)
     steps, _, dirs, rows, n = gates.shape
     forget, o_dtanh, d_h = _bptt_factors(gates, cache.pop("c"), cache.pop("tanh_c"))
     for d, d_h_d in enumerate(d_hs):
@@ -191,7 +195,7 @@ def lstm_sequence_backward(d_hs, cache, weights):
             row_outer_sum(dz, x),
             row_outer_sum(dz[1:], h[:-1]),
             row_sum(dz),
-            row_matmul(dz, fuse_gates(w, "wx")),
+            row_matmul(dz, w["wx"]),
         ))
     return out
 
@@ -222,7 +226,6 @@ def direction_backward(d_y_fwd, d_y_bwd, cache, weights):
     keyed like its weights dict.
     """
     hs = cache["h"]
-    n = hs.shape[-1]
     d_ys = (d_y_fwd, d_y_bwd)
     grads = [
         {"wy": row_outer_sum(d_y, hs[:, d]), "by": row_sum(d_y)}
@@ -233,9 +236,6 @@ def direction_backward(d_y_fwd, d_y_bwd, cache, weights):
     results = lstm_sequence_backward(d_hs, cache, weights)
     d_xs = []
     for grad, (d_wx, d_wh, d_b, d_x) in zip(grads, results):
-        for k, gate in enumerate(GATES):
-            grad[f"wx_{gate}"] = d_wx[k * n : (k + 1) * n]
-            grad[f"wh_{gate}"] = d_wh[k * n : (k + 1) * n]
-            grad[f"b_{gate}"] = d_b[k * n : (k + 1) * n]
+        grad.update(wx=d_wx, wh=d_wh, b=d_b)
         d_xs.append(d_x)
     return tuple(grads), tuple(d_xs)

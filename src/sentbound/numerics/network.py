@@ -1,9 +1,16 @@
 """The sequence-labelling network: RCNN stack and its ablation variants.
 
-One SequenceNet owns the architecture; parameters live in a plain ordered
-dict of named float64 arrays so the optimizer, the serializer, and the
-finite-difference tests can all iterate them uniformly. 1-D parameters are
-biases; everything else is a weight matrix.
+One SequenceNet owns the architecture and the parameter layout. A
+model's parameters are one contiguous float64 vector; params is an
+ordered dict of named views into it (SequenceNet.views), so the
+serializer and the finite-difference tests iterate names while the
+optimizer, the gradient scaling and the block sums run on the whole
+vector (flat_vector). The gradients backward returns and the RMSProp
+accumulator share the layout. The vector follows the dict's key order,
+except that each LSTM direction stores its i/f/o/g blocks of wx, of wh
+and of b next to each other, so the fused (4n, ...) gate weights that
+lstm.py reads are views too (lstm_weights). 1-D parameters are biases;
+everything else is a weight matrix.
 
 Variant stacks (every layer keeps the sequence length):
 
@@ -30,6 +37,7 @@ returns no cache. It can also take the LSTM weights already prepared
 (prepare_lstm), which stay valid while the params do.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +68,7 @@ CONV_ACTIVATION = "relu"
 # bounds peak memory: five texts of up to 50 tokens (the default bucket
 # width) share a block, and a text longer than the cap is a block alone.
 BLOCK_ROWS = 256
+LSTM_KEYS = ("wx", "wh", "b", "wy", "by")  # of a direction's weight dict
 
 
 @dataclass(frozen=True)
@@ -167,11 +176,24 @@ def blocks(items):
     yield block
 
 
+def flat_vector(arrays):
+    """The one contiguous float64 vector that every array of a params or
+    grads dict views, as SequenceNet.views lays them out."""
+    vector = next(iter(arrays.values())).base
+    if (vector is None or vector.ndim != 1 or vector.dtype != np.float64
+            or sum(a.size for a in arrays.values()) != vector.size
+            or any(a.base is not vector for a in arrays.values())):
+        raise ContractError("parameter arrays must be views of one float64 vector")
+    return vector
+
+
 class SequenceNet:
     """Architecture plus hand-derived gradients for every parameter."""
 
     def __init__(self, cfg: NetConfig):
         self.cfg = cfg
+        self._names = tuple(self.param_shapes())
+        self.size, self._where = self._lay_out()
 
     # ---------------------------------------------------------------- params
 
@@ -203,14 +225,44 @@ class SequenceNet:
         shapes["out_b"] = (N_CLASSES,)
         return shapes
 
+    def _lay_out(self):
+        """Place the parameters in the vector: storage keeps key order but
+        gathers the four blocks of each LSTM gate parameter (fwd_wx_i ..
+        fwd_wx_g) where the first one falls. Returns the vector's size and
+        the (slice, shape) of each name and of each gate parameter's
+        fused blocks (fwd_wx: (4n, d_in))."""
+        shapes = self.param_shapes()
+        stored = {}
+        for name in shapes:
+            stem, _, gate = name.rpartition("_")
+            stored.setdefault(stem if gate in lstm_ops.GATES else name, []).append(name)
+        where, stop = {}, 0
+        for stem, names in stored.items():
+            first = stop
+            for name in names:
+                start, stop = stop, stop + math.prod(shapes[name])
+                where[name] = (slice(start, stop), shapes[name])
+            rows, *rest = shapes[names[0]]
+            where[stem] = (slice(first, stop), (len(names) * rows, *rest))
+        return stop, where
+
+    def _view(self, vector, name):
+        """The view of a params or grads vector that holds name (a
+        parameter, or an LSTM gate parameter's fused blocks)."""
+        where, shape = self._where[name]
+        return vector[where].reshape(shape)
+
+    def views(self, vector):
+        """The params dict of a vector of self.size floats: one view per
+        name, in key order."""
+        return {name: self._view(vector, name) for name in self._names}
+
     def init_params(self, rng):
-        """Glorot-gaussian weights, zero biases, in a fixed name order."""
-        params = {}
-        for name, shape in self.param_shapes().items():
-            if len(shape) == 1:
-                params[name] = np.zeros(shape)
-            else:
-                params[name] = glorot_init(shape[0], shape[1], rng)
+        """Glorot-gaussian weights, zero biases, drawn in key order."""
+        params = self.views(np.zeros(self.size))
+        for value in params.values():
+            if value.ndim == 2:
+                value[...] = glorot_init(*value.shape, rng)
         return params
 
     # --------------------------------------------------------------- forward
@@ -242,19 +294,18 @@ class SequenceNet:
             raise ContractError("network input carries no usable features")
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
 
-    def _lstm_weights(self, params):
-        """The fwd and bwd direction weight dicts, keyed as lstm.py reads them."""
-        keys = [f"{w}_{g}" for w in ("wx", "wh", "b") for g in lstm_ops.GATES]
-        keys += ["wy", "by"]
-        return tuple(
-            {k: params[f"{direction}_{k}"] for k in keys} for direction in ("fwd", "bwd")
-        )
+    def lstm_weights(self, vector):
+        """The fwd and bwd direction weight dicts as lstm.py reads them, as
+        views of a params vector: wx, wh and b each fuse the four adjacent
+        gate blocks in GATES order."""
+        return tuple({key: self._view(vector, f"{direction}_{key}") for key in LSTM_KEYS}
+                     for direction in ("fwd", "bwd"))
 
     def prepare_lstm(self, params):
         """lstm_ops.prepare_weights of both directions; None without an LSTM."""
         if self.cfg.variant not in ("rcnn", "rnn"):
             return None
-        return lstm_ops.prepare_weights(self._lstm_weights(params))
+        return lstm_ops.prepare_weights(self.lstm_weights(flat_vector(params)))
 
     def forward(self, params, inp, mode="inference", rng=None, keep_cache=False,
                 lstm_prep=None):
@@ -309,10 +360,11 @@ class SequenceNet:
             steps = np.arange(h.shape[0])[:, None]
             # An involution: each row's live prefix reversed, padding kept.
             rev = (np.where(live, lengths - 1 - steps, steps), np.arange(len(lengths)))
+            weights = self.lstm_weights(flat_vector(params))
             (y_f, y_b), lstm_cache = lstm_ops.direction_forward(
-                h, h[rev], self._lstm_weights(params), lstm_prep, keep_cache
+                h, h[rev], weights, lstm_prep, keep_cache
             )
-            keep(lstm=lstm_cache, rev=rev)
+            keep(lstm=lstm_cache, lstm_weights=weights, rev=rev)
             h = y_f + y_b[rev]
         if cfg.variant != "mlp" and mode == "train":
             dropped = np.zeros_like(h)
@@ -331,7 +383,8 @@ class SequenceNet:
     # -------------------------------------------------------------- backward
 
     def backward(self, params, cache, d_logits):
-        """Exact gradients of the summed loss for every parameter.
+        """Exact gradients of the summed loss for every parameter, as views
+        of one vector laid out like the params.
 
         Requires the cache of a prior keep_cache forward pass on the same
         input and consumes its LSTM part; d_logits is the loss gradient at
@@ -353,9 +406,8 @@ class SequenceNet:
             dh = dh * cache["dropout_mask"]
         if cfg.variant in ("rcnn", "rnn"):
             rev = cache["rev"]
-            weights = self._lstm_weights(params)
             grads_fb, (dx_f, dx_b) = lstm_ops.direction_backward(
-                dh, dh[rev], cache.pop("lstm"), weights
+                dh, dh[rev], cache.pop("lstm"), cache["lstm_weights"]
             )
             for direction, g in zip(("fwd", "bwd"), grads_fb):
                 for key, value in g.items():
@@ -374,16 +426,23 @@ class SequenceNet:
             grads["conv_b"] = d_b
         if pad is not None:
             dh[pad] = 0.0  # the zeroed padding rows are constants
-        self._scatter_input_grads(params, cache["inp"], dh, grads)
-        return {name: grads[name] for name in params}
+        # The vector is made only now, once the LSTM's backward state is
+        # freed, so that it does not raise the pass's peak memory; grads
+        # fill all of it but the embedding tables.
+        grad_vector = np.empty(self.size)
+        for name, value in grads.items():
+            self._view(grad_vector, name)[...] = value
+        grads = self.views(grad_vector)
+        self._scatter_input_grads(cache["inp"], dh, grads)
+        return grads
 
-    def _scatter_input_grads(self, params, block, d_x, grads):
+    def _scatter_input_grads(self, block, d_x, grads):
         cfg = self.cfg
         col = 0
         for name, ids, dim in (("emb_word", block.word_ids, cfg.word_dim),
                                ("emb_tag", block.tag_ids, cfg.tag_dim)):
-            if name in params:
-                grads[name] = np.zeros_like(params[name])
+            if name in grads:
+                grads[name][...] = 0.0
                 np.add.at(grads[name], ids, d_x[..., col : col + dim])
                 col += dim
 

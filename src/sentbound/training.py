@@ -5,7 +5,9 @@ with masked rows. The update step stacks each sequence's active prefix
 into time-major blocks (NetBatch) and runs one forward and one backward
 pass per block; the network keeps padded steps out of every active
 result, so padding can never change one. Gradients are averaged over the
-active positions of the batch and applied with RMSProp. All shuffling,
+active positions of the batch and applied with RMSProp; the block sums,
+the averaging and the update each run on the whole parameter vector
+(network.flat_vector). All shuffling,
 initialisation, and dropout randomness flows from one generator, so a
 fixed seed reproduces the loss trace and the final parameters bit for
 bit.
@@ -27,7 +29,7 @@ from .model import (
     prosodic_config,
 )
 from .numerics import NetBatch, RmsPropState, SequenceNet, rmsprop_step
-from .numerics.network import BLOCK_ROWS, blocks, time_major
+from .numerics.network import BLOCK_ROWS, blocks, flat_vector, time_major
 
 RMSPROP_EPSILON = 1e-8
 ALPHA_GRID = tuple(round(i / 10, 1) for i in range(11))
@@ -177,7 +179,7 @@ def batch_loss_and_grads(net, params, items, class_weights, mode="train", rng=No
             live.append((inp, np.ones(length, dtype=bool) if mask is None else mask, length))
     if not live:
         raise ContractError("batch has no active positions")
-    total_loss, total_active, acc = 0.0, 0, None
+    total_loss, total_active, acc, acc_vector = 0.0, 0, None, None
     for block in blocks(live):
         inputs, masks, lengths = zip(*block)
         batch = NetBatch.stack(inputs, lengths)
@@ -188,10 +190,9 @@ def batch_loss_and_grads(net, params, items, class_weights, mode="train", rng=No
         total_loss += loss
         total_active += n_active
         if acc is None:
-            acc = grads
+            acc, acc_vector = grads, flat_vector(grads)
         else:
-            for name in acc:
-                acc[name] += grads[name]
+            acc_vector += flat_vector(grads)
     return total_loss, acc, total_active
 
 
@@ -241,7 +242,8 @@ def train_model(bundle, train_texts, config, rng, log=None):
     active positions. `log`, when given, receives
     (epoch, mean_loss, elapsed_ms) after every epoch. A non-finite logit
     raises NumericError naming the epoch, the batch and the parameter
-    norms.
+    norms; numpy's overflow and invalid-value warnings are silenced in
+    the update step, where that error reports a divergence.
     """
     texts = list(train_texts)
     if bundle.prosody_stats is not None:
@@ -253,8 +255,9 @@ def train_model(bundle, train_texts, config, rng, log=None):
     )
     encoded = {t.id: bundle.encoder.encode(t) for t in texts}
     buckets = make_buckets(texts, config.bucket_width)
+    theta = flat_vector(bundle.params)
     state = RmsPropState(
-        bundle.params, gamma=bundle.hyperparams.gamma,
+        theta, gamma=bundle.hyperparams.gamma,
         eta=bundle.hyperparams.eta, epsilon=RMSPROP_EPSILON,
     )
     trace = []
@@ -272,21 +275,21 @@ def train_model(bundle, train_texts, config, rng, log=None):
             chunk = [encoded[tid] for tid in batches[b]]
             target = max(len(item) for item in chunk)
             items = [pad_item(item, target) for item in chunk]
-            try:
-                loss, grads, n_active = batch_loss_and_grads(
-                    bundle.net, bundle.params, items, class_weights,
-                    mode="train", rng=rng,
-                )
-            except NumericError as exc:
-                raise NumericError(
-                    f"{exc} at epoch {epoch} batch {step}; "
-                    f"parameter norms: {_param_norms(bundle.params)}"
-                ) from exc
-            scale = 1.0 / n_active
-            for name in grads:
-                grads[name] *= scale
-            bundle.params_changed()
-            rmsprop_step(bundle.params, grads, state)
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    loss, grads, n_active = batch_loss_and_grads(
+                        bundle.net, bundle.params, items, class_weights,
+                        mode="train", rng=rng,
+                    )
+                except NumericError as exc:
+                    raise NumericError(
+                        f"{exc} at epoch {epoch} batch {step}; "
+                        f"parameter norms: {_param_norms(bundle.params)}"
+                    ) from exc
+                grad = flat_vector(grads)
+                grad *= 1.0 / n_active
+                bundle.params_changed()
+                rmsprop_step(theta, grad, state)
             epoch_loss += loss
             epoch_active += n_active
         mean_loss = epoch_loss / epoch_active

@@ -1,12 +1,15 @@
-"""Single-sequence kernels that only the tests use.
+"""Kernels that only the tests use.
 
 A dense layer for one vector, a length-preserving convolution over one
 (m, d) sequence and the word-then-tag embedding rows of one text, with
 the identity and tanh activations besides the library's sigmoid and
-relu. They are written plainly and serve as reference oracles.
+relu; the max-pool over sliding windows; and the RMSProp update one
+parameter array at a time. They are written plainly and serve as
+reference oracles.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sentbound.errors import ContractError
 from sentbound.numerics.kernels import conv_windows, relu, sigmoid
@@ -71,3 +74,26 @@ def build_lexical_input(text, word_table=None, tag_table=None):
     if tag_table is not None:
         parts.append(tag_table.vectors[tag_table.encode(text.pos_tags)])
     return parts[0].copy() if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def rmsprop_reference_step(params, grads, r, gamma, eta, epsilon):
+    """One RMSProp update of each named array of params in place, from the
+    same-named grads, with the accumulators r named alike."""
+    for name, p in params.items():
+        grad = grads[name]
+        r[name] *= gamma
+        r[name] += (1.0 - gamma) * grad * grad
+        p -= eta * grad / (np.sqrt(r[name]) + epsilon)
+
+
+def maxpool1d_same_reference(c, h_m):
+    """maxpool1d_same's (out, argrow) by a max and an argmax over each
+    row's sliding window of the -inf-padded input."""
+    c = np.asarray(c, dtype=np.float64)
+    m = c.shape[0]
+    lo_off = h_m // 2
+    padded = np.full((m + h_m - 1,) + c.shape[1:], -np.inf)
+    padded[lo_off : lo_off + m] = c
+    windows = sliding_window_view(padded, h_m, axis=0)  # (m, ..., h_m)
+    start = (np.arange(m) - lo_off).reshape((m,) + (1,) * (c.ndim - 1))
+    return windows.max(axis=-1), start + windows.argmax(axis=-1)

@@ -2,12 +2,24 @@
 
 They transcribe the gate equations one timestep at a time, with no
 batching, fused gates, lockstep directions or padding, and serve as the
-reference that the library's block passes are compared against.
+reference that the library's block passes are compared against. A
+direction's weights here are per-gate blocks (wx_i .. wx_g, wh_i .. wh_g,
+b_i .. b_g, wy, by); fuse_gates concatenates them into the fused dict
+that the library reads.
 """
 
 import numpy as np
 
 from sentbound.numerics.kernels import sigmoid
+from sentbound.numerics.lstm import GATES
+
+
+def fuse_gates(weights):
+    """The library's form of a per-gate weight dict: each of wx, wh and b
+    as its four gate blocks concatenated in GATES order."""
+    fused = {key: np.concatenate([weights[f"{key}_{g}"] for g in GATES])
+             for key in ("wx", "wh", "b")}
+    return {**fused, "wy": weights["wy"], "by": weights["by"]}
 
 
 def lstm_cell_step(x_t, h_prev, c_prev, weights):

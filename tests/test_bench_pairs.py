@@ -41,6 +41,19 @@ def test_summary_counts_wins_in_each_metrics_direction():
     assert f1["median_change_pct"] == 0.0 and not f1["gap_exceeds_base_iqr"]
 
 
+def test_summary_reports_quartiles_of_the_per_pair_ratios():
+    """Ratios pair each change run with its own base run; a zero base
+    gives no ratio."""
+    values = ((100.0, 80.0), (104.0, 85.0), (96.0, 99.0), (98.0, 75.0), (102.0, 102.0),
+              (0.0, 5.0))
+    pairs = [(json.loads(result_line(p90=b, f1=0.0)), json.loads(result_line(p90=c, f1=0.0)))
+             for b, c in values]
+    summary = bench_pairs.summarize(pairs, METRICS)
+    ratio = summary["p90"]["ratio"]  # sorted: 75/98, 0.8, 85/104, 1.0, 99/96
+    assert ratio == {"q1": 0.8, "median": 85.0 / 104.0, "q3": 1.0}
+    assert summary["f1"]["ratio"] is None
+
+
 def test_summary_skips_pairs_that_lack_a_metric():
     pairs = [(json.loads(result_line(p90=10.0)), json.loads(result_line(p90=9.0))),
              (json.loads(result_line(p90=10.0)), json.loads(result_line()))]

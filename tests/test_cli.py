@@ -76,7 +76,10 @@ def test_default_train_then_segment_falls_back_to_lexical(workdir, capsys, caplo
     assert "has no prosody" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_train_is_a_numeric_failure(workdir, capsys):
+    """Divergence exits 3 through softmax's NumericError, with finite norms
+    and without numpy's overflow warnings on the way."""
     code = cli.main([
         "train", "--corpus", str(workdir / "corpus"), "--out", str(workdir / "d.dbnd"),
         "--eta", "1e300", "--epochs", "3", "--conv-filters", "4", "--rec-units", "4",
@@ -137,7 +140,7 @@ def test_jobs_flag_is_a_usage_error(workdir, command, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["jobs", "no_such_key"])
+@pytest.mark.parametrize("key", ["jobs", "no_such_key", "help"])
 def test_unknown_config_key_is_a_usage_error(workdir, key, capsys):
     config = workdir / f"{key}.conf"
     config.write_text(f"{key} = 2\n", encoding="utf-8")
@@ -146,6 +149,16 @@ def test_unknown_config_key_is_a_usage_error(workdir, key, capsys):
     ])
     assert code == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_known_config_key_reaches_the_command(workdir, capsys):
+    """folds = 1 from the config file gets past the key check and is
+    refused by the CV run itself, a data error."""
+    config = workdir / "folds.conf"
+    config.write_text("folds = 1\n", encoding="utf-8")
+    code = cli.main(["eval", "--corpus", str(workdir / "corpus"), "--config", str(config)])
+    assert code == 2
+    assert "2 folds" in capsys.readouterr().err
 
 
 def _flip_a_byte(data):

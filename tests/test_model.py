@@ -133,6 +133,9 @@ def intact_meta(segmenter):
 
 
 def test_crafted_container_matches_save_model(tmp_path):
+    """save_model writes the blocks in name order; load_model copies them
+    into one parameter vector per model, and saving that gives the same
+    bytes."""
     segmenter = tiny_segmenter()
     path = tmp_path / "m.dbnd"
     save_model(segmenter, path)
@@ -141,6 +144,10 @@ def test_crafted_container_matches_save_model(tmp_path):
     assert loaded.alpha == 0.5
     for name, value in segmenter.lexical.params.items():
         np.testing.assert_array_equal(loaded.lexical.params[name], value)
+    for bundle in (loaded.lexical, loaded.prosodic):
+        assert network.flat_vector(bundle.params).size == bundle.net.size
+    save_model(loaded, tmp_path / "again.dbnd")
+    assert (tmp_path / "again.dbnd").read_bytes() == path.read_bytes()
 
 
 def _alpha_only(meta):
@@ -288,6 +295,24 @@ def test_mutated_container_loads_and_predicts_or_raises_a_sentbound_error(tmp_pa
 # ------------------------------------------------------ inference state
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_saturating_gates_predict_without_warnings(tmp_path):
+    """LSTM gate weights of +-1e300 drive exp(-z) in the sigmoid to
+    overflow: the gates saturate to exactly 0 or 1, and a request on the
+    loaded container gives finite probabilities and no RuntimeWarning."""
+    segmenter = tiny_segmenter()
+    rng = np.random.default_rng(5)
+    for bundle in (segmenter.lexical, segmenter.prosodic):
+        for name, value in bundle.params.items():
+            if name.rpartition("_")[2] in lstm_ops.GATES:
+                value[...] = 1e300 * rng.choice([-1.0, 1.0], size=value.shape)
+    save_model(segmenter, tmp_path / "big.dbnd")
+    loaded = load_model(tmp_path / "big.dbnd")
+    for seed in range(3):
+        _, fused = loaded.predict_probs(sample_text(7, seed))
+        assert np.isfinite(fused).all()
+
+
 def test_each_bundle_prepares_its_lstm_weights_once(monkeypatch):
     """Over 10 requests each bundle prepares its LSTM weights once, and
     no inference pass asks the max-pool for its argmax."""
@@ -314,7 +339,7 @@ def test_training_drops_the_prepared_weights():
     before = bundle.probs(texts)
     train_model(bundle, texts, TrainConfig(epochs=1, batch_size=2), np.random.default_rng(0))
     fresh = ModelBundle(
-        bundle.net, {name: value.copy() for name, value in bundle.params.items()},
+        bundle.net, bundle.net.views(network.flat_vector(bundle.params).copy()),
         bundle.hyperparams, bundle.word_tokens, bundle.tag_tokens,
     )
     for old, got, want in zip(before, bundle.probs(texts), fresh.probs(texts)):

@@ -21,6 +21,8 @@ from sentbound.numerics import (
 )
 from sentbound.numerics.kernels import conv_windows
 from sentbound.numerics import NetBatch, NetConfig, NetInput, SequenceNet
+from sentbound.numerics.network import flat_vector
+from sentbound.numerics.optim import STEP_CHUNK
 from sentbound.numerics.lstm import (
     GATES,
     direction_backward,
@@ -29,8 +31,13 @@ from sentbound.numerics.lstm import (
     prepare_weights,
 )
 
-from kernel_reference import conv1d_same_forward, dense_forward
-from lstm_reference import bilstm_forward, direction_outputs, lstm_cell_step
+from kernel_reference import (
+    conv1d_same_forward,
+    dense_forward,
+    maxpool1d_same_reference,
+    rmsprop_reference_step,
+)
+from lstm_reference import bilstm_forward, direction_outputs, fuse_gates, lstm_cell_step
 
 
 class TestDenseForward:
@@ -163,6 +170,23 @@ class TestMaxPool:
         with pytest.raises(ContractError):
             maxpool1d_same(np.zeros((2, 2)), 0)
 
+    @pytest.mark.parametrize("h_m", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("shape", [(1, 3), (9, 4), (6, 3, 5)])
+    def test_matches_the_sliding_window_reference_bit_for_bit(self, h_m, shape, rng):
+        """Values and argrows equal the windowed max and argmax, on ties
+        (few distinct values) and -inf rows (padding) included."""
+        c = rng.integers(-2, 3, size=shape).astype(np.float64) / 3.0
+        c[rng.random(shape[:1]) < 0.3] = -np.inf
+        want, want_arg = maxpool1d_same_reference(c, h_m)
+        got, got_arg = maxpool1d_same(c, h_m, return_argmax=True)
+        npt.assert_array_equal(got, want)
+        npt.assert_array_equal(got_arg, want_arg)
+        npt.assert_array_equal(maxpool1d_same(c, h_m), want)
+
+    def test_nan_propagates(self):
+        out = maxpool1d_same(np.array([[1.0], [np.nan], [2.0], [0.0], [0.0]]), 3)
+        assert np.isnan(out[:3, 0]).all() and out[4, 0] == 0.0
+
 
 def zero_direction_weights(n_r, d_in):
     w = {}
@@ -242,7 +266,7 @@ class TestLstmCell:
         n_r, d_in, m = 4, 3, 11
         w = random_direction_weights(n_r, d_in, rng)
         x = rng.normal(size=(m, d_in))
-        h_seq, _ = lstm_sequence_forward([x[:, None]], prepare_weights([w]))
+        h_seq, _ = lstm_sequence_forward([x[:, None]], prepare_weights([fuse_gates(w)]))
         h = np.zeros(n_r)
         c = np.zeros(n_r)
         for t in range(m):
@@ -253,7 +277,7 @@ class TestLstmCell:
 def lockstep_bilstm(x, fwd, bwd):
     """The library's lockstep pass over one (m, d) sequence, as a block of one."""
     block = x[:, None, :]
-    (y_f, y_b), _ = direction_forward(block, block[::-1], (fwd, bwd))
+    (y_f, y_b), _ = direction_forward(block, block[::-1], (fuse_gates(fwd), fuse_gates(bwd)))
     return (y_f + y_b[::-1])[:, 0]
 
 
@@ -302,7 +326,9 @@ class TestBlockLstm:
         w = random_direction_weights(n_r, d_in, rng)
         partner = random_direction_weights(n_r, d_in, rng)
         block = rng.normal(size=(max(self.LENGTHS), len(self.LENGTHS), d_in))
-        (y, _), _ = direction_forward(block, rng.normal(size=block.shape), (w, partner))
+        (y, _), _ = direction_forward(
+            block, rng.normal(size=block.shape), (fuse_gates(w), fuse_gates(partner))
+        )
         for b, m in enumerate(self.LENGTHS):
             h, c = np.zeros(n_r), np.zeros(n_r)
             for t in range(m):
@@ -321,7 +347,9 @@ class TestBlockLstm:
         for b, seq in enumerate(seqs):
             block[: len(seq), b] = seq
             reversed_block[: len(seq), b] = seq[::-1]
-        (y_f, y_b), _ = direction_forward(block, reversed_block, (fwd, bwd))
+        (y_f, y_b), _ = direction_forward(
+            block, reversed_block, (fuse_gates(fwd), fuse_gates(bwd))
+        )
         for b, seq in enumerate(seqs):
             npt.assert_allclose(y_f[: len(seq), b], direction_outputs(seq, fwd), atol=1e-12)
             npt.assert_allclose(
@@ -332,12 +360,12 @@ class TestBlockLstm:
         """A direction's outputs, gradients and input gradient are bit for
         bit the same whatever runs beside it in the lockstep loop."""
         n_r, d_in = 4, 3
-        w = random_direction_weights(n_r, d_in, rng)
+        w = fuse_gates(random_direction_weights(n_r, d_in, rng))
         shape = (max(self.LENGTHS), len(self.LENGTHS), d_in)
         x, d_y = rng.normal(size=shape), rng.normal(size=shape[:2] + (n_r,))
         runs = []
         for _ in range(2):
-            partner = random_direction_weights(n_r, d_in, rng)
+            partner = fuse_gates(random_direction_weights(n_r, d_in, rng))
             other = rng.normal(size=shape)
             (y, y_other), cache = direction_forward(x, other, (w, partner), keep_cache=True)
             (grads, _), (d_x, _) = direction_backward(
@@ -434,48 +462,125 @@ class TestWeightedCrossEntropy:
             weighted_cross_entropy([[1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]], [1, 1])
 
 
+class TestParamLayout:
+    """Params, grads and the RMSProp accumulator each live in one vector."""
+
+    @staticmethod
+    def net():
+        return SequenceNet(NetConfig(variant="rcnn", conv_filters=4, rec_units=3,
+                                     word_vocab=6, word_dim=2, tag_vocab=4, tag_dim=2))
+
+    def test_params_grads_and_r_are_views_of_one_vector(self, rng):
+        net = self.net()
+        params = net.init_params(rng)
+        assert list(params) == list(net.param_shapes())
+        inp = NetInput(word_ids=rng.integers(0, 6, size=5), tag_ids=rng.integers(0, 4, size=5))
+        _, grads, _ = net.loss_and_grads(params, inp, rng.integers(0, 2, size=5),
+                                         np.ones(2), rng=rng)
+        assert list(grads) == list(params)
+        theta, grad = flat_vector(params), flat_vector(grads)
+        assert theta.shape == grad.shape == (net.size,)
+        for name in params:
+            assert np.shares_memory(params[name], theta)
+            assert np.shares_memory(grads[name], grad)
+        state = RmsPropState(theta)
+        assert state.r.shape == theta.shape and state.r.flags.c_contiguous
+        for vector in (grad, state.r, state.scratch):
+            assert not np.shares_memory(vector, theta)
+        with pytest.raises(ContractError):
+            flat_vector({name: value.copy() for name, value in params.items()})
+
+    def test_fused_gate_weights_are_views(self, rng):
+        """Each direction's wx, wh and b reach the LSTM as views of the
+        vector that equal the gate blocks concatenated in GATES order."""
+        net = self.net()
+        params = net.init_params(rng)
+        theta = flat_vector(params)
+        for direction, fused in zip(("fwd", "bwd"), net.lstm_weights(theta)):
+            gates = {k[len(direction) + 1 :]: v for k, v in params.items()
+                     if k.startswith(direction + "_")}
+            for key, value in fuse_gates(gates).items():
+                assert fused[key].base is theta
+                npt.assert_array_equal(fused[key], value)
+            fused["wh"][1, 0] = 7.0  # the first gate block's second row
+            assert params[f"{direction}_wh_i"][1, 0] == 7.0
+
+
 class TestRmsProp:
     def test_single_step_substitution(self):
-        params = {"w": np.array([1.0])}
-        state = RmsPropState(params, gamma=0.9, eta=0.001, epsilon=1e-8)
-        rmsprop_step(params, {"w": np.array([2.0])}, state)
-        npt.assert_allclose(state.r["w"], [0.4], atol=1e-15)
+        theta = np.array([1.0])
+        state = RmsPropState(theta, gamma=0.9, eta=0.001, epsilon=1e-8)
+        rmsprop_step(theta, np.array([2.0]), state)
+        npt.assert_allclose(state.r, [0.4], atol=1e-15)
         expected = 1.0 - 0.001 * 2.0 / (math.sqrt(0.4) + 1e-8)
-        assert abs(params["w"][0] - expected) < 1e-9
-        assert abs(params["w"][0] - 0.996838) < 1e-6
+        assert abs(theta[0] - expected) < 1e-9
+        assert abs(theta[0] - 0.996838) < 1e-6
 
     def test_zero_gradient_decays_r_keeps_theta(self):
-        params = {"w": np.array([3.0])}
-        state = RmsPropState(params, gamma=0.9, eta=0.001, epsilon=1e-8)
-        state.r["w"][0] = 1.0
-        rmsprop_step(params, {"w": np.array([0.0])}, state)
-        assert params["w"][0] == 3.0
-        npt.assert_allclose(state.r["w"], [0.9], atol=1e-15)
+        theta = np.array([3.0])
+        state = RmsPropState(theta, gamma=0.9, eta=0.001, epsilon=1e-8)
+        state.r[0] = 1.0
+        rmsprop_step(theta, np.array([0.0]), state)
+        assert theta[0] == 3.0
+        npt.assert_allclose(state.r, [0.9], atol=1e-15)
 
     def test_two_steps_accumulator(self):
-        params = {"w": np.array([0.0])}
-        state = RmsPropState(params, gamma=0.9, eta=0.001, epsilon=1e-8)
-        rmsprop_step(params, {"w": np.array([1.0])}, state)
-        rmsprop_step(params, {"w": np.array([1.0])}, state)
-        assert abs(state.r["w"][0] - 0.19) < 1e-12
+        theta = np.array([0.0])
+        state = RmsPropState(theta, gamma=0.9, eta=0.001, epsilon=1e-8)
+        rmsprop_step(theta, np.array([1.0]), state)
+        rmsprop_step(theta, np.array([1.0]), state)
+        assert abs(state.r[0] - 0.19) < 1e-12
 
     def test_accumulator_nonnegative_and_decaying_without_gradient(self, rng):
-        params = {"w": rng.standard_normal((3, 3))}
-        state = RmsPropState(params)
-        rmsprop_step(params, {"w": rng.standard_normal((3, 3))}, state)
-        assert np.all(state.r["w"] >= 0)
-        previous = state.r["w"].copy()
+        theta = rng.standard_normal(9)
+        state = RmsPropState(theta)
+        rmsprop_step(theta, rng.standard_normal(9), state)
+        assert np.all(state.r >= 0)
+        previous = state.r.copy()
         for _ in range(5):
-            rmsprop_step(params, {"w": np.zeros((3, 3))}, state)
-            assert np.all(state.r["w"] <= previous)
-            previous = state.r["w"].copy()
+            rmsprop_step(theta, np.zeros(9), state)
+            assert np.all(state.r <= previous)
+            previous = state.r.copy()
 
     def test_invalid_constants(self):
-        params = {"w": np.zeros(1)}
+        theta = np.zeros(1)
         with pytest.raises(ContractError):
-            RmsPropState(params, gamma=1.0)
+            RmsPropState(theta, gamma=1.0)
         with pytest.raises(ContractError):
-            RmsPropState(params, eta=0.0)
+            RmsPropState(theta, eta=0.0)
+
+    def test_flat_step_matches_the_per_array_formula_bit_for_bit(self, rng):
+        """Three whole-vector steps on an rcnn's parameters give, name by
+        name, exactly the parameters and accumulators of the per-array
+        update."""
+        net = SequenceNet(NetConfig(variant="rcnn", conv_filters=4, rec_units=3,
+                                    word_vocab=6, word_dim=2, tag_vocab=4, tag_dim=2))
+        params = net.init_params(rng)
+        want = {name: value.copy() for name, value in params.items()}
+        want_r = {name: np.zeros_like(value) for name, value in params.items()}
+        theta = flat_vector(params)
+        state = RmsPropState(theta, gamma=0.9, eta=0.01, epsilon=1e-8)
+        for _ in range(3):
+            grads = net.views(rng.normal(scale=3.0, size=net.size))
+            rmsprop_reference_step(want, grads, want_r, 0.9, 0.01, 1e-8)
+            rmsprop_step(theta, flat_vector(grads), state)
+        r = net.views(state.r)
+        for name, value in params.items():
+            npt.assert_array_equal(value, want[name])
+            npt.assert_array_equal(r[name], want_r[name])
+
+    def test_a_vector_of_several_chunks_steps_like_the_formula(self, rng):
+        """Past STEP_CHUNK elements the step runs chunk by chunk, the last
+        one partial, and still matches the formula bit for bit."""
+        theta = rng.normal(size=2 * STEP_CHUNK + 5)
+        want, want_r = {"w": theta.copy()}, {"w": np.zeros_like(theta)}
+        state = RmsPropState(theta, gamma=0.9, eta=0.01, epsilon=1e-8)
+        for _ in range(2):
+            grad = rng.normal(size=theta.size)
+            rmsprop_reference_step(want, {"w": grad}, want_r, 0.9, 0.01, 1e-8)
+            rmsprop_step(theta, grad.copy(), state)
+        npt.assert_array_equal(theta, want["w"])
+        npt.assert_array_equal(state.r, want_r["w"])
 
 
 class TestGlorotInit:
