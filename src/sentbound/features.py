@@ -130,7 +130,8 @@ def encode_labels(labels):
 
 @dataclass(frozen=True)
 class ProsodyStats:
-    """Per-dimension mean and scale of a training split's prosodic vectors."""
+    """Per-dimension mean and scale of a training split's prosodic vectors;
+    every scale is finite and positive, so z-scoring never divides by 0."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -140,8 +141,8 @@ class ProsodyStats:
         object.__setattr__(self, "std", np.asarray(self.std, dtype=np.float64))
         if self.mean.shape != (PROSODY_DIM,) or self.std.shape != (PROSODY_DIM,):
             raise ContractError(f"stats must have {PROSODY_DIM} dimensions")
-        if np.any(self.std < 0):
-            raise ContractError("negative standard deviation")
+        if not np.all(np.isfinite(self.std) & (self.std > 0.0)):
+            raise ContractError("standard deviations must be finite and positive")
 
 
 def fit_prosody_stats(training_texts):

@@ -501,6 +501,9 @@ def load_model(path) -> TrainedSegmenter:
     if meta["prosodic"] is not None:
         if not {"stats/mean", "stats/std"} <= blocks.keys():
             raise ModelFileError(f"{path}: prosodic model without prosody statistics")
-        stats = ProsodyStats(blocks["stats/mean"], blocks["stats/std"])
+        try:
+            stats = ProsodyStats(blocks["stats/mean"], blocks["stats/std"])
+        except ContractError as exc:
+            raise ModelFileError(f"{path}: bad prosody statistics: {exc}") from exc
         prosodic = _rebuild_bundle(meta["prosodic"], blocks, "prosodic", stats)
     return TrainedSegmenter(lexical=lexical, alpha=alpha, prosodic=prosodic)

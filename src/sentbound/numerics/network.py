@@ -4,13 +4,16 @@ One SequenceNet owns the architecture and the parameter layout. A
 model's parameters are one contiguous float64 vector; params is an
 ordered dict of named views into it (SequenceNet.views), so the
 serializer and the finite-difference tests iterate names while the
-optimizer, the gradient scaling and the block sums run on the whole
-vector (flat_vector). The gradients backward returns and the RMSProp
-accumulator share the layout. The vector follows the dict's key order,
-except that each LSTM direction stores its i/f/o/g blocks of wx, of wh
-and of b next to each other, so the fused (4n, ...) gate weights that
-lstm.py reads are views too (lstm_weights). 1-D parameters are biases;
-everything else is a weight matrix.
+optimizer and the gradient scaling run on the whole vector
+(flat_vector). The gradients backward returns and the RMSProp
+accumulator share the layout. A training batch has one gradient vector:
+its first block's backward makes it, once the LSTM's backward state is
+freed, and each later block's backward adds every gradient into it in
+place as soon as that gradient is computed (into). The vector follows
+the dict's key order, except that each LSTM direction stores its
+i/f/o/g blocks of wx, of wh and of b next to each other, so the fused
+(4n, ...) gate weights that lstm.py reads are views too (lstm_weights).
+1-D parameters are biases; everything else is a weight matrix.
 
 Variant stacks (every layer keeps the sequence length):
 
@@ -382,14 +385,16 @@ class SequenceNet:
 
     # -------------------------------------------------------------- backward
 
-    def backward(self, params, cache, d_logits):
+    def backward(self, params, cache, d_logits, into=None):
         """Exact gradients of the summed loss for every parameter, as views
         of one vector laid out like the params.
 
         Requires the cache of a prior keep_cache forward pass on the same
         input and consumes its LSTM part; d_logits is the loss gradient at
         the pre-softmax logits, shaped like the probs and zero on a
-        block's padded steps (as loss_and_grads makes it).
+        block's padded steps (as loss_and_grads makes it). into, the
+        gradients of an earlier pass, makes this pass add each gradient
+        into them in place as soon as it is computed, and return them.
         """
         if cache is None:
             raise ContractError("backward needs the cache of a keep_cache forward pass")
@@ -397,10 +402,19 @@ class SequenceNet:
         pad = cache["pad"]
         if cache["single"]:
             d_logits = d_logits[:, None]
-        grads = {
-            "out_w": row_outer_sum(cache["out_in"], d_logits),
-            "out_b": row_sum(d_logits),
-        }
+        adding = into is not None
+        if adding:
+            vector = flat_vector(into)
+
+            def put(name, value):
+                view = self._view(vector, name)
+                view += value
+        else:
+            grads = {}
+            put = grads.__setitem__
+
+        put("out_w", row_outer_sum(cache["out_in"], d_logits))
+        put("out_b", row_sum(d_logits))
         dh = row_matmul(d_logits, params["out_w"].T)
         if "dropout_mask" in cache:
             dh = dh * cache["dropout_mask"]
@@ -411,52 +425,65 @@ class SequenceNet:
             )
             for direction, g in zip(("fwd", "bwd"), grads_fb):
                 for key, value in g.items():
-                    grads[f"{direction}_{key}"] = value
+                    put(f"{direction}_{key}", value)
             dh = dx_f + dx_b[rev]
         if cfg.variant == "mlp":
             d_pre = dh * activation_grad("sigmoid", cache["mlp_out"])
-            grads["mlp_w"] = row_outer_sum(cache["mlp_in"], d_pre)
-            grads["mlp_b"] = row_sum(d_pre)
+            put("mlp_w", row_outer_sum(cache["mlp_in"], d_pre))
+            put("mlp_b", row_sum(d_pre))
             dh = row_matmul(d_pre, params["mlp_w"].T)
         if cfg.variant in ("rcnn", "cnn"):
             d_conv = maxpool1d_backward(dh, cache["pool_argrow"])
             d_pre = d_conv * activation_grad(CONV_ACTIVATION, cache["conv_out"])
             d_w, d_b, dh = conv1d_backward(d_pre, cache["conv_in"], params["conv_w"])
-            grads["conv_w"] = d_w
-            grads["conv_b"] = d_b
+            put("conv_w", d_w)
+            put("conv_b", d_b)
         if pad is not None:
             dh[pad] = 0.0  # the zeroed padding rows are constants
-        # The vector is made only now, once the LSTM's backward state is
-        # freed, so that it does not raise the pass's peak memory; grads
-        # fill all of it but the embedding tables.
-        grad_vector = np.empty(self.size)
-        for name, value in grads.items():
-            self._view(grad_vector, name)[...] = value
-        grads = self.views(grad_vector)
-        self._scatter_input_grads(cache["inp"], dh, grads)
-        return grads
+        if not adding:
+            # The first pass makes the vector only now, once the LSTM's
+            # backward state is freed, so that the vector does not raise
+            # the pass's peak memory; grads fill all of it but the
+            # embedding tables.
+            vector = np.empty(self.size)
+            for name, value in grads.items():
+                self._view(vector, name)[...] = value
+            del grads
+            into = self.views(vector)
+        self._scatter_input_grads(cache["inp"], dh, into, adding)
+        return into
 
-    def _scatter_input_grads(self, block, d_x, grads):
+    def _scatter_input_grads(self, block, d_x, grads, add):
+        """Sum d_x into the rows of each embedding table's gradient that
+        the block's ids picked; add puts the sum on top of grads, else it
+        replaces them."""
         cfg = self.cfg
         col = 0
         for name, ids, dim in (("emb_word", block.word_ids, cfg.word_dim),
                                ("emb_tag", block.tag_ids, cfg.tag_dim)):
             if name in grads:
-                grads[name][...] = 0.0
-                np.add.at(grads[name], ids, d_x[..., col : col + dim])
+                if add:
+                    rows = np.zeros_like(grads[name])
+                else:
+                    rows = grads[name]
+                    rows[...] = 0.0
+                np.add.at(rows, ids, d_x[..., col : col + dim])
+                if add:
+                    grads[name] += rows
                 col += dim
 
     # ------------------------------------------------------------------ loss
 
     def loss_and_grads(self, params, inp, labels01, class_weights, mask=None,
-                       mode="train", rng=None):
+                       mode="train", rng=None, into=None):
         """Forward, weighted cross-entropy, backward, in one call.
 
         labels01 holds ints with 1 = boundary, (m,) for a NetInput and
         (T, B) for a NetBatch; mask, shaped like labels01, leaves rows
         out of the loss, and a block's padded steps always are. Returns
         the summed loss over active positions, the gradient dict, and the
-        active-position count.
+        active-position count; with into, an earlier call's gradient dict,
+        the gradients are added into it (backward) and it is returned.
         """
         probs, cache = self.forward(params, inp, mode=mode, rng=rng, keep_cache=True)
         rows = probs.reshape(-1, N_CLASSES)
@@ -471,5 +498,5 @@ class SequenceNet:
         loss, d_logits = weighted_cross_entropy(
             y_true, rows, class_weights, active.reshape(-1)
         )
-        grads = self.backward(params, cache, d_logits.reshape(probs.shape))
+        grads = self.backward(params, cache, d_logits.reshape(probs.shape), into=into)
         return loss, grads, int(active.sum())

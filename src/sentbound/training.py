@@ -5,12 +5,14 @@ with masked rows. The update step stacks each sequence's active prefix
 into time-major blocks (NetBatch) and runs one forward and one backward
 pass per block; the network keeps padded steps out of every active
 result, so padding can never change one. Gradients are averaged over the
-active positions of the batch and applied with RMSProp; the block sums,
-the averaging and the update each run on the whole parameter vector
-(network.flat_vector). All shuffling,
-initialisation, and dropout randomness flows from one generator, so a
-fixed seed reproduces the loss trace and the final parameters bit for
-bit.
+active positions of the batch and applied with RMSProp. A batch has one
+gradient vector, laid out like the parameter vector
+(network.flat_vector): the first block's backward pass makes it, every
+later block adds into it in place, and it is dropped once the update
+has read it. The averaging and the update each run on the whole vector.
+All shuffling, initialisation, and dropout randomness flows from one
+generator, so a fixed seed reproduces the loss trace and the final
+parameters bit for bit.
 """
 
 import time
@@ -170,7 +172,8 @@ def batch_loss_and_grads(net, params, items, class_weights, mode="train", rng=No
     """Summed loss and gradients over a batch of (input, mask) pairs.
 
     Each sequence enters its block up to the end of its active prefix, in
-    item order, and trailing padded rows are bit-for-bit inert.
+    item order, and trailing padded rows are bit-for-bit inert. The first
+    block's gradients are the batch's one vector; later blocks add into it.
     """
     live = []
     for inp, mask in items:
@@ -179,21 +182,17 @@ def batch_loss_and_grads(net, params, items, class_weights, mode="train", rng=No
             live.append((inp, np.ones(length, dtype=bool) if mask is None else mask, length))
     if not live:
         raise ContractError("batch has no active positions")
-    total_loss, total_active, acc, acc_vector = 0.0, 0, None, None
+    total_loss, total_active, grads = 0.0, 0, None
     for block in blocks(live):
         inputs, masks, lengths = zip(*block)
         batch = NetBatch.stack(inputs, lengths)
         loss, grads, n_active = net.loss_and_grads(
             params, batch, batch.label01, class_weights,
-            mask=time_major(masks, lengths), mode=mode, rng=rng,
+            mask=time_major(masks, lengths), mode=mode, rng=rng, into=grads,
         )
         total_loss += loss
         total_active += n_active
-        if acc is None:
-            acc, acc_vector = grads, flat_vector(grads)
-        else:
-            acc_vector += flat_vector(grads)
-    return total_loss, acc, total_active
+    return total_loss, grads, total_active
 
 
 # ----------------------------------------------------------- bundle factory
@@ -290,6 +289,7 @@ def train_model(bundle, train_texts, config, rng, log=None):
                 grad *= 1.0 / n_active
                 bundle.params_changed()
                 rmsprop_step(theta, grad, state)
+                del grads, grad  # not alive while the next batch's one is made
             epoch_loss += loss
             epoch_active += n_active
         mean_loss = epoch_loss / epoch_active

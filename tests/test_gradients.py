@@ -8,6 +8,7 @@ from sentbound import training
 from sentbound.errors import ContractError
 from sentbound.numerics import NetBatch, NetConfig, NetInput, SequenceNet
 from sentbound.numerics.loss import weighted_cross_entropy
+from sentbound.numerics.network import flat_vector
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -325,7 +326,7 @@ def test_batch_over_the_row_cap_is_split_into_blocks(monkeypatch):
     blocks = []
     backward = SequenceNet.backward
     monkeypatch.setattr(SequenceNet, "backward",
-                        lambda self, *a: blocks.append(1) or backward(self, *a))
+                        lambda self, *a, **k: blocks.append(1) or backward(self, *a, **k))
     loss, grads, n_active = training.batch_loss_and_grads(
         net, params, items, CLASS_WEIGHTS, rng=np.random.default_rng(4)
     )
@@ -334,3 +335,53 @@ def test_batch_over_the_row_cap_is_split_into_blocks(monkeypatch):
     assert n_active == want[2] + rest[2] == sum(lengths)
     assert abs(loss - (want[0] + rest[0])) <= 1e-12 * loss
     assert_grads_close(grads, want_grads)
+
+
+def block_order_sum(net, params, groups, rng):
+    """The oracle for a batch that splits into blocks: each group of items
+    as a batch of its own, which gets a fresh gradient vector, summed in
+    group order into a copy of the first."""
+    total_loss, total, total_active = 0.0, None, 0
+    for group in groups:
+        loss, grads, n_active = training.batch_loss_and_grads(
+            net, params, group, CLASS_WEIGHTS, rng=rng
+        )
+        vector = flat_vector(grads)
+        total_loss += loss
+        total_active += n_active
+        if total is None:
+            total = vector.copy()
+        else:
+            total += vector
+    return total_loss, total, total_active
+
+
+def test_blocks_add_into_one_gradient_vector_bit_for_bit(monkeypatch):
+    """Later blocks add into the first block's vector in place, giving the
+    block-order sum of fresh per-block gradients exactly; word ids repeat
+    across the three blocks, so embedding rows get several additions."""
+    net, params = batch_net("rcnn", dropout=0.4)
+    lengths = (100, 100, 90, 80, 60)  # blocks of (100, 100), (90, 80), (60,)
+    raw = [inp for inp, _ in ragged_items(net.cfg, lengths)]
+    ids = [set(np.concatenate([inp.word_ids for inp in raw[i:j]]).tolist())
+           for i, j in ((0, 2), (2, 4), (4, 5))]
+    assert ids[0] & ids[1] & ids[2]
+    items = [training.pad_item(inp, 100) for inp in raw]
+    want_loss, want, want_active = block_order_sum(
+        net, params, (items[:2], items[2:4], items[4:]), np.random.default_rng(4)
+    )
+    returned = []
+    backward = SequenceNet.backward
+
+    def recording(self, *args, **kwargs):
+        returned.append(backward(self, *args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(SequenceNet, "backward", recording)
+    loss, grads, n_active = training.batch_loss_and_grads(
+        net, params, items, CLASS_WEIGHTS, rng=np.random.default_rng(4)
+    )
+    assert len(returned) == 3
+    assert all(flat_vector(g) is flat_vector(grads) for g in returned)
+    assert (loss, n_active) == (want_loss, want_active)
+    npt.assert_array_equal(flat_vector(grads), want)

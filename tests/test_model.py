@@ -105,8 +105,9 @@ def with_crc(body):
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def container(meta, segmenter, with_stats=True):
-    """The bytes save_model writes, but with the given meta and a valid CRC."""
+def container(meta, segmenter, with_stats=True, std=None):
+    """The bytes save_model writes, but with the given meta and a valid CRC,
+    and std, when given, in place of the stored prosody scales."""
     blocks = [
         _pack_block(f"{kind}/{name}", value)
         for kind, bundle in (("lexical", segmenter.lexical), ("prosodic", segmenter.prosodic))
@@ -115,7 +116,7 @@ def container(meta, segmenter, with_stats=True):
     if with_stats:
         stats = segmenter.prosodic.prosody_stats
         blocks.append(_pack_block("stats/mean", stats.mean))
-        blocks.append(_pack_block("stats/std", stats.std))
+        blocks.append(_pack_block("stats/std", stats.std if std is None else std))
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     body = (
         MAGIC + struct.pack("<II", FORMAT_VERSION, len(meta_bytes)) + meta_bytes
@@ -197,6 +198,27 @@ def test_half_valid_container_raises_model_file_error(tmp_path, craft, message):
     meta, with_stats = craft(intact_meta(segmenter))
     path = tmp_path / "m.dbnd"
     path.write_bytes(container(meta, segmenter, with_stats))
+    with pytest.raises(ModelFileError, match=message):
+        load_model(path)
+
+
+def _one_std(value):
+    std = np.ones(13)
+    std[3] = value
+    return std
+
+
+@pytest.mark.parametrize("std, message", [
+    (_one_std(0.0), "bad prosody statistics: .* finite and positive"),
+    (_one_std(-1.0), "bad prosody statistics: .* finite and positive"),
+    (_one_std(np.nan), "'stats/std' is not finite"),
+    (np.ones(12), "bad prosody statistics: stats must have 13 dimensions"),
+])
+def test_bad_prosody_statistics_are_a_model_file_error(tmp_path, std, message):
+    """A zero scale would make every prosodic prediction divide by zero."""
+    segmenter = tiny_segmenter()
+    path = tmp_path / "m.dbnd"
+    path.write_bytes(container(intact_meta(segmenter), segmenter, std=std))
     with pytest.raises(ModelFileError, match=message):
         load_model(path)
 

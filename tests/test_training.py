@@ -1,8 +1,14 @@
-"""Work counts of the training loop, checked without any timing."""
+"""Work counts and memory of the training loop, checked without any timing."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
 
 from sentbound import training
 from sentbound.corpus import SynthSpec, synth_generate
 from sentbound.evaluation import EvalConfig, cross_validated_eval
+from sentbound.features import EmbeddingTable
 from sentbound.model import Hyperparams
 from sentbound.numerics import network
 
@@ -55,3 +61,29 @@ def test_one_lstm_pass_per_training_block(monkeypatch):
     assert calls["batches"] >= 2 * 2 * 2  # two models, two folds, two batches
     assert calls["lstm"] == calls["batches"] + prediction_blocks
     assert report.tp + report.fn == sum(t.n_boundaries for t in corpus)
+
+
+@pytest.mark.parametrize("bucket_width, bound", [
+    (50, 8.0e6),  # a batch per text; the previous batch's vector took 8.9 MB
+    (200, 9.6e6),  # one batch of four blocks; a vector per block took 10.4 MB
+])
+def test_training_holds_one_gradient_vector(bucket_width, bound):
+    """An epoch of a default-size lexical rcnn on four long texts (134,
+    179, 48 and 72 tokens) stays under a traced-memory bound that one more
+    live gradient vector (1.8 MB) would break."""
+    texts = synth_generate(SynthSpec(n_texts=4, mean_sentences_per_text=12, seed=1)).texts
+    assert [len(t) for t in texts] == [134, 179, 48, 72]
+    rng = np.random.default_rng(0)
+    hp = Hyperparams.lexical()
+    words = EmbeddingTable.from_tokens([w for t in texts for w in t.tokens], hp.word_dim, rng)
+    tags = EmbeddingTable.from_tokens([g for t in texts for g in t.pos_tags], hp.tag_dim, rng)
+    bundle = training.make_lexical_bundle("rcnn", hp, words, tags, rng)
+    config = training.TrainConfig(epochs=1, batch_size=4, bucket_width=bucket_width)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        training.train_model(bundle, texts, config, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= bound
