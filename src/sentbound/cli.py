@@ -203,15 +203,11 @@ def _resolved(args):
 
 
 def _hyperparams(args):
-    lex = {"eta": args.eta, "epochs": args.epochs}
-    pros = {"eta": args.eta, "epochs": args.epochs}
-    if args.conv_filters is not None:
-        lex["conv_filters"] = args.conv_filters
-        pros["conv_filters"] = args.conv_filters
-    if args.rec_units is not None:
-        lex["rec_units"] = args.rec_units
-        pros["rec_units"] = args.rec_units
-    return Hyperparams.lexical(**lex), Hyperparams.prosodic(**pros)
+    shared = {"eta": args.eta, "epochs": args.epochs}
+    for key in ("conv_filters", "rec_units"):
+        if getattr(args, key) is not None:
+            shared[key] = getattr(args, key)
+    return Hyperparams.lexical(**shared), Hyperparams.prosodic(**shared)
 
 
 def _eval_config(args, folds=5):

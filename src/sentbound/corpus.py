@@ -8,12 +8,15 @@ B class.
 
 File formats
 ------------
-tokens  one text per file, UTF-8, tokens and inline punctuation separated
-        by single spaces; no tags or prosody.
 tsv     one token per line: token<TAB>pos<TAB>prosody<TAB>label where
         prosody is 13 space-separated reals or a single "-". Each text is
         preceded by a header line "#id <text-id> group <GROUP>"; texts are
-        separated by blank lines.
+        separated by blank lines. read_corpus reads it, from one file or
+        from a directory of *.tsv files, and write_corpus writes it.
+tokens  one text per file, UTF-8, tokens and inline punctuation separated
+        by whitespace; no tags or prosody. The segment command reads it
+        (labels_from_punctuation drops the marks), and the file's stem is
+        the text id.
 """
 
 import zlib
@@ -230,37 +233,21 @@ def _parse_tsv_stream(lines, path):
     return texts
 
 
-def _read_tokens_file(path):
-    raw = Path(path).read_text(encoding="utf-8").split()
-    try:
-        tokens, labels = labels_from_punctuation(raw)
-    except ContractError as exc:
-        raise ParseError(str(exc), str(path)) from exc
-    tags = [PLACEHOLDER_TAG] * len(tokens)
-    return LabeledText(Path(path).stem, tokens, tags, labels)
-
-
-def read_corpus(path, format="tsv"):
-    """Read a corpus from a file or a directory of files."""
+def read_corpus(path):
+    """Read a tsv corpus from a file or a directory of *.tsv files."""
     path = Path(path)
-    if format not in ("tsv", "tokens"):
-        raise ContractError(f"unknown corpus format {format!r}")
     if path.is_dir():
-        pattern = "*.tsv" if format == "tsv" else "*.txt"
-        files = sorted(path.glob(pattern))
+        files = sorted(path.glob("*.tsv"))
         if not files:
-            raise ParseError(f"no {pattern} files found", str(path))
+            raise ParseError("no *.tsv files found", str(path))
     elif path.exists():
         files = [path]
     else:
         raise ParseError("no such file or directory", str(path))
     texts = []
     for f in files:
-        if format == "tsv":
-            with open(f, encoding="utf-8") as fh:
-                texts.extend(_parse_tsv_stream(fh.readlines(), str(f)))
-        else:
-            texts.append(_read_tokens_file(f))
+        with open(f, encoding="utf-8") as fh:
+            texts.extend(_parse_tsv_stream(fh.readlines(), str(f)))
     corpus = Corpus(texts, name=path.stem if path.is_file() else path.name)
     if any(t.prosody is not None for t in corpus) and not corpus.has_prosody:
         raise ParseError("prosody must be present for all texts or none", str(path))

@@ -85,6 +85,9 @@ class Hyperparams:
         return cls(**overrides)
 
 
+FEATURE_PARTS = ("embeddings", "pos", "prosody")
+
+
 @dataclass(frozen=True)
 class FeatureSet:
     """Which inputs feed the models: embedding and/or PoS and/or prosody."""
@@ -99,42 +102,24 @@ class FeatureSet:
 
     @property
     def name(self):
-        parts = []
-        if self.words:
-            parts.append("embeddings")
-        if self.tags:
-            parts.append("pos")
-        if self.prosody:
-            parts.append("prosody")
-        if len(parts) == 3:
-            return "all"
-        return "+".join(parts)
-
-
-FEATURE_SETS = {
-    "embeddings": FeatureSet(True, False, False),
-    "pos": FeatureSet(False, True, False),
-    "prosody": FeatureSet(False, False, True),
-    "embeddings+pos": FeatureSet(True, True, False),
-    "pos+prosody": FeatureSet(False, True, True),
-    "embeddings+prosody": FeatureSet(True, False, True),
-    "all": FeatureSet(True, True, True),
-}
+        """The parts in FEATURE_PARTS order joined by '+'; "all" for all three."""
+        flags = (self.words, self.tags, self.prosody)
+        parts = [part for part, on in zip(FEATURE_PARTS, flags) if on]
+        return "all" if len(parts) == len(FEATURE_PARTS) else "+".join(parts)
 
 
 def parse_feature_set(name):
-    key = "+".join(sorted(part.strip() for part in name.lower().split("+")))
-    aliases = {
-        "embeddings": "embeddings", "pos": "pos", "prosody": "prosody",
-        "embeddings+pos": "embeddings+pos", "pos+prosody": "pos+prosody",
-        "embeddings+prosody": "embeddings+prosody",
-        "embeddings+pos+prosody": "all", "all": "all",
-    }
-    if key not in aliases:
+    """The FeatureSet of distinct FEATURE_PARTS joined by '+' in any order,
+    case and spacing, or of "all"."""
+    parts = [part.strip() for part in name.lower().split("+")]
+    if parts == ["all"]:
+        parts = list(FEATURE_PARTS)
+    if not set(parts) <= set(FEATURE_PARTS) or len(set(parts)) != len(parts):
         raise ContractError(
-            f"unknown feature set {name!r}; choose from {sorted(FEATURE_SETS)}"
+            f"unknown feature set {name!r}; join distinct parts of "
+            f"{', '.join(FEATURE_PARTS)} with '+', or use 'all'"
         )
-    return FEATURE_SETS[aliases[key]]
+    return FeatureSet(*(part in parts for part in FEATURE_PARTS))
 
 
 # ----------------------------------------------------------- configurations

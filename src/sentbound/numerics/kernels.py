@@ -161,28 +161,24 @@ def maxpool1d_backward(d_out, argrow):
     return d_in
 
 
-def dropout_apply(h, rate, mode, rng=None, return_mask=False):
-    """Inverted dropout: zero entries with probability `rate` in train mode.
+def dropout_apply(h, rate, rng):
+    """Inverted dropout: zero entries with probability `rate`.
 
-    Survivors are scaled by 1/(1-rate) so the expectation is unchanged;
-    inference mode is the identity.
+    Survivors are scaled by 1/(1-rate) so the expectation is unchanged.
+    Returns (out, mask), out = h * mask; a rate of 0 draws nothing from
+    rng and keeps every entry.
     """
     h = np.asarray(h, dtype=np.float64)
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode == "inference" or rate == 0.0:
+    if rate == 0.0:
         mask = np.ones_like(h)
-    elif mode == "train":
+    else:
         if rng is None:
-            raise ContractError("train-mode dropout needs an rng")
+            raise ContractError("dropout needs an rng")
         keep = rng.random(h.shape) >= rate
         mask = keep.astype(np.float64) / (1.0 - rate)
-    else:
-        raise ContractError(f"unknown dropout mode {mode!r}")
-    out = h * mask
-    if return_mask:
-        return out, mask
-    return out
+    return h * mask, mask
 
 
 def glorot_init(rows, cols, rng):

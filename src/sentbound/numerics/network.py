@@ -22,16 +22,17 @@ Variant stacks (every layer keeps the sequence length):
     rnn   embed? ->                bilstm ->           dropout -> dense+softmax
     mlp   embed? -> dense(sigmoid) ->                             dense+softmax
 
-Every pass runs on a time-major NetBatch block; one NetInput is a block
-of one. Padding never reaches an active result: input rows past a
-sequence's end are zeroed before the conv (the zero padding a lone
-sequence gets), max-pool sees padded conv rows as -inf and emits zero
-there, the backward LSTM direction reads each row's live prefix
+Every pass runs on a time-major NetBatch block, and the loss covers
+exactly its live rows. Padding never reaches an active result: input
+rows past a sequence's end are zeroed before the conv (the zero padding
+a lone sequence gets), max-pool sees padded conv rows as -inf and emits
+zero there, the backward LSTM direction reads each row's live prefix
 reversed by an index gather (an involution, so the same gather puts its
 outputs and input gradients back in order), dropout masks are drawn per
 sequence over its live rows, and padded rows carry no loss gradient.
-Both LSTM directions run in one lockstep call, lstm_ops.direction_forward
-and direction_backward, on the block and its reversed copy.
+Both LSTM directions run in one lockstep call,
+lstm_ops.direction_forward and direction_backward, on the block and its
+reversed copy.
 
 forward keeps what backward reads only when its caller asks for it, as
 loss_and_grads does whatever the mode; any other pass builds no pool
@@ -310,15 +311,14 @@ class SequenceNet:
             return None
         return lstm_ops.prepare_weights(self.lstm_weights(flat_vector(params)))
 
-    def forward(self, params, inp, mode="inference", rng=None, keep_cache=False,
+    def forward(self, params, block, mode="inference", rng=None, keep_cache=False,
                 lstm_prep=None):
-        """Run the stack on one sequence or on a block. Returns (probs, cache).
+        """Run the stack on a NetBatch block. Returns (probs, cache).
 
-        A NetInput gives (m, 2) probs; a NetBatch gives (T, B, 2) probs,
-        finite but meaningless on padded steps. Rows are row-stochastic.
-        In train mode dropout consumes draws from rng, one (length, units)
-        mask per sequence in row order; inference is deterministic and
-        skips dropout, which is the identity there. The cache feeds
+        probs are (T, B, 2), row-stochastic, and finite but meaningless on
+        padded steps. In train mode dropout consumes draws from rng, one
+        (length, units) mask per sequence in row order; inference is
+        deterministic and applies no dropout. The cache feeds
         backward() and is built only when keep_cache is set; otherwise it
         is None and the pass holds nothing that only backward reads: no
         pool argmax, no layer inputs or outputs, no LSTM history.
@@ -328,8 +328,6 @@ class SequenceNet:
         if mode not in ("train", "inference"):
             raise ContractError(f"unknown mode {mode!r}")
         cfg = self.cfg
-        single = not isinstance(inp, NetBatch)
-        block = NetBatch.stack([inp], [len(inp)]) if single else inp
         x = self._assemble_input(params, block)
         lengths = block.lengths
         if x.shape[0] < 1 or lengths.min() < 1 or lengths.max() > x.shape[0]:
@@ -340,7 +338,7 @@ class SequenceNet:
             x = np.where(pad[..., None], 0.0, x)
         cache = {} if keep_cache else None
         keep = cache.update if keep_cache else lambda **_: None
-        keep(single=single, inp=block, pad=pad)
+        keep(inp=block, pad=pad)
         h = x
         if cfg.variant in ("rcnn", "cnn"):
             pre = row_matmul(conv_windows(h, cfg.conv_width), params["conv_w"].T)
@@ -374,14 +372,14 @@ class SequenceNet:
             mask = np.zeros_like(h)
             for b, length in enumerate(lengths):
                 dropped[:length, b], mask[:length, b] = dropout_apply(
-                    h[:length, b], cfg.dropout, mode, rng, return_mask=True
+                    h[:length, b], cfg.dropout, rng
                 )
             keep(dropout_mask=mask)
             h = dropped
         logits = row_matmul(h, params["out_w"]) + params["out_b"]
         probs = softmax(logits)
         keep(out_in=h)
-        return (probs[:, 0] if single else probs), cache
+        return probs, cache
 
     # -------------------------------------------------------------- backward
 
@@ -390,8 +388,8 @@ class SequenceNet:
         of one vector laid out like the params.
 
         Requires the cache of a prior keep_cache forward pass on the same
-        input and consumes its LSTM part; d_logits is the loss gradient at
-        the pre-softmax logits, shaped like the probs and zero on a
+        block and consumes its LSTM part; d_logits is the loss gradient at
+        the pre-softmax logits, shaped like the probs and zero on the
         block's padded steps (as loss_and_grads makes it). into, the
         gradients of an earlier pass, makes this pass add each gradient
         into them in place as soon as it is computed, and return them.
@@ -400,8 +398,6 @@ class SequenceNet:
             raise ContractError("backward needs the cache of a keep_cache forward pass")
         cfg = self.cfg
         pad = cache["pad"]
-        if cache["single"]:
-            d_logits = d_logits[:, None]
         adding = into is not None
         if adding:
             vector = flat_vector(into)
@@ -455,46 +451,40 @@ class SequenceNet:
 
     def _scatter_input_grads(self, block, d_x, grads, add):
         """Sum d_x into the rows of each embedding table's gradient that
-        the block's ids picked; add puts the sum on top of grads, else it
-        replaces them."""
+        the block's ids picked, on top of grads when add is set, else on
+        zeros. Each picked row's sum is formed first and then added to
+        the table, so a row reads acc + block."""
         cfg = self.cfg
         col = 0
         for name, ids, dim in (("emb_word", block.word_ids, cfg.word_dim),
                                ("emb_tag", block.tag_ids, cfg.tag_dim)):
             if name in grads:
-                if add:
-                    rows = np.zeros_like(grads[name])
-                else:
-                    rows = grads[name]
-                    rows[...] = 0.0
-                np.add.at(rows, ids, d_x[..., col : col + dim])
-                if add:
-                    grads[name] += rows
+                rows, where = np.unique(ids, return_inverse=True)
+                sums = np.zeros((len(rows), dim))
+                np.add.at(sums, where.reshape(ids.shape), d_x[..., col : col + dim])
+                if not add:
+                    grads[name][...] = 0.0
+                grads[name][rows] += sums
                 col += dim
 
     # ------------------------------------------------------------------ loss
 
-    def loss_and_grads(self, params, inp, labels01, class_weights, mask=None,
-                       mode="train", rng=None, into=None):
+    def loss_and_grads(self, params, block, class_weights, mode="train", rng=None,
+                       into=None):
         """Forward, weighted cross-entropy, backward, in one call.
 
-        labels01 holds ints with 1 = boundary, (m,) for a NetInput and
-        (T, B) for a NetBatch; mask, shaped like labels01, leaves rows
-        out of the loss, and a block's padded steps always are. Returns
-        the summed loss over active positions, the gradient dict, and the
-        active-position count; with into, an earlier call's gradient dict,
-        the gradients are added into it (backward) and it is returned.
+        The labels are the block's label01 (1 = boundary), and the loss
+        covers exactly its live rows. Returns the summed loss, the
+        gradient dict and the live-row count; with into, an earlier
+        call's gradient dict, the gradients are added into it (backward)
+        and it is returned.
         """
-        probs, cache = self.forward(params, inp, mode=mode, rng=rng, keep_cache=True)
+        probs, cache = self.forward(params, block, mode=mode, rng=rng, keep_cache=True)
         rows = probs.reshape(-1, N_CLASSES)
-        labels = np.asarray(labels01).reshape(-1)
         y_true = np.zeros_like(rows)
-        y_true[np.arange(len(labels)), labels] = 1.0
-        active = np.ones(probs.shape[:-1], dtype=bool) if mask is None else (
-            np.asarray(mask).astype(bool)
-        )
-        if cache["pad"] is not None:
-            active = active & ~cache["pad"]
+        y_true[np.arange(len(rows)), block.label01.reshape(-1)] = 1.0
+        pad = cache["pad"]
+        active = np.ones(probs.shape[:-1], dtype=bool) if pad is None else ~pad
         loss, d_logits = weighted_cross_entropy(
             y_true, rows, class_weights, active.reshape(-1)
         )

@@ -31,7 +31,7 @@ from .model import (
     prosodic_config,
 )
 from .numerics import NetBatch, RmsPropState, SequenceNet, rmsprop_step
-from .numerics.network import BLOCK_ROWS, blocks, flat_vector, time_major
+from .numerics.network import BLOCK_ROWS, blocks, flat_vector
 
 RMSPROP_EPSILON = 1e-8
 ALPHA_GRID = tuple(round(i / 10, 1) for i in range(11))
@@ -171,24 +171,21 @@ def active_prefix_length(mask):
 def batch_loss_and_grads(net, params, items, class_weights, mode="train", rng=None):
     """Summed loss and gradients over a batch of (input, mask) pairs.
 
-    Each sequence enters its block up to the end of its active prefix, in
-    item order, and trailing padded rows are bit-for-bit inert. The first
-    block's gradients are the batch's one vector; later blocks add into it.
+    Each sequence enters its block up to the end of its mask's live
+    prefix, in item order, and trailing padded rows are bit-for-bit
+    inert. The first block's gradients are the batch's one vector; later
+    blocks add into it.
     """
-    live = []
-    for inp, mask in items:
-        length = len(inp) if mask is None else active_prefix_length(mask)
-        if length:
-            live.append((inp, np.ones(length, dtype=bool) if mask is None else mask, length))
+    live = [(inp, length) for inp, mask in items
+            if (length := active_prefix_length(mask))]
     if not live:
         raise ContractError("batch has no active positions")
     total_loss, total_active, grads = 0.0, 0, None
     for block in blocks(live):
-        inputs, masks, lengths = zip(*block)
-        batch = NetBatch.stack(inputs, lengths)
+        inputs, lengths = zip(*block)
         loss, grads, n_active = net.loss_and_grads(
-            params, batch, batch.label01, class_weights,
-            mask=time_major(masks, lengths), mode=mode, rng=rng, into=grads,
+            params, NetBatch.stack(inputs, lengths), class_weights,
+            mode=mode, rng=rng, into=grads,
         )
         total_loss += loss
         total_active += n_active

@@ -60,6 +60,35 @@ def test_segment_lexical_only(workdir, capsys):
     assert [row.split("\t")[0] for row in rows] == "então a b c então d e".split()
 
 
+def test_segment_reads_a_token_file(workdir, tmp_path, capsys):
+    """Words are lower-cased, punctuation is stripped, and the file's stem
+    names the text."""
+    path = tmp_path / "story.txt"
+    path.write_text("Então, A b. C! então d e.\n", encoding="utf-8")
+    text = cli._read_segment_input(path)
+    assert text.id == "story"
+    assert text.prosody is None
+    code = cli.main(["segment", "--model", str(workdir / "m.dbnd"),
+                     "--input", str(path), "--alpha", "1.0", "--emit", "tsv"])
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split("\t")[0] for row in rows] == "então a b c então d e".split()
+
+
+@pytest.mark.parametrize("content, code", [("", 0), (" \n\t\n", 0), (". , !\n", 2)])
+def test_segment_of_an_input_without_words(workdir, tmp_path, capsys, content, code):
+    """No tokens at all prints nothing and succeeds; tokens that are all
+    punctuation leave no word to label, which is a data error."""
+    path = tmp_path / "input.txt"
+    path.write_text(content, encoding="utf-8")
+    args = ["segment", "--model", str(workdir / "m.dbnd"), "--input", str(path)]
+    assert cli.main(args) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if code:
+        assert "empty after punctuation removal" in captured.err
+
+
 def test_default_train_then_segment_falls_back_to_lexical(workdir, capsys, caplog):
     """The fixture's model was trained with default flags, so it fuses
     (alpha < 1) and uses PoS tags; token input has neither prosody nor tags."""

@@ -222,16 +222,6 @@ class TestCorpusIO:
         with pytest.raises(ParseError):
             read_corpus(tmp_path / "nope.tsv")
 
-    def test_tokens_format(self, tmp_path):
-        path = tmp_path / "story.txt"
-        path.write_text("ela correu . ela caiu .\n")
-        corpus = read_corpus(path, format="tokens")
-        text = corpus.texts[0]
-        assert text.id == "story"
-        assert text.tokens == ["ela", "correu", "ela", "caiu"]
-        assert text.labels == ["NB", "B", "NB", "B"]
-        assert text.prosody is None
-
     def test_checksum_is_content_stable(self, tmp_path):
         corpus = small_corpus()
         assert corpus_checksum(corpus) == corpus_checksum(small_corpus())

@@ -1,5 +1,7 @@
 """Finite-difference oracles for the analytic gradients of every variant."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -32,34 +34,49 @@ def tiny_config(variant, dropout=0.0):
 
 
 def tiny_problem(variant, seed=7, m=9, dropout=0.0):
+    """A one-sequence block of m steps and a loss mask that leaves one row
+    out."""
     rng = np.random.default_rng(seed)
     net = SequenceNet(tiny_config(variant, dropout))
     params = net.init_params(rng)
     inp = NetInput(
         word_ids=rng.integers(0, 7, size=m),
         tag_ids=rng.integers(0, 3, size=m),
+        label01=rng.integers(0, 2, size=m),
     )
-    labels = rng.integers(0, 2, size=m)
-    labels[0] = 1
-    labels[1] = 0
-    mask = np.ones(m, dtype=bool)
+    inp.label01[0] = 1
+    inp.label01[1] = 0
+    mask = np.ones((m, 1), dtype=bool)
     mask[m // 2] = False
-    return net, params, inp, labels, mask
+    return net, params, NetBatch.stack([inp], [m]), mask
 
 
-def loss_value(net, params, inp, labels, mask, rng_factory=None):
+def masked_loss(probs, block, mask):
+    """Weighted cross-entropy of the block's labels over the rows flagged
+    in mask, and its gradient at the logits."""
+    rows = probs.reshape(-1, 2)
+    y_true = np.zeros_like(rows)
+    y_true[np.arange(len(rows)), np.ravel(block.label01)] = 1.0
+    return weighted_cross_entropy(y_true, rows, CLASS_WEIGHTS, np.ravel(mask))
+
+
+def masked_loss_and_grads(net, params, block, mask, mode="inference", rng=None):
+    """loss_and_grads over the rows flagged in mask, a subset of the
+    block's live rows, composed from forward, the loss and backward."""
+    probs, cache = net.forward(params, block, mode=mode, rng=rng, keep_cache=True)
+    loss, d_logits = masked_loss(probs, block, mask)
+    return loss, net.backward(params, cache, d_logits.reshape(probs.shape))
+
+
+def loss_value(net, params, block, mask, rng_factory=None):
     """Loss over the rows flagged in mask, from the forward pass alone."""
     rng = None if rng_factory is None else rng_factory()
     mode = "inference" if rng_factory is None else "train"
-    probs, _ = net.forward(params, inp, mode=mode, rng=rng)
-    rows = probs.reshape(-1, 2)
-    y_true = np.zeros_like(rows)
-    y_true[np.arange(len(rows)), np.ravel(labels)] = 1.0
-    loss, _ = weighted_cross_entropy(y_true, rows, CLASS_WEIGHTS, np.ravel(mask))
-    return loss
+    probs, _ = net.forward(params, block, mode=mode, rng=rng)
+    return masked_loss(probs, block, mask)[0]
 
 
-def max_relative_error(net, params, inp, labels, mask, grads, rng_factory=None):
+def max_relative_error(net, params, block, mask, grads, rng_factory=None):
     worst = 0.0
     for name, p in params.items():
         g = grads[name]
@@ -68,9 +85,9 @@ def max_relative_error(net, params, inp, labels, mask, grads, rng_factory=None):
             idx = it.multi_index
             orig = p[idx]
             p[idx] = orig + FD_STEP
-            up = loss_value(net, params, inp, labels, mask, rng_factory)
+            up = loss_value(net, params, block, mask, rng_factory)
             p[idx] = orig - FD_STEP
-            down = loss_value(net, params, inp, labels, mask, rng_factory)
+            down = loss_value(net, params, block, mask, rng_factory)
             p[idx] = orig
             fd = (up - down) / (2 * FD_STEP)
             rel = abs(g[idx] - fd) / max(abs(g[idx]), abs(fd), 1e-8)
@@ -80,11 +97,9 @@ def max_relative_error(net, params, inp, labels, mask, grads, rng_factory=None):
 
 @pytest.mark.parametrize("variant", ["rcnn", "cnn", "rnn", "mlp"])
 def test_every_parameter_matches_finite_differences(variant):
-    net, params, inp, labels, mask = tiny_problem(variant)
-    _, grads, _ = net.loss_and_grads(
-        params, inp, labels, CLASS_WEIGHTS, mask=mask, mode="inference"
-    )
-    worst = max_relative_error(net, params, inp, labels, mask, grads)
+    net, params, block, mask = tiny_problem(variant)
+    _, grads = masked_loss_and_grads(net, params, block, mask)
+    worst = max_relative_error(net, params, block, mask, grads)
     assert worst <= REL_TOL, f"{variant}: worst relative error {worst:.3e}"
 
 
@@ -97,34 +112,28 @@ def test_dense_input_path_matches_finite_differences():
     )
     params = net.init_params(rng)
     m = 8
-    inp = NetInput(dense=rng.standard_normal((m, 13)))
-    labels = rng.integers(0, 2, size=m)
-    labels[0] = 1
-    labels[1] = 0
-    mask = np.ones(m, dtype=bool)
-    _, grads, _ = net.loss_and_grads(
-        params, inp, labels, CLASS_WEIGHTS, mask=mask, mode="inference"
-    )
-    worst = max_relative_error(net, params, inp, labels, mask, grads)
+    inp = NetInput(dense=rng.standard_normal((m, 13)), label01=rng.integers(0, 2, size=m))
+    inp.label01[0] = 1
+    inp.label01[1] = 0
+    block = NetBatch.stack([inp], [m])
+    _, grads, n_active = net.loss_and_grads(params, block, CLASS_WEIGHTS, mode="inference")
+    assert n_active == m
+    worst = max_relative_error(net, params, block, np.ones(m), grads)
     assert worst <= REL_TOL
 
 
 def test_dropout_gradient_with_frozen_mask():
     """Holding the dropout draw fixed, gradients still match the oracle."""
-    net, params, inp, labels, mask = tiny_problem("rcnn", dropout=0.4)
+    net, params, block, mask = tiny_problem("rcnn", dropout=0.4)
     factory = lambda: np.random.default_rng(99)
-    _, grads, _ = net.loss_and_grads(
-        params, inp, labels, CLASS_WEIGHTS, mask=mask, mode="train", rng=factory()
-    )
-    worst = max_relative_error(net, params, inp, labels, mask, grads, rng_factory=factory)
+    _, grads = masked_loss_and_grads(net, params, block, mask, mode="train", rng=factory())
+    worst = max_relative_error(net, params, block, mask, grads, rng_factory=factory)
     assert worst <= REL_TOL
 
 
 def test_zero_class_weights_zero_gradients():
-    net, params, inp, labels, mask = tiny_problem("rcnn")
-    loss, grads, _ = net.loss_and_grads(
-        params, inp, labels, np.zeros(2), mask=mask, mode="inference"
-    )
+    net, params, block, _ = tiny_problem("rcnn")
+    loss, grads, _ = net.loss_and_grads(params, block, np.zeros(2), mode="inference")
     assert loss == 0.0
     for name, g in grads.items():
         npt.assert_array_equal(g, np.zeros_like(g), err_msg=name)
@@ -140,29 +149,28 @@ def test_masked_positions_contribute_nothing(variant):
     variants propagate inputs across the whole sequence, so no local
     masking can isolate a position there.)
     """
-    net, params, inp, labels, _ = tiny_problem(variant, m=9)
+    net, params, block, _ = tiny_problem(variant, m=9)
     lonely = 6  # appears only at the masked position below
-    inp.word_ids[:] = np.array([0, 1, 2, 3, 4, 5, 0, 1, 2])
+    word_ids = block.word_ids[:, 0]
+    word_ids[:] = np.array([0, 1, 2, 3, 4, 5, 0, 1, 2])
     masked_at = 4
-    inp.word_ids[masked_at] = lonely
-    mask = np.ones(9, dtype=bool)
+    word_ids[masked_at] = lonely
+    mask = np.ones((9, 1), dtype=bool)
     if variant == "mlp":
         mask[masked_at] = False
     else:
         mask[masked_at - 2 : masked_at + 3] = False  # conv reach 1 + pool reach 1
-    loss, grads, _ = net.loss_and_grads(
-        params, inp, labels, CLASS_WEIGHTS, mask=mask, mode="inference"
-    )
+    loss, grads = masked_loss_and_grads(net, params, block, mask)
     npt.assert_array_equal(grads["emb_word"][lonely], np.zeros(4))
     params["emb_word"][lonely] += 0.37
-    loss_after = loss_value(net, params, inp, labels, mask)
+    loss_after = loss_value(net, params, block, mask)
     assert loss_after == loss
 
 
 def test_backward_before_forward_is_rejected():
-    net, params, _, _, _ = tiny_problem("rcnn")
+    net, params, _, _ = tiny_problem("rcnn")
     with pytest.raises(ContractError):
-        net.backward(params, None, np.zeros((3, 2)))
+        net.backward(params, None, np.zeros((3, 1, 2)))
 
 
 # ------------------------------------------------------------ batched path
@@ -176,8 +184,7 @@ def dense_config(dropout=0.0):
 
 
 def ragged_items(cfg, lengths, seed=5):
-    """One NetInput and one loss mask per length; every mask leaves one
-    row out when the sequence has more than two."""
+    """One (NetInput, length) pair per length."""
     rng = np.random.default_rng(seed)
     items = []
     for m in lengths:
@@ -188,17 +195,15 @@ def ragged_items(cfg, lengths, seed=5):
                            tag_ids=rng.integers(0, cfg.tag_vocab, size=m))
         inp.label01 = rng.integers(0, 2, size=m)
         inp.label01[0] = 1
-        mask = np.ones(m, dtype=bool)
-        if m > 2:
-            mask[m // 2] = False
-        items.append((inp, mask))
+        items.append((inp, m))
     return items
 
 
 def stacked(items):
-    """NetBatch of the items with random values on every padded step."""
-    lengths = [len(inp) for inp, _ in items]
-    batch = NetBatch.stack([inp for inp, _ in items], lengths)
+    """NetBatch of the items with random values on every padded step, and
+    its (T, B) live rows."""
+    inputs, lengths = zip(*items)
+    batch = NetBatch.stack(inputs, lengths)
     pad = np.arange(max(lengths))[:, None] >= np.array(lengths)
     rng = np.random.default_rng(11)
     for name in ("word_ids", "tag_ids"):
@@ -207,10 +212,7 @@ def stacked(items):
             ids[pad] = rng.integers(0, ids.max() + 1, size=int(pad.sum()))
     if batch.dense is not None:
         batch.dense[pad] = rng.standard_normal((int(pad.sum()), batch.dense.shape[2]))
-    mask = np.zeros(pad.shape, dtype=bool)
-    for b, (_, row_mask) in enumerate(items):
-        mask[: lengths[b], b] = row_mask
-    return batch, mask
+    return batch, ~pad
 
 
 def batch_net(variant, dropout=0.0):
@@ -229,27 +231,29 @@ def assert_grads_close(got, want, rel=1e-12):
 @pytest.mark.parametrize("variant", ["rcnn", "cnn", "rnn", "mlp", "dense"])
 def test_ragged_batch_matches_finite_differences(variant):
     net, params = batch_net(variant)
-    batch, mask = stacked(ragged_items(net.cfg, RAGGED))
-    _, grads, n_active = net.loss_and_grads(
-        params, batch, batch.label01, CLASS_WEIGHTS, mask=mask, mode="inference"
-    )
-    assert n_active == int(mask.sum())
-    worst = max_relative_error(net, params, batch, batch.label01, mask, grads)
+    batch, live = stacked(ragged_items(net.cfg, RAGGED))
+    _, grads, n_active = net.loss_and_grads(params, batch, CLASS_WEIGHTS, mode="inference")
+    assert n_active == sum(RAGGED)
+    worst = max_relative_error(net, params, batch, live, grads)
     assert worst <= REL_TOL, f"{variant}: worst relative error {worst:.3e}"
 
 
 @pytest.mark.parametrize("variant", ["rcnn", "cnn", "rnn", "mlp"])
 def test_inference_pass_matches_the_cache_keeping_pass(variant):
     """A pass that keeps no backward state gives the probs of one that
-    does bit for bit, with the LSTM weights prepared per pass or ahead."""
-    net, params = batch_net(variant)
-    batch, _ = stacked(ragged_items(net.cfg, (7, 3, 1)))
-    want, cache = net.forward(params, batch, keep_cache=True)
-    assert cache is not None
-    for lstm_prep in (None, net.prepare_lstm(params)):
-        got, no_cache = net.forward(params, batch, lstm_prep=lstm_prep)
-        assert no_cache is None
-        npt.assert_array_equal(got, want)
+    does bit for bit, with the LSTM weights prepared per pass or ahead;
+    inference needs no rng and applies no dropout, whatever the rate."""
+    plain, plain_params = batch_net(variant)
+    for dropout in (0.0, 0.4):
+        net, params = batch_net(variant, dropout)
+        batch, _ = stacked(ragged_items(net.cfg, (7, 3, 1)))
+        want, cache = net.forward(params, batch, rng=None, keep_cache=True)
+        assert cache is not None
+        for lstm_prep in (None, net.prepare_lstm(params)):
+            got, no_cache = net.forward(params, batch, rng=None, lstm_prep=lstm_prep)
+            assert no_cache is None
+            npt.assert_array_equal(got, want)
+        npt.assert_array_equal(plain.forward(plain_params, batch)[0], want)
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.4])
@@ -260,19 +264,17 @@ def test_batch_equals_sum_of_batches_of_one(variant, dropout):
     items = ragged_items(net.cfg, RAGGED)
     rng = np.random.default_rng(8)
     want_loss, want, want_active = 0.0, None, 0
-    for inp, mask in items:
+    for inp, _ in items:
         loss, grads, n_active = net.loss_and_grads(
-            params, inp, inp.label01, CLASS_WEIGHTS, mask=mask, mode="train", rng=rng
+            params, NetBatch.stack([inp], [len(inp)]), CLASS_WEIGHTS, mode="train", rng=rng
         )
         want_loss += loss
         want_active += n_active
         want = grads if want is None else {k: want[k] + grads[k] for k in want}
     after = rng.random()
     rng = np.random.default_rng(8)
-    batch, mask = stacked(items)
-    loss, grads, n_active = net.loss_and_grads(
-        params, batch, batch.label01, CLASS_WEIGHTS, mask=mask, mode="train", rng=rng
-    )
+    batch, _ = stacked(items)
+    loss, grads, n_active = net.loss_and_grads(params, batch, CLASS_WEIGHTS, rng=rng)
     assert rng.random() == after
     assert n_active == want_active
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
@@ -285,21 +287,15 @@ def test_padded_steps_are_inert(variant):
     in the network and in the training update."""
     net, params = batch_net(variant)
     items = ragged_items(net.cfg, RAGGED)
-    batch, mask = stacked(items)
-    loss, grads, _ = net.loss_and_grads(
-        params, batch, batch.label01, CLASS_WEIGHTS, mask=mask, mode="inference"
-    )
+    batch, _ = stacked(items)
+    loss, grads, _ = net.loss_and_grads(params, batch, CLASS_WEIGHTS, mode="inference")
     zeroed = NetBatch.stack([inp for inp, _ in items], RAGGED)
-    loss_0, grads_0, _ = net.loss_and_grads(
-        params, zeroed, zeroed.label01, CLASS_WEIGHTS, mask=mask, mode="inference"
-    )
+    loss_0, grads_0, _ = net.loss_and_grads(params, zeroed, CLASS_WEIGHTS, mode="inference")
     assert loss == loss_0
     for name in grads:
         npt.assert_array_equal(grads[name], grads_0[name], err_msg=name)
 
     padded = [training.pad_item(inp, 12) for inp, _ in items]
-    for (_, pad_mask), (_, row_mask) in zip(padded, items):
-        pad_mask[: len(row_mask)] = row_mask
     results = []
     for fill in (0, 1):
         for (inp, _), m in zip(padded, RAGGED):
@@ -385,3 +381,27 @@ def test_blocks_add_into_one_gradient_vector_bit_for_bit(monkeypatch):
     assert all(flat_vector(g) is flat_vector(grads) for g in returned)
     assert (loss, n_active) == (want_loss, want_active)
     npt.assert_array_equal(flat_vector(grads), want)
+
+
+def test_later_blocks_scatter_only_their_embedding_rows():
+    """A later block adds its embedding gradient through a scratch of the
+    rows it picked, not of the whole table: a batch of two 180-token
+    items (two blocks) over a 50,000 x 50 table peaks near one gradient
+    vector (20.1 MB), where a table-sized scratch would double it."""
+    rng = np.random.default_rng(0)
+    net = SequenceNet(NetConfig(variant="rcnn", conv_filters=16, rec_units=16,
+                                word_vocab=50_000, word_dim=50))
+    params = net.init_params(rng)
+    items = []
+    for _ in range(2):
+        inp = NetInput(word_ids=rng.integers(0, 50_000, size=180),
+                       label01=rng.integers(0, 2, size=180))
+        items.append(training.pad_item(inp, 180))
+    assert 2 * 180 > training.BLOCK_ROWS
+    tracemalloc.start()
+    try:
+        training.batch_loss_and_grads(net, params, items, CLASS_WEIGHTS, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25e6, f"traced peak {peak / 1e6:.2f} MB"

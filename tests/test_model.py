@@ -26,6 +26,7 @@ from sentbound.model import (
     fuse,
     labels_from_probs,
     load_model,
+    parse_feature_set,
     save_model,
 )
 from sentbound.numerics import lstm as lstm_ops
@@ -42,6 +43,34 @@ def prob_rows(seed, m=64):
     """Rows whose boundary probabilities span 20 orders of magnitude."""
     p_b = 10.0 ** -np.random.default_rng(seed).uniform(0.0, 20.0, m)
     return np.stack([1.0 - p_b, p_b], axis=1)
+
+
+@pytest.mark.parametrize("spelling, words, tags, prosody, name", [
+    ("embeddings", True, False, False, "embeddings"),
+    ("pos", False, True, False, "pos"),
+    ("prosody", False, False, True, "prosody"),
+    ("embeddings+pos", True, True, False, "embeddings+pos"),
+    ("Pos + Embeddings", True, True, False, "embeddings+pos"),
+    ("prosody+pos", False, True, True, "pos+prosody"),
+    ("embeddings+prosody", True, False, True, "embeddings+prosody"),
+    ("prosody+pos+embeddings", True, True, True, "all"),
+    ("all", True, True, True, "all"),
+    ("ALL", True, True, True, "all"),
+    (" all ", True, True, True, "all"),
+])
+def test_parse_feature_set_accepts_every_spelling(spelling, words, tags, prosody, name):
+    feature_set = parse_feature_set(spelling)
+    assert (feature_set.words, feature_set.tags, feature_set.prosody) == (words, tags, prosody)
+    assert feature_set.name == name
+    assert parse_feature_set(name) == feature_set
+
+
+@pytest.mark.parametrize("spelling", [
+    "", "+", "pos+", "pos+pos", "all+pos", "all+all", "words", "embedding", "pos,prosody",
+])
+def test_parse_feature_set_rejects_other_spellings(spelling):
+    with pytest.raises(ContractError, match="unknown feature set"):
+        parse_feature_set(spelling)
 
 
 def test_fuse_endpoints_reproduce_their_rows_bit_for_bit():

@@ -401,43 +401,41 @@ class TestBlockLstm:
 class TestDropout:
     def test_rate_zero_identity(self, rng):
         x = rng.standard_normal((4, 5))
-        npt.assert_array_equal(dropout_apply(x, 0.0, "train", rng), x)
-
-    def test_inference_identity(self, rng):
-        x = rng.standard_normal((4, 5))
-        npt.assert_array_equal(dropout_apply(x, 0.9, "inference"), x)
+        out, mask = dropout_apply(x, 0.0, None)
+        npt.assert_array_equal(out, x)
+        npt.assert_array_equal(mask, np.ones_like(x))
 
     def test_inverted_scaling_preserves_mean(self):
         rng = np.random.default_rng(42)
         x = np.ones((1000, 100))
-        out = dropout_apply(x, 0.5, "train", rng)
+        out, mask = dropout_apply(x, 0.5, rng)
         assert 0.98 <= out.mean() <= 1.02
+        npt.assert_array_equal(out, x * mask)
+        assert set(np.unique(mask)) == {0.0, 2.0}
 
     def test_rate_one_rejected(self):
         with pytest.raises(ContractError):
-            dropout_apply(np.ones((2, 2)), 1.0, "train", np.random.default_rng(0))
+            dropout_apply(np.ones((2, 2)), 1.0, np.random.default_rng(0))
 
     def test_train_needs_rng(self):
         with pytest.raises(ContractError):
-            dropout_apply(np.ones((2, 2)), 0.5, "train")
+            dropout_apply(np.ones((2, 2)), 0.5, None)
 
 
 class TestWeightedCrossEntropy:
     def test_direct_substitution(self):
         y_true = np.array([[0.0, 1.0]])
         y_pred = np.array([[0.2, 0.8]])
-        loss, _ = weighted_cross_entropy(y_true, y_pred, [1.0, 5.0])
+        loss, _ = weighted_cross_entropy(y_true, y_pred, [1.0, 5.0], [True])
         assert abs(loss - (-5.0 * math.log(0.8))) < 1e-9
         assert abs(loss - 1.1157) < 1e-4
 
     def test_perfect_prediction_zero_loss(self):
-        loss, _ = weighted_cross_entropy(
-            [[0.0, 1.0]], [[0.0, 1.0]], [1.0, 5.0]
-        )
+        loss, _ = weighted_cross_entropy([[0.0, 1.0]], [[0.0, 1.0]], [1.0, 5.0], [True])
         assert loss == 0.0
 
     def test_saturated_wrong_prediction_is_clamped_finite(self):
-        loss, _ = weighted_cross_entropy([[0.0, 1.0]], [[1.0, 0.0]], [1.0, 5.0])
+        loss, _ = weighted_cross_entropy([[0.0, 1.0]], [[1.0, 0.0]], [1.0, 5.0], [True])
         assert np.isfinite(loss)
         assert abs(loss - (-5.0 * math.log(1e-12))) < 1e-6
 
@@ -459,7 +457,7 @@ class TestWeightedCrossEntropy:
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
-            weighted_cross_entropy([[1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]], [1, 1])
+            weighted_cross_entropy([[1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]], [1, 1], [True])
 
 
 class TestParamLayout:
@@ -474,9 +472,10 @@ class TestParamLayout:
         net = self.net()
         params = net.init_params(rng)
         assert list(params) == list(net.param_shapes())
-        inp = NetInput(word_ids=rng.integers(0, 6, size=5), tag_ids=rng.integers(0, 4, size=5))
-        _, grads, _ = net.loss_and_grads(params, inp, rng.integers(0, 2, size=5),
-                                         np.ones(2), rng=rng)
+        inp = NetInput(word_ids=rng.integers(0, 6, size=5), tag_ids=rng.integers(0, 4, size=5),
+                       label01=rng.integers(0, 2, size=5))
+        _, grads, _ = net.loss_and_grads(params, NetBatch.stack([inp], [5]), np.ones(2),
+                                         rng=rng)
         assert list(grads) == list(params)
         theta, grad = flat_vector(params), flat_vector(grads)
         assert theta.shape == grad.shape == (net.size,)
