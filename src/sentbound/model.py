@@ -230,7 +230,7 @@ class ModelBundle:
 def labels_from_probs(probs):
     """Argmax labels with exact ties going to NB."""
     probs = np.asarray(probs)
-    return [LABEL_B if row[1] > row[0] else LABEL_NB for row in probs]
+    return [LABEL_B if b else LABEL_NB for b in (probs[:, 1] > probs[:, 0]).tolist()]
 
 
 def fuse(p_lex, p_pros, alpha):
@@ -246,10 +246,8 @@ def fuse(p_lex, p_pros, alpha):
         raise ContractError("alpha < 1 needs a prosodic model")
     if p_lex is None and alpha > 0.0:
         raise ContractError("alpha > 0 needs a lexical model")
-    if p_lex is not None and p_pros is not None and np.shape(p_lex) != np.shape(p_pros):
-        raise ContractError(
-            f"probability shapes disagree: {np.shape(p_lex)} vs {np.shape(p_pros)}"
-        )
+    if p_lex is not None and p_pros is not None:
+        check_same_shape(p_lex, p_pros)
     if alpha == 1.0:
         fused = np.array(p_lex, dtype=np.float64)
     elif alpha == 0.0:
@@ -260,15 +258,20 @@ def fuse(p_lex, p_pros, alpha):
     return labels_from_probs(fused), fused
 
 
+def check_same_shape(p_lex, p_pros):
+    """ContractError unless two probability matrices share one shape."""
+    if np.shape(p_lex) != np.shape(p_pros):
+        raise ContractError(
+            f"probability shapes disagree: {np.shape(p_lex)} vs {np.shape(p_pros)}"
+        )
+
+
 # ----------------------------------------------------------------- scoring
 
 
 def boundary_counts(gold, pred):
     """(tp, fp, fn) of the boundary class over parallel label sequences."""
-    if len(gold) != len(pred):
-        raise ContractError(
-            f"label sequences disagree in length: {len(gold)} vs {len(pred)}"
-        )
+    check_same_length(gold, pred)
     tp = fp = fn = 0
     for g, p in zip(gold, pred):
         if p == LABEL_B and g == LABEL_B:
@@ -278,6 +281,14 @@ def boundary_counts(gold, pred):
         elif g == LABEL_B:
             fn += 1
     return tp, fp, fn
+
+
+def check_same_length(gold, pred):
+    """ContractError unless two label sequences share one length."""
+    if len(gold) != len(pred):
+        raise ContractError(
+            f"label sequences disagree in length: {len(gold)} vs {len(pred)}"
+        )
 
 
 def prf_from_counts(tp, fp, fn):

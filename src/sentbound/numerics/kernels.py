@@ -89,12 +89,14 @@ def conv_windows(x, h_c):
     return windows
 
 
-def conv1d_backward(d_out_pre, x, filters):
+def conv1d_backward(d_out_pre, x, filters, input_grad):
     """Gradients of the convolution given d(loss)/d(pre-activation).
 
     x and d_out_pre share conv_windows' layout. The work goes one window
     offset at a time, so no stack of windows is built. Returns
-    (d_filters, d_bias, d_x).
+    (d_filters, d_bias, d_x). Without input_grad, for an input whose
+    gradient nothing reads (a dense-input net's features), d_x is None
+    and none of its GEMMs run.
     """
     m, d = x.shape[0], x.shape[-1]
     h_c = filters.shape[1] // d
@@ -102,12 +104,14 @@ def conv1d_backward(d_out_pre, x, filters):
     padded = np.zeros((m + 2 * p,) + x.shape[1:], dtype=np.float64)
     padded[p : p + m] = x
     d_filters = np.empty_like(filters)
-    d_padded = np.zeros_like(padded)
+    d_padded = np.zeros_like(padded) if input_grad else None
     for k in range(h_c):
         cols = slice(k * d, (k + 1) * d)
         d_filters[:, cols] = row_outer_sum(d_out_pre, padded[k : k + m])
-        d_padded[k : k + m] += row_matmul(d_out_pre, filters[:, cols])
-    return d_filters, row_sum(d_out_pre), d_padded[p : p + m]
+        if input_grad:
+            d_padded[k : k + m] += row_matmul(d_out_pre, filters[:, cols])
+    d_x = d_padded[p : p + m] if input_grad else None
+    return d_filters, row_sum(d_out_pre), d_x
 
 
 def maxpool1d_same(c, h_m, return_argmax=False):
@@ -150,15 +154,14 @@ def maxpool1d_same(c, h_m, return_argmax=False):
 def maxpool1d_backward(d_out, argrow):
     """Route pooled gradients back to the argmax rows in one scatter-add.
 
-    Contributions to a row arrive in output-row order, as a loop over the
-    output rows would add them.
+    np.bincount sums each input row's contributions in output-row order,
+    as a loop over the output rows would add them.
     """
     m = d_out.shape[0]
     per_row = d_out.size // m
-    d_in = np.zeros(d_out.shape, dtype=np.float64)
     target = argrow.reshape(m, per_row) * per_row + np.arange(per_row)
-    np.add.at(d_in.reshape(-1), target.reshape(-1), d_out.reshape(-1))
-    return d_in
+    d_in = np.bincount(target.reshape(-1), weights=d_out.reshape(-1), minlength=d_out.size)
+    return d_in.reshape(d_out.shape)
 
 
 def dropout_apply(h, rate, rng):

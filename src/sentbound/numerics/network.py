@@ -28,8 +28,9 @@ rows past a sequence's end are zeroed before the conv (the zero padding
 a lone sequence gets), max-pool sees padded conv rows as -inf and emits
 zero there, the backward LSTM direction reads each row's live prefix
 reversed by an index gather (an involution, so the same gather puts its
-outputs and input gradients back in order), dropout masks are drawn per
-sequence over its live rows, and padded rows carry no loss gradient.
+outputs and input gradients back in order), dropout draws one mask for
+the block's live rows only, sequence by sequence (live_dropout), and
+padded rows carry no loss gradient.
 Both LSTM directions run in one lockstep call,
 lstm_ops.direction_forward and direction_backward, on the block and its
 reversed copy.
@@ -38,7 +39,9 @@ forward keeps what backward reads only when its caller asks for it, as
 loss_and_grads does whatever the mode; any other pass builds no pool
 argmax, keeps no layer inputs or outputs and no LSTM history, and
 returns no cache. It can also take the LSTM weights already prepared
-(prepare_lstm), which stay valid while the params do.
+(prepare_lstm), which stay valid while the params do. Only embedding
+tables read the gradient at the input, so backward does not scatter it
+for a dense-input net, and that net's conv does not compute it.
 """
 
 import math
@@ -180,6 +183,22 @@ def blocks(items):
     yield block
 
 
+def live_dropout(h, live, rate, rng):
+    """dropout_apply on the live rows of a (T, B, n) block, in one call.
+
+    The rows are gathered sequence by sequence (all live steps of row 0,
+    then of row 1, ...), so the draws equal those of one call per
+    sequence in row order. Returns (out, mask), both zero on padded
+    steps.
+    """
+    by_row = live.T
+    dropped, kept = dropout_apply(h.transpose(1, 0, 2)[by_row], rate, rng)
+    out, mask = np.zeros_like(h), np.zeros_like(h)
+    out.transpose(1, 0, 2)[by_row] = dropped
+    mask.transpose(1, 0, 2)[by_row] = kept
+    return out, mask
+
+
 def flat_vector(arrays):
     """The one contiguous float64 vector that every array of a params or
     grads dict views, as SequenceNet.views lays them out."""
@@ -316,9 +335,11 @@ class SequenceNet:
         """Run the stack on a NetBatch block. Returns (probs, cache).
 
         probs are (T, B, 2), row-stochastic, and finite but meaningless on
-        padded steps. In train mode dropout consumes draws from rng, one
-        (length, units) mask per sequence in row order; inference is
-        deterministic and applies no dropout. The cache feeds
+        padded steps. In train mode dropout consumes draws from rng: one
+        (sum of lengths, units) mask over the live rows, sequence by
+        sequence in row order, which equals one (length, units) draw per
+        sequence (live_dropout); inference is deterministic and applies
+        no dropout. The cache feeds
         backward() and is built only when keep_cache is set; otherwise it
         is None and the pass holds nothing that only backward reads: no
         pool argmax, no layer inputs or outputs, no LSTM history.
@@ -368,14 +389,8 @@ class SequenceNet:
             keep(lstm=lstm_cache, lstm_weights=weights, rev=rev)
             h = y_f + y_b[rev]
         if cfg.variant != "mlp" and mode == "train":
-            dropped = np.zeros_like(h)
-            mask = np.zeros_like(h)
-            for b, length in enumerate(lengths):
-                dropped[:length, b], mask[:length, b] = dropout_apply(
-                    h[:length, b], cfg.dropout, rng
-                )
+            h, mask = live_dropout(h, live, cfg.dropout, rng)
             keep(dropout_mask=mask)
-            h = dropped
         logits = row_matmul(h, params["out_w"]) + params["out_b"]
         probs = softmax(logits)
         keep(out_in=h)
@@ -393,11 +408,14 @@ class SequenceNet:
         block's padded steps (as loss_and_grads makes it). into, the
         gradients of an earlier pass, makes this pass add each gradient
         into them in place as soon as it is computed, and return them.
+        Only embedding tables read the gradient at the input, so the conv
+        of a dense-input net does not compute it.
         """
         if cache is None:
             raise ContractError("backward needs the cache of a keep_cache forward pass")
         cfg = self.cfg
         pad = cache["pad"]
+        input_grad = not cfg.dense_dim
         adding = into is not None
         if adding:
             vector = flat_vector(into)
@@ -431,11 +449,11 @@ class SequenceNet:
         if cfg.variant in ("rcnn", "cnn"):
             d_conv = maxpool1d_backward(dh, cache["pool_argrow"])
             d_pre = d_conv * activation_grad(CONV_ACTIVATION, cache["conv_out"])
-            d_w, d_b, dh = conv1d_backward(d_pre, cache["conv_in"], params["conv_w"])
+            d_w, d_b, dh = conv1d_backward(
+                d_pre, cache["conv_in"], params["conv_w"], input_grad=input_grad
+            )
             put("conv_w", d_w)
             put("conv_b", d_b)
-        if pad is not None:
-            dh[pad] = 0.0  # the zeroed padding rows are constants
         if not adding:
             # The first pass makes the vector only now, once the LSTM's
             # backward state is freed, so that the vector does not raise
@@ -446,25 +464,31 @@ class SequenceNet:
                 self._view(vector, name)[...] = value
             del grads
             into = self.views(vector)
-        self._scatter_input_grads(cache["inp"], dh, into, adding)
+        if input_grad:
+            if pad is not None:
+                dh[pad] = 0.0  # the zeroed padding rows are constants
+            self._scatter_input_grads(cache["inp"], dh, into, adding)
         return into
 
     def _scatter_input_grads(self, block, d_x, grads, add):
         """Sum d_x into the rows of each embedding table's gradient that
         the block's ids picked, on top of grads when add is set, else on
-        zeros. Each picked row's sum is formed first and then added to
-        the table, so a row reads acc + block."""
+        zeros. Each picked row's sum is formed first, by np.bincount in
+        block order, and then added to the table, so a row reads acc +
+        block."""
         cfg = self.cfg
         col = 0
         for name, ids, dim in (("emb_word", block.word_ids, cfg.word_dim),
                                ("emb_tag", block.tag_ids, cfg.tag_dim)):
             if name in grads:
                 rows, where = np.unique(ids, return_inverse=True)
-                sums = np.zeros((len(rows), dim))
-                np.add.at(sums, where.reshape(ids.shape), d_x[..., col : col + dim])
+                target = where.reshape(-1, 1) * dim + np.arange(dim)
+                sums = np.bincount(target.reshape(-1),
+                                   weights=d_x[..., col : col + dim].reshape(-1),
+                                   minlength=len(rows) * dim)
                 if not add:
                     grads[name][...] = 0.0
-                grads[name][rows] += sums
+                grads[name][rows] += sums.reshape(len(rows), dim)
                 col += dim
 
     # ------------------------------------------------------------------ loss

@@ -25,6 +25,8 @@ from .errors import ContractError, NumericError
 from .model import (
     ModelBundle,
     boundary_counts,
+    check_same_length,
+    check_same_shape,
     fuse,
     lexical_config,
     prf_from_counts,
@@ -125,7 +127,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.bucket_width < 1:
+        if self.epochs < 1 or self.batch_size < 1 or self.bucket_width < 1:
             raise ContractError("epochs, batch_size, bucket_width must be positive")
 
 
@@ -302,15 +304,23 @@ def train_model(bundle, train_texts, config, rng, log=None):
 
 def tune_alpha_from_probs(lex_probs, pros_probs, gold_labels):
     """ALPHA_GRID value maximising boundary F1; exact ties go to the larger
-    alpha."""
+    alpha, so no texts give 1.0.
+
+    Each text is checked as fuse and boundary_counts check it; the texts
+    are then joined into one block of rows, which fuse labels and
+    boundary_counts scores at every grid alpha.
+    """
+    for p_lex, p_pros, labels in zip(lex_probs, pros_probs, gold_labels):
+        check_same_shape(p_lex, p_pros)
+        check_same_length(labels, p_lex)
+    if not len(gold_labels):
+        return ALPHA_GRID[-1]
+    p_lex, p_pros = np.concatenate(lex_probs), np.concatenate(pros_probs)
+    gold = [label for labels in gold_labels for label in labels]
     best_alpha, best_f1 = None, -1.0
     for alpha in ALPHA_GRID:
-        tp = fp = fn = 0
-        for p_lex, p_pros, gold in zip(lex_probs, pros_probs, gold_labels):
-            pred, _ = fuse(p_lex, p_pros, alpha)
-            a, b, c = boundary_counts(gold, pred)
-            tp, fp, fn = tp + a, fp + b, fn + c
-        f1 = prf_from_counts(tp, fp, fn)[2]
+        pred, _ = fuse(p_lex, p_pros, alpha)
+        f1 = prf_from_counts(*boundary_counts(gold, pred))[2]
         if f1 >= best_f1:
             best_alpha, best_f1 = alpha, f1
     return best_alpha

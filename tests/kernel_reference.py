@@ -6,13 +6,21 @@ the identity and tanh activations besides the library's sigmoid and
 relu; the max-pool over sliding windows; and the RMSProp update one
 parameter array at a time. They are written plainly and serve as
 reference oracles.
+
+The rest are the library's earlier ways of doing what it now does in
+fewer numpy calls, kept as oracles that the new code must match bit for
+bit: the scatter-adds by np.add.at, dropout
+drawn one sequence at a time, and alpha tuning that fuses and counts
+every text at every grid alpha.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from sentbound.errors import ContractError
-from sentbound.numerics.kernels import conv_windows, relu, sigmoid
+from sentbound.model import boundary_counts, fuse, prf_from_counts
+from sentbound.numerics.kernels import conv_windows, dropout_apply, relu, sigmoid
+from sentbound.training import ALPHA_GRID
 
 ACTIVATIONS = {
     "identity": lambda z: z,
@@ -97,3 +105,57 @@ def maxpool1d_same_reference(c, h_m):
     windows = sliding_window_view(padded, h_m, axis=0)  # (m, ..., h_m)
     start = (np.arange(m) - lo_off).reshape((m,) + (1,) * (c.ndim - 1))
     return windows.max(axis=-1), start + windows.argmax(axis=-1)
+
+
+def maxpool1d_backward_reference(d_out, argrow):
+    """maxpool1d_backward by np.add.at, which adds each row's
+    contributions in output-row order."""
+    m = d_out.shape[0]
+    per_row = d_out.size // m
+    d_in = np.zeros(d_out.shape, dtype=np.float64)
+    target = argrow.reshape(m, per_row) * per_row + np.arange(per_row)
+    np.add.at(d_in.reshape(-1), target.reshape(-1), d_out.reshape(-1))
+    return d_in
+
+
+def scatter_input_grads_reference(net, block, d_x, grads, add):
+    """SequenceNet._scatter_input_grads by np.add.at into a scratch of the
+    block's unique rows of each embedding table."""
+    cfg = net.cfg
+    col = 0
+    for name, ids, dim in (("emb_word", block.word_ids, cfg.word_dim),
+                           ("emb_tag", block.tag_ids, cfg.tag_dim)):
+        if name in grads:
+            rows, where = np.unique(ids, return_inverse=True)
+            sums = np.zeros((len(rows), dim))
+            np.add.at(sums, where.reshape(ids.shape), d_x[..., col : col + dim])
+            if not add:
+                grads[name][...] = 0.0
+            grads[name][rows] += sums
+            col += dim
+
+
+def per_sequence_dropout_reference(h, lengths, rate, rng):
+    """Dropout on a (T, B, n) block drawn one sequence at a time over its
+    live rows, in row order; (out, mask) are zero on padded steps."""
+    dropped = np.zeros_like(h)
+    mask = np.zeros_like(h)
+    for b, length in enumerate(lengths):
+        dropped[:length, b], mask[:length, b] = dropout_apply(h[:length, b], rate, rng)
+    return dropped, mask
+
+
+def tune_alpha_reference(lex_probs, pros_probs, gold_labels):
+    """tune_alpha_from_probs by fusing and counting every text at every
+    grid alpha."""
+    best_alpha, best_f1 = None, -1.0
+    for alpha in ALPHA_GRID:
+        tp = fp = fn = 0
+        for p_lex, p_pros, gold in zip(lex_probs, pros_probs, gold_labels):
+            pred, _ = fuse(p_lex, p_pros, alpha)
+            a, b, c = boundary_counts(gold, pred)
+            tp, fp, fn = tp + a, fp + b, fn + c
+        f1 = prf_from_counts(tp, fp, fn)[2]
+        if f1 >= best_f1:
+            best_alpha, best_f1 = alpha, f1
+    return best_alpha

@@ -8,9 +8,11 @@ import pytest
 
 from sentbound import training
 from sentbound.errors import ContractError
-from sentbound.numerics import NetBatch, NetConfig, NetInput, SequenceNet
+from sentbound.numerics import NetBatch, NetConfig, NetInput, SequenceNet, kernels, network
 from sentbound.numerics.loss import weighted_cross_entropy
 from sentbound.numerics.network import flat_vector
+
+from kernel_reference import scatter_input_grads_reference
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -405,3 +407,64 @@ def test_later_blocks_scatter_only_their_embedding_rows():
     finally:
         tracemalloc.stop()
     assert peak <= 25e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("variant", ["rcnn", "cnn", "rnn", "mlp"])
+def test_embedding_scatter_matches_the_add_at_reference(variant, monkeypatch):
+    """A batch's first block and a later one, which adds into its
+    gradients, give the vector of the np.add.at scatter bit for bit."""
+    net, params = batch_net(variant)
+    first, _ = stacked(ragged_items(net.cfg, RAGGED))
+    later, _ = stacked(ragged_items(net.cfg, (6, 6, 2, 5), seed=9))
+
+    def two_blocks():
+        _, grads, _ = net.loss_and_grads(params, first, CLASS_WEIGHTS, mode="inference")
+        once = flat_vector(grads).copy()
+        net.loss_and_grads(params, later, CLASS_WEIGHTS, mode="inference", into=grads)
+        return once, flat_vector(grads)
+
+    got = two_blocks()
+    monkeypatch.setattr(SequenceNet, "_scatter_input_grads",
+                        lambda self, *args: scatter_input_grads_reference(self, *args))
+    want = two_blocks()
+    for g, w in zip(got, want):
+        npt.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("variant", ["rcnn", "cnn"])
+def test_dense_input_backward_computes_no_input_gradient(variant, monkeypatch):
+    """No GEMM of a dense-input conv net's pass yields rows of the input's
+    width (13), where the same net on 13-wide embeddings does; its
+    gradients equal bit for bit those of a backward whose conv computes
+    the input gradient all the same."""
+    shape = dict(variant=variant, conv_filters=4, conv_width=5, pool_width=3,
+                 rec_units=4, hidden_units=6)
+    widths = set()
+
+    def recorded(fn):
+        def row_matmul(a, w):
+            out = fn(a, w)
+            widths.add(out.shape[-1])
+            return out
+        return row_matmul
+
+    def widths_and_grads(cfg):
+        net = SequenceNet(cfg)
+        params = net.init_params(np.random.default_rng(2))
+        batch, _ = stacked(ragged_items(cfg, RAGGED))
+        with monkeypatch.context() as patch:
+            for module in (kernels, network, network.lstm_ops):
+                patch.setattr(module, "row_matmul", recorded(module.row_matmul))
+            widths.clear()
+            _, grads, _ = net.loss_and_grads(params, batch, CLASS_WEIGHTS, mode="inference")
+        return set(widths), net, params, batch, grads
+
+    lexical = NetConfig(word_vocab=7, word_dim=9, tag_vocab=3, tag_dim=4, **shape)
+    assert 13 in widths_and_grads(lexical)[0]
+    seen, net, params, batch, got = widths_and_grads(NetConfig(dense_dim=13, **shape))
+    assert 13 not in seen
+    conv1d_backward = kernels.conv1d_backward
+    monkeypatch.setattr(network, "conv1d_backward",
+                        lambda *args, input_grad: conv1d_backward(*args, input_grad=True))
+    _, want, _ = net.loss_and_grads(params, batch, CLASS_WEIGHTS, mode="inference")
+    npt.assert_array_equal(flat_vector(got), flat_vector(want))

@@ -19,9 +19,9 @@ from sentbound.numerics import (
     softmax,
     weighted_cross_entropy,
 )
-from sentbound.numerics.kernels import conv_windows
+from sentbound.numerics.kernels import conv1d_backward, conv_windows, maxpool1d_backward
 from sentbound.numerics import NetBatch, NetConfig, NetInput, SequenceNet
-from sentbound.numerics.network import flat_vector
+from sentbound.numerics.network import flat_vector, live_dropout
 from sentbound.numerics.optim import STEP_CHUNK
 from sentbound.numerics.lstm import (
     GATES,
@@ -34,7 +34,9 @@ from sentbound.numerics.lstm import (
 from kernel_reference import (
     conv1d_same_forward,
     dense_forward,
+    maxpool1d_backward_reference,
     maxpool1d_same_reference,
+    per_sequence_dropout_reference,
     rmsprop_reference_step,
 )
 from lstm_reference import bilstm_forward, direction_outputs, fuse_gates, lstm_cell_step
@@ -144,6 +146,19 @@ class TestConv1d:
         assert out.shape == (m, 4)
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize("h_c", [1, 4, 5])
+    def test_backward_without_input_grad_skips_only_d_x(self, h_c, rng):
+        """Bit for bit the same weight and bias gradients, and no d_x."""
+        x = rng.standard_normal((7, 3, 5))
+        filters = rng.standard_normal((4, h_c * 5))
+        d_out = rng.standard_normal((7, 3, 4))
+        want_w, want_b, want_x = conv1d_backward(d_out, x, filters, input_grad=True)
+        assert want_x.shape == x.shape
+        d_w, d_b, d_x = conv1d_backward(d_out, x, filters, input_grad=False)
+        npt.assert_array_equal(d_w, want_w)
+        npt.assert_array_equal(d_b, want_b)
+        assert d_x is None
+
 
 class TestMaxPool:
     def test_hand_evaluation(self):
@@ -186,6 +201,18 @@ class TestMaxPool:
     def test_nan_propagates(self):
         out = maxpool1d_same(np.array([[1.0], [np.nan], [2.0], [0.0], [0.0]]), 3)
         assert np.isnan(out[:3, 0]).all() and out[4, 0] == 0.0
+
+    @pytest.mark.parametrize("h_m", [1, 3, 4, 7])
+    @pytest.mark.parametrize("shape", [(1, 3), (9, 4), (12, 3, 5)])
+    def test_backward_matches_the_add_at_reference_bit_for_bit(self, h_m, shape, rng):
+        """Rows that win several windows sum gradients spread over 16
+        orders of magnitude, so any other order of addition shows."""
+        c = rng.integers(-2, 3, size=shape).astype(np.float64) / 3.0
+        c[rng.random(shape[:1]) < 0.3] = -np.inf
+        _, argrow = maxpool1d_same(c, h_m, return_argmax=True)
+        d_out = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        want = maxpool1d_backward_reference(d_out, argrow)
+        npt.assert_array_equal(maxpool1d_backward(d_out, argrow), want)
 
 
 def zero_direction_weights(n_r, d_in):
@@ -420,6 +447,20 @@ class TestDropout:
     def test_train_needs_rng(self):
         with pytest.raises(ContractError):
             dropout_apply(np.ones((2, 2)), 0.5, None)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    @pytest.mark.parametrize("lengths", [(9, 4, 1), (1, 6), (5, 5), (3,)])
+    def test_block_draw_equals_one_draw_per_sequence(self, rate, lengths, rng):
+        """Output, mask and the rng's next draw match dropout drawn one
+        sequence at a time, on ragged and on full blocks."""
+        h = rng.standard_normal((max(lengths), len(lengths), 5))
+        live = np.arange(h.shape[0])[:, None] < np.array(lengths)
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        out, mask = live_dropout(h, live, rate, ours)
+        want_out, want_mask = per_sequence_dropout_reference(h, lengths, rate, theirs)
+        npt.assert_array_equal(out, want_out)
+        npt.assert_array_equal(mask, want_mask)
+        assert ours.random() == theirs.random()
 
 
 class TestWeightedCrossEntropy:

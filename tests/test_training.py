@@ -1,4 +1,5 @@
-"""Work counts and memory of the training loop, checked without any timing."""
+"""Work counts and memory of the training loop, checked without any
+timing; the configuration checks; and the edge cases of alpha tuning."""
 
 import tracemalloc
 
@@ -6,11 +7,14 @@ import numpy as np
 import pytest
 
 from sentbound import training
-from sentbound.corpus import SynthSpec, synth_generate
+from sentbound.corpus import LABEL_B, LABEL_NB, SynthSpec, synth_generate
+from sentbound.errors import ContractError
 from sentbound.evaluation import EvalConfig, cross_validated_eval
 from sentbound.features import EmbeddingTable
 from sentbound.model import Hyperparams
 from sentbound.numerics import network
+
+from kernel_reference import tune_alpha_reference
 
 
 def test_one_lstm_pass_per_training_block(monkeypatch):
@@ -87,3 +91,60 @@ def test_training_holds_one_gradient_vector(bucket_width, bound):
     finally:
         tracemalloc.stop()
     assert peak - start <= bound
+
+
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_train_config_rejects_fewer_than_one_epoch(epochs):
+    with pytest.raises(ContractError, match="must be positive"):
+        training.TrainConfig(epochs=epochs)
+
+
+THREE_ROWS, FOUR_ROWS = np.full((3, 2), 0.5), np.full((4, 2), 0.5)
+
+
+# The second case of each: two texts whose mismatches cancel out once
+# their rows are joined.
+@pytest.mark.parametrize("probs, gold", [
+    ([THREE_ROWS], [[LABEL_B, LABEL_NB]]),
+    ([THREE_ROWS, THREE_ROWS], [[LABEL_B] * 2, [LABEL_B] * 4]),
+])
+def test_alpha_tuning_rejects_labels_of_another_length(probs, gold):
+    with pytest.raises(ContractError, match="disagree in length"):
+        training.tune_alpha_from_probs(probs, probs, gold)
+
+
+@pytest.mark.parametrize("lex, pros", [
+    ([THREE_ROWS], [FOUR_ROWS]),
+    ([THREE_ROWS, FOUR_ROWS], [FOUR_ROWS, THREE_ROWS]),
+])
+def test_alpha_tuning_rejects_probabilities_of_another_shape(lex, pros):
+    with pytest.raises(ContractError, match="probability shapes disagree"):
+        training.tune_alpha_from_probs(lex, pros, [[LABEL_B] * len(p) for p in lex])
+
+
+def test_alpha_tuning_of_no_texts_keeps_the_lexical_model():
+    assert training.tune_alpha_from_probs([], [], []) == 1.0
+
+
+def test_alpha_tuning_breaks_exact_ties_towards_the_larger_alpha():
+    """The boundary wins the fused row for alpha 0 .. 0.4 only (alpha 0.5
+    is an exact tie, which goes to NB), so five alphas share the best F1;
+    with equal rows every alpha does."""
+    p_lex, p_pros = np.array([[0.6, 0.4]]), np.array([[0.4, 0.6]])
+    assert training.tune_alpha_from_probs([p_lex], [p_pros], [[LABEL_B]]) == 0.4
+    assert training.tune_alpha_from_probs([p_lex], [p_lex], [[LABEL_B]]) == 1.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_alpha_tuning_matches_fusing_every_text_at_every_alpha(seed):
+    """Texts of 0 to 9 rows whose probabilities take a few values, so that
+    fused rows and F1 scores tie often."""
+    rng = np.random.default_rng(seed)
+    lex, pros, gold = [], [], []
+    for m in rng.integers(0, 10, size=rng.integers(0, 7)):
+        for probs in (lex, pros):
+            b = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9], size=m)
+            probs.append(np.stack([1.0 - b, b], axis=1))
+        gold.append([LABEL_B if g else LABEL_NB for g in rng.random(m) < 0.4])
+    want = tune_alpha_reference(lex, pros, gold)
+    assert training.tune_alpha_from_probs(lex, pros, gold) == want
