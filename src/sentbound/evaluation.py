@@ -6,9 +6,9 @@ are pooled by summing tp/fp/fn counts (micro-averaging) because per-fold
 boundary counts are small.
 
 A split trains one ModelBundle per active feature family. Each bundle
-encodes and predicts its own texts (ModelBundle.probs, the path the
-segmenter uses too), and every run scores the fused rows, with the
-absent family's weight at 0.
+encodes its own texts, and the split's bundles predict them together
+(model.predict_texts, the path the segmenter uses too); every run scores
+the fused rows, with the absent family's weight at 0.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +24,7 @@ from .model import (
     boundary_counts,
     fuse,
     parse_feature_set,
+    predict_texts,
     prf_from_counts,
 )
 from .training import (
@@ -181,10 +182,12 @@ def _train_pair(variant, feature_set, train_texts, config, fold_index, logs=None
 
 
 def _predictions(models, texts, config):
-    """(p_lex, p_pros, gold) per text from _train_pair's models; an absent
-    model gives None. Nothing runs until the first triple is asked for."""
-    probs = [[None] * len(texts) if m is None else m.probs(texts, config.train.batch_size)
-             for m in models]
+    """(p_lex, p_pros, gold) per text from _train_pair's models, which
+    predict_texts runs together; an absent model gives None. Nothing runs
+    until the first triple is asked for."""
+    present = iter(predict_texts([m for m in models if m is not None], texts,
+                                 config.train.batch_size))
+    probs = [[None] * len(texts) if m is None else next(present) for m in models]
     yield from zip(*probs, (t.labels for t in texts))
 
 
@@ -220,7 +223,7 @@ def cross_validated_eval(corpus, variant, feature_set, config: EvalConfig):
         models = _train_pair(variant, feature_set, train_texts, config, fold)
         for t, triple in zip(test_texts, _predictions(models, test_texts, config)):
             oof[t.id] = (fold, triple)
-        del models  # frees them and their prepared weights before the next fold trains
+        del models  # frees them before the next fold trains
     alpha = resolve_alpha(feature_set, config, (oof[tid][1] for tid in sorted(oof)))
     per_fold_counts = [[0, 0, 0] for _ in range(plan.k)]
     for tid in sorted(oof):

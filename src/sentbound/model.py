@@ -11,14 +11,17 @@ and the predicted label is the argmax of the fused row, with exact ties
 resolved to NB (the majority class).
 
 Each model is a ModelBundle that owns its whole input identity (its
-vocabularies, or its prosody statistics), the encoder built from it, and
-its prediction: ModelBundle.probs is the one place that turns texts into
-probabilities, for the segmenter and the evaluation runs alike. A bundle
-prepares its LSTM weights for inference on its first prediction and
-reuses them while its params are unchanged: train_model calls
-params_changed before each update, so the prepared weights never
-outlive the params they came from. A prediction keeps no backward
-state.
+vocabularies, or its prosody statistics) and the encoder built from it.
+predict_texts is the one place that turns texts into probabilities, for
+the segmenter and the evaluation runs alike, under one or more bundles
+at once: nets whose LSTMs have one width run as one pass per block, so
+the lexical and prosodic LSTMs advance in one loop (lockstep_groups).
+The LSTM weights are prepared for inference where the nets that run
+together live: a TrainedSegmenter prepares them once (passes) and
+reuses them for every request, a request at alpha = 1 reading the
+lexical half; an evaluation run prepares them once per call of
+predict_texts. Bundles hold no prepared weights, so training in place
+leaves none stale. A prediction keeps no backward state.
 """
 
 import json
@@ -191,37 +194,57 @@ class ModelBundle:
             for tokens, name in ((self.word_tokens, "emb_word"), (self.tag_tokens, "emb_tag"))
         ))
 
-    @cached_property
-    def lstm_prep(self):
-        """The LSTM weights as a pass reads them (net.prepare_lstm), built
-        once and valid while params stay as they are; train_model calls
-        params_changed before each update."""
-        return self.net.prepare_lstm(self.params)
 
-    def params_changed(self):
-        """Forget the prepared LSTM weights; call it before changing params
-        in place, and the next probs call prepares them again."""
-        self.__dict__.pop("lstm_prep", None)
+def lockstep_groups(bundles):
+    """The passes that predict texts with bundles: one per group of nets
+    with LSTMs of one width, whose LSTMs run in one loop, and one per
+    other net. Returns (indices, prepared) per pass, in order of first
+    index: the bundles' indices, ascending, and the prepare_weights of
+    their LSTM directions in that order (None without an LSTM). The
+    prepared weights stay valid while the bundles' params do."""
+    groups = {}
+    for i, bundle in enumerate(bundles):
+        cfg = bundle.net.cfg
+        key = ("lstm", cfg.rec_units) if cfg.variant in ("rcnn", "rnn") else ("alone", i)
+        groups.setdefault(key, []).append(i)
+    passes = []
+    for indices in groups.values():
+        first, *rest = (bundles[i] for i in indices)
+        partners = [(b.net, b.params) for b in rest]
+        passes.append((tuple(indices), first.net.prepare_lstm(first.params, partners)))
+    return passes
 
-    def probs(self, texts, batch_size=1):
-        """The (m, 2) probability rows of each text, in order.
 
-        The texts go through the network batch_size at a time like a
-        training batch, so that a block's transient arrays (the conv
-        window stack above all) grow no larger than in training; each
-        batch goes as time-major blocks of at most BLOCK_ROWS padded rows,
-        and each row's live prefix is cut out of its block's probs.
-        """
-        items = [(inp, len(inp)) for inp in map(self.encoder.encode, texts)]
-        out = []
+def predict_texts(bundles, texts, batch_size=1, passes=None):
+    """The (m, 2) probability rows of each text under each bundle: one
+    list per bundle, in order.
+
+    passes, lockstep_groups(bundles) when not given, says which nets run
+    together and holds their prepared LSTM weights. The texts go through
+    the network batch_size at a time like a training batch, so that a
+    block's transient arrays (the conv window stack above all) grow no
+    larger than in training; each batch goes as time-major blocks of at
+    most BLOCK_ROWS padded rows, one SequenceNet.forward per pass and
+    block, and each row's live prefix is cut out of its block's probs.
+    """
+    if passes is None:
+        passes = lockstep_groups(bundles)
+    encoded = [[bundle.encoder.encode(text) for text in texts] for bundle in bundles]
+    items = list(enumerate(map(len, encoded[0])))
+    out = [[] for _ in bundles]
+    for indices, prepared in passes:
+        first, *rest = (bundles[k] for k in indices)
         for start in range(0, len(items), batch_size):
             for block in row_blocks(items[start : start + batch_size]):
-                inputs, lengths = zip(*block)
-                probs, _ = self.net.forward(
-                    self.params, NetBatch.stack(inputs, lengths), lstm_prep=self.lstm_prep
-                )
-                out.extend(probs[:m, b].copy() for b, m in enumerate(lengths))
-        return out
+                rows, lengths = zip(*block)
+                batches = [NetBatch.stack([encoded[k][r] for r in rows], lengths)
+                           for k in indices]
+                partners = [(b.net, b.params, batch) for b, batch in zip(rest, batches[1:])]
+                probs, _ = first.net.forward(first.params, batches[0], lstm_prep=prepared,
+                                             partners=partners)
+                for k, p in zip(indices, probs if partners else [probs]):
+                    out[k].extend(p[:m, b].copy() for b, m in enumerate(lengths))
+    return out
 
 
 # ------------------------------------------------------------------ fusion
@@ -316,14 +339,29 @@ class TrainedSegmenter:
         if self.prosodic is None and self.alpha < 1.0:
             raise ContractError("alpha < 1 needs a prosodic model")
 
+    @cached_property
+    def passes(self):
+        """lockstep_groups of the lexical and prosodic bundles: with LSTMs
+        of one width, their weights are prepared once for one loop."""
+        return lockstep_groups([b for b in (self.lexical, self.prosodic) if b is not None])
+
     def predict_probs(self, text, alpha=None):
         """Per-word fused probabilities for one text. Returns (labels, fused);
-        the prosodic model runs only when its weight 1 - alpha is nonzero."""
+        the prosodic model runs only when its weight 1 - alpha is nonzero.
+        The prepared weights (passes) are kept while the params stay as
+        they are."""
         alpha = self.alpha if alpha is None else alpha
-        [p_lex] = self.lexical.probs([text])
-        p_pros = None
         if self.prosodic is not None and alpha < 1.0:
-            [p_pros] = self.prosodic.probs([text])
+            [p_lex], [p_pros] = predict_texts((self.lexical, self.prosodic), [text],
+                                              passes=self.passes)
+        else:
+            # The lexical net comes first in its pass, so its prepared
+            # directions are the first two.
+            _, prepared = self.passes[0]
+            if prepared is not None:
+                prepared = tuple(part[:2] for part in prepared)
+            [[p_lex]] = predict_texts((self.lexical,), [text], passes=[((0,), prepared)])
+            p_pros = None
         return fuse(p_lex, p_pros, alpha)
 
     def predict(self, text, alpha=None):

@@ -1,4 +1,4 @@
-"""Fused LSTM passes over time-major blocks, both directions in lockstep.
+"""Fused LSTM passes over time-major blocks, every direction in lockstep.
 
 A direction's weights live in a plain dict with the four gates fused in
 GATES order (rows i, f, o, g of n_r each) and matrices in the
@@ -24,26 +24,36 @@ its live prefix and never reach a live output; when the gradient on
 every padded output is zero, BPTT gives the padded steps exactly zero
 gradient too.
 
-The D = 2 directions of the bidirectional layer are independently
+The bidirectional layer of a net has D = 2 directions, independently
 parameterised LSTMs over two blocks of the same shape; SequenceNet
 feeds the second one each row's reversed live prefix and sums the two
-projected outputs. Their recurrences are independent, so one Python
-time-step loop advances both: the gate pre-activations are held as
-(T, 4, D, B, n), so a step's i/f/o slice (3, D, B, n) and g slice
-(D, B, n) are contiguous, and each step runs one stacked (D, B, n) @
-(D, n, 4n) matmul. Each direction's input projection, recurrent GEMM
-and gradient epilogue keep the shapes of a lone direction, so a
-direction's outputs and gradients do not depend on its partner.
-direction_forward and direction_backward keep their names as the entry
-points of that lockstep pair.
+projected outputs. Nets that predict the same texts with LSTMs of one
+width run together, D = 2 x nets. The recurrences are independent, so
+one Python time-step loop advances them all: the gate pre-activations
+are held as (steps, 4, D, B, n), so a step's i/f/o slice (3, D, B, n) and g
+slice (D, B, n) are contiguous, and each step runs one stacked
+(D, B, n) @ (D, n, 4n) matmul. Each direction's input projection,
+recurrent GEMM and gradient epilogue keep the shapes of a lone
+direction, so a direction's outputs and gradients do not depend on what
+runs beside it. direction_forward and direction_backward keep their
+names as the entry points of that lockstep loop.
 
 A pass reads the weights in a prepared form (prepare_weights):
 transposed, sign-folded and stacked. The form is a pure function of the
 weight dicts, so a caller whose weights do not change builds it once
-and passes it to every pass. A pass keeps its backward state only
-when asked: an inference pass holds the gate pre-activations and the h
-history its outputs need, c and tanh(c) in one-step buffers, and
-returns no cache.
+and passes it to every pass; the first 2k directions of a prepared form
+(each part sliced [:2k]) are the prepared form of those directions.
+A pass keeps its backward state only when asked. A training pass
+projects the inputs of all T steps at once, since BPTT reads every
+step's gates. An inference pass holds the h history its outputs need,
+c and tanh(c) in one-step buffers, and the gate pre-activations of a
+chunk of steps: it projects its inputs PROJECTION_BYTES' worth of
+steps at a time (projection_chunks) and returns no cache. A chunk's
+GEMM has at least MIN_GEMM_ROWS rows, as a shorter tail joins the chunk
+before it: at 4 rows and more, the rows of a GEMM with the F-ordered
+wx_t equal the same rows of the whole-T GEMM bit for bit (with
+numpy 2.4's OpenBLAS 0.3.31, tested in test_numerics), while a 1-row
+product takes another summation order.
 """
 
 import numpy as np
@@ -51,6 +61,12 @@ import numpy as np
 from .kernels import row_matmul, row_outer_sum, row_sum
 
 GATES = ("i", "f", "o", "g")
+# Bytes of gate pre-activations an inference pass projects at once: 40
+# steps of a request to both default-size nets (D = 4, B = 1, n = 100),
+# against 2.56 MB for all steps of a 200-token one. Smaller chunks cost
+# time, as each GEMM packs its weights again.
+PROJECTION_BYTES = 1 << 19
+MIN_GEMM_ROWS = 4  # of a projection chunk, unless the block has fewer
 
 
 def prepare_weights(weights):
@@ -73,28 +89,41 @@ def prepare_weights(weights):
     )
 
 
+def projection_chunks(steps, rows, step_bytes):
+    """The (start, stop) step ranges whose inputs an inference pass
+    projects at once: PROJECTION_BYTES' worth of steps of step_bytes
+    each, but at least MIN_GEMM_ROWS GEMM rows (steps x rows) each; a
+    shorter tail joins the chunk before it."""
+    size = max(PROJECTION_BYTES // step_bytes, -(-MIN_GEMM_ROWS // rows))
+    starts = list(range(0, steps, size))
+    if len(starts) > 1 and (steps - starts[-1]) * rows < MIN_GEMM_ROWS:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [steps]))
+
+
 def lstm_sequence_forward(xs, prepared, keep_cache=False):
     """Run D fused-gate LSTMs in lockstep, each over its own block.
 
-    xs: D blocks (T, B, d_in) of one shape; prepared: prepare_weights of
-    the D directions. Every row starts from a zero state. Returns (h,
-    cache), h of shape (T, D, B, n). The cache, which only
-    lstm_sequence_backward reads, is kept only when keep_cache is set;
-    otherwise it is None and c and tanh(c) live in one-step buffers.
+    xs: D blocks (T, B, d_in) of one (T, B), each of its direction's
+    d_in; prepared: prepare_weights of the D directions. Every row starts
+    from a zero state. Returns (h, cache), h of shape (T, D, B, n). The
+    cache, which only lstm_sequence_backward reads, is kept only when
+    keep_cache is set; otherwise it is None, c and tanh(c) live in
+    one-step buffers and the inputs are projected a chunk of steps at a
+    time (projection_chunks).
     """
     wx_t, b, wh_t = prepared
     steps, rows = xs[0].shape[:2]
     dirs = len(xs)
     n = wh_t.shape[1]
+    if keep_cache:
+        chunks = [(0, steps)]
+    else:
+        chunks = projection_chunks(steps, rows, 4 * dirs * rows * n * 8)
     # The loop adds the recurrent term to each step's pre-activations and
     # turns them into gate activations in place, so the cache holds one
     # gate array.
-    gates = np.empty((steps, 4, dirs, rows, n))
-    for d, (x, wx_t_d, b_d) in enumerate(zip(xs, wx_t, b)):
-        z = row_matmul(x, wx_t_d)
-        z += b_d
-        gates[:, :, d] = z.reshape(steps, rows, 4, n).transpose(0, 2, 1, 3)
-        del z
+    gates = np.empty((max(stop - start for start, stop in chunks), 4, dirs, rows, n))
     sig = gates[:, :3]
     i, f, o, g = (gates[:, k] for k in range(4))
     kept = steps if keep_cache else 1  # steps of c and tanh(c) held
@@ -107,23 +136,32 @@ def lstm_sequence_forward(xs, prepared, keep_cache=False):
     # gates then saturate at exactly 0 or 1, so neither is a fault. NaN
     # (invalid) still warns, and softmax refuses it.
     with np.errstate(over="ignore"):
-        for t in range(steps):
-            if t:
-                rec = np.matmul(hs[t - 1], wh_t)
-                gates[t] += rec.reshape(dirs, rows, 4, n).transpose(2, 0, 1, 3)
-            s = sig[t]
-            np.exp(s, out=s)
-            s += 1.0
-            np.divide(1.0, s, out=s)
-            g_t = g[t]
-            np.tanh(g_t, out=g_t)
-            c_t = cs[t % kept]
-            np.multiply(f[t], c, out=c_t)
-            c_t += i[t] * g_t
-            tc_t = tc[t % kept]
-            np.tanh(c_t, out=tc_t)
-            np.multiply(o[t], tc_t, out=hs[t])
-            c = c_t
+        for start, stop in chunks:
+            for d, (x, wx_t_d, b_d) in enumerate(zip(xs, wx_t, b)):
+                z = row_matmul(x[start:stop], wx_t_d)
+                z += b_d
+                gates[: stop - start, :, d] = (
+                    z.reshape(stop - start, rows, 4, n).transpose(0, 2, 1, 3)
+                )
+                del z
+            for t in range(start, stop):
+                k = t - start
+                if t:
+                    rec = np.matmul(hs[t - 1], wh_t)
+                    gates[k] += rec.reshape(dirs, rows, 4, n).transpose(2, 0, 1, 3)
+                s = sig[k]
+                np.exp(s, out=s)
+                s += 1.0
+                np.divide(1.0, s, out=s)
+                g_k = g[k]
+                np.tanh(g_k, out=g_k)
+                c_t = cs[t % kept]
+                np.multiply(f[k], c, out=c_t)
+                c_t += i[k] * g_k
+                tc_t = tc[t % kept]
+                np.tanh(c_t, out=tc_t)
+                np.multiply(o[k], tc_t, out=hs[t])
+                c = c_t
     if not keep_cache:
         return hs, None
     return hs, {"x": list(xs), "gates": gates, "c": cs, "tanh_c": tc, "h": hs}
@@ -200,19 +238,21 @@ def lstm_sequence_backward(d_hs, cache, weights):
     return out
 
 
-def direction_forward(x_fwd, x_bwd, weights, prepared=None, keep_cache=False):
-    """Both directions of the bidirectional layer: LSTM plus output projection.
+def direction_forward(*xs, weights, prepared=None, keep_cache=False):
+    """The bidirectional layers of one or more nets: LSTM plus output
+    projection, every direction in one lockstep loop.
 
-    x_fwd and x_bwd are (T, B, d) blocks, the second direction's input
-    already reversed by the caller; weights holds the two directions'
-    dicts, and prepared their prepare_weights, which is built from
-    weights when not given. Returns ((y_fwd, y_bwd), cache); y_t = wy @
-    h_t + by (identity activation) in each direction, and the cache,
-    which direction_backward needs, is None unless keep_cache is set.
+    xs are D (T, B, d) blocks, two per net: its block, then the block its
+    second direction reads, already reversed by the caller. weights
+    holds the D directions' dicts in that order, and prepared their
+    prepare_weights, which is built from weights when not given. Returns
+    (ys, cache): ys holds each direction's y_t = wy @ h_t + by (identity
+    activation), and the cache, which direction_backward needs for one
+    net's pair, is None unless keep_cache is set.
     """
     if prepared is None:
         prepared = prepare_weights(weights)
-    hs, cache = lstm_sequence_forward((x_fwd, x_bwd), prepared, keep_cache)
+    hs, cache = lstm_sequence_forward(xs, prepared, keep_cache)
     ys = tuple(
         row_matmul(hs[:, d], w["wy"].T) + w["by"] for d, w in enumerate(weights)
     )

@@ -38,10 +38,18 @@ reversed copy.
 forward keeps what backward reads only when its caller asks for it, as
 loss_and_grads does whatever the mode; any other pass builds no pool
 argmax, keeps no layer inputs or outputs and no LSTM history, and
-returns no cache. It can also take the LSTM weights already prepared
-(prepare_lstm), which stay valid while the params do. Only embedding
-tables read the gradient at the input, so backward does not scatter it
-for a dense-input net, and that net's conv does not compute it.
+returns no cache. An inference pass may also carry partners: other nets
+with LSTMs of the same width on blocks of the same texts, such as a
+segmenter's lexical and prosodic nets. Each net runs its own layers
+below and above the LSTM, and the LSTM directions of all of them
+advance in one direction_forward call (D = 2 x nets); a lone net is the
+one-net case of that pass. The net holds no prepared LSTM weights:
+prepare_lstm builds them for a net and its partners, and the caller
+that keeps the nets together keeps them (model.predict_texts and
+TrainedSegmenter) and passes them to forward, valid while the params
+stay as they are. Only embedding tables read the gradient at the input,
+so backward does not scatter it for a dense-input net, and that net's
+conv does not compute it.
 """
 
 import math
@@ -189,14 +197,27 @@ def live_dropout(h, live, rate, rng):
     The rows are gathered sequence by sequence (all live steps of row 0,
     then of row 1, ...), so the draws equal those of one call per
     sequence in row order. Returns (out, mask), both zero on padded
-    steps.
+    steps. The dropped rows are scattered and freed before the mask
+    block is made, so at most one gathered copy and two blocks coexist.
     """
     by_row = live.T
     dropped, kept = dropout_apply(h.transpose(1, 0, 2)[by_row], rate, rng)
-    out, mask = np.zeros_like(h), np.zeros_like(h)
+    out = np.zeros_like(h)
     out.transpose(1, 0, 2)[by_row] = dropped
+    del dropped
+    mask = np.zeros_like(h)
     mask.transpose(1, 0, 2)[by_row] = kept
     return out, mask
+
+
+def _keeper(cache):
+    """cache.update, or a no-op when no cache is kept."""
+    return (lambda **_: None) if cache is None else cache.update
+
+
+def _lstm_directions(pairs):
+    """The LSTM direction weight dicts of (net, params) pairs, in order."""
+    return [w for net, params in pairs for w in net.lstm_weights(flat_vector(params))]
 
 
 def flat_vector(arrays):
@@ -324,14 +345,16 @@ class SequenceNet:
         return tuple({key: self._view(vector, f"{direction}_{key}") for key in LSTM_KEYS}
                      for direction in ("fwd", "bwd"))
 
-    def prepare_lstm(self, params):
-        """lstm_ops.prepare_weights of both directions; None without an LSTM."""
+    def prepare_lstm(self, params, partners=()):
+        """lstm_ops.prepare_weights of the LSTM directions of this net and
+        then of its partners, (net, params) pairs that run in one loop with
+        it (forward); None without an LSTM."""
         if self.cfg.variant not in ("rcnn", "rnn"):
             return None
-        return lstm_ops.prepare_weights(self.lstm_weights(flat_vector(params)))
+        return lstm_ops.prepare_weights(_lstm_directions(((self, params), *partners)))
 
     def forward(self, params, block, mode="inference", rng=None, keep_cache=False,
-                lstm_prep=None):
+                lstm_prep=None, partners=()):
         """Run the stack on a NetBatch block. Returns (probs, cache).
 
         probs are (T, B, 2), row-stochastic, and finite but meaningless on
@@ -343,31 +366,71 @@ class SequenceNet:
         backward() and is built only when keep_cache is set; otherwise it
         is None and the pass holds nothing that only backward reads: no
         pool argmax, no layer inputs or outputs, no LSTM history.
-        lstm_prep, prepare_lstm(params) built once, saves preparing the
-        LSTM weights on every pass; it must come from these params.
+        lstm_prep, prepare_lstm(params, partners) built once, saves
+        preparing the LSTM weights on every pass; it must come from these
+        params.
+
+        partners, (net, params, block) triples, run in this inference
+        pass: nets with LSTMs of this net's width, on blocks of this
+        block's shape and lengths (the same texts, as each net encodes
+        them). Every net's layers run as in a pass of its own, except
+        that all their LSTM directions advance in one loop; probs is then
+        the list of each net's probs, this net's first.
         """
         if mode not in ("train", "inference"):
             raise ContractError(f"unknown mode {mode!r}")
-        cfg = self.cfg
-        x = self._assemble_input(params, block)
+        nets = ((self, params, block), *partners)
+        if partners and (mode == "train" or keep_cache or any(
+                net.cfg.variant not in ("rcnn", "rnn")
+                or net.cfg.rec_units != self.cfg.rec_units for net, _, _ in nets)):
+            raise ContractError("only inference passes of LSTMs of one width run together")
+        xs = [net._assemble_input(p, b) for net, p, b in nets]
         lengths = block.lengths
-        if x.shape[0] < 1 or lengths.min() < 1 or lengths.max() > x.shape[0]:
+        steps = xs[0].shape[0]
+        if steps < 1 or lengths.min() < 1 or lengths.max() > steps:
             raise ContractError("empty sequence or length outside the block")
-        live = np.arange(x.shape[0])[:, None] < lengths
+        if partners and any(x.shape[:2] != xs[0].shape[:2]
+                            or not np.array_equal(b.lengths, lengths)
+                            for x, (_, _, b) in zip(xs, nets)):
+            raise ContractError("nets that run together need blocks of one shape")
+        live = np.arange(steps)[:, None] < lengths
         pad = None if live.all() else ~live
+        cache = {} if keep_cache else None
+        keep = _keeper(cache)
+        keep(inp=block, pad=pad)
+        hs = [net._input_layers(p, x, pad, cache) for (net, p, _), x in zip(nets, xs)]
+        del xs
+        if self.cfg.variant in ("rcnn", "rnn"):
+            t = np.arange(steps)[:, None]
+            # An involution: each row's live prefix reversed, padding kept.
+            rev = (np.where(live, lengths - 1 - t, t), np.arange(len(lengths)))
+            weights = _lstm_directions((net, p) for net, p, _ in nets)
+            ys, lstm_cache = lstm_ops.direction_forward(
+                *(x for h in hs for x in (h, h[rev])), weights=weights,
+                prepared=lstm_prep, keep_cache=keep_cache,
+            )
+            keep(lstm=lstm_cache, lstm_weights=weights, rev=rev)
+            hs = [y_f + y_b[rev] for y_f, y_b in zip(ys[::2], ys[1::2])]
+            del ys
+        probs = [net._output_layers(p, h, live, mode, rng, cache)
+                 for (net, p, _), h in zip(nets, hs)]
+        return (probs if partners else probs[0]), cache
+
+    def _input_layers(self, params, x, pad, cache):
+        """The layers below the LSTM (conv and max-pool, or the mlp's
+        hidden layer) on the (T, B, d) input; the identity for an rnn.
+        What backward reads goes into cache unless it is None."""
+        cfg, keep = self.cfg, _keeper(cache)
         if pad is not None:
             x = np.where(pad[..., None], 0.0, x)
-        cache = {} if keep_cache else None
-        keep = cache.update if keep_cache else lambda **_: None
-        keep(inp=block, pad=pad)
         h = x
         if cfg.variant in ("rcnn", "cnn"):
             pre = row_matmul(conv_windows(h, cfg.conv_width), params["conv_w"].T)
             conv_out = activation_fn(CONV_ACTIVATION)(pre + params["conv_b"])
             if pad is not None:
                 conv_out[pad] = -np.inf
-            pooled = maxpool1d_same(conv_out, cfg.pool_width, return_argmax=keep_cache)
-            if keep_cache:
+            pooled = maxpool1d_same(conv_out, cfg.pool_width, return_argmax=cache is not None)
+            if cache is not None:
                 pooled, argrow = pooled
                 keep(conv_in=h, conv_out=conv_out, pool_argrow=argrow)
             if pad is not None:
@@ -378,23 +441,17 @@ class SequenceNet:
             hidden = activation_fn("sigmoid")(pre)
             keep(mlp_in=h, mlp_out=hidden)
             h = hidden
-        if cfg.variant in ("rcnn", "rnn"):
-            steps = np.arange(h.shape[0])[:, None]
-            # An involution: each row's live prefix reversed, padding kept.
-            rev = (np.where(live, lengths - 1 - steps, steps), np.arange(len(lengths)))
-            weights = self.lstm_weights(flat_vector(params))
-            (y_f, y_b), lstm_cache = lstm_ops.direction_forward(
-                h, h[rev], weights, lstm_prep, keep_cache
-            )
-            keep(lstm=lstm_cache, lstm_weights=weights, rev=rev)
-            h = y_f + y_b[rev]
-        if cfg.variant != "mlp" and mode == "train":
-            h, mask = live_dropout(h, live, cfg.dropout, rng)
+        return h
+
+    def _output_layers(self, params, h, live, mode, rng, cache):
+        """Dropout in train mode, then the dense softmax layer."""
+        keep = _keeper(cache)
+        if self.cfg.variant != "mlp" and mode == "train":
+            h, mask = live_dropout(h, live, self.cfg.dropout, rng)
             keep(dropout_mask=mask)
         logits = row_matmul(h, params["out_w"]) + params["out_b"]
-        probs = softmax(logits)
         keep(out_in=h)
-        return probs, cache
+        return softmax(logits)
 
     # -------------------------------------------------------------- backward
 

@@ -286,7 +286,6 @@ def train_model(bundle, train_texts, config, rng, log=None):
                     ) from exc
                 grad = flat_vector(grads)
                 grad *= 1.0 / n_active
-                bundle.params_changed()
                 rmsprop_step(theta, grad, state)
                 del grads, grad  # not alive while the next batch's one is made
             epoch_loss += loss

@@ -9,6 +9,7 @@ import pytest
 from sentbound import training
 from sentbound.errors import ContractError
 from sentbound.numerics import NetBatch, NetConfig, NetInput, SequenceNet, kernels, network
+from sentbound.numerics import lstm as lstm_ops
 from sentbound.numerics.loss import weighted_cross_entropy
 from sentbound.numerics.network import flat_vector
 
@@ -256,6 +257,69 @@ def test_inference_pass_matches_the_cache_keeping_pass(variant):
             assert no_cache is None
             npt.assert_array_equal(got, want)
         npt.assert_array_equal(plain.forward(plain_params, batch)[0], want)
+
+
+LOCKSTEP_UNITS = 16
+
+
+def lockstep_nets():
+    """A lexical and a prosodic rcnn of cv-rcnn-short's width, with params."""
+    rng = np.random.default_rng(2)
+    nets = (
+        SequenceNet(NetConfig(variant="rcnn", conv_filters=16, rec_units=LOCKSTEP_UNITS,
+                              word_vocab=7, word_dim=8, tag_vocab=3, tag_dim=4)),
+        SequenceNet(NetConfig(variant="rcnn", conv_filters=8, conv_width=5,
+                              rec_units=LOCKSTEP_UNITS, dense_dim=13)),
+    )
+    return [(net, net.init_params(rng)) for net in nets]
+
+
+@pytest.mark.parametrize("steps, rows, chunks", [
+    (3, 1, [3]), (4, 1, [4]), (9, 1, [4, 5]), (10, 1, [4, 6]),
+    (3, 2, [3]), (4, 2, [4]), (9, 2, [4, 5]), (10, 2, [4, 4, 2]),
+    (3, 4, [3]), (4, 4, [4]), (9, 4, [4, 4, 1]),
+    (3, 5, [3]), (4, 5, [4]), (10, 5, [4, 4, 2]),
+])
+def test_lockstep_pass_equals_each_net_alone(steps, rows, chunks, monkeypatch):
+    """Two nets whose LSTMs run in one loop give each net's probs of a
+    whole-T pass of its own bit for bit, on ragged blocks whose inputs
+    the loop projects in chunks of K = 4 steps: T below, at and above K,
+    with tails of fewer than 4 GEMM rows joining the chunk before."""
+    step_bytes = 4 * 4 * rows * LOCKSTEP_UNITS * 8  # four directions
+    monkeypatch.setattr(lstm_ops, "PROJECTION_BYTES", 4 * step_bytes)
+    assert [b - a for a, b in lstm_ops.projection_chunks(steps, rows, step_bytes)] == chunks
+    (lexical, lex_params), (prosodic, pros_params) = pairs = lockstep_nets()
+    lengths = [steps] + [max(1, steps - 3 * b) for b in range(1, rows)]
+    blocks = [stacked(ragged_items(net.cfg, lengths))[0] for net, _ in pairs]
+    want = [net.forward(params, block, keep_cache=True)[0]
+            for (net, params), block in zip(pairs, blocks)]
+    prepared = lexical.prepare_lstm(lex_params, [(prosodic, pros_params)])
+    got, cache = lexical.forward(lex_params, blocks[0], lstm_prep=prepared,
+                                 partners=[(prosodic, pros_params, blocks[1])])
+    assert cache is None and len(got) == 2
+    for g, w in zip(got, want):
+        npt.assert_array_equal(g, w)
+
+
+def test_only_inference_passes_of_one_width_run_together():
+    (lexical, lex_params), (prosodic, pros_params) = lockstep_nets()
+    other = SequenceNet(NetConfig(variant="rcnn", rec_units=8, dense_dim=13))
+    cnn = SequenceNet(NetConfig(variant="cnn", dense_dim=13))
+    lengths = [5, 3]
+    block = stacked(ragged_items(lexical.cfg, lengths))[0]
+    dense = stacked(ragged_items(prosodic.cfg, lengths))[0]
+    rng = np.random.default_rng(0)
+    for partner, kwargs in (
+        ((other, other.init_params(rng), dense), {}),
+        ((cnn, cnn.init_params(rng), dense), {}),
+        ((prosodic, pros_params, dense), {"keep_cache": True}),
+        ((prosodic, pros_params, dense), {"mode": "train", "rng": rng}),
+    ):
+        with pytest.raises(ContractError, match="one width"):
+            lexical.forward(lex_params, block, partners=[partner], **kwargs)
+    shorter = stacked(ragged_items(prosodic.cfg, [5, 2]))[0]
+    with pytest.raises(ContractError, match="blocks of one shape"):
+        lexical.forward(lex_params, block, partners=[(prosodic, pros_params, shorter)])
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.4])

@@ -26,7 +26,9 @@ from sentbound.model import (
     fuse,
     labels_from_probs,
     load_model,
+    lockstep_groups,
     parse_feature_set,
+    predict_texts,
     save_model,
 )
 from sentbound.numerics import lstm as lstm_ops
@@ -364,22 +366,95 @@ def test_saturating_gates_predict_without_warnings(tmp_path):
         assert np.isfinite(fused).all()
 
 
-def test_each_bundle_prepares_its_lstm_weights_once(monkeypatch):
-    """Over 10 requests each bundle prepares its LSTM weights once, and
-    no inference pass asks the max-pool for its argmax."""
+def test_a_segmenter_prepares_its_lstm_weights_once(monkeypatch):
+    """Over 10 requests the segmenter prepares the LSTM weights of both
+    bundles once, in one call over their four directions, and no
+    inference pass asks the max-pool for its argmax."""
     segmenter = tiny_segmenter()
     prepared, argmax_asked = [], []
     prepare = lstm_ops.prepare_weights
     pool = network.maxpool1d_same
     monkeypatch.setattr(lstm_ops, "prepare_weights",
-                        lambda weights: prepared.append(1) or prepare(weights))
+                        lambda weights: prepared.append(len(weights)) or prepare(weights))
     monkeypatch.setattr(network, "maxpool1d_same", lambda c, h_m, return_argmax=False: (
         argmax_asked.append(return_argmax) or pool(c, h_m, return_argmax)
     ))
     for seed in range(10):
         segmenter.predict_probs(sample_text(4 + seed, seed))
-    assert len(prepared) == 2  # lexical and prosodic
+    assert prepared == [4]  # lexical and prosodic, two directions each
     assert argmax_asked == [False] * 20
+
+
+def counted_lstm_calls(monkeypatch):
+    """(directions, steps, prepared) of every direction_forward call."""
+    calls = []
+    direction_forward = network.lstm_ops.direction_forward
+
+    def counted(*xs, **kwargs):
+        calls.append((len(xs), len(xs[0]), kwargs["prepared"]))
+        return direction_forward(*xs, **kwargs)
+
+    monkeypatch.setattr(network.lstm_ops, "direction_forward", counted)
+    return calls
+
+
+def test_a_two_net_request_runs_one_lstm_loop(monkeypatch):
+    """The lexical and prosodic LSTMs of one width advance in one loop:
+    one direction_forward call of four directions over the text's steps."""
+    segmenter = tiny_segmenter()
+    calls = counted_lstm_calls(monkeypatch)
+    segmenter.predict_probs(sample_text(7))
+    assert [(dirs, steps) for dirs, steps, _ in calls] == [(4, 7)]
+
+
+def test_a_request_at_alpha_one_runs_the_lexical_net_alone(monkeypatch):
+    """At alpha = 1 the loop runs the lexical net's two directions on a
+    view of its half of the segmenter's prepared weights, and gives the
+    rows of the lexical bundle predicting alone."""
+    segmenter = tiny_segmenter()
+    text = sample_text(6)
+    calls = counted_lstm_calls(monkeypatch)
+    _, fused = segmenter.predict_probs(text, alpha=1.0)
+    [(dirs, steps, prepared)] = calls
+    assert (dirs, steps) == (2, 6)
+    [(indices, joint)] = segmenter.passes
+    assert indices == (0, 1)
+    assert prepared[2].base is joint[2] and len(prepared[2]) == 2
+    [[want]] = predict_texts([segmenter.lexical], [text])
+    np.testing.assert_array_equal(fused, want)
+
+
+@pytest.mark.parametrize("variant, units, groups, loops", [
+    ("rcnn", 4, [(0, 1)], 1),
+    ("rnn", 4, [(0, 1)], 1),
+    ("rcnn", 3, [(0,), (1,)], 2),
+    ("cnn", 4, [(0,), (1,)], 1),
+    ("mlp", 4, [(0,), (1,)], 1),
+])
+def test_bundles_predict_together_as_each_alone(variant, units, groups, loops, monkeypatch):
+    """Nets with LSTMs of one width share a loop; one of another width,
+    or without an LSTM, runs alone. Either way each bundle's rows equal
+    those it predicts alone, and each batch block runs one loop per
+    group with an LSTM."""
+    rng = np.random.default_rng(3)
+    hp = Hyperparams(word_dim=3, tag_dim=2, conv_filters=4, rec_units=4)
+    lexical = make_lexical_bundle(
+        "rcnn", hp, EmbeddingTable.from_tokens(["a", "b"], hp.word_dim, rng), None, rng
+    )
+    prosodic = make_prosodic_bundle(
+        variant, Hyperparams(conv_filters=4, rec_units=units),
+        ProsodyStats(np.zeros(13), np.ones(13)), rng,
+    )
+    bundles = [lexical, prosodic]
+    assert [indices for indices, _ in lockstep_groups(bundles)] == groups
+    texts = [sample_text(m, seed) for seed, m in enumerate((5, 9, 2, 7, 4))]
+    calls = counted_lstm_calls(monkeypatch)
+    together = predict_texts(bundles, texts, batch_size=2)
+    assert len(calls) == 3 * loops  # LSTM loops per block, three blocks of two texts at most
+    for bundle, rows in zip(bundles, together):
+        [alone] = predict_texts([bundle], texts, batch_size=2)
+        for got, want in zip(rows, alone, strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_training_drops_the_prepared_weights():
@@ -387,13 +462,14 @@ def test_training_drops_the_prepared_weights():
     trained params, not from LSTM weights prepared before training."""
     bundle = tiny_segmenter().lexical
     texts = [sample_text(m, seed) for seed, m in enumerate((6, 9, 4))]
-    before = bundle.probs(texts)
+    [before] = predict_texts([bundle], texts)
     train_model(bundle, texts, TrainConfig(epochs=1, batch_size=2), np.random.default_rng(0))
     fresh = ModelBundle(
         bundle.net, bundle.net.views(network.flat_vector(bundle.params).copy()),
         bundle.hyperparams, bundle.word_tokens, bundle.tag_tokens,
     )
-    for old, got, want in zip(before, bundle.probs(texts), fresh.probs(texts)):
+    [after], [fresh_rows] = predict_texts([bundle], texts), predict_texts([fresh], texts)
+    for old, got, want in zip(before, after, fresh_rows):
         assert not np.array_equal(got, old)
         np.testing.assert_array_equal(got, want)
 

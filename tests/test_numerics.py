@@ -1,6 +1,7 @@
 """Unit tests for the numeric kernels, LSTM, loss, and optimizer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -23,12 +24,15 @@ from sentbound.numerics.kernels import conv1d_backward, conv_windows, maxpool1d_
 from sentbound.numerics import NetBatch, NetConfig, NetInput, SequenceNet
 from sentbound.numerics.network import flat_vector, live_dropout
 from sentbound.numerics.optim import STEP_CHUNK
+from sentbound.numerics import lstm as lstm_ops
 from sentbound.numerics.lstm import (
     GATES,
+    MIN_GEMM_ROWS,
     direction_backward,
     direction_forward,
     lstm_sequence_forward,
     prepare_weights,
+    projection_chunks,
 )
 
 from kernel_reference import (
@@ -304,7 +308,8 @@ class TestLstmCell:
 def lockstep_bilstm(x, fwd, bwd):
     """The library's lockstep pass over one (m, d) sequence, as a block of one."""
     block = x[:, None, :]
-    (y_f, y_b), _ = direction_forward(block, block[::-1], (fuse_gates(fwd), fuse_gates(bwd)))
+    (y_f, y_b), _ = direction_forward(block, block[::-1],
+                                      weights=(fuse_gates(fwd), fuse_gates(bwd)))
     return (y_f + y_b[::-1])[:, 0]
 
 
@@ -354,7 +359,7 @@ class TestBlockLstm:
         partner = random_direction_weights(n_r, d_in, rng)
         block = rng.normal(size=(max(self.LENGTHS), len(self.LENGTHS), d_in))
         (y, _), _ = direction_forward(
-            block, rng.normal(size=block.shape), (fuse_gates(w), fuse_gates(partner))
+            block, rng.normal(size=block.shape), weights=(fuse_gates(w), fuse_gates(partner))
         )
         for b, m in enumerate(self.LENGTHS):
             h, c = np.zeros(n_r), np.zeros(n_r)
@@ -375,7 +380,7 @@ class TestBlockLstm:
             block[: len(seq), b] = seq
             reversed_block[: len(seq), b] = seq[::-1]
         (y_f, y_b), _ = direction_forward(
-            block, reversed_block, (fuse_gates(fwd), fuse_gates(bwd))
+            block, reversed_block, weights=(fuse_gates(fwd), fuse_gates(bwd))
         )
         for b, seq in enumerate(seqs):
             npt.assert_allclose(y_f[: len(seq), b], direction_outputs(seq, fwd), atol=1e-12)
@@ -394,7 +399,8 @@ class TestBlockLstm:
         for _ in range(2):
             partner = fuse_gates(random_direction_weights(n_r, d_in, rng))
             other = rng.normal(size=shape)
-            (y, y_other), cache = direction_forward(x, other, (w, partner), keep_cache=True)
+            (y, y_other), cache = direction_forward(x, other, weights=(w, partner),
+                                                   keep_cache=True)
             (grads, _), (d_x, _) = direction_backward(
                 d_y, rng.normal(size=y_other.shape), cache, (w, partner)
             )
@@ -423,6 +429,52 @@ class TestBlockLstm:
             y = lockstep_bilstm(x, weights["fwd"], weights["bwd"])
             want = softmax(y @ params["out_w"] + params["out_b"])
             npt.assert_allclose(probs[: len(x), b], want, atol=1e-12)
+
+
+class TestProjectionChunks:
+    """An inference pass projects its inputs a chunk of steps at a time."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("steps_per_chunk", [7, 5, 2, 1, 0.5])
+    def test_chunks_tile_the_steps_with_enough_gemm_rows(self, rows, steps_per_chunk):
+        """The chunks tile [0, T) in order; all but the last hold the
+        steps PROJECTION_BYTES buys, or the fewest with MIN_GEMM_ROWS
+        rows; the last has at least MIN_GEMM_ROWS rows unless it is the
+        whole block, and a shorter tail has joined it."""
+        step_bytes = int(lstm_ops.PROJECTION_BYTES / steps_per_chunk)
+        size = max(lstm_ops.PROJECTION_BYTES // step_bytes, -(-MIN_GEMM_ROWS // rows))
+        for steps in range(1, 3 * size + 4):
+            chunks = projection_chunks(steps, rows, step_bytes)
+            starts, stops = zip(*chunks)
+            assert starts[0] == 0 and stops[-1] == steps
+            assert list(starts[1:]) == list(stops[:-1])
+            assert all(stop - start == size for start, stop in chunks[:-1])
+            last = stops[-1] - starts[-1]
+            assert len(chunks) == 1 or last * rows >= MIN_GEMM_ROWS
+            assert last < size or (last - size) * rows < MIN_GEMM_ROWS
+
+    def test_a_short_tail_joins_the_chunk_before_it(self):
+        step = lstm_ops.PROJECTION_BYTES // 4  # four steps a chunk
+        assert projection_chunks(9, 1, step) == [(0, 4), (4, 9)]
+        assert projection_chunks(10, 2, step) == [(0, 4), (4, 8), (8, 10)]
+        assert projection_chunks(9, 4, step) == [(0, 4), (4, 8), (8, 9)]
+        assert projection_chunks(3, 1, step) == [(0, 3)]
+
+    @pytest.mark.parametrize("d_in, n", [(100, 100), (60, 100), (8, 100), (16, 16),
+                                         (13, 16), (4, 4)])
+    def test_chunked_gemm_rows_equal_the_whole_gemm_rows(self, d_in, n, rng):
+        """The premise of chunked inference, checked on the BLAS that runs
+        the tests: the rows of a product of MIN_GEMM_ROWS or more rows with
+        prepare_weights' F-ordered wx_t are bit for bit those of the
+        whole product."""
+        [wx_t], _, _ = prepare_weights([fuse_gates(random_direction_weights(n, d_in, rng))])
+        assert wx_t.flags.f_contiguous and not wx_t.flags.c_contiguous
+        x = rng.normal(size=(300, d_in))
+        whole = x @ wx_t
+        for size in range(MIN_GEMM_ROWS, MIN_GEMM_ROWS + 6):
+            for start in range(0, len(x) - size + 1, size):
+                npt.assert_array_equal(x[start : start + size] @ wx_t,
+                                       whole[start : start + size])
 
 
 class TestDropout:
@@ -461,6 +513,24 @@ class TestDropout:
         npt.assert_array_equal(out, want_out)
         npt.assert_array_equal(mask, want_mask)
         assert ours.random() == theirs.random()
+
+    def test_block_draw_holds_one_gathered_copy_beside_two_blocks(self, rng):
+        """The dropped rows are scattered and freed before the mask block
+        is made: on a (60, 4, 100) block the traced peak stays under two
+        blocks and 1.5 live-row copies (606 kB). Holding the dropped rows
+        and the mask block at once peaked at 687 kB."""
+        lengths = np.array([60, 55, 40, 30])
+        h = rng.standard_normal((60, 4, 100))
+        live = np.arange(60)[:, None] < lengths
+        live_bytes = int(lengths.sum()) * h.shape[2] * h.itemsize
+        live_dropout(h, live, 0.5, np.random.default_rng(1))  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            live_dropout(h, live, 0.5, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * h.nbytes + 1.5 * live_bytes, f"traced peak {peak} bytes"
 
 
 class TestWeightedCrossEntropy:

@@ -19,9 +19,9 @@ from kernel_reference import tune_alpha_reference
 
 def test_one_lstm_pass_per_training_block(monkeypatch):
     """One lockstep LSTM call (both directions) per training batch, and
-    per batch of test texts and model: a per-sequence training loop would
-    multiply the first term by the batch size, and so would per-text
-    predictions the second."""
+    one per batch of test texts for both models together: a per-sequence
+    training loop would multiply the first term by the batch size, and
+    per-text or per-model predictions would multiply the second."""
     corpus = synth_generate(SynthSpec(
         n_texts=16, mean_sentence_len=8.0, boundary_cue_token="então",
         cue_reliability=0.9, prosody_cue_strength=2.0, vocab_size=20, seed=3,
@@ -60,8 +60,8 @@ def test_one_lstm_pass_per_training_block(monkeypatch):
         batches = [lengths[i : i + size] for i in range(0, len(lengths), size)]
         # every batch of test texts fits in one block
         assert all(max(b) * len(b) <= training.BLOCK_ROWS for b in batches)
-        prediction_blocks += 2 * len(batches)  # lexical and prosodic model
-    assert prediction_blocks < 2 * len(corpus)
+        prediction_blocks += len(batches)  # lexical and prosodic model, in one loop
+    assert prediction_blocks < len(corpus)
     assert calls["batches"] >= 2 * 2 * 2  # two models, two folds, two batches
     assert calls["lstm"] == calls["batches"] + prediction_blocks
     assert report.tp + report.fn == sum(t.n_boundaries for t in corpus)
