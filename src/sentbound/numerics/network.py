@@ -4,16 +4,18 @@ One SequenceNet owns the architecture and the parameter layout. A
 model's parameters are one contiguous float64 vector; params is an
 ordered dict of named views into it (SequenceNet.views), so the
 serializer and the finite-difference tests iterate names while the
-optimizer and the gradient scaling run on the whole vector
-(flat_vector). The gradients backward returns and the RMSProp
-accumulator share the layout. A training batch has one gradient vector:
-its first block's backward makes it, once the LSTM's backward state is
-freed, and each later block's backward adds every gradient into it in
-place as soon as that gradient is computed (into). The vector follows
-the dict's key order, except that each LSTM direction stores its
-i/f/o/g blocks of wx, of wh and of b next to each other, so the fused
-(4n, ...) gate weights that lstm.py reads are views too (lstm_weights).
-1-D parameters are biases; everything else is a weight matrix.
+optimizer runs on the whole vector (flat_vector). The gradient is a
+plain vector in the same layout, and so is the RMSProp accumulator;
+views names the gradient's parts where a caller wants them. A training
+batch has one gradient vector, and every block fills it the same way:
+backward runs the LSTM's backward pass, takes the vector of the batch's
+earlier blocks (into) or, for the first block, a zero vector made only
+then, and adds each parameter's gradient into its part of it. The
+vector follows the dict's key order, except that each LSTM direction
+stores its i/f/o/g blocks of wx, of wh and of b next to each other, so
+the fused (4n, ...) gate weights that lstm.py reads are views too
+(lstm_weights). 1-D parameters are biases; everything else is a weight
+matrix.
 
 Variant stacks (every layer keeps the sequence length):
 
@@ -456,52 +458,51 @@ class SequenceNet:
     # -------------------------------------------------------------- backward
 
     def backward(self, params, cache, d_logits, into=None):
-        """Exact gradients of the summed loss for every parameter, as views
-        of one vector laid out like the params.
+        """Exact gradients of the summed loss for every parameter, as one
+        vector laid out like the params (views names its parts).
 
         Requires the cache of a prior keep_cache forward pass on the same
         block and consumes its LSTM part; d_logits is the loss gradient at
         the pre-softmax logits, shaped like the probs and zero on the
-        block's padded steps (as loss_and_grads makes it). into, the
-        gradients of an earlier pass, makes this pass add each gradient
-        into them in place as soon as it is computed, and return them.
-        Only embedding tables read the gradient at the input, so the conv
-        of a dense-input net does not compute it.
+        block's padded steps (as loss_and_grads makes it). The gradients
+        are added into into, the vector of an earlier pass, which is
+        returned, or into a new zero vector. Only embedding tables read
+        the gradient at the input, so the conv of a dense-input net does
+        not compute it.
         """
         if cache is None:
             raise ContractError("backward needs the cache of a keep_cache forward pass")
         cfg = self.cfg
         pad = cache["pad"]
         input_grad = not cfg.dense_dim
-        adding = into is not None
-        if adding:
-            vector = flat_vector(into)
-
-            def put(name, value):
-                view = self._view(vector, name)
-                view += value
-        else:
-            grads = {}
-            put = grads.__setitem__
-
-        put("out_w", row_outer_sum(cache["out_in"], d_logits))
-        put("out_b", row_sum(d_logits))
         dh = row_matmul(d_logits, params["out_w"].T)
         if "dropout_mask" in cache:
             dh = dh * cache["dropout_mask"]
+        lstm_grads = ()
         if cfg.variant in ("rcnn", "rnn"):
             rev = cache["rev"]
-            grads_fb, (dx_f, dx_b) = lstm_ops.direction_backward(
+            lstm_grads, (dx_f, dx_b) = lstm_ops.direction_backward(
                 dh, dh[rev], cache.pop("lstm"), cache["lstm_weights"]
             )
-            for direction, g in zip(("fwd", "bwd"), grads_fb):
-                for key, value in g.items():
-                    put(f"{direction}_{key}", value)
             dh = dx_f + dx_b[rev]
+        # A new vector is made only now, once the LSTM's backward state is
+        # freed: beside that state it would raise the pass's peak memory.
+        vector = np.zeros(self.size) if into is None else into
+
+        def add(name, value):
+            view = self._view(vector, name)
+            view += value
+
+        add("out_w", row_outer_sum(cache["out_in"], d_logits))
+        add("out_b", row_sum(d_logits))
+        for direction, g in zip(("fwd", "bwd"), lstm_grads):
+            for key, value in g.items():
+                add(f"{direction}_{key}", value)
+        del lstm_grads
         if cfg.variant == "mlp":
             d_pre = dh * activation_grad("sigmoid", cache["mlp_out"])
-            put("mlp_w", row_outer_sum(cache["mlp_in"], d_pre))
-            put("mlp_b", row_sum(d_pre))
+            add("mlp_w", row_outer_sum(cache["mlp_in"], d_pre))
+            add("mlp_b", row_sum(d_pre))
             dh = row_matmul(d_pre, params["mlp_w"].T)
         if cfg.variant in ("rcnn", "cnn"):
             d_conv = maxpool1d_backward(dh, cache["pool_argrow"])
@@ -509,43 +510,30 @@ class SequenceNet:
             d_w, d_b, dh = conv1d_backward(
                 d_pre, cache["conv_in"], params["conv_w"], input_grad=input_grad
             )
-            put("conv_w", d_w)
-            put("conv_b", d_b)
-        if not adding:
-            # The first pass makes the vector only now, once the LSTM's
-            # backward state is freed, so that the vector does not raise
-            # the pass's peak memory; grads fill all of it but the
-            # embedding tables.
-            vector = np.empty(self.size)
-            for name, value in grads.items():
-                self._view(vector, name)[...] = value
-            del grads
-            into = self.views(vector)
+            add("conv_w", d_w)
+            add("conv_b", d_b)
         if input_grad:
             if pad is not None:
                 dh[pad] = 0.0  # the zeroed padding rows are constants
-            self._scatter_input_grads(cache["inp"], dh, into, adding)
-        return into
+            self._scatter_input_grads(cache["inp"], dh, vector)
+        return vector
 
-    def _scatter_input_grads(self, block, d_x, grads, add):
-        """Sum d_x into the rows of each embedding table's gradient that
-        the block's ids picked, on top of grads when add is set, else on
-        zeros. Each picked row's sum is formed first, by np.bincount in
-        block order, and then added to the table, so a row reads acc +
-        block."""
+    def _scatter_input_grads(self, block, d_x, vector):
+        """Add d_x into the rows of each embedding table's gradient, in the
+        gradient vector, that the block's ids picked. Each picked row's
+        sum is formed first, by np.bincount in block order, and then
+        added to the table, so a row reads acc + block."""
         cfg = self.cfg
         col = 0
         for name, ids, dim in (("emb_word", block.word_ids, cfg.word_dim),
                                ("emb_tag", block.tag_ids, cfg.tag_dim)):
-            if name in grads:
+            if name in self._where:
                 rows, where = np.unique(ids, return_inverse=True)
                 target = where.reshape(-1, 1) * dim + np.arange(dim)
                 sums = np.bincount(target.reshape(-1),
                                    weights=d_x[..., col : col + dim].reshape(-1),
                                    minlength=len(rows) * dim)
-                if not add:
-                    grads[name][...] = 0.0
-                grads[name][rows] += sums.reshape(len(rows), dim)
+                self._view(vector, name)[rows] += sums.reshape(len(rows), dim)
                 col += dim
 
     # ------------------------------------------------------------------ loss
@@ -556,8 +544,8 @@ class SequenceNet:
 
         The labels are the block's label01 (1 = boundary), and the loss
         covers exactly its live rows. Returns the summed loss, the
-        gradient dict and the live-row count; with into, an earlier
-        call's gradient dict, the gradients are added into it (backward)
+        gradient vector and the live-row count; with into, an earlier
+        call's gradient vector, the gradients are added into it (backward)
         and it is returned.
         """
         probs, cache = self.forward(params, block, mode=mode, rng=rng, keep_cache=True)
@@ -569,5 +557,5 @@ class SequenceNet:
         loss, d_logits = weighted_cross_entropy(
             y_true, rows, class_weights, active.reshape(-1)
         )
-        grads = self.backward(params, cache, d_logits.reshape(probs.shape), into=into)
-        return loss, grads, int(active.sum())
+        grad = self.backward(params, cache, d_logits.reshape(probs.shape), into=into)
+        return loss, grad, int(active.sum())

@@ -6,10 +6,10 @@ into time-major blocks (NetBatch) and runs one forward and one backward
 pass per block; the network keeps padded steps out of every active
 result, so padding can never change one. Gradients are averaged over the
 active positions of the batch and applied with RMSProp. A batch has one
-gradient vector, laid out like the parameter vector
-(network.flat_vector): the first block's backward pass makes it, every
-later block adds into it in place, and it is dropped once the update
-has read it. The averaging and the update each run on the whole vector.
+gradient vector, laid out like the parameter vector: each block's
+backward pass adds its gradients into it (the first block's makes it),
+and it is dropped once the update has read it. The averaging and the
+update each run on the whole vector.
 All shuffling, initialisation, and dropout randomness flows from one
 generator, so a fixed seed reproduces the loss trace and the final
 parameters bit for bit.
@@ -175,23 +175,23 @@ def batch_loss_and_grads(net, params, items, class_weights, mode="train", rng=No
 
     Each sequence enters its block up to the end of its mask's live
     prefix, in item order, and trailing padded rows are bit-for-bit
-    inert. The first block's gradients are the batch's one vector; later
-    blocks add into it.
+    inert. Every block adds into the batch's one gradient vector, which
+    is returned.
     """
     live = [(inp, length) for inp, mask in items
             if (length := active_prefix_length(mask))]
     if not live:
         raise ContractError("batch has no active positions")
-    total_loss, total_active, grads = 0.0, 0, None
+    total_loss, total_active, grad = 0.0, 0, None
     for block in blocks(live):
         inputs, lengths = zip(*block)
-        loss, grads, n_active = net.loss_and_grads(
+        loss, grad, n_active = net.loss_and_grads(
             params, NetBatch.stack(inputs, lengths), class_weights,
-            mode=mode, rng=rng, into=grads,
+            mode=mode, rng=rng, into=grad,
         )
         total_loss += loss
         total_active += n_active
-    return total_loss, grads, total_active
+    return total_loss, grad, total_active
 
 
 # ----------------------------------------------------------- bundle factory
@@ -275,7 +275,7 @@ def train_model(bundle, train_texts, config, rng, log=None):
             items = [pad_item(item, target) for item in chunk]
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
-                    loss, grads, n_active = batch_loss_and_grads(
+                    loss, grad, n_active = batch_loss_and_grads(
                         bundle.net, bundle.params, items, class_weights,
                         mode="train", rng=rng,
                     )
@@ -284,10 +284,9 @@ def train_model(bundle, train_texts, config, rng, log=None):
                         f"{exc} at epoch {epoch} batch {step}; "
                         f"parameter norms: {_param_norms(bundle.params)}"
                     ) from exc
-                grad = flat_vector(grads)
                 grad *= 1.0 / n_active
                 rmsprop_step(theta, grad, state)
-                del grads, grad  # not alive while the next batch's one is made
+                del grad  # not alive while the next batch's one is made
             epoch_loss += loss
             epoch_active += n_active
         mean_loss = epoch_loss / epoch_active

@@ -118,10 +118,11 @@ def maxpool1d_backward_reference(d_out, argrow):
     return d_in
 
 
-def scatter_input_grads_reference(net, block, d_x, grads, add):
+def scatter_input_grads_reference(net, block, d_x, vector):
     """SequenceNet._scatter_input_grads by np.add.at into a scratch of the
     block's unique rows of each embedding table."""
     cfg = net.cfg
+    grads = net.views(vector)
     col = 0
     for name, ids, dim in (("emb_word", block.word_ids, cfg.word_dim),
                            ("emb_tag", block.tag_ids, cfg.tag_dim)):
@@ -129,8 +130,6 @@ def scatter_input_grads_reference(net, block, d_x, grads, add):
             rows, where = np.unique(ids, return_inverse=True)
             sums = np.zeros((len(rows), dim))
             np.add.at(sums, where.reshape(ids.shape), d_x[..., col : col + dim])
-            if not add:
-                grads[name][...] = 0.0
             grads[name][rows] += sums
             col += dim
 

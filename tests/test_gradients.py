@@ -11,7 +11,6 @@ from sentbound.errors import ContractError
 from sentbound.numerics import NetBatch, NetConfig, NetInput, SequenceNet, kernels, network
 from sentbound.numerics import lstm as lstm_ops
 from sentbound.numerics.loss import weighted_cross_entropy
-from sentbound.numerics.network import flat_vector
 
 from kernel_reference import scatter_input_grads_reference
 
@@ -79,7 +78,8 @@ def loss_value(net, params, block, mask, rng_factory=None):
     return masked_loss(probs, block, mask)[0]
 
 
-def max_relative_error(net, params, block, mask, grads, rng_factory=None):
+def max_relative_error(net, params, block, mask, grad, rng_factory=None):
+    grads = net.views(grad)
     worst = 0.0
     for name, p in params.items():
         g = grads[name]
@@ -138,7 +138,7 @@ def test_zero_class_weights_zero_gradients():
     net, params, block, _ = tiny_problem("rcnn")
     loss, grads, _ = net.loss_and_grads(params, block, np.zeros(2), mode="inference")
     assert loss == 0.0
-    for name, g in grads.items():
+    for name, g in net.views(grads).items():
         npt.assert_array_equal(g, np.zeros_like(g), err_msg=name)
 
 
@@ -164,7 +164,7 @@ def test_masked_positions_contribute_nothing(variant):
     else:
         mask[masked_at - 2 : masked_at + 3] = False  # conv reach 1 + pool reach 1
     loss, grads = masked_loss_and_grads(net, params, block, mask)
-    npt.assert_array_equal(grads["emb_word"][lonely], np.zeros(4))
+    npt.assert_array_equal(net.views(grads)["emb_word"][lonely], np.zeros(4))
     params["emb_word"][lonely] += 0.37
     loss_after = loss_value(net, params, block, mask)
     assert loss_after == loss
@@ -224,8 +224,8 @@ def batch_net(variant, dropout=0.0):
     return net, net.init_params(np.random.default_rng(2))
 
 
-def assert_grads_close(got, want, rel=1e-12):
-    assert got.keys() == want.keys()
+def assert_grads_close(net, got, want, rel=1e-12):
+    got, want = net.views(got), net.views(want)
     for name in want:
         scale = max(np.abs(want[name]).max(), 1e-300)
         assert np.abs(got[name] - want[name]).max() <= rel * scale, name
@@ -336,7 +336,7 @@ def test_batch_equals_sum_of_batches_of_one(variant, dropout):
         )
         want_loss += loss
         want_active += n_active
-        want = grads if want is None else {k: want[k] + grads[k] for k in want}
+        want = grads if want is None else want + grads
     after = rng.random()
     rng = np.random.default_rng(8)
     batch, _ = stacked(items)
@@ -344,7 +344,7 @@ def test_batch_equals_sum_of_batches_of_one(variant, dropout):
     assert rng.random() == after
     assert n_active == want_active
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
-    assert_grads_close(grads, want)
+    assert_grads_close(net, grads, want)
 
 
 @pytest.mark.parametrize("variant", ["rcnn", "rnn", "dense"])
@@ -358,6 +358,7 @@ def test_padded_steps_are_inert(variant):
     zeroed = NetBatch.stack([inp for inp, _ in items], RAGGED)
     loss_0, grads_0, _ = net.loss_and_grads(params, zeroed, CLASS_WEIGHTS, mode="inference")
     assert loss == loss_0
+    grads, grads_0 = net.views(grads), net.views(grads_0)
     for name in grads:
         npt.assert_array_equal(grads[name], grads_0[name], err_msg=name)
 
@@ -373,6 +374,7 @@ def test_padded_steps_are_inert(variant):
         ))
     (loss_a, grads_a, active_a), (loss_b, grads_b, active_b) = results
     assert (loss_a, active_a) == (loss_b, active_b)
+    grads_a, grads_b = net.views(grads_a), net.views(grads_b)
     for name in grads_a:
         npt.assert_array_equal(grads_a[name], grads_b[name], err_msg=name)
 
@@ -393,10 +395,9 @@ def test_batch_over_the_row_cap_is_split_into_blocks(monkeypatch):
         net, params, items, CLASS_WEIGHTS, rng=np.random.default_rng(4)
     )
     assert len(blocks) == 2
-    want_grads = {k: want[1][k] + rest[1][k] for k in want[1]}
     assert n_active == want[2] + rest[2] == sum(lengths)
     assert abs(loss - (want[0] + rest[0])) <= 1e-12 * loss
-    assert_grads_close(grads, want_grads)
+    assert_grads_close(net, grads, want[1] + rest[1])
 
 
 def block_order_sum(net, params, groups, rng):
@@ -405,10 +406,9 @@ def block_order_sum(net, params, groups, rng):
     group order into a copy of the first."""
     total_loss, total, total_active = 0.0, None, 0
     for group in groups:
-        loss, grads, n_active = training.batch_loss_and_grads(
+        loss, vector, n_active = training.batch_loss_and_grads(
             net, params, group, CLASS_WEIGHTS, rng=rng
         )
-        vector = flat_vector(grads)
         total_loss += loss
         total_active += n_active
         if total is None:
@@ -421,7 +421,9 @@ def block_order_sum(net, params, groups, rng):
 def test_blocks_add_into_one_gradient_vector_bit_for_bit(monkeypatch):
     """Later blocks add into the first block's vector in place, giving the
     block-order sum of fresh per-block gradients exactly; word ids repeat
-    across the three blocks, so embedding rows get several additions."""
+    across the three blocks, so embedding rows get several additions.
+    loss_and_grads with into returns that vector itself, holding acc +
+    block bit for bit."""
     net, params = batch_net("rcnn", dropout=0.4)
     lengths = (100, 100, 90, 80, 60)  # blocks of (100, 100), (90, 80), (60,)
     raw = [inp for inp, _ in ragged_items(net.cfg, lengths)]
@@ -444,9 +446,17 @@ def test_blocks_add_into_one_gradient_vector_bit_for_bit(monkeypatch):
         net, params, items, CLASS_WEIGHTS, rng=np.random.default_rng(4)
     )
     assert len(returned) == 3
-    assert all(flat_vector(g) is flat_vector(grads) for g in returned)
+    assert all(g is grads for g in returned)
     assert (loss, n_active) == (want_loss, want_active)
-    npt.assert_array_equal(flat_vector(grads), want)
+    npt.assert_array_equal(grads, want)
+
+    first, later = (NetBatch.stack(raw[i:j], lengths[i:j]) for i, j in ((0, 2), (2, 4)))
+    acc = net.loss_and_grads(params, first, CLASS_WEIGHTS, mode="inference")[1]
+    block = net.loss_and_grads(params, later, CLASS_WEIGHTS, mode="inference")[1]
+    want = acc + block
+    got = net.loss_and_grads(params, later, CLASS_WEIGHTS, mode="inference", into=acc)[1]
+    assert got is acc
+    npt.assert_array_equal(got, want)
 
 
 def test_later_blocks_scatter_only_their_embedding_rows():
@@ -483,9 +493,9 @@ def test_embedding_scatter_matches_the_add_at_reference(variant, monkeypatch):
 
     def two_blocks():
         _, grads, _ = net.loss_and_grads(params, first, CLASS_WEIGHTS, mode="inference")
-        once = flat_vector(grads).copy()
+        once = grads.copy()
         net.loss_and_grads(params, later, CLASS_WEIGHTS, mode="inference", into=grads)
-        return once, flat_vector(grads)
+        return once, grads
 
     got = two_blocks()
     monkeypatch.setattr(SequenceNet, "_scatter_input_grads",
@@ -531,4 +541,4 @@ def test_dense_input_backward_computes_no_input_gradient(variant, monkeypatch):
     monkeypatch.setattr(network, "conv1d_backward",
                         lambda *args, input_grad: conv1d_backward(*args, input_grad=True))
     _, want, _ = net.loss_and_grads(params, batch, CLASS_WEIGHTS, mode="inference")
-    npt.assert_array_equal(flat_vector(got), flat_vector(want))
+    npt.assert_array_equal(got, want)

@@ -585,11 +585,12 @@ class TestParamLayout:
         assert list(params) == list(net.param_shapes())
         inp = NetInput(word_ids=rng.integers(0, 6, size=5), tag_ids=rng.integers(0, 4, size=5),
                        label01=rng.integers(0, 2, size=5))
-        _, grads, _ = net.loss_and_grads(params, NetBatch.stack([inp], [5]), np.ones(2),
-                                         rng=rng)
+        _, grad, _ = net.loss_and_grads(params, NetBatch.stack([inp], [5]), np.ones(2),
+                                        rng=rng)
+        grads = net.views(grad)
         assert list(grads) == list(params)
-        theta, grad = flat_vector(params), flat_vector(grads)
-        assert theta.shape == grad.shape == (net.size,)
+        theta = flat_vector(params)
+        assert theta.shape == grad.shape == (net.size,) and grad.flags.c_contiguous
         for name in params:
             assert np.shares_memory(params[name], theta)
             assert np.shares_memory(grads[name], grad)

@@ -93,6 +93,22 @@ def test_training_holds_one_gradient_vector(bucket_width, bound):
     assert peak - start <= bound
 
 
+def test_training_names_no_gradient_parts(monkeypatch):
+    """The gradient goes from backward to the RMSProp step as one vector:
+    an epoch builds no name -> view dict (SequenceNet.views)."""
+    texts = synth_generate(SynthSpec(n_texts=6, mean_sentences_per_text=2, seed=2)).texts
+    rng = np.random.default_rng(0)
+    hp = Hyperparams.lexical(conv_filters=4, rec_units=4)
+    words = EmbeddingTable.from_tokens([w for t in texts for w in t.tokens], hp.word_dim, rng)
+    bundle = training.make_lexical_bundle("rcnn", hp, words, None, rng)
+    calls = []
+    views = network.SequenceNet.views
+    monkeypatch.setattr(network.SequenceNet, "views",
+                        lambda self, vector: calls.append(1) or views(self, vector))
+    training.train_model(bundle, texts, training.TrainConfig(epochs=1, batch_size=2), rng)
+    assert calls == []
+
+
 @pytest.mark.parametrize("epochs", [0, -1])
 def test_train_config_rejects_fewer_than_one_epoch(epochs):
     with pytest.raises(ContractError, match="must be positive"):
