@@ -16,7 +16,7 @@ parameters bit for bit.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,17 +60,12 @@ def compute_class_weights(labels):
 # ---------------------------------------------------------------- bucketing
 
 
-@dataclass
-class Bucket:
-    ids: list
-    max_len: int
-
-
 def make_buckets(texts, bucket_width):
-    """Group texts into token-length ranges of the given width.
+    """Group text ids into token-length ranges of the given width.
 
-    Bucket k holds lengths in [k*width + 1, (k+1)*width]; empty ranges
-    are dropped. Each text lands in exactly one bucket.
+    Bucket k holds the ids of lengths in [k*width + 1, (k+1)*width], in
+    text order; empty ranges are dropped. Each text lands in exactly one
+    bucket.
     """
     if not texts:
         raise ContractError("no texts to bucket")
@@ -78,14 +73,8 @@ def make_buckets(texts, bucket_width):
         raise ContractError("bucket width must be >= 1")
     groups = {}
     for text in texts:
-        groups.setdefault((len(text) - 1) // bucket_width, []).append(text)
-    buckets = []
-    for key in sorted(groups):
-        members = groups[key]
-        buckets.append(
-            Bucket(ids=[t.id for t in members], max_len=max(len(t) for t in members))
-        )
-    return buckets
+        groups.setdefault((len(text) - 1) // bucket_width, []).append(text.id)
+    return [groups[key] for key in sorted(groups)]
 
 
 # -------------------------------------------------------------------- folds
@@ -198,7 +187,10 @@ def batch_loss_and_grads(net, params, items, class_weights, mode="train", rng=No
 
 
 def make_lexical_bundle(variant, hp, word_table, tag_table, rng):
-    """Initialise a lexical model; table vectors become the starting params."""
+    """Initialise a lexical model; table vectors become the starting params,
+    and a word table's width is the model's word_dim."""
+    if word_table is not None:
+        hp = replace(hp, word_dim=word_table.dim)
     cfg = lexical_config(
         variant,
         hp,
@@ -262,8 +254,8 @@ def train_model(bundle, train_texts, config, rng, log=None):
     for epoch in range(config.epochs):
         started = time.perf_counter()
         batches = []
-        for bucket in buckets:
-            order = [bucket.ids[i] for i in rng.permutation(len(bucket.ids))]
+        for ids in buckets:
+            order = [ids[i] for i in rng.permutation(len(ids))]
             for i in range(0, len(order), config.batch_size):
                 batches.append(order[i : i + config.batch_size])
         batch_order = rng.permutation(len(batches))

@@ -157,6 +157,41 @@ def test_eval(workdir, capsys):
     assert last[:3] == ["corpus", "rcnn", "embeddings+pos"]
 
 
+@pytest.fixture
+def narrow_embeddings(tmp_path):
+    """A pretrained table of 2 words and 3 dimensions, narrower than the
+    default word_dim."""
+    path = tmp_path / "vectors.txt"
+    path.write_text("2 3\nentão 0.1 0.2 0.3\na -0.4 0.5 0.6\n", encoding="utf-8")
+    return path
+
+
+def test_train_then_segment_with_narrow_embeddings(workdir, narrow_embeddings, capsys):
+    out = workdir / "narrow.dbnd"
+    assert cli.main([
+        "train", "--corpus", str(workdir / "corpus"), "--out", str(out),
+        "--embeddings", str(narrow_embeddings), *SMALL_MODEL,
+    ]) == 0
+    lexical = load_model(out).lexical
+    assert lexical.hyperparams.word_dim == 3
+    assert lexical.params["emb_word"].shape == (3, 3)
+    capsys.readouterr()
+    assert cli.main(["segment", "--model", str(out), "--input",
+                     str(workdir / "input.txt"), "--emit", "tsv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split("\t")[0] for row in rows] == "então a b c então d e".split()
+
+
+def test_eval_with_narrow_embeddings(workdir, narrow_embeddings, capsys):
+    code = cli.main([
+        "eval", "--corpus", str(workdir / "corpus"), "--folds", "2",
+        "--embeddings", str(narrow_embeddings), *SMALL_MODEL,
+    ])
+    assert code == 0
+    last = capsys.readouterr().out.splitlines()[-1].split("\t")
+    assert last[:3] == ["corpus", "rcnn", "embeddings+pos"]
+
+
 @pytest.mark.parametrize("command", ["train", "segment", "eval", "synth"])
 def test_jobs_flag_is_a_usage_error(workdir, command, capsys):
     args = {
