@@ -203,7 +203,7 @@ def _resolved(args):
 
 
 def _hyperparams(args):
-    shared = {"eta": args.eta, "epochs": args.epochs}
+    shared = {"eta": args.eta}
     for key in ("conv_filters", "rec_units"):
         if getattr(args, key) is not None:
             shared[key] = getattr(args, key)

@@ -56,7 +56,6 @@ class Hyperparams:
     gamma: float = 0.9
     eta: float = 0.001
     dropout_rate: float = 0.5
-    epochs: int = 20
 
     def __post_init__(self):
         for f in fields(self):
@@ -70,7 +69,7 @@ class Hyperparams:
                 )
         positive = (
             self.word_dim, self.tag_dim, self.conv_filters, self.conv_width,
-            self.pool_width, self.rec_units, self.mlp_hidden, self.eta, self.epochs,
+            self.pool_width, self.rec_units, self.mlp_hidden, self.eta,
         )
         if any(v <= 0 for v in positive):
             raise ContractError("hyperparameters must be positive")
@@ -452,8 +451,12 @@ def save_model(segmenter: TrainedSegmenter, path):
 def _rebuild_bundle(meta, blocks, prefix, stats=None):
     if not isinstance(meta, dict) or not _BUNDLE_META_KEYS <= meta.keys():
         raise ModelFileError(f"{prefix} meta lacks one of {sorted(_BUNDLE_META_KEYS)}")
+    stored = meta["hyperparams"]
+    if isinstance(stored, dict):
+        # containers written before the unread epochs field was dropped
+        stored = {key: value for key, value in stored.items() if key != "epochs"}
     try:
-        hp = Hyperparams(**meta["hyperparams"])
+        hp = Hyperparams(**stored)
     except (TypeError, ContractError) as exc:
         raise ModelFileError(f"{prefix} meta has bad hyperparams: {exc}") from exc
     word_tokens = meta["word_tokens"]

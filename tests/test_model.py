@@ -182,6 +182,23 @@ def test_crafted_container_matches_save_model(tmp_path):
     assert (tmp_path / "again.dbnd").read_bytes() == path.read_bytes()
 
 
+def test_container_with_the_retired_epochs_hyperparam_loads(tmp_path):
+    """Containers written while Hyperparams had an (unread) epochs field
+    store it in both models' meta; load_model ignores that key alone."""
+    segmenter = tiny_segmenter()
+    meta = intact_meta(segmenter)
+    for kind in ("lexical", "prosodic"):
+        meta[kind]["hyperparams"]["epochs"] = 20
+    path = tmp_path / "old.dbnd"
+    path.write_bytes(container(meta, segmenter))
+    loaded = load_model(path)
+    assert loaded.lexical.hyperparams == segmenter.lexical.hyperparams
+    np.testing.assert_array_equal(network.flat_vector(loaded.lexical.params),
+                                  network.flat_vector(segmenter.lexical.params))
+    save_model(loaded, tmp_path / "new.dbnd")
+    assert (tmp_path / "new.dbnd").read_bytes() == container(intact_meta(segmenter), segmenter)
+
+
 def _alpha_only(meta):
     return {"alpha": 1.0}, True
 
