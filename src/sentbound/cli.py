@@ -1,9 +1,11 @@
 """Command-line interface: train, segment, eval, synth.
 
-Exit codes: 0 success, 1 usage error, 2 data or contract error,
-3 numeric failure during training. Flags override values from an
-optional line-oriented "key = value" config file, and every run logs
-its fully resolved configuration.
+Exit codes: 0 success, 1 usage error, 2 data or contract error
+(including a path that cannot be read or written), 3 numeric failure
+during training. Flags override values from an optional line-oriented
+"key = value" config file, whose values are strings that each option
+converts with its own type, as it converts a flag; every run logs its
+fully resolved configuration.
 
 `segment` reads plain tokens, which carry no prosody and no PoS tags.
 Without --alpha it therefore segments with the lexical model alone
@@ -40,6 +42,7 @@ from .evaluation import (
 )
 from .features import load_embeddings
 from .model import Hyperparams, load_model, parse_feature_set, save_model
+from .numerics.network import VARIANTS
 from .training import TrainConfig
 
 log = logging.getLogger("sentbound")
@@ -75,7 +78,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_config_file(path):
-    """Parse "key = value" lines; '#' starts a comment."""
+    """Parse "key = value" lines into a dict of strings; '#' starts a
+    comment."""
     values = {}
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -84,19 +88,7 @@ def load_config_file(path):
         if "=" not in line:
             raise ParseError("expected 'key = value'", str(path), line_no)
         key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if value.lower() in ("true", "false"):
-            parsed = value.lower() == "true"
-        else:
-            try:
-                parsed = int(value)
-            except ValueError:
-                try:
-                    parsed = float(value)
-                except ValueError:
-                    parsed = value
-        values[key] = parsed
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -121,8 +113,7 @@ def _add_common(parser):
 
 
 def _add_model_knobs(parser):
-    parser.add_argument("--variant", default="rcnn",
-                        choices=["rcnn", "mlp", "cnn", "rnn"])
+    parser.add_argument("--variant", default="rcnn", choices=VARIANTS)
     parser.add_argument("--features", default=None,
                         help="embeddings|pos|prosody and + combinations, or all")
     parser.add_argument("--epochs", type=int, default=20)
@@ -403,7 +394,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ContractError, ModelFileError) as exc:
+    except (ParseError, ContractError, ModelFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

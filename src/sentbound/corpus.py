@@ -9,16 +9,17 @@ B class.
 File formats
 ------------
 tsv     one token per line: token<TAB>pos<TAB>prosody<TAB>label where
-        prosody is 13 space-separated reals or a single "-". Each text is
-        preceded by a header line "#id <text-id> group <GROUP>"; texts are
-        separated by blank lines. read_corpus reads it, from one file or
-        from a directory of *.tsv files, and write_corpus writes it.
+        prosody is 13 space-separated finite reals or a single "-". Each
+        text is preceded by a header line "#id <text-id> group <GROUP>";
+        texts are separated by blank lines. read_corpus reads it, from one
+        file or from a directory of *.tsv files, and write_corpus writes it.
 tokens  one text per file, UTF-8, tokens and inline punctuation separated
         by whitespace; no tags or prosody. The segment command reads it
         (labels_from_punctuation drops the marks), and the file's stem is
         the text id.
 """
 
+import math
 import zlib
 from dataclasses import dataclass
 from hashlib import sha256
@@ -72,6 +73,8 @@ class LabeledText:
                     f"text {self.id!r}: prosody shape {self.prosody.shape}, "
                     f"expected ({m}, {PROSODY_DIM})"
                 )
+            if not np.isfinite(self.prosody).all():
+                raise ContractError(f"text {self.id!r}: prosody values must be finite")
         if self.group not in GROUPS:
             raise ContractError(f"text {self.id!r}: unknown group {self.group!r}")
 
@@ -332,8 +335,13 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_texts < 1:
             raise ContractError("n_texts must be >= 1")
-        if self.mean_sentence_len < 2:
-            raise ContractError("mean_sentence_len must be >= 2")
+        if not (math.isfinite(self.mean_sentence_len) and self.mean_sentence_len >= 2):
+            raise ContractError("mean_sentence_len must be finite and >= 2")
+        if not (math.isfinite(self.mean_sentences_per_text)
+                and self.mean_sentences_per_text >= 0):
+            raise ContractError("mean_sentences_per_text must be finite and >= 0")
+        if not math.isfinite(self.prosody_cue_strength):
+            raise ContractError("prosody_cue_strength must be finite")
         if not 0.0 <= self.cue_reliability <= 1.0:
             raise ContractError("cue_reliability must be in [0, 1]")
         if self.vocab_size < 2:

@@ -12,6 +12,10 @@ resolved to NB (the majority class).
 
 Each model is a ModelBundle that owns its whole input identity (its
 vocabularies, or its prosody statistics) and the encoder built from it.
+net_config is the one mapping from a variant, its Hyperparams and its
+inputs (embedding table sizes, or the prosody width) to the net's
+NetConfig: a new bundle (training.make_lexical_bundle and
+make_prosodic_bundle) and a loaded one (load_model) both go through it.
 predict_texts is the one place that turns texts into probabilities, for
 the segmenter and the evaluation runs alike, under one or more bundles
 at once: nets whose LSTMs have one width run as one pass per block, so
@@ -127,10 +131,10 @@ def parse_feature_set(name):
 # ----------------------------------------------------------- configurations
 
 
-def lexical_config(variant, hp, n_word_rows, n_tag_rows):
-    """NetConfig of a lexical model over embedding tables (rows incl. OOV)."""
-    if not (n_word_rows or n_tag_rows):
-        raise ContractError("lexical model needs at least one embedding table")
+def net_config(variant, hp, word_rows=0, tag_rows=0, dense_dim=0):
+    """The NetConfig of a variant with hp over its inputs: embedding tables
+    of word_rows and tag_rows rows (OOV row included), or dense_dim
+    features. Every model's architecture is decided here."""
     return NetConfig(
         variant=variant,
         conv_filters=hp.conv_filters,
@@ -139,24 +143,11 @@ def lexical_config(variant, hp, n_word_rows, n_tag_rows):
         rec_units=hp.rec_units,
         hidden_units=hp.mlp_hidden,
         dropout=hp.dropout_rate,
-        word_vocab=n_word_rows,
-        word_dim=hp.word_dim if n_word_rows else 0,
-        tag_vocab=n_tag_rows,
-        tag_dim=hp.tag_dim if n_tag_rows else 0,
-    )
-
-
-def prosodic_config(variant, hp):
-    """NetConfig of a prosodic model over dense 13-dim inputs."""
-    return NetConfig(
-        variant=variant,
-        conv_filters=hp.conv_filters,
-        conv_width=hp.conv_width,
-        pool_width=hp.pool_width,
-        rec_units=hp.rec_units,
-        hidden_units=hp.mlp_hidden,
-        dropout=hp.dropout_rate,
-        dense_dim=PROSODY_DIM,
+        word_vocab=word_rows,
+        word_dim=hp.word_dim if word_rows else 0,
+        tag_vocab=tag_rows,
+        tag_dim=hp.tag_dim if tag_rows else 0,
+        dense_dim=dense_dim,
     )
 
 
@@ -204,7 +195,7 @@ def lockstep_groups(bundles):
     groups = {}
     for i, bundle in enumerate(bundles):
         cfg = bundle.net.cfg
-        key = ("lstm", cfg.rec_units) if cfg.variant in ("rcnn", "rnn") else ("alone", i)
+        key = ("lstm", cfg.rec_units) if cfg.has_lstm else ("alone", i)
         groups.setdefault(key, []).append(i)
     passes = []
     for indices in groups.values():
@@ -472,16 +463,11 @@ def _rebuild_bundle(meta, blocks, prefix, stats=None):
         raise ModelFileError(
             f"{prefix} meta has dense_dim {meta['dense_dim']!r}, expected {dense_dim}"
         )
-    if dense_dim:
-        cfg = prosodic_config(meta["variant"], hp)
-    else:
-        cfg = lexical_config(
-            meta["variant"],
-            hp,
-            len(word_tokens) + 1 if word_tokens is not None else 0,
-            len(tag_tokens) + 1 if tag_tokens is not None else 0,
-        )
-    net = SequenceNet(cfg)
+    rows = [0 if tokens is None else len(tokens) + 1 for tokens in (word_tokens, tag_tokens)]
+    try:
+        net = SequenceNet(net_config(meta["variant"], hp, *rows, dense_dim))
+    except ContractError as exc:
+        raise ModelFileError(f"{prefix} meta describes no valid net: {exc}") from exc
     params = net.views(np.empty(net.size))
     for name, view in params.items():
         key = f"{prefix}/{name}"
@@ -543,4 +529,7 @@ def load_model(path) -> TrainedSegmenter:
         except ContractError as exc:
             raise ModelFileError(f"{path}: bad prosody statistics: {exc}") from exc
         prosodic = _rebuild_bundle(meta["prosodic"], blocks, "prosodic", stats)
-    return TrainedSegmenter(lexical=lexical, alpha=alpha, prosodic=prosodic)
+    try:
+        return TrainedSegmenter(lexical=lexical, alpha=alpha, prosodic=prosodic)
+    except ContractError as exc:
+        raise ModelFileError(f"{path}: {exc}") from exc

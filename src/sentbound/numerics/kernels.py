@@ -13,25 +13,6 @@ def relu(z):
     return np.maximum(z, 0.0)
 
 
-_ACTIVATIONS = {"sigmoid": sigmoid, "relu": relu}
-
-
-def activation_fn(name):
-    try:
-        return _ACTIVATIONS[name]
-    except KeyError:
-        raise ContractError(f"unknown activation {name!r}") from None
-
-
-def activation_grad(name, out):
-    """Derivative of the named activation expressed through its output."""
-    if name == "sigmoid":
-        return out * (1.0 - out)
-    if name == "relu":
-        return (out > 0.0).astype(out.dtype)
-    raise ContractError(f"unknown activation {name!r}")
-
-
 def row_matmul(a, w):
     """a @ w over the last axis of a, whatever its leading shape, as one
     2-D GEMM (numpy's matmul would run one GEMM per leading index)."""

@@ -62,24 +62,23 @@ import numpy as np
 from ..errors import ContractError
 from . import lstm as lstm_ops
 from .kernels import (
-    activation_fn,
-    activation_grad,
     conv1d_backward,
     conv_windows,
     dropout_apply,
     glorot_init,
     maxpool1d_backward,
     maxpool1d_same,
+    relu,
     row_matmul,
     row_outer_sum,
     row_sum,
+    sigmoid,
     softmax,
 )
 from .loss import weighted_cross_entropy
 
 VARIANTS = ("rcnn", "mlp", "cnn", "rnn")
 N_CLASSES = 2  # column 0 = non-boundary, column 1 = boundary
-CONV_ACTIVATION = "relu"
 # Most padded rows (sequences x steps) in one block. A training block
 # keeps an LSTM cache per row alive until its backward pass, so the cap
 # bounds peak memory: five texts of up to 50 tokens (the default bucket
@@ -118,10 +117,18 @@ class NetConfig:
         return self.word_dim + self.tag_dim + self.dense_dim
 
     @property
+    def has_conv(self):
+        return self.variant in ("rcnn", "cnn")
+
+    @property
+    def has_lstm(self):
+        return self.variant in ("rcnn", "rnn")
+
+    @property
     def output_input_dim(self):
-        if self.variant in ("rcnn", "rnn"):
+        if self.has_lstm:
             return self.rec_units
-        if self.variant == "cnn":
+        if self.has_conv:
             return self.conv_filters
         return self.hidden_units
 
@@ -251,14 +258,14 @@ class SequenceNet:
         if cfg.tag_vocab:
             shapes["emb_tag"] = (cfg.tag_vocab, cfg.tag_dim)
         d = cfg.input_dim
-        if cfg.variant in ("rcnn", "cnn"):
+        if cfg.has_conv:
             shapes["conv_w"] = (cfg.conv_filters, cfg.conv_width * d)
             shapes["conv_b"] = (cfg.conv_filters,)
         if cfg.variant == "mlp":
             shapes["mlp_w"] = (d, cfg.hidden_units)
             shapes["mlp_b"] = (cfg.hidden_units,)
-        if cfg.variant in ("rcnn", "rnn"):
-            d_in = cfg.conv_filters if cfg.variant == "rcnn" else d
+        if cfg.has_lstm:
+            d_in = cfg.conv_filters if cfg.has_conv else d
             n = cfg.rec_units
             for direction in ("fwd", "bwd"):
                 for gate in lstm_ops.GATES:
@@ -351,7 +358,7 @@ class SequenceNet:
         """lstm_ops.prepare_weights of the LSTM directions of this net and
         then of its partners, (net, params) pairs that run in one loop with
         it (forward); None without an LSTM."""
-        if self.cfg.variant not in ("rcnn", "rnn"):
+        if not self.cfg.has_lstm:
             return None
         return lstm_ops.prepare_weights(_lstm_directions(((self, params), *partners)))
 
@@ -383,8 +390,8 @@ class SequenceNet:
             raise ContractError(f"unknown mode {mode!r}")
         nets = ((self, params, block), *partners)
         if partners and (mode == "train" or keep_cache or any(
-                net.cfg.variant not in ("rcnn", "rnn")
-                or net.cfg.rec_units != self.cfg.rec_units for net, _, _ in nets)):
+                not net.cfg.has_lstm or net.cfg.rec_units != self.cfg.rec_units
+                for net, _, _ in nets)):
             raise ContractError("only inference passes of LSTMs of one width run together")
         xs = [net._assemble_input(p, b) for net, p, b in nets]
         lengths = block.lengths
@@ -402,7 +409,7 @@ class SequenceNet:
         keep(inp=block, pad=pad)
         hs = [net._input_layers(p, x, pad, cache) for (net, p, _), x in zip(nets, xs)]
         del xs
-        if self.cfg.variant in ("rcnn", "rnn"):
+        if self.cfg.has_lstm:
             t = np.arange(steps)[:, None]
             # An involution: each row's live prefix reversed, padding kept.
             rev = (np.where(live, lengths - 1 - t, t), np.arange(len(lengths)))
@@ -426,9 +433,9 @@ class SequenceNet:
         if pad is not None:
             x = np.where(pad[..., None], 0.0, x)
         h = x
-        if cfg.variant in ("rcnn", "cnn"):
+        if cfg.has_conv:
             pre = row_matmul(conv_windows(h, cfg.conv_width), params["conv_w"].T)
-            conv_out = activation_fn(CONV_ACTIVATION)(pre + params["conv_b"])
+            conv_out = relu(pre + params["conv_b"])
             if pad is not None:
                 conv_out[pad] = -np.inf
             pooled = maxpool1d_same(conv_out, cfg.pool_width, return_argmax=cache is not None)
@@ -440,7 +447,7 @@ class SequenceNet:
             h = pooled
         if cfg.variant == "mlp":
             pre = row_matmul(h, params["mlp_w"]) + params["mlp_b"]
-            hidden = activation_fn("sigmoid")(pre)
+            hidden = sigmoid(pre)
             keep(mlp_in=h, mlp_out=hidden)
             h = hidden
         return h
@@ -479,7 +486,7 @@ class SequenceNet:
         if "dropout_mask" in cache:
             dh = dh * cache["dropout_mask"]
         lstm_grads = ()
-        if cfg.variant in ("rcnn", "rnn"):
+        if cfg.has_lstm:
             rev = cache["rev"]
             lstm_grads, (dx_f, dx_b) = lstm_ops.direction_backward(
                 dh, dh[rev], cache.pop("lstm"), cache["lstm_weights"]
@@ -500,13 +507,15 @@ class SequenceNet:
                 add(f"{direction}_{key}", value)
         del lstm_grads
         if cfg.variant == "mlp":
-            d_pre = dh * activation_grad("sigmoid", cache["mlp_out"])
+            hidden = cache["mlp_out"]  # the sigmoid's derivative, through its output
+            d_pre = dh * (hidden * (1.0 - hidden))
             add("mlp_w", row_outer_sum(cache["mlp_in"], d_pre))
             add("mlp_b", row_sum(d_pre))
             dh = row_matmul(d_pre, params["mlp_w"].T)
-        if cfg.variant in ("rcnn", "cnn"):
+        if cfg.has_conv:
             d_conv = maxpool1d_backward(dh, cache["pool_argrow"])
-            d_pre = d_conv * activation_grad(CONV_ACTIVATION, cache["conv_out"])
+            # the relu's derivative, through its output
+            d_pre = d_conv * (cache["conv_out"] > 0.0).astype(np.float64)
             d_w, d_b, dh = conv1d_backward(
                 d_pre, cache["conv_in"], params["conv_w"], input_grad=input_grad
             )

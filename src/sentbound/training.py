@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import LABEL_B, LABEL_NB
+from .corpus import LABEL_B, LABEL_NB, PROSODY_DIM
 from .errors import ContractError, NumericError
 from .model import (
     ModelBundle,
@@ -28,9 +28,8 @@ from .model import (
     check_same_length,
     check_same_shape,
     fuse,
-    lexical_config,
+    net_config,
     prf_from_counts,
-    prosodic_config,
 )
 from .numerics import NetBatch, RmsPropState, SequenceNet, rmsprop_step
 from .numerics.network import BLOCK_ROWS, blocks, flat_vector
@@ -191,13 +190,8 @@ def make_lexical_bundle(variant, hp, word_table, tag_table, rng):
     and a word table's width is the model's word_dim."""
     if word_table is not None:
         hp = replace(hp, word_dim=word_table.dim)
-    cfg = lexical_config(
-        variant,
-        hp,
-        word_table.vectors.shape[0] if word_table is not None else 0,
-        tag_table.vectors.shape[0] if tag_table is not None else 0,
-    )
-    net = SequenceNet(cfg)
+    rows = [0 if table is None else table.vectors.shape[0] for table in (word_table, tag_table)]
+    net = SequenceNet(net_config(variant, hp, *rows))
     params = net.init_params(rng)
     word_tokens = tag_tokens = None
     if word_table is not None:
@@ -211,7 +205,7 @@ def make_lexical_bundle(variant, hp, word_table, tag_table, rng):
 
 def make_prosodic_bundle(variant, hp, stats, rng):
     """Initialise a prosodic model over inputs z-scored with stats."""
-    net = SequenceNet(prosodic_config(variant, hp))
+    net = SequenceNet(net_config(variant, hp, dense_dim=PROSODY_DIM))
     return ModelBundle(net, net.init_params(rng), hp, prosody_stats=stats)
 
 

@@ -225,6 +225,16 @@ def test_known_config_key_reaches_the_command(workdir, capsys):
     assert "2 folds" in capsys.readouterr().err
 
 
+def test_config_value_is_a_string_until_its_option_types_it(workdir, capsys):
+    """features takes no type, so "1" stays a string and is refused as a
+    feature set; a guessed int would crash the command."""
+    config = workdir / "features.conf"
+    config.write_text("features = 1\n", encoding="utf-8")
+    code = cli.main(["eval", "--corpus", str(workdir / "corpus"), "--config", str(config)])
+    assert code == 2
+    assert "unknown feature set '1'" in capsys.readouterr().err
+
+
 def _flip_a_byte(data):
     return data[:20] + bytes([data[20] ^ 0xFF]) + data[21:]
 
@@ -246,3 +256,41 @@ def test_corrupt_model_is_a_data_error(workdir, corrupt, capsys):
     ])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _segment(root, model="m.dbnd", tokens="input.txt"):
+    return ["segment", "--model", str(root / model), "--input", str(root / tokens)]
+
+
+def _eval(root):
+    return ["eval", "--corpus", str(root / "corpus"), "--folds", "2", *SMALL_MODEL]
+
+
+# Command lines that each name a path that cannot be read or written.
+UNUSABLE_PATHS = {
+    "missing_model": lambda root: _segment(root, model="missing.dbnd"),
+    "directory_input": lambda root: _segment(root, tokens="corpus"),
+    "missing_embeddings": lambda root: [*_eval(root), "--embeddings", str(root / "no.vec")],
+    "missing_config": lambda root: [*_segment(root), "--config", str(root / "no.cfg")],
+    "report_in_missing_dir": lambda root: [*_eval(root), "--report", str(root / "nodir/r")],
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_PATHS)
+def test_unusable_path_is_a_data_error(workdir, case, capsys):
+    assert cli.main(UNUSABLE_PATHS[case](workdir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--mean-sentence-len", "nan"),
+    ("--mean-sentence-len", "inf"),
+    ("--sentences-per-text", "nan"),
+    ("--prosody-cue-strength", "nan"),
+])
+def test_non_finite_synth_setting_is_a_data_error(tmp_path, flag, value, capsys):
+    code = cli.main(["synth", "--texts", "2", flag, value, "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "c").exists()

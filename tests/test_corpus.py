@@ -1,5 +1,7 @@
 """Tests for transcript io, labeling, statistics, and synthesis."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -177,6 +179,14 @@ class TestCorpusIO:
         with pytest.raises(ParseError, match="expected 13 prosodic values"):
             read_corpus(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_prosody(self, tmp_path, value):
+        path = tmp_path / "t.tsv"
+        pros = " ".join(["0.1"] * 12 + [value])
+        path.write_text(f"#id x group CTL\na\tt01\t{pros}\tNB\n")
+        with pytest.raises(ParseError, match=r"t\.tsv:3: .*prosody values must be finite"):
+            read_corpus(path)
+
     def test_unknown_label_symbol(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("#id x group CTL\na\tt01\t-\tQ\n")
@@ -335,6 +345,14 @@ class TestSynthGenerate:
             SynthSpec(n_texts=1, mean_sentence_len=1.0)
         with pytest.raises(ContractError):
             SynthSpec(n_texts=1, cue_reliability=1.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ContractError, match="mean_sentence_len must be finite"):
+                SynthSpec(n_texts=1, mean_sentence_len=bad)
+            with pytest.raises(ContractError, match="prosody_cue_strength must be finite"):
+                SynthSpec(n_texts=1, prosody_cue_strength=bad)
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ContractError, match="mean_sentences_per_text must be"):
+                SynthSpec(n_texts=1, mean_sentences_per_text=bad)
 
 
 @pytest.mark.parametrize("missing", [0, -1])

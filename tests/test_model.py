@@ -212,6 +212,11 @@ def _no_stats_blocks(meta):
     return meta, False
 
 
+def _no_token_lists(meta):
+    meta["lexical"]["word_tokens"] = meta["lexical"]["tag_tokens"] = None
+    return meta, True
+
+
 def _set(path, value):
     def craft(meta):
         node = meta
@@ -239,6 +244,10 @@ def _set(path, value):
         (_set(("lexical", "dense_dim"), 13), "dense_dim 13, expected 0"),
         (_set(("lexical", "hyperparams", "conv_width"), 7.0), "bad hyperparams"),
         (_set(("prosodic", "hyperparams", "dropout_rate"), "0.5"), "bad hyperparams"),
+        (_set(("lexical", "variant"), "lstm"), "no valid net: unknown variant 'lstm'"),
+        (_no_token_lists, "no valid net: network needs at least one input feature"),
+        (_set(("prosodic", "hyperparams", "dropout_rate"), 1.5), "no valid net: dropout"),
+        (_set(("alpha",), 1.5), r"alpha must be in \[0, 1\]"),
     ],
 )
 def test_half_valid_container_raises_model_file_error(tmp_path, craft, message):
