@@ -1,11 +1,12 @@
 """Command-line interface: train, segment, eval, synth.
 
 Exit codes: 0 success, 1 usage error, 2 data or contract error
-(including a path that cannot be read or written), 3 numeric failure
-during training. Flags override values from an optional line-oriented
-"key = value" config file, whose values are strings that each option
-converts with its own type, as it converts a flag; every run logs its
-fully resolved configuration.
+(including a path that cannot be read or written, and a text input that
+is not UTF-8, as every one must be), 3 numeric failure during training.
+Flags override values from an optional line-oriented "key = value"
+config file, whose values are strings that each option converts with
+its own type, as it converts a flag; every run logs its fully resolved
+configuration.
 
 `segment` reads plain tokens, which carry no prosody and no PoS tags.
 Without --alpha it therefore segments with the lexical model alone
@@ -29,6 +30,7 @@ from .corpus import (
     labels_from_punctuation,
     read_corpus,
     synth_generate,
+    text_lines,
     write_corpus,
 )
 from .errors import ContractError, ModelFileError, NumericError, ParseError
@@ -81,7 +83,7 @@ def load_config_file(path):
     """Parse "key = value" lines into a dict of strings; '#' starts a
     comment."""
     values = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate("".join(text_lines(path)).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -268,7 +270,7 @@ def cmd_train(args):
 
 
 def _read_segment_input(path):
-    raw = Path(path).read_text(encoding="utf-8").split()
+    raw = "".join(text_lines(path)).split()
     if not raw:
         return None
     tokens, _ = labels_from_punctuation(raw)

@@ -13,10 +13,13 @@ tsv     one token per line: token<TAB>pos<TAB>prosody<TAB>label where
         text is preceded by a header line "#id <text-id> group <GROUP>";
         texts are separated by blank lines. read_corpus reads it, from one
         file or from a directory of *.tsv files, and write_corpus writes it.
-tokens  one text per file, UTF-8, tokens and inline punctuation separated
-        by whitespace; no tags or prosody. The segment command reads it
+tokens  one text per file, tokens and inline punctuation separated by
+        whitespace; no tags or prosody. The segment command reads it
         (labels_from_punctuation drops the marks), and the file's stem is
         the text id.
+
+Every text input (these, embedding, config and manifest files) is UTF-8;
+text_lines refuses a file that is not with a ParseError (CLI exit 2).
 """
 
 import math
@@ -36,6 +39,12 @@ BOUNDARY_MARKS = frozenset(".!?:;")
 PROSODY_DIM = 13
 PAUSE_INDEX = 12  # the pause-duration slot of the prosodic vector
 TAGSET_SIZE = 25
+BAD_TOKEN = "bad token {!r} (empty, whitespace, or uppercase)"
+
+
+def valid_token(token):
+    """Whether token can be a word of a text: non-empty, lowercase, no whitespace."""
+    return bool(token) and token == token.lower() and not any(ch.isspace() for ch in token)
 
 
 @dataclass
@@ -59,10 +68,8 @@ class LabeledText:
                 f"({m} tokens, {len(self.pos_tags)} tags, {len(self.labels)} labels)"
             )
         for tok in self.tokens:
-            if not tok or tok != tok.lower() or any(ch.isspace() for ch in tok):
-                raise ContractError(
-                    f"text {self.id!r}: bad token {tok!r} (empty, whitespace, or uppercase)"
-                )
+            if not valid_token(tok):
+                raise ContractError(f"text {self.id!r}: {BAD_TOKEN.format(tok)}")
         bad = set(self.labels) - {LABEL_B, LABEL_NB}
         if bad:
             raise ContractError(f"text {self.id!r}: unknown labels {sorted(bad)}")
@@ -161,6 +168,17 @@ def _text_to_tsv_lines(text):
     return lines
 
 
+def text_lines(path):
+    """Yield the lines of a UTF-8 text file as text mode reads them: each
+    ends at a "\n", to which "\r\n" and "\r" are turned. A file that is
+    not UTF-8 raises ParseError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason})", str(path)) from exc
+
+
 def _parse_tsv_stream(lines, path):
     texts = []
     header = None
@@ -215,6 +233,8 @@ def _parse_tsv_stream(lines, path):
                 f"expected 4 tab-separated columns, got {len(cols)}", path, line_no
             )
         token, tag, pros_field, label = cols
+        if not valid_token(token):
+            raise ParseError(BAD_TOKEN.format(token), path, line_no)
         if label not in (LABEL_B, LABEL_NB):
             raise ParseError(f"unknown label symbol {label!r}", path, line_no)
         if pros_field.strip() == "-":
@@ -231,6 +251,8 @@ def _parse_tsv_stream(lines, path):
                 pros = [float(v) for v in values]
             except ValueError as exc:
                 raise ParseError(f"bad prosodic value: {exc}", path, line_no) from exc
+            if not all(map(math.isfinite, pros)):
+                raise ParseError("prosody values must be finite", path, line_no)
         rows.append((token, tag, pros, label))
     flush(len(lines) + 1)
     return texts
@@ -249,8 +271,7 @@ def read_corpus(path):
         raise ParseError("no such file or directory", str(path))
     texts = []
     for f in files:
-        with open(f, encoding="utf-8") as fh:
-            texts.extend(_parse_tsv_stream(fh.readlines(), str(f)))
+        texts.extend(_parse_tsv_stream(list(text_lines(f)), str(f)))
     corpus = Corpus(texts, name=path.stem if path.is_file() else path.name)
     if any(t.prosody is not None for t in corpus) and not corpus.has_prosody:
         raise ParseError("prosody must be present for all texts or none", str(path))

@@ -11,7 +11,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .corpus import LABEL_B, PROSODY_DIM
+from .corpus import LABEL_B, PROSODY_DIM, text_lines
 from .errors import ContractError, ParseError
 from .numerics import NetInput, glorot_init
 
@@ -79,41 +79,41 @@ def load_embeddings(path):
     Keys are lowercased; an OOV row drawn from the fixed OOV_SEED is
     appended so unknown words share one deterministic vector.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ParseError("expected header '<vocab_size> <dim>'", str(path), 1)
+    lines = text_lines(path)
+    header = next(lines, "").split()
+    if len(header) != 2:
+        raise ParseError("expected header '<vocab_size> <dim>'", str(path), 1)
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise ParseError(f"bad header: {exc}", str(path), 1) from exc
+    if count < 1 or dim < 1:
+        raise ParseError("vocab size and dim must be positive", str(path), 1)
+    vocab = {}
+    vectors = np.empty((count + 1, dim))
+    for line_no, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise ParseError(
+                f"expected 1 word + {dim} values, got {len(parts)} fields",
+                str(path),
+                line_no,
+            )
+        word = parts[0].lower()
+        if word in vocab:
+            raise ParseError(f"duplicate word {word!r}", str(path), line_no)
+        row = len(vocab)
+        if row >= count:
+            raise ParseError(
+                f"more than the declared {count} words", str(path), line_no
+            )
         try:
-            count, dim = int(header[0]), int(header[1])
+            vectors[row] = [float(v) for v in parts[1:]]
         except ValueError as exc:
-            raise ParseError(f"bad header: {exc}", str(path), 1) from exc
-        if count < 1 or dim < 1:
-            raise ParseError("vocab size and dim must be positive", str(path), 1)
-        vocab = {}
-        vectors = np.empty((count + 1, dim))
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != dim + 1:
-                raise ParseError(
-                    f"expected 1 word + {dim} values, got {len(parts)} fields",
-                    str(path),
-                    line_no,
-                )
-            word = parts[0].lower()
-            if word in vocab:
-                raise ParseError(f"duplicate word {word!r}", str(path), line_no)
-            row = len(vocab)
-            if row >= count:
-                raise ParseError(
-                    f"more than the declared {count} words", str(path), line_no
-                )
-            try:
-                vectors[row] = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise ParseError(f"bad value: {exc}", str(path), line_no) from exc
-            vocab[word] = row
+            raise ParseError(f"bad value: {exc}", str(path), line_no) from exc
+        vocab[word] = row
     if len(vocab) != count:
         raise ParseError(f"declared {count} words, found {len(vocab)}", str(path))
     oov_rng = np.random.default_rng(OOV_SEED)

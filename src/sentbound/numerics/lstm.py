@@ -35,8 +35,9 @@ slice (D, B, n) are contiguous, and each step runs one stacked
 (D, B, n) @ (D, n, 4n) matmul. Each direction's input projection,
 recurrent GEMM and gradient epilogue keep the shapes of a lone
 direction, so a direction's outputs and gradients do not depend on what
-runs beside it. direction_forward and direction_backward keep their
-names as the entry points of that lockstep loop.
+runs beside it. direction_forward runs that loop and then the output
+projections, and its cache carries the weight dicts it ran with;
+direction_backward takes the projections' gradients and then BPTT.
 
 A pass reads the weights in a prepared form (prepare_weights):
 transposed, sign-folded and stacked. The form is a pure function of the
@@ -101,17 +102,23 @@ def projection_chunks(steps, rows, step_bytes):
     return list(zip(starts, starts[1:] + [steps]))
 
 
-def lstm_sequence_forward(xs, prepared, keep_cache=False):
-    """Run D fused-gate LSTMs in lockstep, each over its own block.
+def direction_forward(*xs, weights, prepared=None, keep_cache=False):
+    """The bidirectional layers of one or more nets: LSTM plus output
+    projection, every direction in one lockstep loop.
 
-    xs: D blocks (T, B, d_in) of one (T, B), each of its direction's
-    d_in; prepared: prepare_weights of the D directions. Every row starts
-    from a zero state. Returns (h, cache), h of shape (T, D, B, n). The
-    cache, which only lstm_sequence_backward reads, is kept only when
-    keep_cache is set; otherwise it is None, c and tanh(c) live in
-    one-step buffers and the inputs are projected a chunk of steps at a
-    time (projection_chunks).
+    xs are D (T, B, d_in) blocks of one (T, B), two per net: its block,
+    then the block its second direction reads, already reversed by the
+    caller. weights holds the D directions' dicts in that order, and
+    prepared their prepare_weights, which is built from weights when not
+    given. Every row starts from a zero state. Returns (ys, cache): ys
+    holds each direction's y_t = wy @ h_t + by (identity activation). The
+    cache, which direction_backward needs for one net's pair and which
+    carries the weights it ran with, is kept only when keep_cache is set;
+    otherwise it is None, c and tanh(c) live in one-step buffers and the
+    inputs are projected a chunk of steps at a time (projection_chunks).
     """
+    if prepared is None:
+        prepared = prepare_weights(weights)
     wx_t, b, wh_t = prepared
     steps, rows = xs[0].shape[:2]
     dirs = len(xs)
@@ -147,8 +154,8 @@ def lstm_sequence_forward(xs, prepared, keep_cache=False):
             for t in range(start, stop):
                 k = t - start
                 if t:
-                    rec = np.matmul(hs[t - 1], wh_t)
-                    gates[k] += rec.reshape(dirs, rows, 4, n).transpose(2, 0, 1, 3)
+                    gates[k] += np.matmul(hs[t - 1], wh_t).reshape(
+                        dirs, rows, 4, n).transpose(2, 0, 1, 3)
                 s = sig[k]
                 np.exp(s, out=s)
                 s += 1.0
@@ -162,9 +169,14 @@ def lstm_sequence_forward(xs, prepared, keep_cache=False):
                 np.tanh(c_t, out=tc_t)
                 np.multiply(o[k], tc_t, out=hs[t])
                 c = c_t
-    if not keep_cache:
-        return hs, None
-    return hs, {"x": list(xs), "gates": gates, "c": cs, "tanh_c": tc, "h": hs}
+    cache = {"x": list(xs), "gates": gates, "c": cs, "tanh_c": tc, "h": hs,
+             "weights": weights} if keep_cache else None
+    # An inference pass holds no more than hs while it projects its outputs.
+    del gates, sig, i, f, o, g, s, g_k, cs, tc, c, c_t, tc_t
+    ys = tuple(
+        row_matmul(hs[:, d], w["wy"].T) + w["by"] for d, w in enumerate(weights)
+    )
+    return ys, cache
 
 
 def _bptt_factors(gates, c, tanh_c):
@@ -194,16 +206,21 @@ def _bptt_factors(gates, c, tanh_c):
     return forget, o_dtanh, free
 
 
-def lstm_sequence_backward(d_hs, cache, weights):
-    """Backpropagation through time for lstm_sequence_forward.
-
-    d_hs: D gradients (T, B, n), one per direction's hidden outputs, in
-    any iterable; they are read after the cache's buffers are reused.
-    weights: the D directions' dicts. Returns one (d_wx, d_wh, d_b, d_x)
-    per direction. The cache is consumed: its buffers are overwritten
-    and its entries popped.
+def direction_backward(d_y_fwd, d_y_bwd, cache):
+    """Gradients for direction_forward, both directions, from those at
+    their outputs, (T, B, n) each. Consumes the cache: its buffers are
+    overwritten and its entries popped. Returns ((grads_fwd, grads_bwd),
+    (d_x_fwd, d_x_bwd)), each grads dict keyed like its weights dict.
     """
-    gates, hs = cache.pop("gates"), cache.pop("h")
+    weights, hs = cache.pop("weights"), cache.pop("h")
+    d_ys = (d_y_fwd, d_y_bwd)
+    grads = [
+        {"wy": row_outer_sum(d_y, hs[:, d]), "by": row_sum(d_y)}
+        for d, d_y in enumerate(d_ys)
+    ]
+    # lazy, so each (T, B, n) product lives only until the loop copies it
+    d_hs = (row_matmul(d_y, w["wy"]) for d_y, w in zip(d_ys, weights))
+    gates = cache.pop("gates")
     wh = np.stack([w["wh"] for w in weights])  # (D, 4n, n)
     steps, _, dirs, rows, n = gates.shape
     forget, o_dtanh, d_h = _bptt_factors(gates, cache.pop("c"), cache.pop("tanh_c"))
@@ -225,57 +242,12 @@ def lstm_sequence_backward(d_hs, cache, weights):
     # One direction at a time, on a (T, B, 4n) copy of its gate gradients
     # in the freed buffers' place.
     dz = np.empty((steps, rows, 4 * n))
-    out = []
-    for d, (x, w) in enumerate(zip(cache.pop("x"), weights)):
+    d_xs = []
+    for d, (x, w, grad) in enumerate(zip(cache.pop("x"), weights, grads)):
         dz.reshape(steps, rows, 4, n)[...] = gates[:, :, d].transpose(0, 2, 1, 3)
         h = hs[:, d]
-        out.append((
-            row_outer_sum(dz, x),
-            row_outer_sum(dz[1:], h[:-1]),
-            row_sum(dz),
-            row_matmul(dz, w["wx"]),
-        ))
-    return out
-
-
-def direction_forward(*xs, weights, prepared=None, keep_cache=False):
-    """The bidirectional layers of one or more nets: LSTM plus output
-    projection, every direction in one lockstep loop.
-
-    xs are D (T, B, d) blocks, two per net: its block, then the block its
-    second direction reads, already reversed by the caller. weights
-    holds the D directions' dicts in that order, and prepared their
-    prepare_weights, which is built from weights when not given. Returns
-    (ys, cache): ys holds each direction's y_t = wy @ h_t + by (identity
-    activation), and the cache, which direction_backward needs for one
-    net's pair, is None unless keep_cache is set.
-    """
-    if prepared is None:
-        prepared = prepare_weights(weights)
-    hs, cache = lstm_sequence_forward(xs, prepared, keep_cache)
-    ys = tuple(
-        row_matmul(hs[:, d], w["wy"].T) + w["by"] for d, w in enumerate(weights)
-    )
-    return ys, cache
-
-
-def direction_backward(d_y_fwd, d_y_bwd, cache, weights):
-    """Gradients for direction_forward, both directions; consumes the cache.
-
-    Returns ((grads_fwd, grads_bwd), (d_x_fwd, d_x_bwd)), each grads dict
-    keyed like its weights dict.
-    """
-    hs = cache["h"]
-    d_ys = (d_y_fwd, d_y_bwd)
-    grads = [
-        {"wy": row_outer_sum(d_y, hs[:, d]), "by": row_sum(d_y)}
-        for d, d_y in enumerate(d_ys)
-    ]
-    # lazy, so each (T, B, n) product lives only until the BPTT copies it
-    d_hs = (row_matmul(d_y, w["wy"]) for d_y, w in zip(d_ys, weights))
-    results = lstm_sequence_backward(d_hs, cache, weights)
-    d_xs = []
-    for grad, (d_wx, d_wh, d_b, d_x) in zip(grads, results):
-        grad.update(wx=d_wx, wh=d_wh, b=d_b)
-        d_xs.append(d_x)
+        grad.update(
+            wx=row_outer_sum(dz, x), wh=row_outer_sum(dz[1:], h[:-1]), b=row_sum(dz)
+        )
+        d_xs.append(row_matmul(dz, w["wx"]))
     return tuple(grads), tuple(d_xs)

@@ -34,8 +34,9 @@ outputs and input gradients back in order), dropout draws one mask for
 the block's live rows only, sequence by sequence (live_dropout), and
 padded rows carry no loss gradient.
 Both LSTM directions run in one lockstep call,
-lstm_ops.direction_forward and direction_backward, on the block and its
-reversed copy.
+lstm_ops.direction_forward, on the block and its reversed copy; its
+cache carries the direction weights, so backward hands
+direction_backward that cache alone.
 
 forward keeps what backward reads only when its caller asks for it, as
 loss_and_grads does whatever the mode; any other pass builds no pool
@@ -413,12 +414,12 @@ class SequenceNet:
             t = np.arange(steps)[:, None]
             # An involution: each row's live prefix reversed, padding kept.
             rev = (np.where(live, lengths - 1 - t, t), np.arange(len(lengths)))
-            weights = _lstm_directions((net, p) for net, p, _ in nets)
             ys, lstm_cache = lstm_ops.direction_forward(
-                *(x for h in hs for x in (h, h[rev])), weights=weights,
+                *(x for h in hs for x in (h, h[rev])),
+                weights=_lstm_directions((net, p) for net, p, _ in nets),
                 prepared=lstm_prep, keep_cache=keep_cache,
             )
-            keep(lstm=lstm_cache, lstm_weights=weights, rev=rev)
+            keep(lstm=lstm_cache, rev=rev)
             hs = [y_f + y_b[rev] for y_f, y_b in zip(ys[::2], ys[1::2])]
             del ys
         probs = [net._output_layers(p, h, live, mode, rng, cache)
@@ -489,8 +490,7 @@ class SequenceNet:
         if cfg.has_lstm:
             rev = cache["rev"]
             lstm_grads, (dx_f, dx_b) = lstm_ops.direction_backward(
-                dh, dh[rev], cache.pop("lstm"), cache["lstm_weights"]
-            )
+                dh, dh[rev], cache.pop("lstm"))
             dh = dx_f + dx_b[rev]
         # A new vector is made only now, once the LSTM's backward state is
         # freed: beside that state it would raise the pass's peak memory.

@@ -157,6 +157,41 @@ def test_eval(workdir, capsys):
     assert last[:3] == ["corpus", "rcnn", "embeddings+pos"]
 
 
+def test_cross_corpus_eval_writes_its_report(workdir, tmp_path, capsys):
+    """Train on one corpus, test on another; the report files hold what
+    was printed."""
+    other = tmp_path / "other"
+    assert cli.main(["synth", "--texts", "3", "--sentences-per-text", "2", "--seed", "1",
+                     "--out", str(other)]) == 0
+    report = tmp_path / "r"
+    code = cli.main(["eval", "--train-corpus", str(workdir / "corpus"),
+                     "--test-corpus", str(other), "--report", str(report), *SMALL_MODEL])
+    assert code == 0
+    out = capsys.readouterr().out
+    table, line = out.removesuffix("\n").rsplit("\n", 1)
+    assert line.startswith("corpus->other\trcnn\tembeddings+pos\t")
+    assert (tmp_path / "r.txt").read_text(encoding="utf-8") == table + "\n"
+    assert (tmp_path / "r.tsv").read_text(encoding="utf-8") == line + "\n"
+
+
+@pytest.mark.parametrize("corpora", [["--train-corpus"], ["--corpus", "--train-corpus"]])
+def test_eval_corpus_flags_that_do_not_pair_are_a_usage_error(workdir, corpora, capsys):
+    args = [arg for flag in corpora for arg in (flag, str(workdir / "corpus"))]
+    assert cli.main(["eval", *args]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_segment_output_goes_to_the_file(workdir, tmp_path, capsys):
+    args = ["segment", "--model", str(workdir / "m.dbnd"),
+            "--input", str(workdir / "input.txt"), "--alpha", "1.0"]
+    assert cli.main(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert cli.main([*args, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed != ""
+
+
 @pytest.fixture
 def narrow_embeddings(tmp_path):
     """A pretrained table of 2 words and 3 dimensions, narrower than the
@@ -281,6 +316,31 @@ def test_unusable_path_is_a_data_error(workdir, case, capsys):
     assert cli.main(UNUSABLE_PATHS[case](workdir)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Command lines that each read a text file, and that file's bytes; 0xff
+# is never part of UTF-8 text.
+NOT_UTF8_INPUTS = {
+    "config": (b"epochs = 1\n\xff\n", lambda root, bad: [*_eval(root), "--config", str(bad)]),
+    "corpus": (b"#id x group CTL\na\xff\tt01\t-\tB\n",
+               lambda root, bad: ["eval", "--corpus", str(bad)]),
+    "embeddings": (b"1 2\na\xff 0.1 0.2\n",
+                   lambda root, bad: [*_eval(root), "--embeddings", str(bad)]),
+    "manifest": (b"n_texts = 2\n\xff\n",
+                 lambda root, bad: ["synth", "--from-manifest", str(bad),
+                                    "--out", str(root / "never")]),
+    "segment_input": (b"a b \xff\n", lambda root, bad: [
+        "segment", "--model", str(root / "m.dbnd"), "--input", str(bad)]),
+}
+
+
+@pytest.mark.parametrize("case", NOT_UTF8_INPUTS)
+def test_text_input_that_is_not_utf8_is_a_data_error(workdir, tmp_path, case, capsys):
+    content, command = NOT_UTF8_INPUTS[case]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    assert cli.main(command(workdir, bad)) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
 @pytest.mark.parametrize("flag, value", [

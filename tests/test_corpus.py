@@ -184,7 +184,14 @@ class TestCorpusIO:
         path = tmp_path / "t.tsv"
         pros = " ".join(["0.1"] * 12 + [value])
         path.write_text(f"#id x group CTL\na\tt01\t{pros}\tNB\n")
-        with pytest.raises(ParseError, match=r"t\.tsv:3: .*prosody values must be finite"):
+        with pytest.raises(ParseError, match=r"t\.tsv:2: prosody values must be finite"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("token", ["", "a b", "A"])
+    def test_bad_token_names_its_line(self, tmp_path, token):
+        path = tmp_path / "t.tsv"
+        path.write_text(f"#id x group CTL\n{token}\tt01\t-\tNB\nb\tt01\t-\tB\n")
+        with pytest.raises(ParseError, match=r"t\.tsv:2: bad token"):
             read_corpus(path)
 
     def test_unknown_label_symbol(self, tmp_path):

@@ -30,7 +30,6 @@ from sentbound.numerics.lstm import (
     MIN_GEMM_ROWS,
     direction_backward,
     direction_forward,
-    lstm_sequence_forward,
     prepare_weights,
     projection_chunks,
 )
@@ -297,12 +296,12 @@ class TestLstmCell:
         n_r, d_in, m = 4, 3, 11
         w = random_direction_weights(n_r, d_in, rng)
         x = rng.normal(size=(m, d_in))
-        h_seq, _ = lstm_sequence_forward([x[:, None]], prepare_weights([fuse_gates(w)]))
+        _, cache = direction_forward(x[:, None], weights=[fuse_gates(w)], keep_cache=True)
         h = np.zeros(n_r)
         c = np.zeros(n_r)
         for t in range(m):
             h, c = lstm_cell_step(x[t], h, c, w)
-            npt.assert_allclose(h_seq[t, 0, 0], h, atol=1e-12)
+            npt.assert_allclose(cache["h"][t, 0, 0], h, atol=1e-12)
 
 
 def lockstep_bilstm(x, fwd, bwd):
@@ -402,7 +401,7 @@ class TestBlockLstm:
             (y, y_other), cache = direction_forward(x, other, weights=(w, partner),
                                                    keep_cache=True)
             (grads, _), (d_x, _) = direction_backward(
-                d_y, rng.normal(size=y_other.shape), cache, (w, partner)
+                d_y, rng.normal(size=y_other.shape), cache
             )
             runs.append((y, grads, d_x))
         (y0, g0, dx0), (y1, g1, dx1) = runs
