@@ -39,10 +39,10 @@ BOUNDARY_MARKS = frozenset(".!?:;")
 PROSODY_DIM = 13
 PAUSE_INDEX = 12  # the pause-duration slot of the prosodic vector
 TAGSET_SIZE = 25
-BAD_TOKEN = "bad token {!r} (empty, whitespace, or uppercase)"
+_BAD_TOKEN = "bad token {!r} (empty, whitespace, or uppercase)"
 
 
-def valid_token(token):
+def _valid_token(token):
     """Whether token can be a word of a text: non-empty, lowercase, no whitespace."""
     return bool(token) and token == token.lower() and not any(ch.isspace() for ch in token)
 
@@ -68,8 +68,8 @@ class LabeledText:
                 f"({m} tokens, {len(self.pos_tags)} tags, {len(self.labels)} labels)"
             )
         for tok in self.tokens:
-            if not valid_token(tok):
-                raise ContractError(f"text {self.id!r}: {BAD_TOKEN.format(tok)}")
+            if not _valid_token(tok):
+                raise ContractError(f"text {self.id!r}: {_BAD_TOKEN.format(tok)}")
         bad = set(self.labels) - {LABEL_B, LABEL_NB}
         if bad:
             raise ContractError(f"text {self.id!r}: unknown labels {sorted(bad)}")
@@ -233,8 +233,8 @@ def _parse_tsv_stream(lines, path):
                 f"expected 4 tab-separated columns, got {len(cols)}", path, line_no
             )
         token, tag, pros_field, label = cols
-        if not valid_token(token):
-            raise ParseError(BAD_TOKEN.format(token), path, line_no)
+        if not _valid_token(token):
+            raise ParseError(_BAD_TOKEN.format(token), path, line_no)
         if label not in (LABEL_B, LABEL_NB):
             raise ParseError(f"unknown label symbol {label!r}", path, line_no)
         if pros_field.strip() == "-":
