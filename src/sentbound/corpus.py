@@ -44,7 +44,7 @@ _BAD_TOKEN = "bad token {!r} (empty, whitespace, or uppercase)"
 
 def _valid_token(token):
     """Whether token can be a word of a text: non-empty, lowercase, no whitespace."""
-    return bool(token) and token == token.lower() and not any(ch.isspace() for ch in token)
+    return token.split() == [token] and token == token.lower()
 
 
 @dataclass
@@ -169,9 +169,9 @@ def _text_to_tsv_lines(text):
 
 
 def text_lines(path):
-    """Yield the lines of a UTF-8 text file as text mode reads them: each
-    ends at a "\n", to which "\r\n" and "\r" are turned. A file that is
-    not UTF-8 raises ParseError naming it."""
+    """Yield the lines of a UTF-8 text file as text mode reads them, with
+    every line end (CR LF, CR or LF) turned into LF. A file that is not
+    UTF-8 raises ParseError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
             yield from fh

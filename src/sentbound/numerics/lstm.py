@@ -154,8 +154,8 @@ def direction_forward(*xs, weights, prepared=None, keep_cache=False):
             for t in range(start, stop):
                 k = t - start
                 if t:
-                    gates[k] += np.matmul(hs[t - 1], wh_t).reshape(
-                        dirs, rows, 4, n).transpose(2, 0, 1, 3)
+                    rec = np.matmul(hs[t - 1], wh_t)
+                    gates[k] += rec.reshape(dirs, rows, 4, n).transpose(2, 0, 1, 3)
                 s = sig[k]
                 np.exp(s, out=s)
                 s += 1.0
