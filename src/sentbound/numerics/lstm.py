@@ -171,7 +171,7 @@ def direction_forward(*xs, weights, prepared=None, keep_cache=False):
                 c = c_t
     cache = {"x": list(xs), "gates": gates, "c": cs, "tanh_c": tc, "h": hs,
              "weights": weights} if keep_cache else None
-    # An inference pass holds no more than hs while it projects its outputs.
+    # An inference pass frees its chunk and step buffers before the projection.
     del gates, sig, i, f, o, g, s, g_k, cs, tc, c, c_t, tc_t
     ys = tuple(
         row_matmul(hs[:, d], w["wy"].T) + w["by"] for d, w in enumerate(weights)
