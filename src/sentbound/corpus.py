@@ -39,6 +39,11 @@ BOUNDARY_MARKS = frozenset(".!?:;")
 PROSODY_DIM = 13
 PAUSE_INDEX = 12  # the pause-duration slot of the prosodic vector
 TAGSET_SIZE = 25
+# The largest mean sentence length and mean sentence count per text that
+# SynthSpec accepts. numpy's Poisson sampler refuses means above about
+# 9.2e18; this cap is far below that and far above any corpus that fits
+# in memory (the benchmark draws one text of ~1,300 sentences).
+MAX_SYNTH_MEAN = 1e6
 _BAD_TOKEN = "bad token {!r} (empty, whitespace, or uppercase)"
 
 
@@ -194,14 +199,7 @@ def _parse_tsv_stream(lines, path):
         tags = [r[1] for r in rows]
         labels = [r[3] for r in rows]
         pros_rows = [r[2] for r in rows]
-        if all(p is None for p in pros_rows):
-            prosody = None
-        elif any(p is None for p in pros_rows):
-            raise ParseError(
-                f"text {text_id!r} mixes '-' and numeric prosody", path, line_no
-            )
-        else:
-            prosody = np.array(pros_rows, dtype=np.float64)
+        prosody = None if pros_rows[0] is None else np.array(pros_rows, dtype=np.float64)
         try:
             texts.append(
                 LabeledText(text_id, tokens, tags, labels, prosody=prosody, group=group)
@@ -253,6 +251,10 @@ def _parse_tsv_stream(lines, path):
                 raise ParseError(f"bad prosodic value: {exc}", path, line_no) from exc
             if not all(map(math.isfinite, pros)):
                 raise ParseError("prosody values must be finite", path, line_no)
+        if rows and (pros is None) != (rows[0][2] is None):
+            raise ParseError(
+                f"text {header[0]!r} mixes '-' and numeric prosody", path, line_no
+            )
         rows.append((token, tag, pros, label))
     flush(len(lines) + 1)
     return texts
@@ -339,7 +341,7 @@ class SynthSpec:
     Prosody is standard normal noise with the pause dimension shifted by
     prosody_cue_strength at boundary words. The cue token never occurs as
     a filler word, and each word maps to a fixed PoS tag from a 25-symbol
-    tagset.
+    tagset. Both means are at most MAX_SYNTH_MEAN.
     """
 
     n_texts: int
@@ -356,11 +358,13 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_texts < 1:
             raise ContractError("n_texts must be >= 1")
-        if not (math.isfinite(self.mean_sentence_len) and self.mean_sentence_len >= 2):
-            raise ContractError("mean_sentence_len must be finite and >= 2")
-        if not (math.isfinite(self.mean_sentences_per_text)
-                and self.mean_sentences_per_text >= 0):
-            raise ContractError("mean_sentences_per_text must be finite and >= 0")
+        # NaN fails both comparisons
+        if not 2 <= self.mean_sentence_len <= MAX_SYNTH_MEAN:
+            raise ContractError(
+                f"mean_sentence_len must be finite, >= 2 and <= {MAX_SYNTH_MEAN:g}")
+        if not 0 <= self.mean_sentences_per_text <= MAX_SYNTH_MEAN:
+            raise ContractError(
+                f"mean_sentences_per_text must be finite, >= 0 and <= {MAX_SYNTH_MEAN:g}")
         if not math.isfinite(self.prosody_cue_strength):
             raise ContractError("prosody_cue_strength must be finite")
         if not 0.0 <= self.cue_reliability <= 1.0:

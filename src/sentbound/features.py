@@ -89,8 +89,8 @@ def load_embeddings(path):
         raise ParseError(f"bad header: {exc}", str(path), 1) from exc
     if count < 1 or dim < 1:
         raise ParseError("vocab size and dim must be positive", str(path), 1)
-    vocab = {}
-    vectors = np.empty((count + 1, dim))
+    # The table grows with the rows read, never from the header's count.
+    vocab, rows = {}, []
     for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -104,21 +104,20 @@ def load_embeddings(path):
         word = parts[0].lower()
         if word in vocab:
             raise ParseError(f"duplicate word {word!r}", str(path), line_no)
-        row = len(vocab)
-        if row >= count:
+        if len(vocab) >= count:
             raise ParseError(
                 f"more than the declared {count} words", str(path), line_no
             )
         try:
-            vectors[row] = [float(v) for v in parts[1:]]
+            rows.append(np.array([float(v) for v in parts[1:]]))
         except ValueError as exc:
             raise ParseError(f"bad value: {exc}", str(path), line_no) from exc
-        vocab[word] = row
+        vocab[word] = len(vocab)
     if len(vocab) != count:
         raise ParseError(f"declared {count} words, found {len(vocab)}", str(path))
     oov_rng = np.random.default_rng(OOV_SEED)
-    vectors[count] = oov_rng.normal(0.0, np.sqrt(2.0 / (1 + dim)), size=dim)
-    return EmbeddingTable(vocab, vectors)
+    rows.append(oov_rng.normal(0.0, np.sqrt(2.0 / (1 + dim)), size=dim))
+    return EmbeddingTable(vocab, np.array(rows))
 
 
 # ---------------------------------------------------------- input building

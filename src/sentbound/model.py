@@ -20,12 +20,13 @@ predict_texts is the one place that turns texts into probabilities, for
 the segmenter and the evaluation runs alike, under one or more bundles
 at once: nets whose LSTMs have one width run as one pass per block, so
 the lexical and prosodic LSTMs advance in one loop (lockstep_groups).
-The LSTM weights are prepared for inference where the nets that run
-together live: a TrainedSegmenter prepares them once (passes) and
-reuses them for every request, a request at alpha = 1 reading the
-lexical half; an evaluation run prepares them once per call of
-predict_texts. Bundles hold no prepared weights, so training in place
-leaves none stale. A prediction keeps no backward state.
+The LSTM and output weights are prepared for inference where the nets
+that run together live: a TrainedSegmenter prepares them once and keeps
+them in passes, with the lexical net's pass alone, on views of its
+half, for requests at alpha = 1, so a request builds nothing that
+depends only on the model; an evaluation run prepares them once per
+call of predict_texts. Bundles hold no prepared weights, so training in
+place leaves none stale. A prediction keeps no backward state.
 """
 
 import json
@@ -189,9 +190,9 @@ def lockstep_groups(bundles):
     """The passes that predict texts with bundles: one per group of nets
     with LSTMs of one width, whose LSTMs run in one loop, and one per
     other net. Returns (indices, prepared) per pass, in order of first
-    index: the bundles' indices, ascending, and the prepare_weights of
-    their LSTM directions in that order (None without an LSTM). The
-    prepared weights stay valid while the bundles' params do."""
+    index: the bundles' indices, ascending, and the PassWeights of their
+    nets in that order (SequenceNet.prepare). The prepared weights stay
+    valid while the bundles' params do."""
     groups = {}
     for i, bundle in enumerate(bundles):
         cfg = bundle.net.cfg
@@ -201,7 +202,7 @@ def lockstep_groups(bundles):
     for indices in groups.values():
         first, *rest = (bundles[i] for i in indices)
         partners = [(b.net, b.params) for b in rest]
-        passes.append((tuple(indices), first.net.prepare_lstm(first.params, partners)))
+        passes.append((tuple(indices), first.net.prepare(first.params, partners)))
     return passes
 
 
@@ -210,7 +211,7 @@ def predict_texts(bundles, texts, batch_size=1, passes=None):
     list per bundle, in order.
 
     passes, lockstep_groups(bundles) when not given, says which nets run
-    together and holds their prepared LSTM weights. The texts go through
+    together and holds their prepared weights. The texts go through
     the network batch_size at a time like a training batch, so that a
     block's transient arrays (the conv window stack above all) grow no
     larger than in training; each batch goes as time-major blocks of at
@@ -230,7 +231,7 @@ def predict_texts(bundles, texts, batch_size=1, passes=None):
                 batches = [NetBatch.stack([encoded[k][r] for r in rows], lengths)
                            for k in indices]
                 partners = [(b.net, b.params, batch) for b, batch in zip(rest, batches[1:])]
-                probs, _ = first.net.forward(first.params, batches[0], lstm_prep=prepared,
+                probs, _ = first.net.forward(first.params, batches[0], prepared=prepared,
                                              partners=partners)
                 for k, p in zip(indices, probs if partners else [probs]):
                     out[k].extend(p[:m, b].copy() for b, m in enumerate(lengths))
@@ -331,9 +332,14 @@ class TrainedSegmenter:
 
     @cached_property
     def passes(self):
-        """lockstep_groups of the lexical and prosodic bundles: with LSTMs
-        of one width, their weights are prepared once for one loop."""
-        return lockstep_groups([b for b in (self.lexical, self.prosodic) if b is not None])
+        """The passes of a request, built once per segmenter: (alone,
+        joint). joint is lockstep_groups of the lexical and prosodic
+        bundles, which prepares their weights once; alone runs the lexical
+        bundle by itself, on views of its part of joint's first pass, in
+        which the lexical net comes first."""
+        joint = lockstep_groups([b for b in (self.lexical, self.prosodic) if b is not None])
+        _, prepared = joint[0]
+        return [((0,), prepared.first(1))], joint
 
     def predict_probs(self, text, alpha=None):
         """Per-word fused probabilities for one text. Returns (labels, fused);
@@ -341,16 +347,12 @@ class TrainedSegmenter:
         The prepared weights (passes) are kept while the params stay as
         they are."""
         alpha = self.alpha if alpha is None else alpha
+        alone, joint = self.passes
         if self.prosodic is not None and alpha < 1.0:
             [p_lex], [p_pros] = predict_texts((self.lexical, self.prosodic), [text],
-                                              passes=self.passes)
+                                              passes=joint)
         else:
-            # The lexical net comes first in its pass, so its prepared
-            # directions are the first two.
-            _, prepared = self.passes[0]
-            if prepared is not None:
-                prepared = tuple(part[:2] for part in prepared)
-            [[p_lex]] = predict_texts((self.lexical,), [text], passes=[((0,), prepared)])
+            [[p_lex]] = predict_texts((self.lexical,), [text], passes=alone)
             p_pros = None
         return fuse(p_lex, p_pros, alpha)
 

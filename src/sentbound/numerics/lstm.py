@@ -39,12 +39,16 @@ runs beside it. direction_forward runs that loop and then the output
 projections, and its cache carries the weight dicts it ran with;
 direction_backward takes the projections' gradients and then BPTT.
 
-A pass reads the weights in a prepared form (prepare_weights):
-transposed, sign-folded and stacked. The form is a pure function of the
-weight dicts, so a caller whose weights do not change builds it once
-and passes it to every pass; the first 2k directions of a prepared form
-(each part sliced [:2k]) are the prepared form of those directions.
-A pass keeps its backward state only when asked. A training pass
+A pass reads the weights in a prepared form (prepare_weights): per
+direction, the input weights transposed and the biases, with the i, f
+and o columns negated; the D recurrent weights transposed, negated
+alike and stacked; and the output projections, wy transposed and by, as
+views of the weight dicts. The form is a pure function of the weight
+dicts, so a caller whose weights do not change builds it once and
+passes it to every pass, which then reads no weight dict; the first 2k
+directions of a prepared form (each part sliced [:2k]) are the prepared
+form of those directions. A pass keeps its backward state only when
+asked, and its cache then carries the weight dicts. A training pass
 projects the inputs of all T steps at once, since BPTT reads every
 step's gates. An inference pass holds the h history its outputs need,
 c and tanh(c) in one-step buffers, and the gate pre-activations of a
@@ -71,14 +75,16 @@ MIN_GEMM_ROWS = 4  # of a projection chunk, unless the block has fewer
 
 
 def prepare_weights(weights):
-    """What a pass reads of the D directions' weight dicts: (wx_t, b, wh_t).
+    """What a pass reads of the D directions' weight dicts:
+    (wx_t, b, wh_t, wy_t, by).
 
     wx_t holds each direction's input weights transposed, (d_in, 4n), b
     its bias, (4n,), and wh_t the D recurrent weights transposed and
     stacked, (D, n, 4n). The i, f and o columns of all three are negated:
     negated weights give exactly the negated sums, so those rows come out
     as -z and their sigmoid 1 / (1 + exp(-z)), as in kernels.sigmoid,
-    needs no negation step.
+    needs no negation step. wy_t and by hold each direction's output
+    projection, wy transposed, (n, n), and by, (n,): views of the dicts.
     """
     n = weights[0]["wh"].shape[1]
     sign = np.ones(4 * n)
@@ -87,6 +93,8 @@ def prepare_weights(weights):
         [w["wx"].T * sign for w in weights],
         [w["b"] * sign for w in weights],
         np.stack([w["wh"] for w in weights]).transpose(0, 2, 1) * sign,
+        [w["wy"].T for w in weights],
+        [w["by"] for w in weights],
     )
 
 
@@ -102,7 +110,7 @@ def projection_chunks(steps, rows, step_bytes):
     return list(zip(starts, starts[1:] + [steps]))
 
 
-def direction_forward(*xs, weights, prepared=None, keep_cache=False):
+def direction_forward(*xs, weights=None, prepared=None, keep_cache=False):
     """The bidirectional layers of one or more nets: LSTM plus output
     projection, every direction in one lockstep loop.
 
@@ -110,7 +118,8 @@ def direction_forward(*xs, weights, prepared=None, keep_cache=False):
     then the block its second direction reads, already reversed by the
     caller. weights holds the D directions' dicts in that order, and
     prepared their prepare_weights, which is built from weights when not
-    given. Every row starts from a zero state. Returns (ys, cache): ys
+    given; a pass given prepared reads weights only to keep them in its
+    cache. Every row starts from a zero state. Returns (ys, cache): ys
     holds each direction's y_t = wy @ h_t + by (identity activation). The
     cache, which direction_backward needs for one net's pair and which
     carries the weights it ran with, is kept only when keep_cache is set;
@@ -119,7 +128,7 @@ def direction_forward(*xs, weights, prepared=None, keep_cache=False):
     """
     if prepared is None:
         prepared = prepare_weights(weights)
-    wx_t, b, wh_t = prepared
+    wx_t, b, wh_t, wy_t, by = prepared
     steps, rows = xs[0].shape[:2]
     dirs = len(xs)
     n = wh_t.shape[1]
@@ -173,9 +182,8 @@ def direction_forward(*xs, weights, prepared=None, keep_cache=False):
              "weights": weights} if keep_cache else None
     # An inference pass frees its chunk and step buffers before the projection.
     del gates, sig, i, f, o, g, s, g_k, cs, tc, c, c_t, tc_t
-    ys = tuple(
-        row_matmul(hs[:, d], w["wy"].T) + w["by"] for d, w in enumerate(weights)
-    )
+    ys = tuple(row_matmul(hs[:, d], wy_t_d) + by_d
+               for d, (wy_t_d, by_d) in enumerate(zip(wy_t, by)))
     return ys, cache
 
 

@@ -29,14 +29,15 @@ exactly its live rows. Padding never reaches an active result: input
 rows past a sequence's end are zeroed before the conv (the zero padding
 a lone sequence gets), max-pool sees padded conv rows as -inf and emits
 zero there, the backward LSTM direction reads each row's live prefix
-reversed by an index gather (an involution, so the same gather puts its
-outputs and input gradients back in order), dropout draws one mask for
-the block's live rows only, sequence by sequence (live_dropout), and
-padded rows carry no loss gradient.
-Both LSTM directions run in one lockstep call,
-lstm_ops.direction_forward, on the block and its reversed copy; its
-cache carries the direction weights, so backward hands
-direction_backward that cache alone.
+reversed, dropout draws one mask for the block's live rows only,
+sequence by sequence (live_dropout), and padded rows carry no loss
+gradient. The reversal is a reversed slice, a view, for a block with no
+padding, as every one-text request is, and an index gather otherwise;
+both are involutions, so the same reversal puts the direction's outputs
+and input gradients back in order. Both LSTM directions run in one
+lockstep call, lstm_ops.direction_forward, on the block and its
+reversed copy; its cache carries the direction weights, so backward
+hands direction_backward that cache alone.
 
 forward keeps what backward reads only when its caller asks for it, as
 loss_and_grads does whatever the mode; any other pass builds no pool
@@ -44,19 +45,26 @@ argmax, keeps no layer inputs or outputs and no LSTM history, and
 returns no cache. An inference pass may also carry partners: other nets
 with LSTMs of the same width on blocks of the same texts, such as a
 segmenter's lexical and prosodic nets. Each net runs its own layers
-below and above the LSTM, and the LSTM directions of all of them
+below the LSTM, and the LSTM directions of all of them
 advance in one direction_forward call (D = 2 x nets); a lone net is the
-one-net case of that pass. The net holds no prepared LSTM weights:
-prepare_lstm builds them for a net and its partners, and the caller
-that keeps the nets together keeps them (model.predict_texts and
-TrainedSegmenter) and passes them to forward, valid while the params
-stay as they are. Only embedding tables read the gradient at the input,
-so backward does not scatter it for a dense-input net, and that net's
-conv does not compute it.
+one-net case of that pass. The output layer, dense plus softmax, runs
+once per pass too, on the nets' stacked outputs and stacked output
+weights (output_layer), one GEMM per net; a training pass is its
+one-net case. The net holds no prepared weights: prepare builds a
+pass's PassWeights (the prepared LSTM weights, which carry the output
+projections, and the stacked output layers) for a net and its partners,
+and the caller that keeps the nets together keeps them
+(model.predict_texts and TrainedSegmenter) and passes them to forward,
+valid while the params stay as they are. An inference pass given them
+reads no other LSTM or output weights, so it neither checks the
+parameter vector (flat_vector) nor builds views. Only embedding tables
+read the gradient at the input, so backward does not scatter it for a
+dense-input net, and that net's conv does not compute it.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -230,6 +238,43 @@ def _lstm_directions(pairs):
     return [w for net, params in pairs for w in net.lstm_weights(flat_vector(params))]
 
 
+def _output_weights(param_dicts):
+    """The output layers of k nets' params stacked: (k, n, 2) weights and
+    (k, 1, 2) biases; a lone net's are views of its params, as a training
+    pass reads them on every block."""
+    if len(param_dicts) == 1:
+        [params] = param_dicts
+        return params["out_w"][None], params["out_b"][None, None]
+    return (np.stack([p["out_w"] for p in param_dicts]),
+            np.stack([p["out_b"] for p in param_dicts])[:, None])
+
+
+class PassWeights(NamedTuple):
+    """What a pass of k nets reads of their params besides the layers
+    below the LSTM, built once by SequenceNet.prepare and valid while the
+    params stay as they are: lstm, the lstm_ops.prepare_weights of the
+    nets' LSTM directions in net order (None without an LSTM), and out_w
+    (k, n, 2) and out_b (k, 1, 2), their output layers stacked."""
+
+    lstm: tuple | None
+    out_w: np.ndarray
+    out_b: np.ndarray
+
+    def first(self, k):
+        """The PassWeights of the pass's first k nets, as views of these."""
+        lstm = None if self.lstm is None else tuple(part[: 2 * k] for part in self.lstm)
+        return PassWeights(lstm, self.out_w[:k], self.out_b[:k])
+
+
+def output_layer(h, out_w, out_b):
+    """The dense softmax layer of k nets at once: (k, T, B, 2) probs of
+    their (k, T, B, n) outputs under out_w (k, n, 2) and out_b (k, 1, 2).
+    np.matmul runs one GEMM per net, the one a net alone would run."""
+    logits = np.matmul(h.reshape(len(h), -1, h.shape[-1]), out_w)
+    logits += out_b
+    return softmax(logits).reshape(h.shape[:-1] + (N_CLASSES,))
+
+
 def flat_vector(arrays):
     """The one contiguous float64 vector that every array of a params or
     grads dict views, as SequenceNet.views lays them out."""
@@ -355,16 +400,15 @@ class SequenceNet:
         return tuple({key: self._view(vector, f"{direction}_{key}") for key in LSTM_KEYS}
                      for direction in ("fwd", "bwd"))
 
-    def prepare_lstm(self, params, partners=()):
-        """lstm_ops.prepare_weights of the LSTM directions of this net and
-        then of its partners, (net, params) pairs that run in one loop with
-        it (forward); None without an LSTM."""
-        if not self.cfg.has_lstm:
-            return None
-        return lstm_ops.prepare_weights(_lstm_directions(((self, params), *partners)))
+    def prepare(self, params, partners=()):
+        """The PassWeights of a pass of this net and then its partners,
+        (net, params) pairs that run in one pass with it (forward)."""
+        pairs = ((self, params), *partners)
+        lstm = lstm_ops.prepare_weights(_lstm_directions(pairs)) if self.cfg.has_lstm else None
+        return PassWeights(lstm, *_output_weights([p for _, p in pairs]))
 
     def forward(self, params, block, mode="inference", rng=None, keep_cache=False,
-                lstm_prep=None, partners=()):
+                prepared=None, partners=()):
         """Run the stack on a NetBatch block. Returns (probs, cache).
 
         probs are (T, B, 2), row-stochastic, and finite but meaningless on
@@ -376,9 +420,10 @@ class SequenceNet:
         backward() and is built only when keep_cache is set; otherwise it
         is None and the pass holds nothing that only backward reads: no
         pool argmax, no layer inputs or outputs, no LSTM history.
-        lstm_prep, prepare_lstm(params, partners) built once, saves
-        preparing the LSTM weights on every pass; it must come from these
-        params.
+        prepared, prepare(params, partners) built once, saves preparing
+        the LSTM and output weights on every pass, and an inference pass
+        given it reads no other LSTM or output weights; it must come from
+        these params.
 
         partners, (net, params, block) triples, run in this inference
         pass: nets with LSTMs of this net's width, on blocks of this
@@ -410,21 +455,37 @@ class SequenceNet:
         keep(inp=block, pad=pad)
         hs = [net._input_layers(p, x, pad, cache) for (net, p, _), x in zip(nets, xs)]
         del xs
+        if prepared is None:
+            prepared = PassWeights(None, *_output_weights([p for _, p, _ in nets]))
         if self.cfg.has_lstm:
-            t = np.arange(steps)[:, None]
             # An involution: each row's live prefix reversed, padding kept.
-            rev = (np.where(live, lengths - 1 - t, t), np.arange(len(lengths)))
+            if pad is None:
+                rev = slice(None, None, -1)
+            else:
+                t = np.arange(steps)[:, None]
+                rev = (np.where(live, lengths - 1 - t, t), np.arange(len(lengths)))
+            weights = None
+            if keep_cache or prepared.lstm is None:
+                weights = _lstm_directions((net, p) for net, p, _ in nets)
             ys, lstm_cache = lstm_ops.direction_forward(
                 *(x for h in hs for x in (h, h[rev])),
-                weights=_lstm_directions((net, p) for net, p, _ in nets),
-                prepared=lstm_prep, keep_cache=keep_cache,
+                weights=weights, prepared=prepared.lstm, keep_cache=keep_cache,
             )
             keep(lstm=lstm_cache, rev=rev)
-            hs = [y_f + y_b[rev] for y_f, y_b in zip(ys[::2], ys[1::2])]
+            h = np.empty((len(nets),) + ys[0].shape)
+            for h_net, y_f, y_b in zip(h, ys[::2], ys[1::2]):
+                np.add(y_f, y_b[rev], out=h_net)
             del ys
-        probs = [net._output_layers(p, h, live, mode, rng, cache)
-                 for (net, p, _), h in zip(nets, hs)]
-        return (probs if partners else probs[0]), cache
+        else:
+            h = hs[0][None]  # a net without an LSTM runs alone
+        del hs
+        if self.cfg.variant != "mlp" and mode == "train":
+            dropped, mask = live_dropout(h[0], live, self.cfg.dropout, rng)
+            h = dropped[None]
+            keep(dropout_mask=mask)
+        keep(out_in=h[0])
+        probs = output_layer(h, prepared.out_w, prepared.out_b)
+        return (list(probs) if partners else probs[0]), cache
 
     def _input_layers(self, params, x, pad, cache):
         """The layers below the LSTM (conv and max-pool, or the mlp's
@@ -452,16 +513,6 @@ class SequenceNet:
             keep(mlp_in=h, mlp_out=hidden)
             h = hidden
         return h
-
-    def _output_layers(self, params, h, live, mode, rng, cache):
-        """Dropout in train mode, then the dense softmax layer."""
-        keep = _keeper(cache)
-        if self.cfg.variant != "mlp" and mode == "train":
-            h, mask = live_dropout(h, live, self.cfg.dropout, rng)
-            keep(dropout_mask=mask)
-        logits = row_matmul(h, params["out_w"]) + params["out_b"]
-        keep(out_in=h)
-        return softmax(logits)
 
     # -------------------------------------------------------------- backward
 

@@ -10,8 +10,10 @@ reference oracles.
 The rest are the library's earlier ways of doing what it now does in
 fewer numpy calls, kept as oracles that the new code must match bit for
 bit: the scatter-adds by np.add.at, dropout
-drawn one sequence at a time, and alpha tuning that fuses and counts
-every text at every grid alpha.
+drawn one sequence at a time, alpha tuning that fuses and counts
+every text at every grid alpha, and an inference pass that reverses the
+second LSTM direction's input by an index gather and runs each net's
+output layer alone.
 """
 
 import numpy as np
@@ -19,7 +21,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from sentbound.errors import ContractError
 from sentbound.model import boundary_counts, fuse, prf_from_counts
-from sentbound.numerics.kernels import conv_windows, dropout_apply, relu, sigmoid
+from sentbound.numerics.kernels import (
+    conv_windows,
+    dropout_apply,
+    relu,
+    row_matmul,
+    sigmoid,
+    softmax,
+)
+from sentbound.numerics.lstm import direction_forward
+from sentbound.numerics.network import flat_vector
 from sentbound.training import ALPHA_GRID
 
 ACTIVATIONS = {
@@ -158,3 +169,20 @@ def tune_alpha_reference(lex_probs, pros_probs, gold_labels):
         if f1 >= best_f1:
             best_alpha, best_f1 = alpha, f1
     return best_alpha
+
+
+def gather_reversal_probs(net, params, block):
+    """The (T, B, 2) inference probs of one net on a NetBatch block, its
+    LSTM's second direction reading each row's live prefix reversed by an
+    index gather, padded or not, and its output layer run alone."""
+    x = net._assemble_input(params, block)
+    steps, lengths = x.shape[0], block.lengths
+    live = np.arange(steps)[:, None] < lengths
+    h = net._input_layers(params, x, None if live.all() else ~live, None)
+    if net.cfg.has_lstm:
+        t = np.arange(steps)[:, None]
+        rev = (np.where(live, lengths - 1 - t, t), np.arange(len(lengths)))
+        (y_f, y_b), _ = direction_forward(h, h[rev],
+                                          weights=net.lstm_weights(flat_vector(params)))
+        h = y_f + y_b[rev]
+    return softmax(row_matmul(h, params["out_w"]) + params["out_b"])

@@ -354,3 +354,25 @@ def test_non_finite_synth_setting_is_a_data_error(tmp_path, flag, value, capsys)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("flag", ["--mean-sentence-len", "--sentences-per-text"])
+def test_synth_mean_above_the_cap_is_a_data_error(tmp_path, flag, capsys):
+    """A finite mean too large for the Poisson sampler, such as 1e300,
+    exits 2 with one error line."""
+    code = cli.main(["synth", "--texts", "2", flag, "1e300", "--out", str(tmp_path / "c")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "c").exists()
+
+
+def test_embeddings_header_that_declares_a_huge_table_is_a_data_error(
+        workdir, tmp_path, capsys):
+    """The table is sized from the rows read, not from the header, so a
+    header that declares 10^15 words is refused, not allocated."""
+    huge = tmp_path / "huge.vec"
+    huge.write_text("1000000000000000 300\nw " + " ".join(["0.1"] * 300) + "\n")
+    assert cli.main([*_eval(workdir), "--embeddings", str(huge)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {huge}: declared 1000000000000000 words, found 1\n")

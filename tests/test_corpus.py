@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sentbound.corpus import (
     BOUNDARY_MARKS,
+    MAX_SYNTH_MEAN,
     Corpus,
     LabeledText,
     SynthSpec,
@@ -201,11 +202,15 @@ class TestCorpusIO:
             read_corpus(path)
 
     def test_mixed_prosody_within_text(self, tmp_path):
+        """The refusal names the first token line whose prosody kind
+        differs from the text's first token, either way round."""
         path = tmp_path / "t.tsv"
         pros = " ".join(["0.1"] * 13)
-        path.write_text(f"#id x group CTL\na\tt01\t{pros}\tNB\nb\tt01\t-\tB\n")
-        with pytest.raises(ParseError, match="mixes"):
-            read_corpus(path)
+        for first, rest in ((pros, "-"), ("-", pros)):
+            path.write_text(f"#id x group CTL\na\tt01\t{first}\tNB\n"
+                            f"b\tt01\t{rest}\tNB\nc\tt01\t{rest}\tB\n\n")
+            with pytest.raises(ParseError, match=r"t\.tsv:3: text 'x' mixes"):
+                read_corpus(path)
 
     def test_mixed_prosody_across_corpus(self, tmp_path):
         pros = " ".join(["0.1"] * 13)
@@ -360,6 +365,15 @@ class TestSynthGenerate:
         for bad in (math.nan, math.inf, -1.0):
             with pytest.raises(ContractError, match="mean_sentences_per_text must be"):
                 SynthSpec(n_texts=1, mean_sentences_per_text=bad)
+
+    @pytest.mark.parametrize("field", ["mean_sentence_len", "mean_sentences_per_text"])
+    def test_means_above_the_cap_are_refused(self, field):
+        """A finite mean above MAX_SYNTH_MEAN is refused before numpy's
+        Poisson sampler sees it; the cap itself is accepted."""
+        SynthSpec(n_texts=1, **{field: MAX_SYNTH_MEAN})
+        for bad in (1e300, math.nextafter(MAX_SYNTH_MEAN, math.inf)):
+            with pytest.raises(ContractError, match=f"{field} must be finite, .* <= 1e"):
+                SynthSpec(n_texts=1, **{field: bad})
 
 
 @pytest.mark.parametrize("missing", [0, -1])

@@ -12,7 +12,7 @@ from sentbound.numerics import NetBatch, NetConfig, NetInput, SequenceNet, kerne
 from sentbound.numerics import lstm as lstm_ops
 from sentbound.numerics.loss import weighted_cross_entropy
 
-from kernel_reference import scatter_input_grads_reference
+from kernel_reference import gather_reversal_probs, scatter_input_grads_reference
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -252,8 +252,8 @@ def test_inference_pass_matches_the_cache_keeping_pass(variant):
         batch, _ = stacked(ragged_items(net.cfg, (7, 3, 1)))
         want, cache = net.forward(params, batch, rng=None, keep_cache=True)
         assert cache is not None
-        for lstm_prep in (None, net.prepare_lstm(params)):
-            got, no_cache = net.forward(params, batch, rng=None, lstm_prep=lstm_prep)
+        for prepared in (None, net.prepare(params)):
+            got, no_cache = net.forward(params, batch, rng=None, prepared=prepared)
             assert no_cache is None
             npt.assert_array_equal(got, want)
         npt.assert_array_equal(plain.forward(plain_params, batch)[0], want)
@@ -293,12 +293,42 @@ def test_lockstep_pass_equals_each_net_alone(steps, rows, chunks, monkeypatch):
     blocks = [stacked(ragged_items(net.cfg, lengths))[0] for net, _ in pairs]
     want = [net.forward(params, block, keep_cache=True)[0]
             for (net, params), block in zip(pairs, blocks)]
-    prepared = lexical.prepare_lstm(lex_params, [(prosodic, pros_params)])
-    got, cache = lexical.forward(lex_params, blocks[0], lstm_prep=prepared,
+    prepared = lexical.prepare(lex_params, [(prosodic, pros_params)])
+    got, cache = lexical.forward(lex_params, blocks[0], prepared=prepared,
                                  partners=[(prosodic, pros_params, blocks[1])])
     assert cache is None and len(got) == 2
     for g, w in zip(got, want):
         npt.assert_array_equal(g, w)
+
+
+# B = 1 blocks, an unpadded B > 1 block and padded ones
+REVERSAL_LENGTHS = [(1,), (9,), (6, 6), (7, 3, 1), (4, 1)]
+
+
+@pytest.mark.parametrize("lengths", REVERSAL_LENGTHS)
+@pytest.mark.parametrize("variant", ["rcnn", "rnn", "cnn", "mlp"])
+def test_prepared_pass_equals_the_gather_reference(variant, lengths):
+    """A prepared inference pass gives the index-gather reference's probs
+    bit for bit, though its second LSTM direction reads an unpadded block
+    through a reversed slice and its output layer runs on stacked
+    weights."""
+    net, params = batch_net(variant)
+    batch, _ = stacked(ragged_items(net.cfg, lengths))
+    got, _ = net.forward(params, batch, prepared=net.prepare(params))
+    npt.assert_array_equal(got, gather_reversal_probs(net, params, batch))
+
+
+@pytest.mark.parametrize("lengths", REVERSAL_LENGTHS)
+def test_lockstep_pass_equals_the_gather_reference(lengths):
+    """Two nets in one pass, whose output layers run as one, give each
+    net's index-gather reference probs bit for bit."""
+    (lexical, lex_params), (prosodic, pros_params) = pairs = lockstep_nets()
+    blocks = [stacked(ragged_items(net.cfg, lengths))[0] for net, _ in pairs]
+    got, _ = lexical.forward(lex_params, blocks[0],
+                             prepared=lexical.prepare(lex_params, [(prosodic, pros_params)]),
+                             partners=[(prosodic, pros_params, blocks[1])])
+    for g, (net, params), block in zip(got, pairs, blocks, strict=True):
+        npt.assert_array_equal(g, gather_reversal_probs(net, params, block))
 
 
 def test_only_inference_passes_of_one_width_run_together():

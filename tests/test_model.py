@@ -411,6 +411,25 @@ def test_a_segmenter_prepares_its_lstm_weights_once(monkeypatch):
     assert argmax_asked == [False] * 20
 
 
+def test_a_warm_request_reads_only_the_prepared_weights(monkeypatch):
+    """Once a segmenter has served a request, later ones build nothing
+    that depends only on the model: no parameter vector check
+    (flat_vector), no name -> view dict (views), no direction weight dicts
+    (lstm_weights) and no prepared weights, at any alpha and length."""
+    segmenter = tiny_segmenter()
+    segmenter.predict_probs(sample_text(5))
+    calls = []
+    for owner, name in ((network, "flat_vector"), (network.SequenceNet, "views"),
+                        (network.SequenceNet, "lstm_weights"), (lstm_ops, "prepare_weights")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _name=name, _original=original: (
+            calls.append(_name) or _original(*args)))
+    for seed, m in enumerate((1, 2, 9, 30)):
+        for alpha in (None, 0.0, 0.5, 1.0):
+            segmenter.predict_probs(sample_text(m, seed), alpha=alpha)
+    assert calls == []
+
+
 def counted_lstm_calls(monkeypatch):
     """(directions, steps, prepared) of every direction_forward call."""
     calls = []
@@ -443,9 +462,9 @@ def test_a_request_at_alpha_one_runs_the_lexical_net_alone(monkeypatch):
     _, fused = segmenter.predict_probs(text, alpha=1.0)
     [(dirs, steps, prepared)] = calls
     assert (dirs, steps) == (2, 6)
-    [(indices, joint)] = segmenter.passes
+    _, [(indices, joint)] = segmenter.passes
     assert indices == (0, 1)
-    assert prepared[2].base is joint[2] and len(prepared[2]) == 2
+    assert prepared[2].base is joint.lstm[2] and len(prepared[2]) == 2
     [[want]] = predict_texts([segmenter.lexical], [text])
     np.testing.assert_array_equal(fused, want)
 

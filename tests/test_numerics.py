@@ -466,7 +466,7 @@ class TestProjectionChunks:
         the tests: the rows of a product of MIN_GEMM_ROWS or more rows with
         prepare_weights' F-ordered wx_t are bit for bit those of the
         whole product."""
-        [wx_t], _, _ = prepare_weights([fuse_gates(random_direction_weights(n, d_in, rng))])
+        [wx_t], *_ = prepare_weights([fuse_gates(random_direction_weights(n, d_in, rng))])
         assert wx_t.flags.f_contiguous and not wx_t.flags.c_contiguous
         x = rng.normal(size=(300, d_in))
         whole = x @ wx_t
