@@ -60,7 +60,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors, and records the dest of each option it adds."""
+    """Raises usage errors, records the dest of each option it adds, and
+    checks a config file's value against its option's choices, as
+    argparse checks only a flag's."""
 
     def __init__(self, *args, **kwargs):
         self.dests = set()
@@ -71,6 +73,16 @@ class _Parser(argparse.ArgumentParser):
         action = super().add_argument(*args, **kwargs)
         self.dests.add(action.dest)
         return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        for action in self._actions:
+            value = getattr(parsed, action.dest, None)
+            if action.option_strings and action.choices and value not in action.choices:
+                allowed = ", ".join(map(repr, action.choices))
+                self.error(f"argument {action.option_strings[0]}: invalid choice: "
+                           f"{value!r} (choose from {allowed})")
+        return parsed, extras
 
     def error(self, message):
         raise _UsageError(message)

@@ -130,6 +130,12 @@ class EvalConfig:
     alpha: float | None = None  # fixed fusion weight; None tunes on the grid
     word_table: EmbeddingTable | None = None  # pretrained init, else per-run random
 
+    def __post_init__(self):
+        if self.folds < 2:
+            raise ContractError(f"need at least 2 folds, got {self.folds}")
+        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
+            raise ContractError(f"alpha must be in [0, 1], got {self.alpha}")
+
 
 def _check_feature_set(feature_set, corpus):
     if isinstance(feature_set, str):

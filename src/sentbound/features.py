@@ -112,6 +112,8 @@ def load_embeddings(path):
             rows.append(np.array([float(v) for v in parts[1:]]))
         except ValueError as exc:
             raise ParseError(f"bad value: {exc}", str(path), line_no) from exc
+        if not np.isfinite(rows[-1]).all():
+            raise ParseError("embedding values must be finite", str(path), line_no)
         vocab[word] = len(vocab)
     if len(vocab) != count:
         raise ParseError(f"declared {count} words, found {len(vocab)}", str(path))

@@ -30,6 +30,7 @@ place leaves none stale. A prediction keeps no backward state.
 """
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -72,6 +73,8 @@ class Hyperparams:
                     f"hyperparameter {f.name} must be of type {f.type.__name__}, "
                     f"got {value!r}"
                 )
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContractError(f"hyperparameter {f.name} must be finite, got {value!r}")
         positive = (
             self.word_dim, self.tag_dim, self.conv_filters, self.conv_width,
             self.pool_width, self.rec_units, self.mlp_hidden, self.eta,

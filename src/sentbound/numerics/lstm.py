@@ -36,29 +36,26 @@ slice (D, B, n) are contiguous, and each step runs one stacked
 recurrent GEMM and gradient epilogue keep the shapes of a lone
 direction, so a direction's outputs and gradients do not depend on what
 runs beside it. direction_forward runs that loop and then the output
-projections, and its cache carries the weight dicts it ran with;
-direction_backward takes the projections' gradients and then BPTT.
+projections; direction_backward takes the projections' gradients and
+then BPTT.
 
-A pass reads the weights in a prepared form (prepare_weights): per
-direction, the input weights transposed and the biases, with the i, f
-and o columns negated; the D recurrent weights transposed, negated
-alike and stacked; and the output projections, wy transposed and by, as
-views of the weight dicts. The form is a pure function of the weight
-dicts, so a caller whose weights do not change builds it once and
-passes it to every pass, which then reads no weight dict; the first 2k
-directions of a prepared form (each part sliced [:2k]) are the prepared
-form of those directions. A pass keeps its backward state only when
-asked, and its cache then carries the weight dicts. A training pass
-projects the inputs of all T steps at once, since BPTT reads every
-step's gates. An inference pass holds the h history its outputs need,
-c and tanh(c) in one-step buffers, and the gate pre-activations of a
-chunk of steps: it projects its inputs PROJECTION_BYTES' worth of
-steps at a time (projection_chunks) and returns no cache. A chunk's
-GEMM has at least MIN_GEMM_ROWS rows, as a shorter tail joins the chunk
-before it: at 4 rows and more, the rows of a GEMM with the F-ordered
-wx_t equal the same rows of the whole-T GEMM bit for bit (with
-numpy 2.4's OpenBLAS 0.3.31, tested in test_numerics), while a 1-row
-product takes another summation order.
+Every pass reads the weights in one prepared form (prepare_weights),
+which SequenceNet.prepare builds for training blocks and requests alike.
+The form is a pure function of the weight dicts, so a caller whose
+weights do not change builds it once; its first 2k directions (each part
+sliced [:2k]) are the prepared form of those directions. A pass keeps
+its backward state only when asked, and its cache then carries the
+form's weight dicts for direction_backward. A training pass projects the
+inputs of all T steps at once, since BPTT reads every step's gates. An
+inference pass holds the h history its outputs need, c and tanh(c) in
+one-step buffers, and the gate pre-activations of a chunk of steps: it
+projects its inputs PROJECTION_BYTES' worth of steps at a time
+(projection_chunks) and returns no cache. A chunk's GEMM has at least
+MIN_GEMM_ROWS rows, as a shorter tail joins the chunk before it: at 4
+rows and more, the rows of a GEMM with the F-ordered wx_t equal the same
+rows of the whole-T GEMM bit for bit (with numpy 2.4's OpenBLAS 0.3.31,
+tested in test_numerics), while a 1-row product takes another summation
+order.
 """
 
 import numpy as np
@@ -76,7 +73,7 @@ MIN_GEMM_ROWS = 4  # of a projection chunk, unless the block has fewer
 
 def prepare_weights(weights):
     """What a pass reads of the D directions' weight dicts:
-    (wx_t, b, wh_t, wy_t, by).
+    (wx_t, b, wh_t, wy_t, by, weights).
 
     wx_t holds each direction's input weights transposed, (d_in, 4n), b
     its bias, (4n,), and wh_t the D recurrent weights transposed and
@@ -84,7 +81,8 @@ def prepare_weights(weights):
     negated weights give exactly the negated sums, so those rows come out
     as -z and their sigmoid 1 / (1 + exp(-z)), as in kernels.sigmoid,
     needs no negation step. wy_t and by hold each direction's output
-    projection, wy transposed, (n, n), and by, (n,): views of the dicts.
+    projection, wy transposed, (n, n), and by, (n,), as views of the
+    dicts, which come last, for direction_backward.
     """
     n = weights[0]["wh"].shape[1]
     sign = np.ones(4 * n)
@@ -95,6 +93,7 @@ def prepare_weights(weights):
         np.stack([w["wh"] for w in weights]).transpose(0, 2, 1) * sign,
         [w["wy"].T for w in weights],
         [w["by"] for w in weights],
+        list(weights),
     )
 
 
@@ -110,25 +109,22 @@ def projection_chunks(steps, rows, step_bytes):
     return list(zip(starts, starts[1:] + [steps]))
 
 
-def direction_forward(*xs, weights=None, prepared=None, keep_cache=False):
+def direction_forward(*xs, prepared, keep_cache=False):
     """The bidirectional layers of one or more nets: LSTM plus output
     projection, every direction in one lockstep loop.
 
     xs are D (T, B, d_in) blocks of one (T, B), two per net: its block,
     then the block its second direction reads, already reversed by the
-    caller. weights holds the D directions' dicts in that order, and
-    prepared their prepare_weights, which is built from weights when not
-    given; a pass given prepared reads weights only to keep them in its
-    cache. Every row starts from a zero state. Returns (ys, cache): ys
-    holds each direction's y_t = wy @ h_t + by (identity activation). The
-    cache, which direction_backward needs for one net's pair and which
-    carries the weights it ran with, is kept only when keep_cache is set;
+    caller. prepared is the prepare_weights of the D directions in that
+    order (SequenceNet.prepare builds it). Every row starts from a zero
+    state. Returns (ys, cache): ys holds each direction's
+    y_t = wy @ h_t + by (identity activation). The cache, which
+    direction_backward needs for one net's pair and which carries the
+    prepared form's weight dicts, is kept only when keep_cache is set;
     otherwise it is None, c and tanh(c) live in one-step buffers and the
     inputs are projected a chunk of steps at a time (projection_chunks).
     """
-    if prepared is None:
-        prepared = prepare_weights(weights)
-    wx_t, b, wh_t, wy_t, by = prepared
+    wx_t, b, wh_t, wy_t, by, weights = prepared
     steps, rows = xs[0].shape[:2]
     dirs = len(xs)
     n = wh_t.shape[1]

@@ -50,16 +50,17 @@ advance in one direction_forward call (D = 2 x nets); a lone net is the
 one-net case of that pass. The output layer, dense plus softmax, runs
 once per pass too, on the nets' stacked outputs and stacked output
 weights (output_layer), one GEMM per net; a training pass is its
-one-net case. The net holds no prepared weights: prepare builds a
-pass's PassWeights (the prepared LSTM weights, which carry the output
-projections, and the stacked output layers) for a net and its partners,
-and the caller that keeps the nets together keeps them
-(model.predict_texts and TrainedSegmenter) and passes them to forward,
-valid while the params stay as they are. An inference pass given them
-reads no other LSTM or output weights, so it neither checks the
-parameter vector (flat_vector) nor builds views. Only embedding tables
-read the gradient at the input, so backward does not scatter it for a
-dense-input net, and that net's conv does not compute it.
+one-net case. Every pass reads the LSTM and output weights in one
+form, a PassWeights (the prepared LSTM weights, which carry the output
+projections and direction weight dicts, and the stacked output layers),
+and only prepare builds it. forward calls prepare once per pass when
+not given one, as on every training block; the caller that keeps nets
+together (model.predict_texts and TrainedSegmenter) prepares once and
+passes the result to every pass, valid while the params stay as they
+are, so a request neither checks the parameter vector (flat_vector) nor
+builds views. Only embedding tables read the gradient at the input, so
+backward does not scatter it for a dense-input net, and that net's conv
+does not compute it.
 """
 
 import math
@@ -233,11 +234,6 @@ def _keeper(cache):
     return (lambda **_: None) if cache is None else cache.update
 
 
-def _lstm_directions(pairs):
-    """The LSTM direction weight dicts of (net, params) pairs, in order."""
-    return [w for net, params in pairs for w in net.lstm_weights(flat_vector(params))]
-
-
 def _output_weights(param_dicts):
     """The output layers of k nets' params stacked: (k, n, 2) weights and
     (k, 1, 2) biases; a lone net's are views of its params, as a training
@@ -251,10 +247,11 @@ def _output_weights(param_dicts):
 
 class PassWeights(NamedTuple):
     """What a pass of k nets reads of their params besides the layers
-    below the LSTM, built once by SequenceNet.prepare and valid while the
+    below the LSTM, built only by SequenceNet.prepare and valid while the
     params stay as they are: lstm, the lstm_ops.prepare_weights of the
-    nets' LSTM directions in net order (None without an LSTM), and out_w
-    (k, n, 2) and out_b (k, 1, 2), their output layers stacked."""
+    nets' LSTM directions in net order (None exactly when the net has no
+    LSTM, as such a net runs alone), and out_w (k, n, 2) and out_b
+    (k, 1, 2), their output layers stacked."""
 
     lstm: tuple | None
     out_w: np.ndarray
@@ -358,7 +355,11 @@ class SequenceNet:
 
     def init_params(self, rng):
         """Glorot-gaussian weights, zero biases, drawn in key order."""
-        params = self.views(np.zeros(self.size))
+        try:
+            vector = np.zeros(self.size)
+        except (MemoryError, ValueError) as exc:  # a size numpy cannot allocate
+            raise ContractError(f"{self.size} parameters do not fit in memory") from exc
+        params = self.views(vector)
         for value in params.values():
             if value.ndim == 2:
                 value[...] = glorot_init(*value.shape, rng)
@@ -404,7 +405,10 @@ class SequenceNet:
         """The PassWeights of a pass of this net and then its partners,
         (net, params) pairs that run in one pass with it (forward)."""
         pairs = ((self, params), *partners)
-        lstm = lstm_ops.prepare_weights(_lstm_directions(pairs)) if self.cfg.has_lstm else None
+        lstm = None
+        if self.cfg.has_lstm:
+            lstm = lstm_ops.prepare_weights(
+                [w for net, p in pairs for w in net.lstm_weights(flat_vector(p))])
         return PassWeights(lstm, *_output_weights([p for _, p in pairs]))
 
     def forward(self, params, block, mode="inference", rng=None, keep_cache=False,
@@ -420,10 +424,9 @@ class SequenceNet:
         backward() and is built only when keep_cache is set; otherwise it
         is None and the pass holds nothing that only backward reads: no
         pool argmax, no layer inputs or outputs, no LSTM history.
-        prepared, prepare(params, partners) built once, saves preparing
-        the LSTM and output weights on every pass, and an inference pass
-        given it reads no other LSTM or output weights; it must come from
-        these params.
+        prepared, the PassWeights the pass reads, is prepare(params, the
+        partners' (net, params) pairs), which the pass calls when it is
+        not given; a caller whose params stay the same builds it once.
 
         partners, (net, params, block) triples, run in this inference
         pass: nets with LSTMs of this net's width, on blocks of this
@@ -456,7 +459,7 @@ class SequenceNet:
         hs = [net._input_layers(p, x, pad, cache) for (net, p, _), x in zip(nets, xs)]
         del xs
         if prepared is None:
-            prepared = PassWeights(None, *_output_weights([p for _, p, _ in nets]))
+            prepared = self.prepare(params, [(net, p) for net, p, _ in partners])
         if self.cfg.has_lstm:
             # An involution: each row's live prefix reversed, padding kept.
             if pad is None:
@@ -464,12 +467,9 @@ class SequenceNet:
             else:
                 t = np.arange(steps)[:, None]
                 rev = (np.where(live, lengths - 1 - t, t), np.arange(len(lengths)))
-            weights = None
-            if keep_cache or prepared.lstm is None:
-                weights = _lstm_directions((net, p) for net, p, _ in nets)
             ys, lstm_cache = lstm_ops.direction_forward(
                 *(x for h in hs for x in (h, h[rev])),
-                weights=weights, prepared=prepared.lstm, keep_cache=keep_cache,
+                prepared=prepared.lstm, keep_cache=keep_cache,
             )
             keep(lstm=lstm_cache, rev=rev)
             h = np.empty((len(nets),) + ys[0].shape)

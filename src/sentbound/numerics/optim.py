@@ -28,8 +28,8 @@ class RmsPropState:
     def __init__(self, theta, gamma=0.9, eta=0.001, epsilon=1e-8):
         if not 0.0 < gamma < 1.0:
             raise ContractError(f"gamma must be in (0, 1), got {gamma}")
-        if eta <= 0.0 or epsilon <= 0.0:
-            raise ContractError("eta and epsilon must be positive")
+        if not (0.0 < eta < np.inf and 0.0 < epsilon < np.inf):
+            raise ContractError("eta and epsilon must be positive and finite")
         self.gamma = gamma
         self.eta = eta
         self.epsilon = epsilon

@@ -29,7 +29,7 @@ from sentbound.numerics.kernels import (
     sigmoid,
     softmax,
 )
-from sentbound.numerics.lstm import direction_forward
+from sentbound.numerics.lstm import direction_forward, prepare_weights
 from sentbound.numerics.network import flat_vector
 from sentbound.training import ALPHA_GRID
 
@@ -182,7 +182,7 @@ def gather_reversal_probs(net, params, block):
     if net.cfg.has_lstm:
         t = np.arange(steps)[:, None]
         rev = (np.where(live, lengths - 1 - t, t), np.arange(len(lengths)))
-        (y_f, y_b), _ = direction_forward(h, h[rev],
-                                          weights=net.lstm_weights(flat_vector(params)))
+        prepared = prepare_weights(net.lstm_weights(flat_vector(params)))
+        (y_f, y_b), _ = direction_forward(h, h[rev], prepared=prepared)
         h = y_f + y_b[rev]
     return softmax(row_matmul(h, params["out_w"]) + params["out_b"])

@@ -10,7 +10,7 @@ import zlib
 
 import pytest
 
-from sentbound import cli
+from sentbound import cli, evaluation
 from sentbound.model import FORMAT_VERSION, MAGIC, load_model
 
 SMALL_MODEL = ["--epochs", "1", "--conv-filters", "4", "--rec-units", "4"]
@@ -252,7 +252,7 @@ def test_unknown_config_key_is_a_usage_error(workdir, key, capsys):
 
 def test_known_config_key_reaches_the_command(workdir, capsys):
     """folds = 1 from the config file gets past the key check and is
-    refused by the CV run itself, a data error."""
+    refused by the evaluation config, a data error."""
     config = workdir / "folds.conf"
     config.write_text("folds = 1\n", encoding="utf-8")
     code = cli.main(["eval", "--corpus", str(workdir / "corpus"), "--config", str(config)])
@@ -376,3 +376,72 @@ def test_embeddings_header_that_declares_a_huge_table_is_a_data_error(
     assert cli.main([*_eval(workdir), "--embeddings", str(huge)]) == 2
     assert capsys.readouterr().err == (
         f"error: {huge}: declared 1000000000000000 words, found 1\n")
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("a bad setting must be refused before any training")
+
+
+@pytest.mark.parametrize("case", ["flag_nan", "flag_inf", "config_nan"])
+def test_non_finite_eta_is_a_data_error_before_training(workdir, tmp_path, monkeypatch,
+                                                        case, capsys):
+    monkeypatch.setattr(evaluation, "train_model", _no_training)
+    config = tmp_path / "eta.conf"
+    config.write_text("eta = nan\n", encoding="utf-8")
+    extra = {"flag_nan": ["--eta", "nan"], "flag_inf": ["--eta", "inf"],
+             "config_nan": ["--config", str(config)]}[case]
+    assert cli.main([*_eval(workdir), *extra]) == 2
+    assert "hyperparameter eta must be finite" in capsys.readouterr().err
+
+
+# Evaluation settings refused whatever the feature set, and the error
+# each gives.
+BAD_EVAL_SETTINGS = {
+    "alpha_above_one": (["--features", "embeddings+pos", "--alpha", "1.5"], "alpha"),
+    "alpha_nan": (["--features", "embeddings+pos", "--alpha", "nan"], "alpha"),
+    "negative_alpha_with_prosody_only": (["--features", "prosody", "--alpha", "-3"], "alpha"),
+    "fused_alpha_above_one": (["--features", "all", "--alpha", "1.5"], "alpha"),
+    "one_fold": (["--folds", "1"], "2 folds"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_EVAL_SETTINGS)
+def test_bad_eval_setting_is_a_data_error_before_training(workdir, monkeypatch, case, capsys):
+    monkeypatch.setattr(evaluation, "train_model", _no_training)
+    extra, message = BAD_EVAL_SETTINGS[case]
+    assert cli.main([*_eval(workdir), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("alpha", ["2", "nan"])
+def test_train_with_a_bad_alpha_leaves_no_files(workdir, tmp_path, monkeypatch, alpha, capsys):
+    monkeypatch.setattr(evaluation, "train_model", _no_training)
+    out = tmp_path / "bad.dbnd"
+    code = cli.main(["train", "--corpus", str(workdir / "corpus"), "--out", str(out),
+                     *SMALL_MODEL, "--features", "all", "--alpha", alpha])
+    assert code == 2
+    assert "alpha must be in [0, 1]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, command", [
+    ("log_level", "eval"), ("variant", "eval"), ("emit", "segment"),
+])
+def test_config_value_outside_its_choices_is_a_usage_error(workdir, tmp_path, monkeypatch,
+                                                           key, command, capsys):
+    """argparse checks only a flag's value against its choices; a config
+    file's value is checked the same way."""
+    monkeypatch.setattr(evaluation, "train_model", _no_training)
+    config = tmp_path / "choice.conf"
+    config.write_text(f"{key} = nan\n", encoding="utf-8")
+    args = _segment(workdir) if command == "segment" else _eval(workdir)
+    assert cli.main([*args, "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert "invalid choice: 'nan'" in captured.err and not captured.out
+
+
+def test_net_too_large_to_allocate_is_a_data_error(workdir, monkeypatch, capsys):
+    monkeypatch.setattr(evaluation, "train_model", _no_training)
+    assert cli.main([*_eval(workdir), "--rec-units", "99999999999999999999"]) == 2
+    assert "do not fit in memory" in capsys.readouterr().err

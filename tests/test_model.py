@@ -2,19 +2,30 @@
 and half-valid files."""
 
 import json
+import re
 import struct
+import tempfile
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sentbound import SentboundError
-from sentbound.corpus import LABEL_B, LABEL_NB, LabeledText
+from sentbound import SentboundError, cli, evaluation
+from sentbound.corpus import (
+    LABEL_B,
+    LABEL_NB,
+    LabeledText,
+    SynthSpec,
+    read_corpus,
+    synth_generate,
+    write_corpus,
+)
 from sentbound.errors import ContractError, ModelFileError
-from sentbound.features import EmbeddingTable, ProsodyStats
+from sentbound.features import EmbeddingTable, ProsodyStats, load_embeddings
 from sentbound.model import (
     FORMAT_VERSION,
     MAGIC,
@@ -369,6 +380,119 @@ def test_mutated_container_loads_and_predicts_or_raises_a_sentbound_error(tmp_pa
         load_model(path).predict_probs(sample_text(5))
     except SentboundError:
         pass
+
+
+# ------------------------------------------------------ bad text input
+
+FUZZ_CORPUS = synth_generate(SynthSpec(n_texts=2, mean_sentences_per_text=1.5,
+                                       prosody_cue_strength=2.0, seed=4))
+FUZZ_EMBEDDINGS = "3 4\nthe 0.1 -0.2 0.3 0.4\na 1e-3 2.5 -1 0\nentão 0 0 0.5 -0.5\n"
+FUZZ_CONFIG = """# an eval run
+epochs = 1
+folds = 2
+conv_filters = 4
+rec_units = 4
+eta = 0.001
+alpha = 0.5
+features = all
+variant = rcnn
+log_level = warning
+seed = 3
+"""
+# What a field of a text input is replaced by: a missing value, values
+# that are not finite or not float64, and stray separators.
+FIELD_VALUES = ("-", "nan", "inf", "-inf", "1e309", "1e308", "99999999999999999999", "",
+                "\t", "a\tb", "=")
+
+
+@st.composite
+def mutated_text(draw, text):
+    """The UTF-8 bytes of text with a few bytes overwritten, cut short, one
+    whitespace-separated field replaced by a FIELD_VALUES entry, or a
+    stray tab inserted."""
+    data = bytearray(text.encode("utf-8"))
+    how = draw(st.sampled_from(("bytes", "cut", "field", "tab")))
+    offsets = st.integers(0, len(data) - 1)
+    if how == "cut":
+        return bytes(data[: draw(offsets)])
+    if how == "field":
+        start, stop = draw(st.sampled_from([m.span() for m in re.finditer(rb"\S+", data)]))
+        data[start:stop] = draw(st.sampled_from(FIELD_VALUES)).encode("utf-8")
+    elif how == "tab":
+        at = draw(offsets)
+        data[at:at] = b"\t"
+    else:
+        for at, byte in draw(st.lists(st.tuples(offsets, st.integers(0, 255)),
+                                      min_size=1, max_size=4)):
+            data[at] = byte
+    return bytes(data)
+
+
+def fuzz_tsv():
+    """FUZZ_CORPUS as one tsv file's text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.tsv"
+        write_corpus(FUZZ_CORPUS, path)
+        return path.read_text(encoding="utf-8")
+
+
+TEXT_FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@TEXT_FUZZ
+@given(data=mutated_text(fuzz_tsv()))
+def test_mutated_tsv_loads_or_raises_a_sentbound_error(tmp_path, data):
+    path = tmp_path / "c.tsv"
+    path.write_bytes(data)
+    try:
+        corpus = read_corpus(path)
+    except SentboundError:
+        return
+    assert all(t.prosody is None or np.isfinite(t.prosody).all() for t in corpus)
+
+
+@TEXT_FUZZ
+@given(data=mutated_text(FUZZ_EMBEDDINGS))
+def test_mutated_embeddings_load_or_raise_a_sentbound_error(tmp_path, data):
+    path = tmp_path / "e.vec"
+    path.write_bytes(data)
+    try:
+        table = load_embeddings(path)
+    except SentboundError:
+        return
+    assert np.isfinite(table.vectors).all()
+
+
+class ReachedTraining(Exception):
+    """Raised in place of training: the run got past every check."""
+
+
+def reached_training(*args, **kwargs):
+    raise ReachedTraining
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz-corpus")
+    write_corpus(FUZZ_CORPUS, root, one_file_per_text=True)
+    return root
+
+
+@TEXT_FUZZ
+@given(data=mutated_text(FUZZ_CONFIG))
+def test_mutated_config_reaches_training_or_exits_with_an_error(
+        tmp_path, fuzz_corpus_dir, monkeypatch, data):
+    """An eval run with the config file either gets as far as training or
+    exits 1 (usage) or 2 (data), without a traceback."""
+    monkeypatch.setattr(evaluation, "train_model", reached_training)
+    path = tmp_path / "run.conf"
+    path.write_bytes(data)
+    try:
+        code = cli.main(["eval", "--corpus", str(fuzz_corpus_dir), "--config", str(path)])
+    except ReachedTraining:
+        return
+    assert code in (cli.EXIT_USAGE, cli.EXIT_DATA)
 
 
 # ------------------------------------------------------ inference state

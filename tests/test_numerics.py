@@ -296,7 +296,8 @@ class TestLstmCell:
         n_r, d_in, m = 4, 3, 11
         w = random_direction_weights(n_r, d_in, rng)
         x = rng.normal(size=(m, d_in))
-        _, cache = direction_forward(x[:, None], weights=[fuse_gates(w)], keep_cache=True)
+        _, cache = direction_forward(x[:, None], prepared=prepare_weights([fuse_gates(w)]),
+                                     keep_cache=True)
         h = np.zeros(n_r)
         c = np.zeros(n_r)
         for t in range(m):
@@ -307,8 +308,8 @@ class TestLstmCell:
 def lockstep_bilstm(x, fwd, bwd):
     """The library's lockstep pass over one (m, d) sequence, as a block of one."""
     block = x[:, None, :]
-    (y_f, y_b), _ = direction_forward(block, block[::-1],
-                                      weights=(fuse_gates(fwd), fuse_gates(bwd)))
+    (y_f, y_b), _ = direction_forward(
+        block, block[::-1], prepared=prepare_weights([fuse_gates(fwd), fuse_gates(bwd)]))
     return (y_f + y_b[::-1])[:, 0]
 
 
@@ -358,7 +359,8 @@ class TestBlockLstm:
         partner = random_direction_weights(n_r, d_in, rng)
         block = rng.normal(size=(max(self.LENGTHS), len(self.LENGTHS), d_in))
         (y, _), _ = direction_forward(
-            block, rng.normal(size=block.shape), weights=(fuse_gates(w), fuse_gates(partner))
+            block, rng.normal(size=block.shape),
+            prepared=prepare_weights([fuse_gates(w), fuse_gates(partner)]),
         )
         for b, m in enumerate(self.LENGTHS):
             h, c = np.zeros(n_r), np.zeros(n_r)
@@ -379,7 +381,7 @@ class TestBlockLstm:
             block[: len(seq), b] = seq
             reversed_block[: len(seq), b] = seq[::-1]
         (y_f, y_b), _ = direction_forward(
-            block, reversed_block, weights=(fuse_gates(fwd), fuse_gates(bwd))
+            block, reversed_block, prepared=prepare_weights([fuse_gates(fwd), fuse_gates(bwd)])
         )
         for b, seq in enumerate(seqs):
             npt.assert_allclose(y_f[: len(seq), b], direction_outputs(seq, fwd), atol=1e-12)
@@ -398,8 +400,8 @@ class TestBlockLstm:
         for _ in range(2):
             partner = fuse_gates(random_direction_weights(n_r, d_in, rng))
             other = rng.normal(size=shape)
-            (y, y_other), cache = direction_forward(x, other, weights=(w, partner),
-                                                   keep_cache=True)
+            (y, y_other), cache = direction_forward(
+                x, other, prepared=prepare_weights([w, partner]), keep_cache=True)
             (grads, _), (d_x, _) = direction_backward(
                 d_y, rng.normal(size=y_other.shape), cache
             )
@@ -658,6 +660,12 @@ class TestRmsProp:
             RmsPropState(theta, gamma=1.0)
         with pytest.raises(ContractError):
             RmsPropState(theta, eta=0.0)
+
+    @pytest.mark.parametrize("name", ["eta", "epsilon"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_constants(self, name, value):
+        with pytest.raises(ContractError, match="positive and finite"):
+            RmsPropState(np.zeros(1), **{name: value})
 
     def test_flat_step_matches_the_per_array_formula_bit_for_bit(self, rng):
         """Three whole-vector steps on an rcnn's parameters give, name by

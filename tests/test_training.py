@@ -109,10 +109,61 @@ def test_training_names_no_gradient_parts(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("variant, lstm_directions", [("rcnn", [2]), ("mlp", [])])
+def test_each_training_block_prepares_its_weights_once(monkeypatch, variant,
+                                                       lstm_directions):
+    """A training block's pass reads weights that one SequenceNet.prepare
+    call built for it, and that call prepares the LSTM's two directions
+    once (lstm_ops.prepare_weights); a net without an LSTM prepares none."""
+    texts = synth_generate(SynthSpec(n_texts=6, mean_sentences_per_text=2, seed=2)).texts
+    rng = np.random.default_rng(0)
+    hp = Hyperparams.lexical(conv_filters=4, rec_units=4)
+    words = EmbeddingTable.from_tokens([w for t in texts for w in t.tokens], hp.word_dim, rng)
+    bundle = training.make_lexical_bundle(variant, hp, words, None, rng)
+    calls = []
+    net_class = network.SequenceNet
+    loss_and_grads, prepare = net_class.loss_and_grads, net_class.prepare
+    prepare_weights = network.lstm_ops.prepare_weights
+    monkeypatch.setattr(net_class, "loss_and_grads", lambda self, *args, **kwargs: (
+        calls.append("block") or loss_and_grads(self, *args, **kwargs)))
+    monkeypatch.setattr(net_class, "prepare", lambda self, *args: (
+        calls.append("prepare") or prepare(self, *args)))
+    monkeypatch.setattr(network.lstm_ops, "prepare_weights", lambda weights: (
+        calls.append(len(weights)) or prepare_weights(weights)))
+    training.train_model(bundle, texts, training.TrainConfig(epochs=1, batch_size=2), rng)
+    blocks = calls.count("block")
+    assert blocks >= 3
+    assert calls == ["block", "prepare", *lstm_directions] * blocks
+
+
 @pytest.mark.parametrize("epochs", [0, -1])
 def test_train_config_rejects_fewer_than_one_epoch(epochs):
     with pytest.raises(ContractError, match="must be positive"):
         training.TrainConfig(epochs=epochs)
+
+
+@pytest.mark.parametrize("name", ["eta", "gamma", "dropout_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_hyperparams_reject_a_non_finite_float(name, value):
+    with pytest.raises(ContractError, match=f"hyperparameter {name} must be finite"):
+        Hyperparams(**{name: value})
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"folds": 1}, "at least 2 folds"),
+    ({"folds": 0}, "at least 2 folds"),
+    ({"alpha": 1.5}, "alpha must be in"),
+    ({"alpha": -3.0}, "alpha must be in"),
+    ({"alpha": float("nan")}, "alpha must be in"),
+])
+def test_eval_config_rejects_bad_folds_and_alpha(settings, message):
+    with pytest.raises(ContractError, match=message):
+        EvalConfig(**settings)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.0, 0.5, 1.0])
+def test_eval_config_takes_alpha_in_the_unit_interval(alpha):
+    assert EvalConfig(folds=2, alpha=alpha).alpha == alpha
 
 
 THREE_ROWS, FOUR_ROWS = np.full((3, 2), 0.5), np.full((4, 2), 0.5)
