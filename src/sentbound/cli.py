@@ -106,15 +106,6 @@ def load_config_file(path):
     return values
 
 
-def _scan_config_path(argv):
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if arg.startswith("--config="):
-            return arg.split("=", 1)[1]
-    return None
-
-
 # ------------------------------------------------------------------ parser
 
 
@@ -390,15 +381,16 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands, config_keys = build_parser()
     try:
-        config_path = _scan_config_path(argv)
-        if config_path:
-            values = load_config_file(config_path)
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's values become defaults, so the flags parse over them
+            values = load_config_file(args.config)
             unknown = set(values) - config_keys
             if unknown:
                 raise _UsageError(f"unknown config keys: {sorted(unknown)}")
             for p in commands.values():
                 p.set_defaults(**values)
-        args = parser.parse_args(argv)
+            args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.print_help()
             return EXIT_USAGE

@@ -373,6 +373,8 @@ class SynthSpec:
             raise ContractError("vocab_size must be >= 2")
         if self.cue_offset < 0:
             raise ContractError("cue_offset must be >= 0")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
 
 
 def _filler_word(index):

@@ -12,10 +12,11 @@ resolved to NB (the majority class).
 
 Each model is a ModelBundle that owns its whole input identity (its
 vocabularies, or its prosody statistics) and the encoder built from it.
-net_config is the one mapping from a variant, its Hyperparams and its
-inputs (embedding table sizes, or the prosody width) to the net's
-NetConfig: a new bundle (training.make_lexical_bundle and
-make_prosodic_bundle) and a loaded one (load_model) both go through it.
+Its net is SequenceNet(variant, hp, input sizes), and the Hyperparams
+hp (re-exported here) live on the net alone: a new bundle
+(training.make_lexical_bundle and make_prosodic_bundle) and a loaded
+one (load_model) both build the net that way, and a bundle's
+hyperparams are its net's.
 predict_texts is the one place that turns texts into probabilities, for
 the segmenter and the evaluation runs alike, under one or more bundles
 at once: nets whose LSTMs have one width run as one pass per block, so
@@ -30,10 +31,9 @@ place leaves none stale. A prediction keeps no backward state.
 """
 
 import json
-import math
 import struct
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,58 +41,11 @@ import numpy as np
 from .corpus import LABEL_B, LABEL_NB, PROSODY_DIM
 from .errors import ContractError, ModelFileError
 from .features import EmbeddingTable, LexicalEncoder, ProsodicEncoder, ProsodyStats
-from .numerics import NetBatch, NetConfig, SequenceNet
+from .numerics import Hyperparams, NetBatch, SequenceNet
 from .numerics.network import blocks as row_blocks
 
 MAGIC = b"DBND"
 FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    """Architecture and optimizer settings of one sequence model."""
-
-    word_dim: int = 50
-    tag_dim: int = 10
-    conv_filters: int = 100
-    conv_width: int = 7
-    pool_width: int = 3
-    rec_units: int = 100
-    mlp_hidden: int = 100
-    gamma: float = 0.9
-    eta: float = 0.001
-    dropout_rate: float = 0.5
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(
-                value, int if f.type is int else (int, float)
-            ):
-                raise ContractError(
-                    f"hyperparameter {f.name} must be of type {f.type.__name__}, "
-                    f"got {value!r}"
-                )
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ContractError(f"hyperparameter {f.name} must be finite, got {value!r}")
-        positive = (
-            self.word_dim, self.tag_dim, self.conv_filters, self.conv_width,
-            self.pool_width, self.rec_units, self.mlp_hidden, self.eta,
-        )
-        if any(v <= 0 for v in positive):
-            raise ContractError("hyperparameters must be positive")
-        if not 0.0 < self.gamma < 1.0:
-            raise ContractError("gamma must be in (0, 1)")
-
-    @classmethod
-    def lexical(cls, **overrides):
-        return cls(**overrides)
-
-    @classmethod
-    def prosodic(cls, **overrides):
-        overrides.setdefault("conv_filters", 8)
-        overrides.setdefault("conv_width", 5)
-        return cls(**overrides)
 
 
 FEATURE_PARTS = ("embeddings", "pos", "prosody")
@@ -132,29 +85,6 @@ def parse_feature_set(name):
     return FeatureSet(*(part in parts for part in FEATURE_PARTS))
 
 
-# ----------------------------------------------------------- configurations
-
-
-def net_config(variant, hp, word_rows=0, tag_rows=0, dense_dim=0):
-    """The NetConfig of a variant with hp over its inputs: embedding tables
-    of word_rows and tag_rows rows (OOV row included), or dense_dim
-    features. Every model's architecture is decided here."""
-    return NetConfig(
-        variant=variant,
-        conv_filters=hp.conv_filters,
-        conv_width=hp.conv_width,
-        pool_width=hp.pool_width,
-        rec_units=hp.rec_units,
-        hidden_units=hp.mlp_hidden,
-        dropout=hp.dropout_rate,
-        word_vocab=word_rows,
-        word_dim=hp.word_dim if word_rows else 0,
-        tag_vocab=tag_rows,
-        tag_dim=hp.tag_dim if tag_rows else 0,
-        dense_dim=dense_dim,
-    )
-
-
 @dataclass
 class ModelBundle:
     """One trained (or initialised) network with its input identity: the
@@ -164,18 +94,21 @@ class ModelBundle:
 
     net: SequenceNet
     params: dict
-    hyperparams: Hyperparams
     word_tokens: list | None = None
     tag_tokens: list | None = None
     prosody_stats: ProsodyStats | None = None
 
     def __post_init__(self):
-        if self.net.cfg.dense_dim and self.prosody_stats is None:
+        if self.net.dense_dim and self.prosody_stats is None:
             raise ContractError("a prosodic model needs prosody statistics")
 
     @property
     def variant(self):
-        return self.net.cfg.variant
+        return self.net.variant
+
+    @property
+    def hyperparams(self):
+        return self.net.hp
 
     @cached_property
     def encoder(self):
@@ -198,8 +131,8 @@ def lockstep_groups(bundles):
     valid while the bundles' params do."""
     groups = {}
     for i, bundle in enumerate(bundles):
-        cfg = bundle.net.cfg
-        key = ("lstm", cfg.rec_units) if cfg.has_lstm else ("alone", i)
+        net = bundle.net
+        key = ("lstm", net.hp.rec_units) if net.has_lstm else ("alone", i)
         groups.setdefault(key, []).append(i)
     passes = []
     for indices in groups.values():
@@ -411,7 +344,7 @@ def _bundle_meta(bundle):
         "hyperparams": asdict(bundle.hyperparams),
         "word_tokens": bundle.word_tokens,
         "tag_tokens": bundle.tag_tokens,
-        "dense_dim": bundle.net.cfg.dense_dim,
+        "dense_dim": bundle.net.dense_dim,
     }
 
 
@@ -462,6 +395,9 @@ def _rebuild_bundle(meta, blocks, prefix, stats=None):
             isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)
         ):
             raise ModelFileError(f"{prefix} meta {key} is neither null nor a list of strings")
+        if tokens is not None and len(set(tokens)) != len(tokens):
+            # a vocabulary maps each token to one row
+            raise ModelFileError(f"{prefix} meta {key} repeats a token")
     # a prosodic model reads the dense prosody vectors, a lexical one none
     dense_dim = 0 if stats is None else PROSODY_DIM
     if type(meta["dense_dim"]) is not int or meta["dense_dim"] != dense_dim:
@@ -470,7 +406,7 @@ def _rebuild_bundle(meta, blocks, prefix, stats=None):
         )
     rows = [0 if tokens is None else len(tokens) + 1 for tokens in (word_tokens, tag_tokens)]
     try:
-        net = SequenceNet(net_config(meta["variant"], hp, *rows, dense_dim))
+        net = SequenceNet(meta["variant"], hp, *rows, dense_dim)
     except ContractError as exc:
         raise ModelFileError(f"{prefix} meta describes no valid net: {exc}") from exc
     params = net.views(np.empty(net.size))
@@ -484,7 +420,7 @@ def _rebuild_bundle(meta, blocks, prefix, stats=None):
                 f"parameter {key!r} has shape {value.shape}, expected {view.shape}"
             )
         view[...] = value
-    return ModelBundle(net, params, hp, word_tokens, tag_tokens, stats)
+    return ModelBundle(net, params, word_tokens, tag_tokens, stats)
 
 
 def load_model(path) -> TrainedSegmenter:

@@ -12,7 +12,7 @@ suite.
 from .kernels import softmax, maxpool1d_same, dropout_apply, glorot_init
 from .loss import weighted_cross_entropy
 from .optim import RmsPropState, rmsprop_step
-from .network import NetBatch, NetConfig, NetInput, SequenceNet
+from .network import Hyperparams, NetBatch, NetInput, SequenceNet
 
 __all__ = [
     "softmax",
@@ -22,8 +22,8 @@ __all__ = [
     "weighted_cross_entropy",
     "RmsPropState",
     "rmsprop_step",
+    "Hyperparams",
     "NetBatch",
-    "NetConfig",
     "NetInput",
     "SequenceNet",
 ]

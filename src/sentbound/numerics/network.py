@@ -1,7 +1,11 @@
 """The sequence-labelling network: RCNN stack and its ablation variants.
 
-One SequenceNet owns the architecture and the parameter layout. A
-model's parameters are one contiguous float64 vector; params is an
+One SequenceNet owns the architecture and the parameter layout, and it
+is described once: a variant, its Hyperparams (the settings a model
+file stores) and its input sizes, the embedding table rows or the dense
+width. Everything else about the net, such as its input width and
+whether it has a conv or an LSTM, is derived from those. A model's
+parameters are one contiguous float64 vector; params is an
 ordered dict of named views into it (SequenceNet.views), so the
 serializer and the finite-difference tests iterate names while the
 optimizer runs on the whole vector (flat_vector). The gradient is a
@@ -64,7 +68,7 @@ does not compute it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -98,49 +102,50 @@ LSTM_KEYS = ("wx", "wh", "b", "wy", "by")  # of a direction's weight dict
 
 
 @dataclass(frozen=True)
-class NetConfig:
-    variant: str = "rcnn"
+class Hyperparams:
+    """Architecture and optimizer settings of one sequence model."""
+
+    word_dim: int = 50
+    tag_dim: int = 10
     conv_filters: int = 100
     conv_width: int = 7
     pool_width: int = 3
     rec_units: int = 100
-    hidden_units: int = 100
-    dropout: float = 0.5
-    word_vocab: int = 0
-    word_dim: int = 0
-    tag_vocab: int = 0
-    tag_dim: int = 0
-    dense_dim: int = 0
+    mlp_hidden: int = 100
+    gamma: float = 0.9
+    eta: float = 0.001
+    dropout_rate: float = 0.5
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ContractError(f"unknown variant {self.variant!r}")
-        if self.input_dim < 1:
-            raise ContractError("network needs at least one input feature")
-        if self.dense_dim and (self.word_vocab or self.tag_vocab):
-            raise ContractError("dense features cannot be mixed with embeddings")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ContractError("dropout must be in [0, 1)")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(
+                value, int if f.type is int else (int, float)
+            ):
+                raise ContractError(
+                    f"hyperparameter {f.name} must be of type {f.type.__name__}, "
+                    f"got {value!r}"
+                )
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContractError(f"hyperparameter {f.name} must be finite, got {value!r}")
+        positive = (
+            self.word_dim, self.tag_dim, self.conv_filters, self.conv_width,
+            self.pool_width, self.rec_units, self.mlp_hidden, self.eta,
+        )
+        if any(v <= 0 for v in positive):
+            raise ContractError("hyperparameters must be positive")
+        if not 0.0 < self.gamma < 1.0:
+            raise ContractError("gamma must be in (0, 1)")
 
-    @property
-    def input_dim(self):
-        return self.word_dim + self.tag_dim + self.dense_dim
+    @classmethod
+    def lexical(cls, **overrides):
+        return cls(**overrides)
 
-    @property
-    def has_conv(self):
-        return self.variant in ("rcnn", "cnn")
-
-    @property
-    def has_lstm(self):
-        return self.variant in ("rcnn", "rnn")
-
-    @property
-    def output_input_dim(self):
-        if self.has_lstm:
-            return self.rec_units
-        if self.has_conv:
-            return self.conv_filters
-        return self.hidden_units
+    @classmethod
+    def prosodic(cls, **overrides):
+        overrides.setdefault("conv_filters", 8)
+        overrides.setdefault("conv_width", 5)
+        return cls(**overrides)
 
 
 @dataclass
@@ -284,32 +289,53 @@ def flat_vector(arrays):
 
 
 class SequenceNet:
-    """Architecture plus hand-derived gradients for every parameter."""
+    """Architecture plus hand-derived gradients for every parameter.
 
-    def __init__(self, cfg: NetConfig):
-        self.cfg = cfg
+    A net is a variant with its Hyperparams hp over its inputs: embedding
+    tables of word_vocab and tag_vocab rows (OOV row included), or
+    dense_dim features. A table's width comes from hp where the table
+    exists and is 0 otherwise; every size and the dropout rate are read
+    from hp.
+    """
+
+    def __init__(self, variant, hp, word_vocab=0, tag_vocab=0, dense_dim=0):
+        if variant not in VARIANTS:
+            raise ContractError(f"unknown variant {variant!r}")
+        self.variant, self.hp = variant, hp
+        self.word_vocab, self.tag_vocab, self.dense_dim = word_vocab, tag_vocab, dense_dim
+        self.word_dim = hp.word_dim if word_vocab else 0
+        self.tag_dim = hp.tag_dim if tag_vocab else 0
+        self.input_dim = self.word_dim + self.tag_dim + dense_dim
+        if self.input_dim < 1:
+            raise ContractError("network needs at least one input feature")
+        if dense_dim and (word_vocab or tag_vocab):
+            raise ContractError("dense features cannot be mixed with embeddings")
+        if not 0.0 <= hp.dropout_rate < 1.0:
+            raise ContractError("dropout must be in [0, 1)")
+        self.has_conv = variant in ("rcnn", "cnn")
+        self.has_lstm = variant in ("rcnn", "rnn")
         self._names = tuple(self.param_shapes())
         self.size, self._where = self._lay_out()
 
     # ---------------------------------------------------------------- params
 
     def param_shapes(self):
-        cfg = self.cfg
+        hp = self.hp
         shapes = {}
-        if cfg.word_vocab:
-            shapes["emb_word"] = (cfg.word_vocab, cfg.word_dim)
-        if cfg.tag_vocab:
-            shapes["emb_tag"] = (cfg.tag_vocab, cfg.tag_dim)
-        d = cfg.input_dim
-        if cfg.has_conv:
-            shapes["conv_w"] = (cfg.conv_filters, cfg.conv_width * d)
-            shapes["conv_b"] = (cfg.conv_filters,)
-        if cfg.variant == "mlp":
-            shapes["mlp_w"] = (d, cfg.hidden_units)
-            shapes["mlp_b"] = (cfg.hidden_units,)
-        if cfg.has_lstm:
-            d_in = cfg.conv_filters if cfg.has_conv else d
-            n = cfg.rec_units
+        if self.word_vocab:
+            shapes["emb_word"] = (self.word_vocab, self.word_dim)
+        if self.tag_vocab:
+            shapes["emb_tag"] = (self.tag_vocab, self.tag_dim)
+        d = self.input_dim
+        if self.has_conv:
+            shapes["conv_w"] = (hp.conv_filters, hp.conv_width * d)
+            shapes["conv_b"] = (hp.conv_filters,)
+        if self.variant == "mlp":
+            shapes["mlp_w"] = (d, hp.mlp_hidden)
+            shapes["mlp_b"] = (hp.mlp_hidden,)
+        if self.has_lstm:
+            d_in = hp.conv_filters if self.has_conv else d
+            n = hp.rec_units
             for direction in ("fwd", "bwd"):
                 for gate in lstm_ops.GATES:
                     shapes[f"{direction}_wx_{gate}"] = (n, d_in)
@@ -317,7 +343,10 @@ class SequenceNet:
                     shapes[f"{direction}_b_{gate}"] = (n,)
                 shapes[f"{direction}_wy"] = (n, n)
                 shapes[f"{direction}_by"] = (n,)
-        shapes["out_w"] = (cfg.output_input_dim, N_CLASSES)
+        # the output layer reads the top hidden layer: LSTM, conv or mlp
+        top = hp.rec_units if self.has_lstm else (
+            hp.conv_filters if self.has_conv else hp.mlp_hidden)
+        shapes["out_w"] = (top, N_CLASSES)
         shapes["out_b"] = (N_CLASSES,)
         return shapes
 
@@ -371,27 +400,24 @@ class SequenceNet:
         """Build the (T, B, d) feature block: the dense block of a
         dense-input network, else the embedding rows of the word and tag
         ids."""
-        cfg = self.cfg
-        if cfg.dense_dim:
+        if self.dense_dim:
             if block.dense is None:
                 raise ContractError("network expects dense features")
             x = np.asarray(block.dense, dtype=np.float64)
-            if x.ndim != 3 or x.shape[2] != cfg.dense_dim:
+            if x.ndim != 3 or x.shape[2] != self.dense_dim:
                 raise ContractError(
-                    f"dense rows have shape {x.shape[2:]}, expected ({cfg.dense_dim},)"
+                    f"dense rows have shape {x.shape[2:]}, expected ({self.dense_dim},)"
                 )
             return x
         parts = []
-        if cfg.word_vocab:
+        if self.word_vocab:
             if block.word_ids is None:
                 raise ContractError("network expects word ids")
             parts.append(params["emb_word"][block.word_ids])
-        if cfg.tag_vocab:
+        if self.tag_vocab:
             if block.tag_ids is None:
                 raise ContractError("network expects tag ids")
             parts.append(params["emb_tag"][block.tag_ids])
-        if not parts:
-            raise ContractError("network input carries no usable features")
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
 
     def lstm_weights(self, vector):
@@ -406,7 +432,7 @@ class SequenceNet:
         (net, params) pairs that run in one pass with it (forward)."""
         pairs = ((self, params), *partners)
         lstm = None
-        if self.cfg.has_lstm:
+        if self.has_lstm:
             lstm = lstm_ops.prepare_weights(
                 [w for net, p in pairs for w in net.lstm_weights(flat_vector(p))])
         return PassWeights(lstm, *_output_weights([p for _, p in pairs]))
@@ -439,7 +465,7 @@ class SequenceNet:
             raise ContractError(f"unknown mode {mode!r}")
         nets = ((self, params, block), *partners)
         if partners and (mode == "train" or keep_cache or any(
-                not net.cfg.has_lstm or net.cfg.rec_units != self.cfg.rec_units
+                not net.has_lstm or net.hp.rec_units != self.hp.rec_units
                 for net, _, _ in nets)):
             raise ContractError("only inference passes of LSTMs of one width run together")
         xs = [net._assemble_input(p, b) for net, p, b in nets]
@@ -460,7 +486,7 @@ class SequenceNet:
         del xs
         if prepared is None:
             prepared = self.prepare(params, [(net, p) for net, p, _ in partners])
-        if self.cfg.has_lstm:
+        if self.has_lstm:
             # An involution: each row's live prefix reversed, padding kept.
             if pad is None:
                 rev = slice(None, None, -1)
@@ -479,8 +505,8 @@ class SequenceNet:
         else:
             h = hs[0][None]  # a net without an LSTM runs alone
         del hs
-        if self.cfg.variant != "mlp" and mode == "train":
-            dropped, mask = live_dropout(h[0], live, self.cfg.dropout, rng)
+        if self.variant != "mlp" and mode == "train":
+            dropped, mask = live_dropout(h[0], live, self.hp.dropout_rate, rng)
             h = dropped[None]
             keep(dropout_mask=mask)
         keep(out_in=h[0])
@@ -491,23 +517,23 @@ class SequenceNet:
         """The layers below the LSTM (conv and max-pool, or the mlp's
         hidden layer) on the (T, B, d) input; the identity for an rnn.
         What backward reads goes into cache unless it is None."""
-        cfg, keep = self.cfg, _keeper(cache)
+        keep = _keeper(cache)
         if pad is not None:
             x = np.where(pad[..., None], 0.0, x)
         h = x
-        if cfg.has_conv:
-            pre = row_matmul(conv_windows(h, cfg.conv_width), params["conv_w"].T)
+        if self.has_conv:
+            pre = row_matmul(conv_windows(h, self.hp.conv_width), params["conv_w"].T)
             conv_out = relu(pre + params["conv_b"])
             if pad is not None:
                 conv_out[pad] = -np.inf
-            pooled = maxpool1d_same(conv_out, cfg.pool_width, return_argmax=cache is not None)
+            pooled = maxpool1d_same(conv_out, self.hp.pool_width, return_argmax=cache is not None)
             if cache is not None:
                 pooled, argrow = pooled
                 keep(conv_in=h, conv_out=conv_out, pool_argrow=argrow)
             if pad is not None:
                 pooled[pad] = 0.0
             h = pooled
-        if cfg.variant == "mlp":
+        if self.variant == "mlp":
             pre = row_matmul(h, params["mlp_w"]) + params["mlp_b"]
             hidden = sigmoid(pre)
             keep(mlp_in=h, mlp_out=hidden)
@@ -531,14 +557,13 @@ class SequenceNet:
         """
         if cache is None:
             raise ContractError("backward needs the cache of a keep_cache forward pass")
-        cfg = self.cfg
         pad = cache["pad"]
-        input_grad = not cfg.dense_dim
+        input_grad = not self.dense_dim
         dh = row_matmul(d_logits, params["out_w"].T)
         if "dropout_mask" in cache:
             dh = dh * cache["dropout_mask"]
         lstm_grads = ()
-        if cfg.has_lstm:
+        if self.has_lstm:
             rev = cache["rev"]
             lstm_grads, (dx_f, dx_b) = lstm_ops.direction_backward(
                 dh, dh[rev], cache.pop("lstm"))
@@ -557,13 +582,13 @@ class SequenceNet:
             for key, value in g.items():
                 add(f"{direction}_{key}", value)
         del lstm_grads
-        if cfg.variant == "mlp":
+        if self.variant == "mlp":
             hidden = cache["mlp_out"]  # the sigmoid's derivative, through its output
             d_pre = dh * (hidden * (1.0 - hidden))
             add("mlp_w", row_outer_sum(cache["mlp_in"], d_pre))
             add("mlp_b", row_sum(d_pre))
             dh = row_matmul(d_pre, params["mlp_w"].T)
-        if cfg.has_conv:
+        if self.has_conv:
             d_conv = maxpool1d_backward(dh, cache["pool_argrow"])
             # the relu's derivative, through its output
             d_pre = d_conv * (cache["conv_out"] > 0.0).astype(np.float64)
@@ -583,10 +608,9 @@ class SequenceNet:
         gradient vector, that the block's ids picked. Each picked row's
         sum is formed first, by np.bincount in block order, and then
         added to the table, so a row reads acc + block."""
-        cfg = self.cfg
         col = 0
-        for name, ids, dim in (("emb_word", block.word_ids, cfg.word_dim),
-                               ("emb_tag", block.tag_ids, cfg.tag_dim)):
+        for name, ids, dim in (("emb_word", block.word_ids, self.word_dim),
+                               ("emb_tag", block.tag_ids, self.tag_dim)):
             if name in self._where:
                 rows, where = np.unique(ids, return_inverse=True)
                 target = where.reshape(-1, 1) * dim + np.arange(dim)

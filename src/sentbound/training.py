@@ -28,7 +28,6 @@ from .model import (
     check_same_length,
     check_same_shape,
     fuse,
-    net_config,
     prf_from_counts,
 )
 from .numerics import NetBatch, RmsPropState, SequenceNet, rmsprop_step
@@ -117,6 +116,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.bucket_width < 1:
             raise ContractError("epochs, batch_size, bucket_width must be positive")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
 
 
 # ------------------------------------------------------------ batch updates
@@ -191,7 +192,7 @@ def make_lexical_bundle(variant, hp, word_table, tag_table, rng):
     if word_table is not None:
         hp = replace(hp, word_dim=word_table.dim)
     rows = [0 if table is None else table.vectors.shape[0] for table in (word_table, tag_table)]
-    net = SequenceNet(net_config(variant, hp, *rows))
+    net = SequenceNet(variant, hp, *rows)
     params = net.init_params(rng)
     word_tokens = tag_tokens = None
     if word_table is not None:
@@ -200,13 +201,13 @@ def make_lexical_bundle(variant, hp, word_table, tag_table, rng):
     if tag_table is not None:
         params["emb_tag"][...] = tag_table.vectors
         tag_tokens = tag_table.sorted_tokens()
-    return ModelBundle(net, params, hp, word_tokens, tag_tokens)
+    return ModelBundle(net, params, word_tokens, tag_tokens)
 
 
 def make_prosodic_bundle(variant, hp, stats, rng):
     """Initialise a prosodic model over inputs z-scored with stats."""
-    net = SequenceNet(net_config(variant, hp, dense_dim=PROSODY_DIM))
-    return ModelBundle(net, net.init_params(rng), hp, prosody_stats=stats)
+    net = SequenceNet(variant, hp, dense_dim=PROSODY_DIM)
+    return ModelBundle(net, net.init_params(rng), prosody_stats=stats)
 
 
 # ----------------------------------------------------------------- training
@@ -240,10 +241,8 @@ def train_model(bundle, train_texts, config, rng, log=None):
     encoded = {t.id: bundle.encoder.encode(t) for t in texts}
     buckets = make_buckets(texts, config.bucket_width)
     theta = flat_vector(bundle.params)
-    state = RmsPropState(
-        theta, gamma=bundle.hyperparams.gamma,
-        eta=bundle.hyperparams.eta, epsilon=RMSPROP_EPSILON,
-    )
+    hp = bundle.net.hp
+    state = RmsPropState(theta, gamma=hp.gamma, eta=hp.eta, epsilon=RMSPROP_EPSILON)
     trace = []
     for epoch in range(config.epochs):
         started = time.perf_counter()

@@ -132,11 +132,10 @@ def maxpool1d_backward_reference(d_out, argrow):
 def scatter_input_grads_reference(net, block, d_x, vector):
     """SequenceNet._scatter_input_grads by np.add.at into a scratch of the
     block's unique rows of each embedding table."""
-    cfg = net.cfg
     grads = net.views(vector)
     col = 0
-    for name, ids, dim in (("emb_word", block.word_ids, cfg.word_dim),
-                           ("emb_tag", block.tag_ids, cfg.tag_dim)):
+    for name, ids, dim in (("emb_word", block.word_ids, net.word_dim),
+                           ("emb_tag", block.tag_ids, net.tag_dim)):
         if name in grads:
             rows, where = np.unique(ids, return_inverse=True)
             sums = np.zeros((len(rows), dim))
@@ -179,7 +178,7 @@ def gather_reversal_probs(net, params, block):
     steps, lengths = x.shape[0], block.lengths
     live = np.arange(steps)[:, None] < lengths
     h = net._input_layers(params, x, None if live.all() else ~live, None)
-    if net.cfg.has_lstm:
+    if net.has_lstm:
         t = np.arange(steps)[:, None]
         rev = (np.where(live, lengths - 1 - t, t), np.arange(len(lengths)))
         prepared = prepare_weights(net.lstm_weights(flat_vector(params)))

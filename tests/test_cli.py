@@ -11,6 +11,7 @@ import zlib
 import pytest
 
 from sentbound import cli, evaluation
+from sentbound.errors import ContractError
 from sentbound.model import FORMAT_VERSION, MAGIC, load_model
 
 SMALL_MODEL = ["--epochs", "1", "--conv-filters", "4", "--rec-units", "4"]
@@ -445,3 +446,37 @@ def test_net_too_large_to_allocate_is_a_data_error(workdir, monkeypatch, capsys)
     monkeypatch.setattr(evaluation, "train_model", _no_training)
     assert cli.main([*_eval(workdir), "--rec-units", "99999999999999999999"]) == 2
     assert "do not fit in memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--conf"], ["--config="]])
+def test_an_abbreviated_config_flag_applies_the_file(workdir, tmp_path, monkeypatch, flag):
+    """argparse accepts --conf for --config; either spelling, and the
+    --config=path form, loads the file's values."""
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs = 1\nfolds = 2\n", encoding="utf-8")
+    seen = []
+
+    def stop(corpus, variant, feature_set, eval_config):
+        seen.append(eval_config)
+        raise ContractError("stop")
+
+    monkeypatch.setattr(cli, "cross_validated_eval", stop)
+    path = [flag[0] + str(config)] if flag[0].endswith("=") else [*flag, str(config)]
+    assert cli.main(["eval", "--corpus", str(workdir / "corpus"), *path]) == 2
+    [used] = seen
+    assert (used.train.epochs, used.folds) == (1, 2)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "synth"])
+def test_a_negative_seed_is_a_data_error_that_writes_nothing(workdir, tmp_path, monkeypatch,
+                                                            command, capsys):
+    monkeypatch.setattr(evaluation, "train_model", _no_training)
+    args = {
+        "train": ["train", "--corpus", str(workdir / "corpus"), "--out",
+                  str(tmp_path / "m.dbnd"), *SMALL_MODEL],
+        "eval": _eval(workdir),
+        "synth": ["synth", "--texts", "2", "--out", str(tmp_path / "synth")],
+    }[command]
+    assert cli.main([*args, "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -8,7 +8,7 @@ import pytest
 
 from sentbound import training
 from sentbound.errors import ContractError
-from sentbound.numerics import NetBatch, NetConfig, NetInput, SequenceNet, kernels, network
+from sentbound.numerics import Hyperparams, NetBatch, NetInput, SequenceNet, kernels, network
 from sentbound.numerics import lstm as lstm_ops
 from sentbound.numerics.loss import weighted_cross_entropy
 
@@ -19,27 +19,17 @@ REL_TOL = 1e-4
 CLASS_WEIGHTS = np.array([0.7, 5.0])
 
 
-def tiny_config(variant, dropout=0.0):
-    return NetConfig(
-        variant=variant,
-        conv_filters=4,
-        conv_width=3,
-        pool_width=3,
-        rec_units=5,
-        hidden_units=6,
-        dropout=dropout,
-        word_vocab=7,
-        word_dim=4,
-        tag_vocab=3,
-        tag_dim=2,
-    )
+def tiny_net(variant, dropout=0.0):
+    hp = Hyperparams(word_dim=4, tag_dim=2, conv_filters=4, conv_width=3, pool_width=3,
+                     rec_units=5, mlp_hidden=6, dropout_rate=dropout)
+    return SequenceNet(variant, hp, word_vocab=7, tag_vocab=3)
 
 
 def tiny_problem(variant, seed=7, m=9, dropout=0.0):
     """A one-sequence block of m steps and a loss mask that leaves one row
     out."""
     rng = np.random.default_rng(seed)
-    net = SequenceNet(tiny_config(variant, dropout))
+    net = tiny_net(variant, dropout)
     params = net.init_params(rng)
     inp = NetInput(
         word_ids=rng.integers(0, 7, size=m),
@@ -109,10 +99,7 @@ def test_every_parameter_matches_finite_differences(variant):
 def test_dense_input_path_matches_finite_differences():
     """The prosodic configuration: dense features, no embedding tables."""
     rng = np.random.default_rng(3)
-    net = SequenceNet(
-        NetConfig(variant="rcnn", conv_filters=4, conv_width=5, pool_width=3,
-                  rec_units=4, dropout=0.0, dense_dim=13)
-    )
+    net = dense_net()
     params = net.init_params(rng)
     m = 8
     inp = NetInput(dense=rng.standard_normal((m, 13)), label01=rng.integers(0, 2, size=m))
@@ -181,21 +168,22 @@ def test_backward_before_forward_is_rejected():
 RAGGED = (9, 4, 1)  # includes a length-1 row
 
 
-def dense_config(dropout=0.0):
-    return NetConfig(variant="rcnn", conv_filters=4, conv_width=5, pool_width=3,
-                     rec_units=4, dropout=dropout, dense_dim=13)
+def dense_net(dropout=0.0):
+    hp = Hyperparams(conv_filters=4, conv_width=5, pool_width=3, rec_units=4,
+                     dropout_rate=dropout)
+    return SequenceNet("rcnn", hp, dense_dim=13)
 
 
-def ragged_items(cfg, lengths, seed=5):
-    """One (NetInput, length) pair per length."""
+def ragged_items(net, lengths, seed=5):
+    """One (NetInput, length) pair per length, as the net's inputs."""
     rng = np.random.default_rng(seed)
     items = []
     for m in lengths:
-        if cfg.dense_dim:
-            inp = NetInput(dense=rng.standard_normal((m, cfg.dense_dim)))
+        if net.dense_dim:
+            inp = NetInput(dense=rng.standard_normal((m, net.dense_dim)))
         else:
-            inp = NetInput(word_ids=rng.integers(0, cfg.word_vocab, size=m),
-                           tag_ids=rng.integers(0, cfg.tag_vocab, size=m))
+            inp = NetInput(word_ids=rng.integers(0, net.word_vocab, size=m),
+                           tag_ids=rng.integers(0, net.tag_vocab, size=m))
         inp.label01 = rng.integers(0, 2, size=m)
         inp.label01[0] = 1
         items.append((inp, m))
@@ -219,8 +207,7 @@ def stacked(items):
 
 
 def batch_net(variant, dropout=0.0):
-    cfg = dense_config(dropout) if variant == "dense" else tiny_config(variant, dropout)
-    net = SequenceNet(cfg)
+    net = dense_net(dropout) if variant == "dense" else tiny_net(variant, dropout)
     return net, net.init_params(np.random.default_rng(2))
 
 
@@ -234,7 +221,7 @@ def assert_grads_close(net, got, want, rel=1e-12):
 @pytest.mark.parametrize("variant", ["rcnn", "cnn", "rnn", "mlp", "dense"])
 def test_ragged_batch_matches_finite_differences(variant):
     net, params = batch_net(variant)
-    batch, live = stacked(ragged_items(net.cfg, RAGGED))
+    batch, live = stacked(ragged_items(net, RAGGED))
     _, grads, n_active = net.loss_and_grads(params, batch, CLASS_WEIGHTS, mode="inference")
     assert n_active == sum(RAGGED)
     worst = max_relative_error(net, params, batch, live, grads)
@@ -249,7 +236,7 @@ def test_inference_pass_matches_the_cache_keeping_pass(variant):
     plain, plain_params = batch_net(variant)
     for dropout in (0.0, 0.4):
         net, params = batch_net(variant, dropout)
-        batch, _ = stacked(ragged_items(net.cfg, (7, 3, 1)))
+        batch, _ = stacked(ragged_items(net, (7, 3, 1)))
         want, cache = net.forward(params, batch, rng=None, keep_cache=True)
         assert cache is not None
         for prepared in (None, net.prepare(params)):
@@ -266,10 +253,11 @@ def lockstep_nets():
     """A lexical and a prosodic rcnn of cv-rcnn-short's width, with params."""
     rng = np.random.default_rng(2)
     nets = (
-        SequenceNet(NetConfig(variant="rcnn", conv_filters=16, rec_units=LOCKSTEP_UNITS,
-                              word_vocab=7, word_dim=8, tag_vocab=3, tag_dim=4)),
-        SequenceNet(NetConfig(variant="rcnn", conv_filters=8, conv_width=5,
-                              rec_units=LOCKSTEP_UNITS, dense_dim=13)),
+        SequenceNet("rcnn", Hyperparams(word_dim=8, tag_dim=4, conv_filters=16,
+                                        rec_units=LOCKSTEP_UNITS),
+                    word_vocab=7, tag_vocab=3),
+        SequenceNet("rcnn", Hyperparams(conv_filters=8, conv_width=5, rec_units=LOCKSTEP_UNITS),
+                    dense_dim=13),
     )
     return [(net, net.init_params(rng)) for net in nets]
 
@@ -290,7 +278,7 @@ def test_lockstep_pass_equals_each_net_alone(steps, rows, chunks, monkeypatch):
     assert [b - a for a, b in lstm_ops.projection_chunks(steps, rows, step_bytes)] == chunks
     (lexical, lex_params), (prosodic, pros_params) = pairs = lockstep_nets()
     lengths = [steps] + [max(1, steps - 3 * b) for b in range(1, rows)]
-    blocks = [stacked(ragged_items(net.cfg, lengths))[0] for net, _ in pairs]
+    blocks = [stacked(ragged_items(net, lengths))[0] for net, _ in pairs]
     want = [net.forward(params, block, keep_cache=True)[0]
             for (net, params), block in zip(pairs, blocks)]
     prepared = lexical.prepare(lex_params, [(prosodic, pros_params)])
@@ -313,7 +301,7 @@ def test_prepared_pass_equals_the_gather_reference(variant, lengths):
     through a reversed slice and its output layer runs on stacked
     weights."""
     net, params = batch_net(variant)
-    batch, _ = stacked(ragged_items(net.cfg, lengths))
+    batch, _ = stacked(ragged_items(net, lengths))
     got, _ = net.forward(params, batch, prepared=net.prepare(params))
     npt.assert_array_equal(got, gather_reversal_probs(net, params, batch))
 
@@ -323,7 +311,7 @@ def test_lockstep_pass_equals_the_gather_reference(lengths):
     """Two nets in one pass, whose output layers run as one, give each
     net's index-gather reference probs bit for bit."""
     (lexical, lex_params), (prosodic, pros_params) = pairs = lockstep_nets()
-    blocks = [stacked(ragged_items(net.cfg, lengths))[0] for net, _ in pairs]
+    blocks = [stacked(ragged_items(net, lengths))[0] for net, _ in pairs]
     got, _ = lexical.forward(lex_params, blocks[0],
                              prepared=lexical.prepare(lex_params, [(prosodic, pros_params)]),
                              partners=[(prosodic, pros_params, blocks[1])])
@@ -333,11 +321,11 @@ def test_lockstep_pass_equals_the_gather_reference(lengths):
 
 def test_only_inference_passes_of_one_width_run_together():
     (lexical, lex_params), (prosodic, pros_params) = lockstep_nets()
-    other = SequenceNet(NetConfig(variant="rcnn", rec_units=8, dense_dim=13))
-    cnn = SequenceNet(NetConfig(variant="cnn", dense_dim=13))
+    other = SequenceNet("rcnn", Hyperparams(rec_units=8), dense_dim=13)
+    cnn = SequenceNet("cnn", Hyperparams(), dense_dim=13)
     lengths = [5, 3]
-    block = stacked(ragged_items(lexical.cfg, lengths))[0]
-    dense = stacked(ragged_items(prosodic.cfg, lengths))[0]
+    block = stacked(ragged_items(lexical, lengths))[0]
+    dense = stacked(ragged_items(prosodic, lengths))[0]
     rng = np.random.default_rng(0)
     for partner, kwargs in (
         ((other, other.init_params(rng), dense), {}),
@@ -347,7 +335,7 @@ def test_only_inference_passes_of_one_width_run_together():
     ):
         with pytest.raises(ContractError, match="one width"):
             lexical.forward(lex_params, block, partners=[partner], **kwargs)
-    shorter = stacked(ragged_items(prosodic.cfg, [5, 2]))[0]
+    shorter = stacked(ragged_items(prosodic, [5, 2]))[0]
     with pytest.raises(ContractError, match="blocks of one shape"):
         lexical.forward(lex_params, block, partners=[(prosodic, pros_params, shorter)])
 
@@ -357,7 +345,7 @@ def test_only_inference_passes_of_one_width_run_together():
 def test_batch_equals_sum_of_batches_of_one(variant, dropout):
     """Same loss and gradients, and with dropout the same rng draws."""
     net, params = batch_net(variant, dropout)
-    items = ragged_items(net.cfg, RAGGED)
+    items = ragged_items(net, RAGGED)
     rng = np.random.default_rng(8)
     want_loss, want, want_active = 0.0, None, 0
     for inp, _ in items:
@@ -382,7 +370,7 @@ def test_padded_steps_are_inert(variant):
     """Ids or dense values on padded steps change nothing, bit for bit,
     in the network and in the training update."""
     net, params = batch_net(variant)
-    items = ragged_items(net.cfg, RAGGED)
+    items = ragged_items(net, RAGGED)
     batch, _ = stacked(items)
     loss, grads, _ = net.loss_and_grads(params, batch, CLASS_WEIGHTS, mode="inference")
     zeroed = NetBatch.stack([inp for inp, _ in items], RAGGED)
@@ -413,7 +401,7 @@ def test_batch_over_the_row_cap_is_split_into_blocks(monkeypatch):
     net, params = batch_net("rcnn", dropout=0.4)
     lengths = (100, 90, 80)  # 2 x 100 rows fit under the cap, 3 x 100 do not
     assert 2 * lengths[0] <= training.BLOCK_ROWS < 3 * lengths[0]
-    items = [training.pad_item(inp, 100) for inp, _ in ragged_items(net.cfg, lengths)]
+    items = [training.pad_item(inp, 100) for inp, _ in ragged_items(net, lengths)]
     rng = np.random.default_rng(4)
     want = training.batch_loss_and_grads(net, params, items[:2], CLASS_WEIGHTS, rng=rng)
     rest = training.batch_loss_and_grads(net, params, items[2:], CLASS_WEIGHTS, rng=rng)
@@ -456,7 +444,7 @@ def test_blocks_add_into_one_gradient_vector_bit_for_bit(monkeypatch):
     block bit for bit."""
     net, params = batch_net("rcnn", dropout=0.4)
     lengths = (100, 100, 90, 80, 60)  # blocks of (100, 100), (90, 80), (60,)
-    raw = [inp for inp, _ in ragged_items(net.cfg, lengths)]
+    raw = [inp for inp, _ in ragged_items(net, lengths)]
     ids = [set(np.concatenate([inp.word_ids for inp in raw[i:j]]).tolist())
            for i, j in ((0, 2), (2, 4), (4, 5))]
     assert ids[0] & ids[1] & ids[2]
@@ -495,8 +483,8 @@ def test_later_blocks_scatter_only_their_embedding_rows():
     items (two blocks) over a 50,000 x 50 table peaks near one gradient
     vector (20.1 MB), where a table-sized scratch would double it."""
     rng = np.random.default_rng(0)
-    net = SequenceNet(NetConfig(variant="rcnn", conv_filters=16, rec_units=16,
-                                word_vocab=50_000, word_dim=50))
+    net = SequenceNet("rcnn", Hyperparams(word_dim=50, conv_filters=16, rec_units=16),
+                      word_vocab=50_000)
     params = net.init_params(rng)
     items = []
     for _ in range(2):
@@ -518,8 +506,8 @@ def test_embedding_scatter_matches_the_add_at_reference(variant, monkeypatch):
     """A batch's first block and a later one, which adds into its
     gradients, give the vector of the np.add.at scatter bit for bit."""
     net, params = batch_net(variant)
-    first, _ = stacked(ragged_items(net.cfg, RAGGED))
-    later, _ = stacked(ragged_items(net.cfg, (6, 6, 2, 5), seed=9))
+    first, _ = stacked(ragged_items(net, RAGGED))
+    later, _ = stacked(ragged_items(net, (6, 6, 2, 5), seed=9))
 
     def two_blocks():
         _, grads, _ = net.loss_and_grads(params, first, CLASS_WEIGHTS, mode="inference")
@@ -541,8 +529,7 @@ def test_dense_input_backward_computes_no_input_gradient(variant, monkeypatch):
     width (13), where the same net on 13-wide embeddings does; its
     gradients equal bit for bit those of a backward whose conv computes
     the input gradient all the same."""
-    shape = dict(variant=variant, conv_filters=4, conv_width=5, pool_width=3,
-                 rec_units=4, hidden_units=6)
+    shape = dict(conv_filters=4, conv_width=5, pool_width=3, rec_units=4, mlp_hidden=6)
     widths = set()
 
     def recorded(fn):
@@ -552,10 +539,9 @@ def test_dense_input_backward_computes_no_input_gradient(variant, monkeypatch):
             return out
         return row_matmul
 
-    def widths_and_grads(cfg):
-        net = SequenceNet(cfg)
+    def widths_and_grads(net):
         params = net.init_params(np.random.default_rng(2))
-        batch, _ = stacked(ragged_items(cfg, RAGGED))
+        batch, _ = stacked(ragged_items(net, RAGGED))
         with monkeypatch.context() as patch:
             for module in (kernels, network, network.lstm_ops):
                 patch.setattr(module, "row_matmul", recorded(module.row_matmul))
@@ -563,9 +549,11 @@ def test_dense_input_backward_computes_no_input_gradient(variant, monkeypatch):
             _, grads, _ = net.loss_and_grads(params, batch, CLASS_WEIGHTS, mode="inference")
         return set(widths), net, params, batch, grads
 
-    lexical = NetConfig(word_vocab=7, word_dim=9, tag_vocab=3, tag_dim=4, **shape)
+    lexical = SequenceNet(variant, Hyperparams(word_dim=9, tag_dim=4, **shape),
+                          word_vocab=7, tag_vocab=3)
     assert 13 in widths_and_grads(lexical)[0]
-    seen, net, params, batch, got = widths_and_grads(NetConfig(dense_dim=13, **shape))
+    seen, net, params, batch, got = widths_and_grads(
+        SequenceNet(variant, Hyperparams(**shape), dense_dim=13))
     assert 13 not in seen
     conv1d_backward = kernels.conv1d_backward
     monkeypatch.setattr(network, "conv1d_backward",

@@ -251,6 +251,8 @@ def _set(path, value):
         (_set(("alpha",), True), "alpha True is not a number"),
         (_set(("lexical", "word_tokens"), 5), "word_tokens is neither null nor a list"),
         (_set(("lexical", "tag_tokens"), ["t01", 3]), "tag_tokens is neither null nor"),
+        (_set(("lexical", "word_tokens"), ["a", "a"]), "word_tokens repeats a token"),
+        (_set(("lexical", "tag_tokens"), ["t01", "t01"]), "tag_tokens repeats a token"),
         (_set(("prosodic", "dense_dim"), "13"), "dense_dim '13', expected 13"),
         (_set(("lexical", "dense_dim"), 13), "dense_dim 13, expected 0"),
         (_set(("lexical", "hyperparams", "conv_width"), 7.0), "bad hyperparams"),
@@ -635,7 +637,7 @@ def test_training_drops_the_prepared_weights():
     train_model(bundle, texts, TrainConfig(epochs=1, batch_size=2), np.random.default_rng(0))
     fresh = ModelBundle(
         bundle.net, bundle.net.views(network.flat_vector(bundle.params).copy()),
-        bundle.hyperparams, bundle.word_tokens, bundle.tag_tokens,
+        bundle.word_tokens, bundle.tag_tokens,
     )
     [after], [fresh_rows] = predict_texts([bundle], texts), predict_texts([fresh], texts)
     for old, got, want in zip(before, after, fresh_rows):

@@ -21,7 +21,7 @@ from sentbound.numerics import (
     weighted_cross_entropy,
 )
 from sentbound.numerics.kernels import conv1d_backward, conv_windows, maxpool1d_backward
-from sentbound.numerics import NetBatch, NetConfig, NetInput, SequenceNet
+from sentbound.numerics import Hyperparams, NetBatch, NetInput, SequenceNet
 from sentbound.numerics.network import flat_vector, live_dropout
 from sentbound.numerics.optim import STEP_CHUNK
 from sentbound.numerics import lstm as lstm_ops
@@ -413,8 +413,9 @@ class TestBlockLstm:
             npt.assert_array_equal(g0[key], g1[key])
 
     def test_bidirectional_rows_match_bilstm_oracle(self, rng):
-        net = SequenceNet(NetConfig(variant="rnn", rec_units=3, dropout=0.5,
-                                    word_vocab=6, word_dim=2, tag_vocab=4, tag_dim=2))
+        net = SequenceNet("rnn", Hyperparams(word_dim=2, tag_dim=2, rec_units=3,
+                                             dropout_rate=0.5),
+                          word_vocab=6, tag_vocab=4)
         params = net.init_params(rng)
         inputs = [NetInput(word_ids=rng.integers(0, 6, size=m),
                            tag_ids=rng.integers(0, 4, size=m)) for m in self.LENGTHS]
@@ -577,8 +578,9 @@ class TestParamLayout:
 
     @staticmethod
     def net():
-        return SequenceNet(NetConfig(variant="rcnn", conv_filters=4, rec_units=3,
-                                     word_vocab=6, word_dim=2, tag_vocab=4, tag_dim=2))
+        return SequenceNet("rcnn", Hyperparams(word_dim=2, tag_dim=2, conv_filters=4,
+                                               rec_units=3),
+                           word_vocab=6, tag_vocab=4)
 
     def test_params_grads_and_r_are_views_of_one_vector(self, rng):
         net = self.net()
@@ -616,6 +618,23 @@ class TestParamLayout:
                 npt.assert_array_equal(fused[key], value)
             fused["wh"][1, 0] = 7.0  # the first gate block's second row
             assert params[f"{direction}_wh_i"][1, 0] == 7.0
+
+    @pytest.mark.parametrize("word_dim", [5, 50])
+    def test_a_dense_net_reads_no_table_width(self, rng, word_dim):
+        """A table's width counts only where the table exists: a dense rcnn
+        is 13 wide whatever hp.word_dim says, and its pass runs."""
+        net = SequenceNet("rcnn", Hyperparams(word_dim=word_dim, conv_filters=4, rec_units=3),
+                          dense_dim=13)
+        assert (net.input_dim, net.word_dim, net.tag_dim) == (13, 0, 0)
+        params = net.init_params(rng)
+        assert params["conv_w"].shape == (4, 7 * 13)
+        inp = NetInput(dense=rng.standard_normal((6, 13)))
+        probs, _ = net.forward(params, NetBatch.stack([inp], [6]))
+        npt.assert_allclose(probs.sum(axis=-1), 1.0)
+
+    def test_dense_features_cannot_be_mixed_with_embeddings(self):
+        with pytest.raises(ContractError, match="cannot be mixed"):
+            SequenceNet("rcnn", Hyperparams(), word_vocab=5, dense_dim=13)
 
 
 class TestRmsProp:
@@ -671,8 +690,9 @@ class TestRmsProp:
         """Three whole-vector steps on an rcnn's parameters give, name by
         name, exactly the parameters and accumulators of the per-array
         update."""
-        net = SequenceNet(NetConfig(variant="rcnn", conv_filters=4, rec_units=3,
-                                    word_vocab=6, word_dim=2, tag_vocab=4, tag_dim=2))
+        net = SequenceNet("rcnn", Hyperparams(word_dim=2, tag_dim=2, conv_filters=4,
+                                              rec_units=3),
+                          word_vocab=6, tag_vocab=4)
         params = net.init_params(rng)
         want = {name: value.copy() for name, value in params.items()}
         want_r = {name: np.zeros_like(value) for name, value in params.items()}
