@@ -3,16 +3,20 @@
 Exit codes: 0 success, 1 usage error, 2 data or contract error
 (including a path that cannot be read or written, and a text input that
 is not UTF-8, as every one must be), 3 numeric failure during training.
-Flags override values from an optional line-oriented "key = value"
-config file, whose values are strings that each option converts with
-its own type, as it converts a flag; every run logs its fully resolved
-configuration.
+An optional line-oriented "key = value" config file sets the same
+options as the flags: each line whose key is one of the command's options
+parses as that flag, placed before the command line's own flags, so the
+command line wins. A key that is another command's option is skipped,
+so one file can serve every command; any other key is a usage error.
+Every run logs its fully resolved configuration.
 
 `segment` reads plain tokens, which carry no prosody and no PoS tags.
 Without --alpha it therefore segments with the lexical model alone
 (alpha 1.0) and warns when the stored alpha is below 1; an explicit
 --alpha below 1 is a data error. It also warns when the model was
 trained on PoS tags, since every token gets the unknown-tag row.
+`train` and `eval` warn when --embeddings is given to a feature set
+without an embeddings part, and do not read the file.
 """
 
 import argparse
@@ -60,29 +64,7 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors, records the dest of each option it adds, and
-    checks a config file's value against its option's choices, as
-    argparse checks only a flag's."""
-
-    def __init__(self, *args, **kwargs):
-        self.dests = set()
-        super().__init__(*args, **kwargs)
-        self.dests.discard("help")  # -h, which no config file sets
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.dests.add(action.dest)
-        return action
-
-    def parse_known_args(self, args=None, namespace=None):
-        parsed, extras = super().parse_known_args(args, namespace)
-        for action in self._actions:
-            value = getattr(parsed, action.dest, None)
-            if action.option_strings and action.choices and value not in action.choices:
-                allowed = ", ".join(map(repr, action.choices))
-                self.error(f"argument {action.option_strings[0]}: invalid choice: "
-                           f"{value!r} (choose from {allowed})")
-        return parsed, extras
+    """Raises usage errors instead of exiting."""
 
     def error(self, message):
         raise _UsageError(message)
@@ -135,8 +117,7 @@ def _add_model_knobs(parser):
 
 
 def build_parser():
-    """The top-level parser, its subcommand parsers by name, and the config
-    file keys: the dests of every subcommand option."""
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="sentbound",
                      description="Sentence boundary detection for speech transcripts")
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -189,8 +170,7 @@ def build_parser():
                          help="regenerate from a previously written manifest")
     _add_common(p_synth)
     p_synth.set_defaults(func=cmd_synth)
-    commands = dict(sub.choices)
-    return parser, commands, set().union(*(p.dests for p in commands.values()))
+    return parser, dict(sub.choices)
 
 
 def _resolved(args):
@@ -206,10 +186,13 @@ def _hyperparams(args):
     return Hyperparams.lexical(**shared), Hyperparams.prosodic(**shared)
 
 
-def _eval_config(args, folds=5):
+def _eval_config(args, feature_set, folds=5):
     lex_hp, pros_hp = _hyperparams(args)
     word_table = None
-    if getattr(args, "embeddings", None):
+    if args.embeddings and not feature_set.words:
+        log.warning("feature set %r has no embeddings part: %s is not used",
+                    feature_set.name, args.embeddings)
+    elif args.embeddings:
         word_table = load_embeddings(args.embeddings)
     return EvalConfig(
         train=TrainConfig(
@@ -253,7 +236,7 @@ def cmd_train(args):
         feature_set = parse_feature_set(args.features)
     if not feature_set.has_lexical:
         raise _UsageError("train needs a lexical feature (prosody-only is eval-only)")
-    config = _eval_config(args)
+    config = _eval_config(args, feature_set)
     out = Path(args.out)
     kinds = ("lexical", "prosodic") if feature_set.prosody else ("lexical",)
     logs = {k: _epoch_log(out.with_suffix(out.suffix + f".{k}.log")) for k in kinds}
@@ -320,19 +303,19 @@ def cmd_segment(args):
 def cmd_eval(args):
     if bool(args.corpus) == bool(args.train_corpus or args.test_corpus):
         raise _UsageError("pass either --corpus or the --train-corpus/--test-corpus pair")
-    feature_name = args.features or "embeddings+pos"
+    feature_set = parse_feature_set(args.features or "embeddings+pos")
     if args.corpus:
         corpus = read_corpus(args.corpus)
-        config = _eval_config(args, folds=args.folds)
-        report = cross_validated_eval(corpus, args.variant, feature_name, config)
+        config = _eval_config(args, feature_set, folds=args.folds)
+        report = cross_validated_eval(corpus, args.variant, feature_set, config)
     else:
         if not (args.train_corpus and args.test_corpus):
             raise _UsageError("--train-corpus and --test-corpus go together")
         train_c = read_corpus(args.train_corpus)
         test_c = read_corpus(args.test_corpus)
-        config = _eval_config(args)
+        config = _eval_config(args, feature_set)
         report = robustness_eval(
-            train_c, test_c, config, variant=args.variant, feature_set=feature_name
+            train_c, test_c, config, variant=args.variant, feature_set=feature_set
         )
     table = render_table(report)
     line = machine_line(report)
@@ -377,23 +360,32 @@ def cmd_synth(args):
 # -------------------------------------------------------------------- main
 
 
+def _config_flags(path, commands, command):
+    """The file's lines whose key is an option of `command`, as --option=value;
+    a key that is no command's option is an error."""
+    options = {name: {a.dest: a.option_strings[0] for a in p._actions
+                      if a.option_strings and a.dest != "help"}
+               for name, p in commands.items()}
+    values = load_config_file(path)
+    unknown = set(values).difference(*options.values())
+    if unknown:
+        raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+    return [f"{options[command][k]}={v}" for k, v in values.items() if k in options[command]]
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands, config_keys = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            # the file's values become defaults, so the flags parse over them
-            values = load_config_file(args.config)
-            unknown = set(values) - config_keys
-            if unknown:
-                raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-            for p in commands.values():
-                p.set_defaults(**values)
-            args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
+        if not args.command:
             parser.print_help()
             return EXIT_USAGE
+        if args.config:
+            # the file's flags go before the command line's, which win
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_flags(args.config, commands, args.command)
+            args = parser.parse_args(argv)
         logging.basicConfig(level=args.log_level.upper())
         log.info("resolved config: %s", _resolved(args))
         return args.func(args)

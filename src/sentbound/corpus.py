@@ -341,7 +341,8 @@ class SynthSpec:
     Prosody is standard normal noise with the pause dimension shifted by
     prosody_cue_strength at boundary words. The cue token never occurs as
     a filler word, and each word maps to a fixed PoS tag from a 25-symbol
-    tagset. Both means are at most MAX_SYNTH_MEAN.
+    tagset. Both means are at most MAX_SYNTH_MEAN. The name holds no
+    whitespace, '#' or '/', and the cue token no '#'.
     """
 
     n_texts: int
@@ -375,6 +376,14 @@ class SynthSpec:
             raise ContractError("cue_offset must be >= 0")
         if self.seed < 0:
             raise ContractError("seed must be >= 0")
+        # the name starts every text id and file name, and '#' would cut a
+        # manifest value short
+        if any(c.isspace() or c in "#/" for c in self.name):
+            raise ContractError(f"name {self.name!r} must not contain whitespace, "
+                                "'#' or '/'")
+        if "#" in self.boundary_cue_token:
+            raise ContractError(f"boundary_cue_token {self.boundary_cue_token!r} "
+                                "must not contain '#'")
 
 
 def _filler_word(index):

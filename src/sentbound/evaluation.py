@@ -156,10 +156,15 @@ def _train_pair(variant, feature_set, train_texts, config, fold_index, logs=None
     """Train the lexical and/or prosodic model for one split.
 
     Returns (lexical_bundle, prosodic_bundle); an absent one is None.
-    `logs` may map "lexical" / "prosodic" to per-epoch log callbacks.
+    AD-group texts train the lexical model only. `logs` may map
+    "lexical" / "prosodic" to per-epoch log callbacks.
     """
     logs = logs or {}
     lex_bundle = pros_bundle = None
+    if feature_set.prosody:
+        pros_texts = [t for t in train_texts if t.group != "AD"]
+        if not pros_texts:
+            raise ContractError("no non-AD text to train the prosodic model on")
     if feature_set.has_lexical:
         rng = _fold_rng(config.train.seed, fold_index, 0)
         word_table = None
@@ -181,9 +186,9 @@ def _train_pair(variant, feature_set, train_texts, config, fold_index, logs=None
         train_model(lex_bundle, train_texts, config.train, rng, log=logs.get("lexical"))
     if feature_set.prosody:
         rng = _fold_rng(config.train.seed, fold_index, 1)
-        stats = fit_prosody_stats([t for t in train_texts if t.group != "AD"])
+        stats = fit_prosody_stats(pros_texts)
         pros_bundle = make_prosodic_bundle(variant, config.prosodic_hp, stats, rng)
-        train_model(pros_bundle, train_texts, config.train, rng, log=logs.get("prosodic"))
+        train_model(pros_bundle, pros_texts, config.train, rng, log=logs.get("prosodic"))
     return lex_bundle, pros_bundle
 
 

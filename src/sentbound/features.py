@@ -44,11 +44,8 @@ class EmbeddingTable:
     def oov_row(self):
         return self.vectors.shape[0] - 1
 
-    def lookup(self, token):
-        return self.vocab.get(token, self.oov_row)
-
     def encode(self, tokens):
-        """Row ids of a token sequence, as lookup gives them one by one."""
+        """Row ids of a token sequence; a token not in vocab gets oov_row."""
         rows = map(self.vocab.get, tokens, repeat(self.oov_row))
         return np.fromiter(rows, dtype=np.intp, count=len(tokens))
 

@@ -292,10 +292,6 @@ class TrainedSegmenter:
             p_pros = None
         return fuse(p_lex, p_pros, alpha)
 
-    def predict(self, text, alpha=None):
-        labels, _ = self.predict_probs(text, alpha=alpha)
-        return labels
-
 
 # ------------------------------------------------------------- persistence
 

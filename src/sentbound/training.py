@@ -222,7 +222,6 @@ def _param_norms(params):
 def train_model(bundle, train_texts, config, rng, log=None):
     """Run the bucketed epoch loop on an initialised bundle.
 
-    AD-group texts are admitted only when training a lexical model.
     Returns (bundle, trace) where trace is the per-epoch mean loss over
     active positions. `log`, when given, receives
     (epoch, mean_loss, elapsed_ms) after every epoch. A non-finite logit
@@ -231,10 +230,8 @@ def train_model(bundle, train_texts, config, rng, log=None):
     the update step, where that error reports a divergence.
     """
     texts = list(train_texts)
-    if bundle.prosody_stats is not None:
-        texts = [t for t in texts if t.group != "AD"]
     if not texts:
-        raise ContractError("no training texts after group filtering")
+        raise ContractError("no training texts")
     class_weights = compute_class_weights(
         [lab for t in texts for lab in t.labels]
     )

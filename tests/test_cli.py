@@ -480,3 +480,65 @@ def test_a_negative_seed_is_a_data_error_that_writes_nothing(workdir, tmp_path, 
     assert cli.main([*args, "--seed", "-1"]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_another_commands_config_keys_are_skipped(workdir, tmp_path):
+    """One file can serve every command: train applies its own keys and
+    skips synth's and segment's, which reach neither args nor the
+    manifest, even with a value no command accepts (emit = html)."""
+    config = tmp_path / "shared.cfg"
+    config.write_text("texts = 5\nemit = html\ncue_token = zz\nepochs = 1\n",
+                      encoding="utf-8")
+    out = tmp_path / "m.dbnd"
+    assert cli.main(["train", "--corpus", str(workdir / "corpus"), "--out", str(out),
+                     "--conv-filters", "4", "--rec-units", "4", "--alpha", "0.5",
+                     "--config", str(config)]) == 0
+    manifest = (tmp_path / "m.dbnd.manifest").read_text(encoding="utf-8").splitlines()
+    keys = {line.split(" = ", 1)[0] for line in manifest}
+    assert not keys & {"texts", "emit", "cue_token"}
+    assert "epochs = 1" in manifest
+    assert len((tmp_path / "m.dbnd.lexical.log").read_text().splitlines()) == 1
+
+
+def test_a_flag_beats_the_config_file(workdir, tmp_path, monkeypatch):
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs = 3\nfolds = 3\n", encoding="utf-8")
+    seen = []
+
+    def stop(corpus, variant, feature_set, eval_config):
+        seen.append(eval_config)
+        raise ContractError("stop")
+
+    monkeypatch.setattr(cli, "cross_validated_eval", stop)
+    assert cli.main(["eval", "--corpus", str(workdir / "corpus"), "--epochs", "1",
+                     "--config", str(config)]) == 2
+    [used] = seen
+    assert (used.train.epochs, used.folds) == (1, 3)
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_embeddings_unused_by_the_feature_set_warn(workdir, narrow_embeddings, tmp_path,
+                                                   monkeypatch, caplog, command):
+    seen = []
+
+    def stop(corpus, variant, feature_set, eval_config, logs=None):
+        seen.append(eval_config)
+        raise ContractError("stop")
+
+    target = {"train": "train_segmenter", "eval": "cross_validated_eval"}[command]
+    monkeypatch.setattr(cli, target, stop)
+    args = ["train", "--out", str(tmp_path / "m.dbnd")] if command == "train" else ["eval"]
+    assert cli.main([*args, "--corpus", str(workdir / "corpus"), "--features", "pos",
+                     "--embeddings", str(narrow_embeddings)]) == 2
+    assert f"feature set 'pos' has no embeddings part: {narrow_embeddings}" in caplog.text
+    [config] = seen
+    assert config.word_table is None
+
+
+@pytest.mark.parametrize("flags", [
+    ["--name", "my corpus"], ["--name", "a#b"], ["--name", "a/b"], ["--cue-token", "x#y"],
+])
+def test_synth_refuses_a_name_its_readers_would_mangle(tmp_path, flags, capsys):
+    assert cli.main(["synth", "--texts", "2", *flags, "--out", str(tmp_path / "c")]) == 2
+    assert "must not contain" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

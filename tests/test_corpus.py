@@ -366,6 +366,16 @@ class TestSynthGenerate:
             with pytest.raises(ContractError, match="mean_sentences_per_text must be"):
                 SynthSpec(n_texts=1, mean_sentences_per_text=bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("name", "my corpus"), ("name", "a\tb"), ("name", "a#b"), ("name", "a/b"),
+        ("boundary_cue_token", "x#y"),
+    ])
+    def test_names_its_readers_would_mangle_are_refused(self, field, value):
+        """A text id holds no whitespace and a file name no '/'; a manifest
+        value is cut at '#'."""
+        with pytest.raises(ContractError, match=f"{field} .* must not contain"):
+            SynthSpec(n_texts=1, **{field: value})
+
     @pytest.mark.parametrize("field", ["mean_sentence_len", "mean_sentences_per_text"])
     def test_means_above_the_cap_are_refused(self, field):
         """A finite mean above MAX_SYNTH_MEAN is refused before numpy's

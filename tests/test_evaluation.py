@@ -7,9 +7,13 @@ boundary counting changes; a refactor of any of these must leave them
 as they are.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from sentbound.corpus import SynthSpec, synth_generate
+from sentbound.corpus import Corpus, SynthSpec, synth_generate
+from sentbound.errors import ContractError
 from sentbound.evaluation import (
     EvalConfig,
     all_boundary_baseline,
@@ -98,5 +102,34 @@ def test_robustness_counts_are_pinned(genre_a, genre_b):
 def test_segmenter_alpha_and_predictions_are_pinned(genre_a, genre_b):
     segmenter = train_segmenter(genre_a, "rcnn", "all", small_config())
     assert segmenter.alpha == 0.5
-    predicted = sum(label == "B" for t in genre_b for label in segmenter.predict(t))
+    predicted = sum(label == "B" for t in genre_b for label in segmenter.predict_probs(t)[0])
     assert predicted == 144
+
+
+def _as_ad(corpus, prosody_shift):
+    """The corpus's texts again as AD texts, with new ids and shifted prosody."""
+    return [replace(t, id=f"ad-{t.id}", group="AD", prosody=t.prosody + prosody_shift)
+            for t in corpus]
+
+
+def _same_params(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def test_ad_texts_train_the_lexical_model_only(genre_a):
+    """AD texts with shifted prosody leave the prosodic statistics and
+    params bit-identical, and still train the lexical model."""
+    plain = train_segmenter(genre_a, "rcnn", "all", small_config(alpha=0.5))
+    with_ad = Corpus([*genre_a, *_as_ad(genre_a, 5.0)], genre_a.name)
+    mixed = train_segmenter(with_ad, "rcnn", "all", small_config(alpha=0.5))
+    p, m = plain.prosodic, mixed.prosodic
+    assert np.array_equal(p.prosody_stats.mean, m.prosody_stats.mean)
+    assert np.array_equal(p.prosody_stats.std, m.prosody_stats.std)
+    assert _same_params(p.params, m.params)
+    assert not _same_params(plain.lexical.params, mixed.lexical.params)
+
+
+def test_a_corpus_of_ad_texts_only_has_no_prosodic_training_set(genre_a):
+    only_ad = Corpus(_as_ad(genre_a, 0.0), "ad")
+    with pytest.raises(ContractError, match="no non-AD text to train the prosodic model"):
+        train_segmenter(only_ad, "rcnn", "all", small_config())

@@ -42,8 +42,7 @@ class TestLoadEmbeddings:
         path = tmp_path / "emb.txt"
         write_embedding_file(path, ["casa"], 8)
         table = load_embeddings(path)
-        assert table.lookup("inexistente") == table.oov_row
-        assert table.lookup("outra") == table.oov_row
+        npt.assert_array_equal(table.encode(["inexistente", "outra"]), [table.oov_row] * 2)
 
     def test_oov_vector_identical_across_loads(self, tmp_path):
         a = tmp_path / "a.txt"
@@ -64,7 +63,7 @@ class TestLoadEmbeddings:
         path = tmp_path / "emb.txt"
         path.write_text("1 2\nCasa 1.0 2.0\n")
         table = load_embeddings(path)
-        assert table.lookup("casa") == 0
+        assert table.encode(["casa"])[0] == 0
 
     def test_inconsistent_dimension_names_line(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -101,7 +100,7 @@ class TestEmbeddingTable:
         tokens = [f"w{i}" for i in rng.integers(0, 80, size=200)] + ["", "W1"]
         ids = table.encode(tokens)
         assert ids.dtype == np.intp
-        npt.assert_array_equal(ids, [table.lookup(t) for t in tokens])
+        npt.assert_array_equal(ids, [table.vocab.get(t, table.oov_row) for t in tokens])
         assert (ids == table.oov_row).sum() > 10  # the mix holds both kinds
         assert table.encode([]).shape == (0,)
 
@@ -140,8 +139,8 @@ class TestBuildLexicalInput:
         words = EmbeddingTable.from_tokens(["w0", "w1"], 2, rng)
         tags = EmbeddingTable.from_tokens(["t00", "t01"], 3, rng)
         x = build_lexical_input(demo_text(2), words, tags)
-        npt.assert_array_equal(x[0, :2], words.vectors[words.lookup("w0")])
-        npt.assert_array_equal(x[0, 2:], tags.vectors[tags.lookup("t00")])
+        npt.assert_array_equal(x[0, :2], words.vectors[words.encode(["w0"])[0]])
+        npt.assert_array_equal(x[0, 2:], tags.vectors[tags.encode(["t00"])[0]])
 
     def test_needs_a_table(self):
         with pytest.raises(ContractError):
