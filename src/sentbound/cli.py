@@ -8,6 +8,9 @@ options as the flags: each line whose key is one of the command's options
 parses as that flag, placed before the command line's own flags, so the
 command line wins. A key that is another command's option is skipped,
 so one file can serve every command; any other key is a usage error.
+A line whose first non-blank character is '#' is a comment, and so is
+the rest of a line from a '#' that follows whitespace; any other '#' is
+part of the value (corpus = a#b names a#b).
 Every run logs its fully resolved configuration.
 
 `segment` reads plain tokens, which carry no prosody and no PoS tags.
@@ -21,6 +24,7 @@ without an embeddings part, and do not read the file.
 
 import argparse
 import logging
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -74,11 +78,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_config_file(path):
-    """Parse "key = value" lines into a dict of strings; '#' starts a
-    comment."""
+    """Parse "key = value" lines into a dict of strings; a '#' at the start
+    of a line or after whitespace starts a comment."""
     values = {}
     for line_no, raw in enumerate("".join(text_lines(path)).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -10,7 +10,8 @@ File formats
 ------------
 tsv     one token per line: token<TAB>pos<TAB>prosody<TAB>label where
         prosody is 13 space-separated finite reals or a single "-". Each
-        text is preceded by a header line "#id <text-id> group <GROUP>";
+        text is preceded by a header line "#id <text-id> group <GROUP>"
+        (only "#id" then a space opens one, so a token may be "#idea");
         texts are separated by blank lines. read_corpus reads it, from one
         file or from a directory of *.tsv files, and write_corpus writes it.
 tokens  one text per file, tokens and inline punctuation separated by
@@ -213,7 +214,7 @@ def _parse_tsv_stream(lines, path):
             flush(line_no)
             header, rows = None, []
             continue
-        if line.startswith("#id"):
+        if line.startswith("#id "):
             flush(line_no)
             rows = []
             parts = line.split()
@@ -376,8 +377,8 @@ class SynthSpec:
             raise ContractError("cue_offset must be >= 0")
         if self.seed < 0:
             raise ContractError("seed must be >= 0")
-        # the name starts every text id and file name, and '#' would cut a
-        # manifest value short
+        # the name starts every text id and file name, and a manifest value
+        # that starts with '#' reads as a comment
         if any(c.isspace() or c in "#/" for c in self.name):
             raise ContractError(f"name {self.name!r} must not contain whitespace, "
                                 "'#' or '/'")

@@ -1,14 +1,24 @@
 """Boundary-class metrics, the all-B baseline, and evaluation drivers.
 
 Scoring ignores the NB class entirely: precision, recall, and F1 are
-computed for boundary predictions at exact token positions. Fold results
-are pooled by summing tp/fp/fn counts (micro-averaging) because per-fold
-boundary counts are small.
+computed for boundary predictions at exact token positions. Counts are
+pooled by summing tp/fp/fn (micro-averaging) because per-fold boundary
+counts are small.
 
-A split trains one ModelBundle per active feature family. Each bundle
-encodes its own texts, and the split's bundles predict them together
-(model.predict_texts, the path the segmenter uses too); every run scores
-the fused rows, with the absent family's weight at 0.
+A split trains one ModelBundle per active feature family (_train_pair),
+and the split's bundles predict texts together (model.predict_texts, the
+path the segmenter uses too) as (p_lex, p_pros, gold) rows; an absent
+family's probabilities are None and its fusion weight 0. The drivers
+are built from three pieces:
+
+- out_of_fold_rows trains one split per fold and keeps each text's row
+  from the fold that held it out. cross_validated_eval reads those rows.
+- _fit_in_sample trains one split on every text of a corpus and resolves
+  the fusion weight on those same texts. robustness_eval and
+  train_segmenter use it; it is the one place the weight is chosen
+  in-sample.
+- _score fuses rows at one weight and sums their boundary counts: each
+  fold's rows, and robustness_eval's test rows.
 """
 
 from dataclasses import dataclass, field
@@ -137,14 +147,15 @@ class EvalConfig:
             raise ContractError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
-def _check_feature_set(feature_set, corpus):
+def _check_feature_set(feature_set, *corpora):
     if isinstance(feature_set, str):
         feature_set = parse_feature_set(feature_set)
-    if feature_set.prosody and not corpus.has_prosody:
-        raise ContractError(
-            f"feature set {feature_set.name!r} needs prosody but corpus "
-            f"{corpus.name!r} has none"
-        )
+    for corpus in corpora:
+        if feature_set.prosody and not corpus.has_prosody:
+            raise ContractError(
+                f"feature set {feature_set.name!r} needs prosody but corpus "
+                f"{corpus.name!r} has none"
+            )
     return feature_set
 
 
@@ -167,22 +178,15 @@ def _train_pair(variant, feature_set, train_texts, config, fold_index, logs=None
             raise ContractError("no non-AD text to train the prosodic model on")
     if feature_set.has_lexical:
         rng = _fold_rng(config.train.seed, fold_index, 0)
-        word_table = None
-        if feature_set.words:
-            if config.word_table is not None:
-                word_table = config.word_table
-            else:
-                tokens = [tok for t in train_texts for tok in t.tokens]
-                word_table = EmbeddingTable.from_tokens(
-                    tokens, config.lexical_hp.word_dim, rng
-                )
+        word_table = config.word_table if feature_set.words else None
+        if feature_set.words and word_table is None:
+            tokens = [tok for t in train_texts for tok in t.tokens]
+            word_table = EmbeddingTable.from_tokens(tokens, config.lexical_hp.word_dim, rng)
         tag_table = None
         if feature_set.tags:
             tags = [tag for t in train_texts for tag in t.pos_tags]
             tag_table = EmbeddingTable.from_tokens(tags, config.lexical_hp.tag_dim, rng)
-        lex_bundle = make_lexical_bundle(
-            variant, config.lexical_hp, word_table, tag_table, rng
-        )
+        lex_bundle = make_lexical_bundle(variant, config.lexical_hp, word_table, tag_table, rng)
         train_model(lex_bundle, train_texts, config.train, rng, log=logs.get("lexical"))
     if feature_set.prosody:
         rng = _fold_rng(config.train.seed, fold_index, 1)
@@ -217,54 +221,65 @@ def resolve_alpha(feature_set, config, predictions):
     return tune_alpha_from_probs(*zip(*predictions))
 
 
-def cross_validated_eval(corpus, variant, feature_set, config: EvalConfig):
-    """K-fold training and evaluation; counts pooled across folds.
+def _score(rows, alpha, config=None):
+    """The report of (p_lex, p_pros, gold) rows fused at alpha: the rows'
+    boundary counts summed."""
+    tp = fp = fn = 0
+    for p_lex, p_pros, gold in rows:
+        a, b, c = boundary_counts(gold, fuse(p_lex, p_pros, alpha)[0])
+        tp, fp, fn = tp + a, fp + b, fn + c
+    return _report_from_counts(tp, fp, fn, config=config)
 
-    Folds run one after another, each on its own rng streams. One fusion
-    weight (resolve_alpha) scores every fold; when it is tuned, it is
-    tuned on the pooled out-of-fold predictions.
+
+def out_of_fold_rows(corpus, variant, feature_set, config: EvalConfig):
+    """{text id: (fold, (p_lex, p_pros, gold))} for every text, in id order.
+
+    Folds run one after another, each on its own rng streams; a fold's
+    models predict the texts it holds out.
     """
     feature_set = _check_feature_set(feature_set, corpus)
     plan = kfold_split(corpus, config.folds, config.train.seed)
     by_id = {t.id: t for t in corpus}
-    oof = {}  # text id -> (fold, (p_lex, p_pros, gold))
+    rows = {}
     for fold in range(plan.k):
         train_texts = [by_id[tid] for tid in sorted(plan.train_ids(fold))]
         test_texts = [by_id[tid] for tid in sorted(plan.test_ids(fold))]
         models = _train_pair(variant, feature_set, train_texts, config, fold)
-        for t, triple in zip(test_texts, _predictions(models, test_texts, config)):
-            oof[t.id] = (fold, triple)
+        for t, row in zip(test_texts, _predictions(models, test_texts, config)):
+            rows[t.id] = (fold, row)
         del models  # frees them before the next fold trains
-    alpha = resolve_alpha(feature_set, config, (oof[tid][1] for tid in sorted(oof)))
-    per_fold_counts = [[0, 0, 0] for _ in range(plan.k)]
-    for tid in sorted(oof):
-        fold, (p_lex, p_pros, gold) = oof[tid]
-        tp, fp, fn = boundary_counts(gold, fuse(p_lex, p_pros, alpha)[0])
-        per_fold_counts[fold][0] += tp
-        per_fold_counts[fold][1] += fp
-        per_fold_counts[fold][2] += fn
+    return dict(sorted(rows.items()))
+
+
+def cross_validated_eval(corpus, variant, feature_set, config: EvalConfig):
+    """K-fold evaluation of out_of_fold_rows; counts pooled across folds.
+
+    One fusion weight (resolve_alpha) scores every fold; when it is tuned,
+    it is tuned on the pooled out-of-fold rows.
+    """
+    feature_set = _check_feature_set(feature_set, corpus)
+    rows = out_of_fold_rows(corpus, variant, feature_set, config)
+    alpha = resolve_alpha(feature_set, config, (row for _, row in rows.values()))
     per_fold = []
-    for fold, (tp, fp, fn) in enumerate(per_fold_counts):
-        sub = _report_from_counts(tp, fp, fn)
-        per_fold.append(
-            {
-                "fold": fold, "tp": tp, "fp": fp, "fn": fn,
-                "precision": sub.precision, "recall": sub.recall, "f1": sub.f1,
-                "alpha": alpha,
-            }
-        )
-    tp, fp, fn = (sum(c[i] for c in per_fold_counts) for i in range(3))
+    for fold in range(config.folds):
+        r = _score((row for f, row in rows.values() if f == fold), alpha)
+        per_fold.append({"fold": fold, "tp": r.tp, "fp": r.fp, "fn": r.fn,
+                         "precision": r.precision, "recall": r.recall, "f1": r.f1,
+                         "alpha": alpha})
     return _report_from_counts(
-        tp, fp, fn, per_fold=per_fold,
-        config={
-            "corpus": corpus.name,
-            "variant": variant,
-            "features": feature_set.name,
-            "alpha": alpha,
-            "folds": plan.k,
-            "seed": config.train.seed,
-        },
+        *(sum(f[n] for f in per_fold) for n in ("tp", "fp", "fn")), per_fold=per_fold,
+        config={"corpus": corpus.name, "variant": variant, "features": feature_set.name,
+                "alpha": alpha, "folds": config.folds, "seed": config.train.seed},
     )
+
+
+def _fit_in_sample(corpus, variant, feature_set, config, logs=None):
+    """The pair trained on every text of `corpus`, in id order, as split 0,
+    and its fusion weight, resolved on the training texts' own
+    predictions (which run only when the weight is tuned)."""
+    texts = sorted(corpus, key=lambda t: t.id)
+    models = _train_pair(variant, feature_set, texts, config, fold_index=0, logs=logs)
+    return models, resolve_alpha(feature_set, config, _predictions(models, texts, config))
 
 
 def robustness_eval(train_corpus, test_corpus, config: EvalConfig,
@@ -274,29 +289,13 @@ def robustness_eval(train_corpus, test_corpus, config: EvalConfig,
     Test tokens missing from A's vocabulary fall to the OOV row. The
     fusion weight is taken from the config or tuned in-sample on A.
     """
-    feature_set = _check_feature_set(feature_set, train_corpus)
-    if feature_set.prosody and not test_corpus.has_prosody:
-        raise ContractError(
-            f"test corpus {test_corpus.name!r} lacks the prosody the "
-            "feature set requires"
-        )
-    train_texts = sorted(train_corpus, key=lambda t: t.id)
-    models = _train_pair(variant, feature_set, train_texts, config, fold_index=0)
-    alpha = resolve_alpha(feature_set, config, _predictions(models, train_texts, config))
-    tp = fp = fn = 0
+    feature_set = _check_feature_set(feature_set, train_corpus, test_corpus)
+    models, alpha = _fit_in_sample(train_corpus, variant, feature_set, config)
     test_texts = sorted(test_corpus, key=lambda t: t.id)
-    for p_lex, p_pros, gold in _predictions(models, test_texts, config):
-        a, b, c = boundary_counts(gold, fuse(p_lex, p_pros, alpha)[0])
-        tp, fp, fn = tp + a, fp + b, fn + c
-    return _report_from_counts(
-        tp, fp, fn,
-        config={
-            "corpus": f"{train_corpus.name}->{test_corpus.name}",
-            "variant": variant,
-            "features": feature_set.name,
-            "alpha": alpha,
-            "seed": config.train.seed,
-        },
+    return _score(
+        _predictions(models, test_texts, config), alpha,
+        config={"corpus": f"{train_corpus.name}->{test_corpus.name}", "variant": variant,
+                "features": feature_set.name, "alpha": alpha, "seed": config.train.seed},
     )
 
 
@@ -309,10 +308,5 @@ def train_segmenter(corpus, variant, feature_set, config: EvalConfig, logs=None)
     feature_set = _check_feature_set(feature_set, corpus)
     if not feature_set.has_lexical:
         raise ContractError("a segmenter needs a lexical model")
-    texts = sorted(corpus, key=lambda t: t.id)
-    models = _train_pair(variant, feature_set, texts, config, fold_index=0, logs=logs)
-    return TrainedSegmenter(
-        lexical=models[0],
-        alpha=resolve_alpha(feature_set, config, _predictions(models, texts, config)),
-        prosodic=models[1],
-    )
+    (lexical, prosodic), alpha = _fit_in_sample(corpus, variant, feature_set, config, logs)
+    return TrainedSegmenter(lexical=lexical, alpha=alpha, prosodic=prosodic)

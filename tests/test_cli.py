@@ -516,6 +516,30 @@ def test_a_flag_beats_the_config_file(workdir, tmp_path, monkeypatch):
     assert (used.train.epochs, used.folds) == (1, 3)
 
 
+def test_a_config_hash_is_a_comment_only_at_line_start_or_after_whitespace(
+        workdir, tmp_path, monkeypatch):
+    config = tmp_path / "run.cfg"
+    config.write_text("# full-line comment\n  # indented comment\ncorpus = a#b\n"
+                      "epochs = 1  # note\nfolds = 3\t# after a tab\n", encoding="utf-8")
+    corpus = cli.read_corpus(workdir / "corpus")
+    paths, seen = [], []
+
+    def read(path):
+        paths.append(path)
+        return corpus
+
+    def stop(corpus, variant, feature_set, eval_config):
+        seen.append(eval_config)
+        raise ContractError("stop")
+
+    monkeypatch.setattr(cli, "read_corpus", read)
+    monkeypatch.setattr(cli, "cross_validated_eval", stop)
+    assert cli.main(["eval", "--config", str(config)]) == 2
+    [used] = seen
+    assert paths == ["a#b"]
+    assert (used.train.epochs, used.folds) == (1, 3)
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_embeddings_unused_by_the_feature_set_warn(workdir, narrow_embeddings, tmp_path,
                                                    monkeypatch, caplog, command):

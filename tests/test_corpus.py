@@ -160,6 +160,16 @@ class TestCorpusIO:
         write_corpus(read_corpus(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_tokens_that_start_like_a_header_round_trip(self, tmp_path):
+        """Only "#id" then a space opens a header, so #id and #idea are words."""
+        text = LabeledText("x", ["#id", "#idea", "fim"], ["t01"] * 3, ["NB", "NB", "B"],
+                           group="MCI")
+        path = tmp_path / "c.tsv"
+        write_corpus(Corpus([text], name="c"), path)
+        [back] = read_corpus(path)
+        assert (back.id, back.tokens, back.labels, back.group) == \
+            ("x", ["#id", "#idea", "fim"], ["NB", "NB", "B"], "MCI")
+
     def test_three_line_tsv(self, tmp_path):
         path = tmp_path / "t.tsv"
         pros = " ".join(["0.25"] * 13)

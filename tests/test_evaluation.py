@@ -12,17 +12,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sentbound import evaluation
 from sentbound.corpus import Corpus, SynthSpec, synth_generate
 from sentbound.errors import ContractError
 from sentbound.evaluation import (
     EvalConfig,
     all_boundary_baseline,
     cross_validated_eval,
+    out_of_fold_rows,
     robustness_eval,
     train_segmenter,
 )
-from sentbound.model import Hyperparams
-from sentbound.training import TrainConfig
+from sentbound.model import Hyperparams, boundary_counts, fuse
+from sentbound.training import TrainConfig, kfold_split
 
 
 def small_corpus(seed, cue, name):
@@ -133,3 +135,55 @@ def test_a_corpus_of_ad_texts_only_has_no_prosodic_training_set(genre_a):
     only_ad = Corpus(_as_ad(genre_a, 0.0), "ad")
     with pytest.raises(ContractError, match="no non-AD text to train the prosodic model"):
         train_segmenter(only_ad, "rcnn", "all", small_config())
+
+
+def test_out_of_fold_rows_hold_each_text_once_in_its_fold(genre_a):
+    """Each text's row comes from the fold kfold_split holds it out of,
+    and scoring each fold's rows at the report's alpha gives the report's
+    per-fold counts, which sum to its pooled counts."""
+    config = small_config()
+    rows = out_of_fold_rows(genre_a, "rcnn", "all", config)
+    assert list(rows) == sorted(t.id for t in genre_a)
+    plan = kfold_split(genre_a, config.folds, config.train.seed)
+    assert {tid: fold for tid, (fold, _) in rows.items()} == plan.assignments
+    assert all(rows[t.id][1][2] == t.labels for t in genre_a)
+    report = cross_validated_eval(genre_a, "rcnn", "all", config)
+    alpha = report.config["alpha"]
+    for entry in report.per_fold:
+        fold_counts = [boundary_counts(gold, fuse(p_lex, p_pros, alpha)[0])
+                       for fold, (p_lex, p_pros, gold) in rows.values()
+                       if fold == entry["fold"]]
+        assert tuple(map(sum, zip(*fold_counts))) == (entry["tp"], entry["fp"], entry["fn"])
+    assert tuple(sum(f[n] for f in report.per_fold) for n in ("tp", "fp", "fn")) == \
+        counts(report)
+
+
+@pytest.mark.parametrize("features, alpha, in_sample", [
+    ("all", 0.8, False), ("embeddings+pos", None, False), ("all", None, True),
+])
+def test_only_a_tuned_alpha_predicts_the_training_texts(genre_a, genre_b, monkeypatch,
+                                                        features, alpha, in_sample):
+    """A fixed alpha, or one feature family, needs no predictions on the
+    training texts, so training costs no more than the training itself."""
+    predicted = []
+    real = evaluation.predict_texts
+
+    def recording(bundles, texts, *args, **kwargs):
+        predicted.append({t.id for t in texts})
+        return real(bundles, texts, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "predict_texts", recording)
+    train_ids, test_ids = ({t.id for t in c} for c in (genre_a, genre_b))
+    train_segmenter(genre_a, "rcnn", features, small_config(alpha))
+    assert predicted == [train_ids] * in_sample
+    predicted.clear()
+    robustness_eval(genre_a, genre_b, small_config(alpha), variant="rcnn",
+                    feature_set=features)
+    assert predicted == [train_ids] * in_sample + [test_ids]
+
+
+def test_robustness_refuses_a_test_corpus_without_prosody(genre_a, monkeypatch):
+    monkeypatch.setattr(evaluation, "train_model", None)  # no training may start
+    no_prosody = Corpus([replace(t, id=f"x-{t.id}", prosody=None) for t in genre_a], "flat")
+    with pytest.raises(ContractError, match="corpus 'flat' has none"):
+        robustness_eval(genre_a, no_prosody, small_config(), feature_set="all")
