@@ -73,7 +73,7 @@ class LabeledText:
                 f"text {self.id!r}: parallel sequences disagree "
                 f"({m} tokens, {len(self.pos_tags)} tags, {len(self.labels)} labels)"
             )
-        for tok in self.tokens:
+        for tok in dict.fromkeys(self.tokens):
             if not _valid_token(tok):
                 raise ContractError(f"text {self.id!r}: {_BAD_TOKEN.format(tok)}")
         bad = set(self.labels) - {LABEL_B, LABEL_NB}
@@ -343,7 +343,7 @@ class SynthSpec:
     prosody_cue_strength at boundary words. The cue token never occurs as
     a filler word, and each word maps to a fixed PoS tag from a 25-symbol
     tagset. Both means are at most MAX_SYNTH_MEAN. The name holds no
-    whitespace, '#' or '/', and the cue token no '#'.
+    whitespace or '/', and neither it nor the cue token starts with '#'.
     """
 
     n_texts: int
@@ -379,12 +379,12 @@ class SynthSpec:
             raise ContractError("seed must be >= 0")
         # the name starts every text id and file name, and a manifest value
         # that starts with '#' reads as a comment
-        if any(c.isspace() or c in "#/" for c in self.name):
-            raise ContractError(f"name {self.name!r} must not contain whitespace, "
-                                "'#' or '/'")
-        if "#" in self.boundary_cue_token:
+        if any(c.isspace() or c == "/" for c in self.name) or self.name.startswith("#"):
+            raise ContractError(f"name {self.name!r} must not contain whitespace or '/', "
+                                "nor start with '#'")
+        if self.boundary_cue_token.startswith("#"):
             raise ContractError(f"boundary_cue_token {self.boundary_cue_token!r} "
-                                "must not contain '#'")
+                                "must not start with '#'")
 
 
 def _filler_word(index):
@@ -398,8 +398,11 @@ def _filler_word(index):
     return word
 
 
+_TAGS = tuple(f"t{k:02d}" for k in range(TAGSET_SIZE))
+
+
 def _tag_of(word):
-    return f"t{zlib.crc32(word.encode('utf-8')) % TAGSET_SIZE:02d}"
+    return _TAGS[zlib.crc32(word.encode("utf-8")) % TAGSET_SIZE]
 
 
 def synth_generate(spec: SynthSpec) -> Corpus:
@@ -412,6 +415,8 @@ def synth_generate(spec: SynthSpec) -> Corpus:
         i += 1
         if w != spec.boundary_cue_token:
             fillers.append(w)
+    # each word's tag is looked up once, and tokens share the tag strings
+    tag_of = {w: _tag_of(w) for w in (*fillers, spec.boundary_cue_token)}
     texts = []
     for text_idx in range(spec.n_texts):
         n_sentences = max(1, int(rng.poisson(spec.mean_sentences_per_text)))
@@ -432,7 +437,7 @@ def synth_generate(spec: SynthSpec) -> Corpus:
             LabeledText(
                 id=f"{spec.name}-{text_idx:03d}",
                 tokens=tokens,
-                pos_tags=[_tag_of(w) for w in tokens],
+                pos_tags=[tag_of[w] for w in tokens],
                 labels=labels,
                 prosody=prosody,
             )

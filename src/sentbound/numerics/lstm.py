@@ -29,15 +29,18 @@ parameterised LSTMs over two blocks of the same shape; SequenceNet
 feeds the second one each row's reversed live prefix and sums the two
 projected outputs. Nets that predict the same texts with LSTMs of one
 width run together, D = 2 x nets. The recurrences are independent, so
-one Python time-step loop advances them all: the gate pre-activations
-are held as (steps, 4, D, B, n), so a step's i/f/o slice (3, D, B, n) and g
-slice (D, B, n) are contiguous, and each step runs one stacked
-(D, B, n) @ (D, n, 4n) matmul. Each direction's input projection,
-recurrent GEMM and gradient epilogue keep the shapes of a lone
+one Python time-step loop advances them all, on a gate block of
+(steps + 1, 5, D, B, n). Slots i, f, o and g of a step hold its gate
+pre-activations, which become activations in place; slot 4 holds the
+cell state entering the step (+0.0 at step 0), and the step writes c_t
+into the next step's slot 4. So [i, f] * [g, c] is one product, and a
+step, whose one stacked (D, B, n) @ (D, n, 4n) matmul fills a buffer
+too, allocates no array. Each direction's input projection, recurrent
+GEMM, output projection and gradient epilogue keep the shapes of a lone
 direction, so a direction's outputs and gradients do not depend on what
-runs beside it. direction_forward runs that loop and then the output
-projections; direction_backward takes the projections' gradients and
-then BPTT.
+runs beside it. direction_forward runs that loop and then the D output
+projections as one stacked matmul; direction_backward takes the
+projections' gradients and then BPTT.
 
 Every pass reads the weights in one prepared form (prepare_weights),
 which SequenceNet.prepare builds for training blocks and requests alike.
@@ -46,17 +49,21 @@ weights do not change builds it once; its first 2k directions (each part
 sliced [:2k]) are the prepared form of those directions. A pass keeps
 its backward state only when asked, and its cache then carries the
 form's weight dicts for direction_backward. A training pass projects the
-inputs of all T steps at once, since BPTT reads every step's gates. An
-inference pass holds the h history its outputs need, c and tanh(c) in
-one-step buffers, and the gate pre-activations of a chunk of steps: it
-projects its inputs PROJECTION_BYTES' worth of steps at a time
-(projection_chunks) and returns no cache. A chunk's GEMM has at least
+inputs of all T steps at once, since BPTT reads every step's gates, and
+its cache holds the gate block, tanh(c) and h; BPTT reads c_{t-1} from
+slot 4. An inference pass holds the h history its outputs need, tanh(c)
+in a one-step buffer, and the gate block of a chunk of steps, whose
+first slot 4 takes the last chunk's final c: it projects its inputs
+PROJECTION_BYTES' worth of steps at a time (projection_chunks) and
+returns no cache. A chunk's GEMM has at least
 MIN_GEMM_ROWS rows, as a shorter tail joins the chunk before it: at 4
 rows and more, the rows of a GEMM with the F-ordered wx_t equal the same
 rows of the whole-T GEMM bit for bit (with numpy 2.4's OpenBLAS 0.3.31,
 tested in test_numerics), while a 1-row product takes another summation
 order.
 """
+
+from itertools import repeat
 
 import numpy as np
 
@@ -66,7 +73,8 @@ GATES = ("i", "f", "o", "g")
 # Bytes of gate pre-activations an inference pass projects at once: 40
 # steps of a request to both default-size nets (D = 4, B = 1, n = 100),
 # against 2.56 MB for all steps of a 200-token one. Smaller chunks cost
-# time, as each GEMM packs its weights again.
+# time, as each GEMM packs its weights again. The chunk's gate block
+# holds a fifth slot, the cell state, and one step more: over 5/4 of this.
 PROJECTION_BYTES = 1 << 19
 MIN_GEMM_ROWS = 4  # of a projection chunk, unless the block has fewer
 
@@ -80,9 +88,9 @@ def prepare_weights(weights):
     stacked, (D, n, 4n). The i, f and o columns of all three are negated:
     negated weights give exactly the negated sums, so those rows come out
     as -z and their sigmoid 1 / (1 + exp(-z)), as in kernels.sigmoid,
-    needs no negation step. wy_t and by hold each direction's output
-    projection, wy transposed, (n, n), and by, (n,), as views of the
-    dicts, which come last, for direction_backward.
+    needs no negation step. wy_t and by stack the output projections,
+    each wy transposed, (D, n, n), and each by, (D, 1, n); the dicts,
+    which come last, are for direction_backward.
     """
     n = weights[0]["wh"].shape[1]
     sign = np.ones(4 * n)
@@ -91,8 +99,8 @@ def prepare_weights(weights):
         [w["wx"].T * sign for w in weights],
         [w["b"] * sign for w in weights],
         np.stack([w["wh"] for w in weights]).transpose(0, 2, 1) * sign,
-        [w["wy"].T for w in weights],
-        [w["by"] for w in weights],
+        np.stack([w["wy"] for w in weights]).transpose(0, 2, 1),
+        np.stack([w["by"] for w in weights])[:, None],
         list(weights),
     )
 
@@ -117,11 +125,11 @@ def direction_forward(*xs, prepared, keep_cache=False):
     then the block its second direction reads, already reversed by the
     caller. prepared is the prepare_weights of the D directions in that
     order (SequenceNet.prepare builds it). Every row starts from a zero
-    state. Returns (ys, cache): ys holds each direction's
+    state. Returns (ys, cache): ys, (D, T, B, n), holds each direction's
     y_t = wy @ h_t + by (identity activation). The cache, which
     direction_backward needs for one net's pair and which carries the
     prepared form's weight dicts, is kept only when keep_cache is set;
-    otherwise it is None, c and tanh(c) live in one-step buffers and the
+    otherwise it is None, tanh(c) lives in a one-step buffer and the
     inputs are projected a chunk of steps at a time (projection_chunks).
     """
     wx_t, b, wh_t, wy_t, by, weights = prepared
@@ -132,72 +140,69 @@ def direction_forward(*xs, prepared, keep_cache=False):
         chunks = [(0, steps)]
     else:
         chunks = projection_chunks(steps, rows, 4 * dirs * rows * n * 8)
-    # The loop adds the recurrent term to each step's pre-activations and
-    # turns them into gate activations in place, so the cache holds one
-    # gate array.
-    gates = np.empty((max(stop - start for start, stop in chunks), 4, dirs, rows, n))
-    sig = gates[:, :3]
-    i, f, o, g = (gates[:, k] for k in range(4))
-    kept = steps if keep_cache else 1  # steps of c and tanh(c) held
-    cs = np.empty((kept, dirs, rows, n))
-    tc = np.empty((kept, dirs, rows, n))
+    # i, f, o, g and the cell state entering the step (module docstring)
+    gates = np.empty((max(stop - start for start, stop in chunks) + 1, 5, dirs, rows, n))
+    gates[0, 4] = 0.0
     hs = np.empty((steps, dirs, rows, n))
-    c = np.zeros((dirs, rows, n))
+    tanh_c = np.empty((steps if keep_cache else 1, dirs, rows, n))
+    rec = np.empty((dirs, rows, 4 * n))
+    rec_by_gate = rec.reshape(dirs, rows, 4, n).transpose(2, 0, 1, 3)
+    products = np.empty((2, dirs, rows, n))
+    h_prev = None
     # A pre-activation z below about -709 makes the sigmoid's exp(-z)
     # overflow to inf, and a huge recurrent sum overflows to +-inf; the
     # gates then saturate at exactly 0 or 1, so neither is a fault. NaN
     # (invalid) still warns, and softmax refuses it.
     with np.errstate(over="ignore"):
         for start, stop in chunks:
+            if start:  # the chunk starts from the last chunk's final c
+                gates[0, 4] = c_t
             for d, (x, wx_t_d, b_d) in enumerate(zip(xs, wx_t, b)):
                 z = row_matmul(x[start:stop], wx_t_d)
                 z += b_d
-                gates[: stop - start, :, d] = (
+                gates[: stop - start, :4, d] = (
                     z.reshape(stop - start, rows, 4, n).transpose(0, 2, 1, 3)
                 )
                 del z
-            for t in range(start, stop):
-                k = t - start
-                if t:
-                    rec = np.matmul(hs[t - 1], wh_t)
-                    gates[k] += rec.reshape(dirs, rows, 4, n).transpose(2, 0, 1, 3)
-                s = sig[k]
+            tanh_cs = tanh_c[start:stop] if keep_cache else repeat(tanh_c[0])
+            for gate, c_t, tc_t, h_t in zip(gates, gates[1:, 4], tanh_cs, hs[start:stop]):
+                if h_prev is not None:
+                    np.matmul(h_prev, wh_t, out=rec)
+                    gate[:4] += rec_by_gate
+                s = gate[:3]
                 np.exp(s, out=s)
                 s += 1.0
                 np.divide(1.0, s, out=s)
-                g_k = g[k]
-                np.tanh(g_k, out=g_k)
-                c_t = cs[t % kept]
-                np.multiply(f[k], c, out=c_t)
-                c_t += i[k] * g_k
-                tc_t = tc[t % kept]
+                np.tanh(gate[3], out=gate[3])
+                np.multiply(gate[:2], gate[3:], out=products)  # i * g, f * c
+                np.add(products[1], products[0], out=c_t)
                 np.tanh(c_t, out=tc_t)
-                np.multiply(o[k], tc_t, out=hs[t])
-                c = c_t
-    cache = {"x": list(xs), "gates": gates, "c": cs, "tanh_c": tc, "h": hs,
+                np.multiply(gate[2], tc_t, out=h_t)
+                h_prev = h_t
+    cache = {"x": list(xs), "gates": gates, "tanh_c": tanh_c, "h": hs,
              "weights": weights} if keep_cache else None
     # An inference pass frees its chunk and step buffers before the projection.
-    del gates, sig, i, f, o, g, s, g_k, cs, tc, c, c_t, tc_t
-    ys = tuple(row_matmul(hs[:, d], wy_t_d) + by_d
-               for d, (wy_t_d, by_d) in enumerate(zip(wy_t, by)))
-    return ys, cache
+    del gates, tanh_c, rec, rec_by_gate, products, tanh_cs, gate, c_t, tc_t, s
+    ys = np.matmul(hs.transpose(1, 0, 2, 3).reshape(dirs, steps * rows, n), wy_t)
+    ys += by
+    return ys.reshape(dirs, steps, rows, n), cache
 
 
-def _bptt_factors(gates, c, tanh_c):
+def _bptt_factors(gates, tanh_c):
     """Turn a forward cache's gate activations into BPTT's per-step factors.
 
     Works for all steps at once and in place, on the cache's buffers: a
     step's dc scales the i, f and g rows of gates and its dh the o rows,
-    giving the gate gradients. Returns the forget gates, by which dc
-    decays, o * (1 - tanh(c)^2) in c's buffer, by which dh feeds dc, and
-    one more free (T, D, B, n) buffer.
+    giving the gate gradients. Slot 4 of step t holds c_{t-1}, +0.0 at
+    step 0; the last step's row of gates only holds c_T. Returns the
+    forget gates, by which dc decays, o * (1 - tanh(c)^2) in slot 4's
+    place, by which dh feeds dc, and one free (T, D, B, n) buffer.
     """
-    i, f, o, g = (gates[:, k] for k in range(4))
+    i, f, o, g, c = (gates[:-1, k] for k in range(5))
     forget = f.copy()
     free = np.empty_like(forget)
     f *= np.subtract(1.0, f, out=free)
-    f[1:] *= c[:-1]
-    f[0] = 0.0  # zero initial cell state
+    f *= c
     g_factor = np.subtract(1.0, np.multiply(g, g, out=c), out=c)
     g_factor *= i
     i *= np.subtract(1.0, i, out=free)
@@ -226,8 +231,9 @@ def direction_backward(d_y_fwd, d_y_bwd, cache):
     d_hs = (row_matmul(d_y, w["wy"]) for d_y, w in zip(d_ys, weights))
     gates = cache.pop("gates")
     wh = np.stack([w["wh"] for w in weights])  # (D, 4n, n)
+    forget, o_dtanh, d_h = _bptt_factors(gates, cache.pop("tanh_c"))
+    gates = gates[:-1, :4]
     steps, _, dirs, rows, n = gates.shape
-    forget, o_dtanh, d_h = _bptt_factors(gates, cache.pop("c"), cache.pop("tanh_c"))
     for d, d_h_d in enumerate(d_hs):
         d_h[:, d] = d_h_d
     del d_h_d

@@ -35,13 +35,16 @@ a lone sequence gets), max-pool sees padded conv rows as -inf and emits
 zero there, the backward LSTM direction reads each row's live prefix
 reversed, dropout draws one mask for the block's live rows only,
 sequence by sequence (live_dropout), and padded rows carry no loss
-gradient. The reversal is a reversed slice, a view, for a block with no
-padding, as every one-text request is, and an index gather otherwise;
-both are involutions, so the same reversal puts the direction's outputs
-and input gradients back in order. Both LSTM directions run in one
-lockstep call, lstm_ops.direction_forward, on the block and its
-reversed copy; its cache carries the direction weights, so backward
-hands direction_backward that cache alone.
+gradient. A block of one text views that text's encoded arrays, which
+no pass writes to. The reversal is a reversed slice, a view, for a block
+with no padding, as every one-text request is, and an index gather
+otherwise; both are involutions, so the same reversal puts the
+direction's outputs and input gradients back in order. Both LSTM
+directions run in one lockstep call, lstm_ops.direction_forward, on the
+block and its reversed copy; its cache carries the direction weights, so
+backward hands direction_backward that cache alone. It returns every
+direction's outputs in one (D, T, B, n) array, and one np.add sums each
+net's pair.
 
 forward keeps what backward reads only when its caller asks for it, as
 loss_and_grads does whatever the mode; any other pass builds no pool
@@ -166,10 +169,12 @@ class NetInput:
 
 def time_major(rows, lengths):
     """Zero-padded (T, B, ...) block holding rows[b][:lengths[b]] at [:, b];
-    None when the rows are None."""
+    None when the rows are None. A block of one row is a view of it."""
     if rows[0] is None:
         return None
     first = np.asarray(rows[0])
+    if len(rows) == 1:
+        return first[: lengths[0], None]
     block = np.zeros((max(lengths), len(rows)) + first.shape[1:], dtype=first.dtype)
     for b, (row, length) in enumerate(zip(rows, lengths)):
         block[:length, b] = row[:length]
@@ -487,9 +492,10 @@ class SequenceNet:
         if prepared is None:
             prepared = self.prepare(params, [(net, p) for net, p, _ in partners])
         if self.has_lstm:
-            # An involution: each row's live prefix reversed, padding kept.
+            # An involution on the (T, B) axes: each row's live prefix
+            # reversed, padding kept.
             if pad is None:
-                rev = slice(None, None, -1)
+                rev = (slice(None, None, -1),)
             else:
                 t = np.arange(steps)[:, None]
                 rev = (np.where(live, lengths - 1 - t, t), np.arange(len(lengths)))
@@ -498,9 +504,7 @@ class SequenceNet:
                 prepared=prepared.lstm, keep_cache=keep_cache,
             )
             keep(lstm=lstm_cache, rev=rev)
-            h = np.empty((len(nets),) + ys[0].shape)
-            for h_net, y_f, y_b in zip(h, ys[::2], ys[1::2]):
-                np.add(y_f, y_b[rev], out=h_net)
+            h = np.add(ys[::2], ys[1::2][(slice(None), *rev)])
             del ys
         else:
             h = hs[0][None]  # a net without an LSTM runs alone

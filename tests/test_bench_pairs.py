@@ -1,17 +1,34 @@
-"""The summary of scripts/bench_pairs.py on canned result lines; no
-benchmark runs."""
+"""The summary of scripts/bench_pairs.py on canned result lines, and the
+second import and tiny A/A of scripts/bench_inprocess.py; no benchmark
+runs."""
 
 import argparse
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
-spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+import sentbound
+from sentbound import evaluation
+from sentbound.corpus import SynthSpec, synth_generate
+from sentbound.evaluation import EvalConfig
+from sentbound.model import Hyperparams
+from sentbound.training import TrainConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = load_script("bench_pairs")
+bench_inprocess = load_script("bench_inprocess")
 
 METRICS = [{"name": "p90", "better": "lower"}, {"name": "f1", "better": "higher"},
            {"name": "gone", "better": "lower"}]
@@ -68,3 +85,47 @@ def test_pairs_argument_needs_a_workload_and_a_positive_count(text):
     with pytest.raises(argparse.ArgumentTypeError):
         bench_pairs.parse_pairs(text)
     assert bench_pairs.parse_pairs("segment-rcnn=10") == ("segment-rcnn", 10)
+
+
+@pytest.fixture
+def second_import():
+    """The working tree's sentbound imported again under another name;
+    its modules leave sys.modules afterwards."""
+    name = "sentbound_second"
+    try:
+        yield bench_inprocess.import_tree(name, ROOT / "src")
+    finally:
+        for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+            del sys.modules[key]
+
+
+def test_the_second_import_is_a_distinct_package(second_import):
+    assert second_import is not sentbound
+    assert second_import.__file__ == sentbound.__file__
+    for mine, theirs in ((second_import.model, sentbound.model),
+                         (second_import.numerics.lstm, sentbound.numerics.lstm)):
+        assert mine is not theirs
+        assert mine.__name__ == theirs.__name__.replace("sentbound", "sentbound_second", 1)
+    assert second_import.numerics.lstm.direction_forward is not (
+        sentbound.numerics.lstm.direction_forward)
+
+
+def test_a_tiny_in_process_a_a_completes(second_import, tmp_path):
+    corpus = synth_generate(SynthSpec(n_texts=4, mean_sentences_per_text=2.0,
+                                      prosody_cue_strength=2.0, seed=1))
+    hp = dict(conv_filters=4, rec_units=4)
+    config = EvalConfig(
+        train=TrainConfig(epochs=1, batch_size=2), lexical_hp=Hyperparams.lexical(**hp),
+        prosodic_hp=Hyperparams.prosodic(**hp), folds=2, alpha=0.5)
+    sentbound.model.save_model(
+        evaluation.train_segmenter(corpus, "rcnn", "all", config), tmp_path / "m.dbnd")
+    sides = {"base": second_import.model.load_model(tmp_path / "m.dbnd"),
+             "base_again": second_import.model.load_model(tmp_path / "m.dbnd"),
+             "change": sentbound.model.load_model(tmp_path / "m.dbnd")}
+    result = bench_inprocess.compare(sides, corpus.texts, passes=2)
+    assert list(result["ratios"]) == ["base_again", "change"]
+    assert [len(v) for v in result["best_ms_per_1k_tok"].values()] == [4, 4, 4]
+    for summary in result["ratios"].values():
+        assert summary["texts"] == 4
+        assert 0.0 < summary["q1"] <= summary["median"] <= summary["q3"]
+        assert summary["wins"] + summary["losses"] + summary["ties"] == 4

@@ -667,3 +667,55 @@ def test_a_request_holds_no_backward_state():
     finally:
         tracemalloc.stop()
     assert peak <= 3e6
+
+
+def copied_block(rows, lengths):
+    """A zero-padded copy of the rows as a (T, B, ...) block, whatever B:
+    what network.time_major builds for B > 1."""
+    if rows[0] is None:
+        return None
+    first = np.asarray(rows[0])
+    block = np.zeros((max(lengths), len(rows)) + first.shape[1:], dtype=first.dtype)
+    for b, (row, length) in enumerate(zip(rows, lengths)):
+        block[:length, b] = row[:length]
+    return block
+
+
+def test_a_one_text_block_is_a_read_only_view(monkeypatch):
+    """A one-text block views its text's encoded arrays, and nothing
+    writes through it: with those arrays read-only, a lexical + prosodic
+    request and a B = 1 training pass give what they give on a copy."""
+    segmenter = tiny_segmenter()
+    text = sample_text(11)
+    bundles = (segmenter.lexical, segmenter.prosodic)
+    inputs = [bundle.encoder.encode(text) for bundle in bundles]
+    parts = ("word_ids", "tag_ids", "dense", "label01")
+    for inp in inputs:
+        block = network.NetBatch.stack([inp], [len(inp)])
+        for name in parts:
+            if getattr(inp, name) is not None:
+                assert np.shares_memory(getattr(block, name), getattr(inp, name))
+                getattr(inp, name).flags.writeable = False
+
+    def train_pass(bundle, inp):
+        block = network.NetBatch.stack([inp], [len(inp)])
+        loss, grad, _ = bundle.net.loss_and_grads(
+            bundle.params, block, np.array([0.7, 5.0]), rng=np.random.default_rng(4))
+        return loss, grad
+
+    def encoded(k):
+        return lambda text: inputs[k]
+
+    runs = []
+    for time_major in (network.time_major, copied_block):
+        monkeypatch.setattr(network, "time_major", time_major)
+        for k, bundle in enumerate(bundles):
+            monkeypatch.setattr(bundle.encoder, "encode", encoded(k))
+        runs.append((segmenter.predict_probs(text),
+                     [train_pass(bundle, inp) for bundle, inp in zip(bundles, inputs)]))
+    ((labels, probs), passes), ((want_labels, want_probs), want_passes) = runs
+    assert labels == want_labels
+    np.testing.assert_array_equal(probs, want_probs)
+    for (loss, grad), (want_loss, want_grad) in zip(passes, want_passes, strict=True):
+        assert loss == want_loss
+        np.testing.assert_array_equal(grad, want_grad)
