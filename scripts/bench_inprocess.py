@@ -1,7 +1,7 @@
 """Time segment requests of a base revision and of the working tree in one process.
 
     python3 scripts/bench_inprocess.py --base HEAD --workload cv-rcnn-short \
-        --seed 21 --passes 30 --out BENCH_22.json
+        --seed 21 --out BENCH_22.json
 
 Run it from the root of a checkout. The base revision is exported as
 ``scripts/bench_pairs.py`` does, into ``.bench_build/<sha>/``, and its
@@ -9,12 +9,17 @@ Run it from the root of a checkout. The base revision is exported as
 working tree, uncommitted edits included, is imported as ``sentbound``.
 Set-up is the workload's own (``perfbench/workloads.py`` of the working
 tree, on ``--seed``): it trains a segmenter and saves it, and every side
-loads that one file. There are three sides: the change, the base, and the
-base loaded a second time, whose ratio to the base is an A/A, the noise
-floor of this process. Before any timing, every side must give every
-workload text the same labels and probabilities.
+loads that one file. There are three sides, loaded in this order: the
+base, the base again, whose ratio to the base is an A/A, the noise floor
+of this process, and last the change, so that any cost of a later load
+counts against the change. Before any timing, every side must give
+every workload text the same labels and probabilities. Two loads of one
+model can answer at different speeds, with where their prepared weights
+land: up to 12 % apart at n = 100 (segment-rcnn), 1–2 % at n = 16
+(cv-rcnn-short). So one load per side resolves a few-per-cent change on
+cv-rcnn-short only.
 
-Timing runs ``--passes`` passes over the workload's texts. Each text's
+Timing runs PASSES passes over the workload's texts. Each text's
 requests go to the three sides in an order that rotates from text to text
 and from pass to pass, so that a slow stretch of the host falls on every
 side alike. A side's time for a text is its fastest request, in ms per 1k
@@ -51,6 +56,7 @@ import numpy as np  # noqa: E402
 import bench_pairs  # noqa: E402
 
 BASE_PACKAGE = "sentbound_base"
+PASSES = 30
 
 
 def import_tree(package, src):
@@ -116,7 +122,6 @@ def main(argv=None):
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     parser.add_argument("--workload", default="cv-rcnn-short")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--passes", type=int, default=30)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -129,17 +134,20 @@ def main(argv=None):
     base = import_tree(BASE_PACKAGE, tree / "src")
     wl = workloads.WORKLOADS[args.workload]
     with tempfile.TemporaryDirectory() as tmp:
-        data, _, change = workloads.set_up(wl, args.seed, Path(tmp))
+        data = workloads.set_up(wl, args.seed, Path(tmp))[0]
         path = Path(tmp) / "segmenter.dbnd"
-        sides = {"base": base.model.load_model(path), "change": change,
-                 "base_again": base.model.load_model(path)}
-    result = compare(sides, data.texts, args.passes)
+        # loaded in this order, the change last (module docstring)
+        sides = {"base": base.model.load_model(path),
+                 "base_again": base.model.load_model(path),
+                 "change": sentbound.model.load_model(path)}
+    result = compare(sides, data.texts, PASSES)
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report.setdefault("in_process", {})[args.workload] = {
         "base": {"rev": args.base, "sha": sha}, "change": "working tree",
         "packages": {name: str(Path(module.__file__).relative_to(ROOT))
                      for name, module in (("base", base), ("change", sentbound))},
-        "seed": args.seed, "passes": args.passes, "machine": machine_info(),
+        "seed": args.seed, "passes": PASSES, "load_order": list(sides),
+        "machine": machine_info(),
         "ab": result["ratios"]["change"], "aa": result["ratios"]["base_again"],
         "best_ms_per_1k_tok": result["best_ms_per_1k_tok"],
     }

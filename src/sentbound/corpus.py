@@ -415,8 +415,6 @@ def synth_generate(spec: SynthSpec) -> Corpus:
         i += 1
         if w != spec.boundary_cue_token:
             fillers.append(w)
-    # each word's tag is looked up once, and tokens share the tag strings
-    tag_of = {w: _tag_of(w) for w in (*fillers, spec.boundary_cue_token)}
     texts = []
     for text_idx in range(spec.n_texts):
         n_sentences = max(1, int(rng.poisson(spec.mean_sentences_per_text)))
@@ -437,7 +435,7 @@ def synth_generate(spec: SynthSpec) -> Corpus:
             LabeledText(
                 id=f"{spec.name}-{text_idx:03d}",
                 tokens=tokens,
-                pos_tags=[tag_of[w] for w in tokens],
+                pos_tags=[_tag_of(w) for w in tokens],
                 labels=labels,
                 prosody=prosody,
             )
