@@ -1,9 +1,10 @@
-"""Numeric inputs for the models: embedding lookup and prosodic scaling.
+"""Numeric inputs for the models: the two encoders and the embedding seed.
 
 The lexical model consumes word and tag embedding rows concatenated per
-token (word first, tag second); the prosodic model consumes z-scored
-13-dim vectors. Scaling statistics and vocabularies are always fit on
-training data only and applied unchanged at test time.
+token (word first, tag second), whose ids LexicalEncoder looks up in
+token lists; the prosodic model consumes 13-dim vectors that
+ProsodicEncoder z-scores. Scaling statistics and vocabularies are always
+fit on training data only and applied unchanged at test time.
 """
 
 from dataclasses import dataclass
@@ -21,53 +22,31 @@ OOV_SEED = 0x00B5EED
 
 
 class EmbeddingTable:
-    """Token-to-vector lookup with a dedicated out-of-vocabulary row."""
+    """The seed of a new model's embedding rows: its tokens in row order and
+    their vectors, with one out-of-vocabulary row after the tokens'."""
 
-    def __init__(self, vocab, vectors):
-        self.vocab = dict(vocab)
+    def __init__(self, tokens, vectors):
+        self.tokens = list(tokens)
         self.vectors = np.asarray(vectors, dtype=np.float64)
         if self.vectors.ndim != 2 or self.vectors.shape[1] < 1:
             raise ContractError("embedding vectors must be a nonempty 2-D array")
-        if len(self.vocab) + 1 != self.vectors.shape[0]:
+        if len(self.tokens) + 1 != self.vectors.shape[0]:
             raise ContractError(
-                f"vocab has {len(self.vocab)} entries but table has "
-                f"{self.vectors.shape[0]} rows (need vocab + 1 for OOV)"
+                f"{len(self.tokens)} tokens but the table has "
+                f"{self.vectors.shape[0]} rows (need one per token + 1 for OOV)"
             )
-        if any(not 0 <= row < self.oov_row for row in self.vocab.values()):
-            raise ContractError("vocab row indices out of range")
+        if len(set(self.tokens)) != len(self.tokens):
+            raise ContractError("a token repeats; each token has one row")
 
     @property
     def dim(self):
         return self.vectors.shape[1]
 
-    @property
-    def oov_row(self):
-        return self.vectors.shape[0] - 1
-
-    def encode(self, tokens):
-        """Row ids of a token sequence; a token not in vocab gets oov_row."""
-        rows = map(self.vocab.get, tokens, repeat(self.oov_row))
-        return np.fromiter(rows, dtype=np.intp, count=len(tokens))
-
-    def sorted_tokens(self):
-        """Tokens in row order, used when persisting a trained model."""
-        ordered = [None] * len(self.vocab)
-        for token, row in self.vocab.items():
-            ordered[row] = token
-        return ordered
-
     @classmethod
     def from_tokens(cls, tokens, dim, rng):
         """Fresh table over the given tokens, Glorot-initialised (plus OOV)."""
         unique = sorted(set(tokens))
-        vocab = {tok: i for i, tok in enumerate(unique)}
-        vectors = glorot_init(len(unique) + 1, dim, rng)
-        return cls(vocab, vectors)
-
-    @classmethod
-    def from_rows(cls, tokens_in_row_order, vectors):
-        vocab = {tok: i for i, tok in enumerate(tokens_in_row_order)}
-        return cls(vocab, vectors)
+        return cls(unique, glorot_init(len(unique) + 1, dim, rng))
 
 
 def load_embeddings(path):
@@ -87,7 +66,7 @@ def load_embeddings(path):
     if count < 1 or dim < 1:
         raise ParseError("vocab size and dim must be positive", str(path), 1)
     # The table grows with the rows read, never from the header's count.
-    vocab, rows = {}, []
+    vectors = {}  # word -> row, in file order
     for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -99,24 +78,23 @@ def load_embeddings(path):
                 line_no,
             )
         word = parts[0].lower()
-        if word in vocab:
+        if word in vectors:
             raise ParseError(f"duplicate word {word!r}", str(path), line_no)
-        if len(vocab) >= count:
+        if len(vectors) >= count:
             raise ParseError(
                 f"more than the declared {count} words", str(path), line_no
             )
         try:
-            rows.append(np.array([float(v) for v in parts[1:]]))
+            row = np.array([float(v) for v in parts[1:]])
         except ValueError as exc:
             raise ParseError(f"bad value: {exc}", str(path), line_no) from exc
-        if not np.isfinite(rows[-1]).all():
+        if not np.isfinite(row).all():
             raise ParseError("embedding values must be finite", str(path), line_no)
-        vocab[word] = len(vocab)
-    if len(vocab) != count:
-        raise ParseError(f"declared {count} words, found {len(vocab)}", str(path))
-    oov_rng = np.random.default_rng(OOV_SEED)
-    rows.append(oov_rng.normal(0.0, np.sqrt(2.0 / (1 + dim)), size=dim))
-    return EmbeddingTable(vocab, np.array(rows))
+        vectors[word] = row
+    if len(vectors) != count:
+        raise ParseError(f"declared {count} words, found {len(vectors)}", str(path))
+    oov = np.random.default_rng(OOV_SEED).normal(0.0, np.sqrt(2.0 / (1 + dim)), size=dim)
+    return EmbeddingTable(list(vectors), np.array([*vectors.values(), oov]))
 
 
 # ---------------------------------------------------------- input building
@@ -159,45 +137,52 @@ def fit_prosody_stats(training_texts):
     return ProsodyStats(mean, std)
 
 
-def build_prosodic_input(text, stats):
-    """Z-scored prosodic matrix for one text."""
-    if text.prosody is None:
-        raise ContractError(
-            f"text {text.id!r} has no prosody; use the lexical-only mode (alpha=1)"
-        )
-    return (text.prosody - stats.mean) / stats.std
-
-
 # --------------------------------------------------------------- encoders
 
 
-class LexicalEncoder:
-    """Turns texts into embedding-id network inputs for the lexical model."""
+def _row_ids(rows, tokens):
+    """Each token's row in rows (token -> row), or the OOV row len(rows)
+    for a token outside it; None without rows."""
+    if rows is None:
+        return None
+    ids = map(rows.get, tokens, repeat(len(rows)))
+    return np.fromiter(ids, dtype=np.intp, count=len(tokens))
 
-    def __init__(self, word_table=None, tag_table=None):
-        if word_table is None and tag_table is None:
-            raise ContractError("lexical encoder needs at least one table")
-        self.word_table = word_table
-        self.tag_table = tag_table
+
+class LexicalEncoder:
+    """Turns texts into embedding-id network inputs for the lexical model:
+    a token's id is its row in its vocabulary, a token list in row order,
+    or else the OOV row after them (the token -> row dicts are built once)."""
+
+    def __init__(self, word_tokens=None, tag_tokens=None):
+        if word_tokens is None and tag_tokens is None:
+            raise ContractError("lexical encoder needs at least one vocabulary")
+        self.word_rows, self.tag_rows = (
+            None if tokens is None else {tok: row for row, tok in enumerate(tokens)}
+            for tokens in (word_tokens, tag_tokens)
+        )
 
     def encode(self, text):
-        word_ids = None if self.word_table is None else self.word_table.encode(text.tokens)
-        tag_ids = None if self.tag_table is None else self.tag_table.encode(text.pos_tags)
         return NetInput(
-            word_ids=word_ids,
-            tag_ids=tag_ids,
+            word_ids=_row_ids(self.word_rows, text.tokens),
+            tag_ids=_row_ids(self.tag_rows, text.pos_tags),
             label01=encode_labels(text.labels),
         )
 
 
 class ProsodicEncoder:
-    """Turns texts into z-scored dense inputs for the prosodic model."""
+    """Turns texts into z-scored dense inputs for the prosodic model; a text
+    without prosody is refused."""
 
     def __init__(self, stats):
         self.stats = stats
 
     def encode(self, text):
+        if text.prosody is None:
+            raise ContractError(
+                f"text {text.id!r} has no prosody; use the lexical-only mode (alpha=1)"
+            )
         return NetInput(
-            dense=build_prosodic_input(text, self.stats),
+            dense=(text.prosody - self.stats.mean) / self.stats.std,
             label01=encode_labels(text.labels),
         )

@@ -11,12 +11,12 @@ and the predicted label is the argmax of the fused row, with exact ties
 resolved to NB (the majority class).
 
 Each model is a ModelBundle that owns its whole input identity (its
-vocabularies, or its prosody statistics) and the encoder built from it.
-Its net is SequenceNet(variant, hp, input sizes), and the Hyperparams
-hp (re-exported here) live on the net alone: a new bundle
-(training.make_lexical_bundle and make_prosodic_bundle) and a loaded
-one (load_model) both build the net that way, and a bundle's
-hyperparams are its net's.
+vocabularies as token lists in row order, or its prosody statistics)
+and the encoder built from it. Its net is SequenceNet(variant, hp,
+input sizes), and the variant and Hyperparams hp (re-exported here) live
+on the net alone: a new bundle (training.make_lexical_bundle and
+make_prosodic_bundle) and a loaded one (load_model) both build the net
+that way.
 predict_texts is the one place that turns texts into probabilities, for
 the segmenter and the evaluation runs alike, under one or more bundles
 at once: nets whose LSTMs have one width run as one pass per block, so
@@ -40,7 +40,7 @@ import numpy as np
 
 from .corpus import LABEL_B, LABEL_NB, PROSODY_DIM
 from .errors import ContractError, ModelFileError
-from .features import EmbeddingTable, LexicalEncoder, ProsodicEncoder, ProsodyStats
+from .features import LexicalEncoder, ProsodicEncoder, ProsodyStats
 from .numerics import Hyperparams, NetBatch, SequenceNet
 from .numerics.network import blocks as row_blocks
 
@@ -88,8 +88,9 @@ def parse_feature_set(name):
 @dataclass
 class ModelBundle:
     """One trained (or initialised) network with its input identity: the
-    vocabularies of a lexical model, the prosody statistics of a prosodic
-    one. params are views of one vector in the net's layout, as
+    vocabularies of a lexical model, each a token list in row order of
+    its embedding params, or the prosody statistics of a prosodic one.
+    params are views of one vector in the net's layout, as
     SequenceNet.init_params and load_model make them."""
 
     net: SequenceNet
@@ -102,24 +103,13 @@ class ModelBundle:
         if self.net.dense_dim and self.prosody_stats is None:
             raise ContractError("a prosodic model needs prosody statistics")
 
-    @property
-    def variant(self):
-        return self.net.variant
-
-    @property
-    def hyperparams(self):
-        return self.net.hp
-
     @cached_property
     def encoder(self):
         """ProsodicEncoder over the stats, else LexicalEncoder over the
         vocabularies (built once: indexing a vocabulary is not free)."""
         if self.prosody_stats is not None:
             return ProsodicEncoder(self.prosody_stats)
-        return LexicalEncoder(*(
-            None if tokens is None else EmbeddingTable.from_rows(tokens, self.params[name])
-            for tokens, name in ((self.word_tokens, "emb_word"), (self.tag_tokens, "emb_tag"))
-        ))
+        return LexicalEncoder(self.word_tokens, self.tag_tokens)
 
 
 def lockstep_groups(bundles):
@@ -336,8 +326,8 @@ _BUNDLE_META_KEYS = {"variant", "hyperparams", "word_tokens", "tag_tokens", "den
 
 def _bundle_meta(bundle):
     return {
-        "variant": bundle.variant,
-        "hyperparams": asdict(bundle.hyperparams),
+        "variant": bundle.net.variant,
+        "hyperparams": asdict(bundle.net.hp),
         "word_tokens": bundle.word_tokens,
         "tag_tokens": bundle.tag_tokens,
         "dense_dim": bundle.net.dense_dim,

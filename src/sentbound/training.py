@@ -187,21 +187,18 @@ def batch_loss_and_grads(net, params, items, class_weights, mode="train", rng=No
 
 
 def make_lexical_bundle(variant, hp, word_table, tag_table, rng):
-    """Initialise a lexical model; table vectors become the starting params,
-    and a word table's width is the model's word_dim."""
+    """Initialise a lexical model; table vectors become the starting params
+    and table tokens its vocabularies, and a word table's width is the
+    model's word_dim."""
     if word_table is not None:
         hp = replace(hp, word_dim=word_table.dim)
-    rows = [0 if table is None else table.vectors.shape[0] for table in (word_table, tag_table)]
-    net = SequenceNet(variant, hp, *rows)
+    tables = (word_table, tag_table)
+    net = SequenceNet(variant, hp, *(0 if t is None else t.vectors.shape[0] for t in tables))
     params = net.init_params(rng)
-    word_tokens = tag_tokens = None
-    if word_table is not None:
-        params["emb_word"][...] = word_table.vectors
-        word_tokens = word_table.sorted_tokens()
-    if tag_table is not None:
-        params["emb_tag"][...] = tag_table.vectors
-        tag_tokens = tag_table.sorted_tokens()
-    return ModelBundle(net, params, word_tokens, tag_tokens)
+    for name, table in zip(("emb_word", "emb_tag"), tables):
+        if table is not None:
+            params[name][...] = table.vectors
+    return ModelBundle(net, params, *(None if t is None else t.tokens for t in tables))
 
 
 def make_prosodic_bundle(variant, hp, stats, rng):

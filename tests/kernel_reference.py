@@ -1,11 +1,10 @@
 """Kernels that only the tests use.
 
-A dense layer for one vector, a length-preserving convolution over one
-(m, d) sequence and the word-then-tag embedding rows of one text, with
-the identity and tanh activations besides the library's sigmoid and
-relu; the max-pool over sliding windows; and the RMSProp update one
-parameter array at a time. They are written plainly and serve as
-reference oracles.
+A dense layer for one vector and a length-preserving convolution over
+one (m, d) sequence, with the identity and tanh activations besides the
+library's sigmoid and relu; the max-pool over sliding windows; and the
+RMSProp update one parameter array at a time. They are written plainly
+and serve as reference oracles.
 
 The rest are the library's earlier ways of doing what it now does in
 fewer numpy calls, kept as oracles that the new code must match bit for
@@ -81,18 +80,6 @@ def conv1d_same_forward(x, filters, bias, activation="relu"):
         raise ContractError("conv1d requires h_c >= 1 and m >= 1")
     pre = conv_windows(x, h_c) @ filters.T + bias
     return activation_fn(activation)(pre)
-
-
-def build_lexical_input(text, word_table=None, tag_table=None):
-    """Word-then-tag embedding concatenation, one row per token."""
-    if word_table is None and tag_table is None:
-        raise ContractError("need at least one embedding table")
-    parts = []
-    if word_table is not None:
-        parts.append(word_table.vectors[word_table.encode(text.tokens)])
-    if tag_table is not None:
-        parts.append(tag_table.vectors[tag_table.encode(text.pos_tags)])
-    return parts[0].copy() if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def rmsprop_reference_step(params, grads, r, gamma, eta, epsilon):

@@ -1,6 +1,6 @@
-"""The summary of scripts/bench_pairs.py on canned result lines, and the
-second import and tiny A/A of scripts/bench_inprocess.py; no benchmark
-runs."""
+"""The summary of scripts/bench_pairs.py on canned result lines, the
+second import and tiny A/A of scripts/bench_inprocess.py, and the digest
+of scripts/fingerprint.py on a shrunken matrix; no benchmark runs."""
 
 import argparse
 import importlib.util
@@ -12,7 +12,7 @@ import pytest
 
 import sentbound
 from sentbound import evaluation
-from sentbound.corpus import SynthSpec, synth_generate
+from sentbound.corpus import LABEL_B, LABEL_NB, SynthSpec, synth_generate
 from sentbound.evaluation import EvalConfig
 from sentbound.model import Hyperparams
 from sentbound.training import TrainConfig
@@ -29,6 +29,7 @@ def load_script(name):
 
 bench_pairs = load_script("bench_pairs")
 bench_inprocess = load_script("bench_inprocess")
+fingerprint = load_script("fingerprint")
 
 METRICS = [{"name": "p90", "better": "lower"}, {"name": "f1", "better": "higher"},
            {"name": "gone", "better": "lower"}]
@@ -129,3 +130,19 @@ def test_a_tiny_in_process_a_a_completes(second_import, tmp_path):
         assert summary["texts"] == 4
         assert 0.0 < summary["q1"] <= summary["median"] <= summary["q3"]
         assert summary["wins"] + summary["losses"] + summary["ties"] == 4
+
+
+def test_the_fingerprint_repeats_and_sees_a_perturbed_fuse(monkeypatch):
+    """A shrunken matrix gives one digest run after run, and another once
+    the scorer's fuse flips each text's first label."""
+    tiny = dict(variants=("cnn",), feature_sets=("all",), alphas=(None,), n_texts=8)
+    first = fingerprint.digest(**tiny)
+    assert fingerprint.digest(**tiny) == first
+    fuse = evaluation.fuse
+
+    def perturbed(p_lex, p_pros, alpha):
+        labels, fused = fuse(p_lex, p_pros, alpha)
+        return [LABEL_NB if labels[0] == LABEL_B else LABEL_B, *labels[1:]], fused
+
+    monkeypatch.setattr(evaluation, "fuse", perturbed)
+    assert fingerprint.digest(**tiny) != first

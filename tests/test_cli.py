@@ -209,7 +209,8 @@ def test_train_then_segment_with_narrow_embeddings(workdir, narrow_embeddings, c
         "--embeddings", str(narrow_embeddings), *SMALL_MODEL,
     ]) == 0
     lexical = load_model(out).lexical
-    assert lexical.hyperparams.word_dim == 3
+    assert lexical.net.hp.word_dim == 3
+    assert lexical.word_tokens == ["então", "a"]  # file order, not sorted
     assert lexical.params["emb_word"].shape == (3, 3)
     capsys.readouterr()
     assert cli.main(["segment", "--model", str(out), "--input",

@@ -1,4 +1,7 @@
-"""Tests for embedding tables, OOV handling, and prosodic scaling."""
+"""Tests for embedding seeds, the encoders' vocabulary lookup and OOV
+rows, and prosodic scaling."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -11,13 +14,12 @@ from sentbound.features import (
     LexicalEncoder,
     ProsodicEncoder,
     ProsodyStats,
-    build_prosodic_input,
     encode_labels,
     fit_prosody_stats,
     load_embeddings,
 )
-
-from kernel_reference import build_lexical_input
+from sentbound.numerics import Hyperparams, NetBatch
+from sentbound.training import make_lexical_bundle
 
 
 def write_embedding_file(path, words, dim, seed=0):
@@ -36,13 +38,14 @@ class TestLoadEmbeddings:
         table = load_embeddings(path)
         assert table.vectors.shape == (4, 50)
         assert table.dim == 50
-        assert table.oov_row == 3
+        assert table.tokens == ["casa", "ele", "viu"]  # file order
+        assert word_ids(table.tokens, ["viu", "fora"]).tolist() == [2, 3]
 
     def test_absent_word_maps_to_stable_oov_row(self, tmp_path):
         path = tmp_path / "emb.txt"
         write_embedding_file(path, ["casa"], 8)
         table = load_embeddings(path)
-        npt.assert_array_equal(table.encode(["inexistente", "outra"]), [table.oov_row] * 2)
+        npt.assert_array_equal(word_ids(table.tokens, ["inexistente", "outra"]), [1, 1])
 
     def test_oov_vector_identical_across_loads(self, tmp_path):
         a = tmp_path / "a.txt"
@@ -51,7 +54,7 @@ class TestLoadEmbeddings:
         write_embedding_file(b, ["dois", "tres"], 8, seed=2)
         ta = load_embeddings(a)
         tb = load_embeddings(b)
-        npt.assert_array_equal(ta.vectors[ta.oov_row], tb.vectors[tb.oov_row])
+        npt.assert_array_equal(ta.vectors[len(ta.tokens)], tb.vectors[len(tb.tokens)])
 
     def test_duplicate_word_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -63,7 +66,8 @@ class TestLoadEmbeddings:
         path = tmp_path / "emb.txt"
         path.write_text("1 2\nCasa 1.0 2.0\n")
         table = load_embeddings(path)
-        assert table.encode(["casa"])[0] == 0
+        assert table.tokens == ["casa"]
+        assert word_ids(table.tokens, ["casa", "Casa"]).tolist() == [0, 1]
 
     def test_inconsistent_dimension_names_line(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -83,26 +87,40 @@ class TestEmbeddingTable:
     def test_from_tokens_is_sorted_and_deterministic(self):
         rng = np.random.default_rng(5)
         table = EmbeddingTable.from_tokens(["b", "a", "b", "c"], 4, rng)
-        assert table.sorted_tokens() == ["a", "b", "c"]
+        assert table.tokens == ["a", "b", "c"]
         again = EmbeddingTable.from_tokens(["c", "b", "a"], 4, np.random.default_rng(5))
         npt.assert_array_equal(table.vectors, again.vectors)
 
     def test_vocab_size_must_match_rows(self):
-        with pytest.raises(ContractError):
-            EmbeddingTable({"a": 0}, np.zeros((1, 3)))
+        with pytest.raises(ContractError, match="1 tokens"):
+            EmbeddingTable(["a"], np.zeros((1, 3)))
+
+    def test_a_repeated_token_is_refused(self):
+        with pytest.raises(ContractError, match="repeats"):
+            EmbeddingTable(["a", "b", "a"], np.zeros((4, 3)))
 
     def test_encode(self):
-        table = EmbeddingTable({"a": 0, "b": 1}, np.arange(9.0).reshape(3, 3))
-        npt.assert_array_equal(table.encode(["b", "zzz", "a"]), [1, 2, 0])
+        """The encoder gives a table's tokens their rows, an unknown one
+        the OOV row."""
+        table = EmbeddingTable(["a", "b"], np.arange(9.0).reshape(3, 3))
+        npt.assert_array_equal(word_ids(table.tokens, ["b", "zzz", "a"]), [1, 2, 0])
 
     def test_encode_matches_lookup_on_known_and_oov_tokens(self, rng):
         table = EmbeddingTable.from_tokens([f"w{i}" for i in range(50)], 3, rng)
+        vocab = {tok: row for row, tok in enumerate(table.tokens)}
         tokens = [f"w{i}" for i in rng.integers(0, 80, size=200)] + ["", "W1"]
-        ids = table.encode(tokens)
+        ids = word_ids(table.tokens, tokens)
         assert ids.dtype == np.intp
-        npt.assert_array_equal(ids, [table.vocab.get(t, table.oov_row) for t in tokens])
-        assert (ids == table.oov_row).sum() > 10  # the mix holds both kinds
-        assert table.encode([]).shape == (0,)
+        npt.assert_array_equal(ids, [vocab.get(t, len(vocab)) for t in tokens])
+        assert (ids == len(vocab)).sum() > 10  # the mix holds both kinds
+        assert word_ids(table.tokens, []).shape == (0,)
+
+
+def word_ids(vocabulary, tokens):
+    """LexicalEncoder's word ids of tokens under one word vocabulary; the
+    encoder reads only a text's tokens, tags and labels."""
+    text = SimpleNamespace(tokens=tokens, pos_tags=tokens, labels=["NB"] * len(tokens))
+    return LexicalEncoder(vocabulary).encode(text).word_ids
 
 
 def demo_text(m=3, with_prosody=False):
@@ -116,52 +134,68 @@ def demo_text(m=3, with_prosody=False):
     )
 
 
+def lexical_rows(text, words=None, tags=None):
+    """The (m, d) rows a lexical net reads for one text: bundle.encoder's
+    ids through SequenceNet._assemble_input, for a bundle seeded by the
+    word and tag tables."""
+    bundle = make_lexical_bundle("rcnn", Hyperparams(tag_dim=tags.dim if tags else 1),
+                                 words, tags, np.random.default_rng(0))
+    block = NetBatch.stack([bundle.encoder.encode(text)], [len(text)])
+    return bundle.net._assemble_input(bundle.params, block)[:, 0]
+
+
 class TestBuildLexicalInput:
     def test_dimension_is_word_plus_tag(self, rng):
         words = EmbeddingTable.from_tokens(["w0", "w1"], 50, rng)
         tags = EmbeddingTable.from_tokens(["t00", "t01"], 10, rng)
-        x = build_lexical_input(demo_text(4), words, tags)
+        x = lexical_rows(demo_text(4), words, tags)
         assert x.shape == (4, 60)
 
     def test_identical_positions_get_identical_rows(self, rng):
         words = EmbeddingTable.from_tokens(["w0", "w1"], 6, rng)
         tags = EmbeddingTable.from_tokens(["t00", "t01"], 3, rng)
-        x = build_lexical_input(demo_text(5), words, tags)
+        x = lexical_rows(demo_text(5), words, tags)
         npt.assert_array_equal(x[0], x[2])
         npt.assert_array_equal(x[1], x[3])
+        assert not np.array_equal(x[0], x[1])
 
     def test_single_token(self, rng):
         words = EmbeddingTable.from_tokens(["w0"], 50, rng)
         tags = EmbeddingTable.from_tokens(["t00"], 10, rng)
-        assert build_lexical_input(demo_text(1), words, tags).shape == (1, 60)
+        assert lexical_rows(demo_text(1), words, tags).shape == (1, 60)
+        assert lexical_rows(demo_text(1), words).shape == (1, 50)
+        assert lexical_rows(demo_text(1), tags=tags).shape == (1, 10)
 
     def test_word_then_tag_order(self, rng):
         words = EmbeddingTable.from_tokens(["w0", "w1"], 2, rng)
         tags = EmbeddingTable.from_tokens(["t00", "t01"], 3, rng)
-        x = build_lexical_input(demo_text(2), words, tags)
-        npt.assert_array_equal(x[0, :2], words.vectors[words.encode(["w0"])[0]])
-        npt.assert_array_equal(x[0, 2:], tags.vectors[tags.encode(["t00"])[0]])
+        x = lexical_rows(demo_text(3), words, tags)
+        npt.assert_array_equal(x[:, :2], words.vectors[[0, 1, 0]])
+        npt.assert_array_equal(x[:, 2:], tags.vectors[[0, 1, 0]])
+        text = LabeledText("oov", ["w0", "novo"], ["t00", "t99"], ["NB", "B"])
+        npt.assert_array_equal(lexical_rows(text, words, tags)[1],
+                               np.concatenate([words.vectors[2], tags.vectors[2]]))
 
     def test_needs_a_table(self):
-        with pytest.raises(ContractError):
-            build_lexical_input(demo_text(2))
+        with pytest.raises(ContractError, match="at least one vocabulary"):
+            LexicalEncoder()
 
 
 class TestProsody:
     def test_identity_stats(self):
         stats = ProsodyStats(np.zeros(13), np.ones(13))
         text = demo_text(3, with_prosody=True)
-        npt.assert_array_equal(build_prosodic_input(text, stats), text.prosody)
+        npt.assert_array_equal(ProsodicEncoder(stats).encode(text).dense, text.prosody)
 
     def test_output_dimension_is_thirteen(self):
         stats = ProsodyStats(np.zeros(13), np.ones(13))
-        assert build_prosodic_input(demo_text(2, True), stats).shape == (2, 13)
+        assert ProsodicEncoder(stats).encode(demo_text(2, True)).dense.shape == (2, 13)
 
     def test_constant_feature_scales_to_zero(self):
         rows = np.tile(np.arange(13.0), (4, 1))
         text = LabeledText("t", ["a"] * 4, ["t00"] * 4, ["NB"] * 4, prosody=rows)
         stats = fit_prosody_stats([text])
-        out = build_prosodic_input(text, stats)
+        out = ProsodicEncoder(stats).encode(text).dense
         npt.assert_array_equal(out, np.zeros((4, 13)))
         npt.assert_array_equal(stats.std, np.ones(13))
 
@@ -182,7 +216,7 @@ class TestProsody:
     def test_missing_prosody_points_to_lexical_mode(self):
         stats = ProsodyStats(np.zeros(13), np.ones(13))
         with pytest.raises(ContractError, match="lexical-only"):
-            build_prosodic_input(demo_text(2, with_prosody=False), stats)
+            ProsodicEncoder(stats).encode(demo_text(2, with_prosody=False))
 
     def test_no_prosody_anywhere(self):
         with pytest.raises(ContractError):
@@ -196,7 +230,7 @@ class TestEncoders:
     def test_lexical_encoder_roundtrip(self, rng):
         words = EmbeddingTable.from_tokens(["w0", "w1"], 4, rng)
         tags = EmbeddingTable.from_tokens(["t00", "t01"], 2, rng)
-        enc = LexicalEncoder(words, tags)
+        enc = LexicalEncoder(words.tokens, tags.tokens)
         item = enc.encode(demo_text(3))
         assert item.word_ids.tolist() == [0, 1, 0]
         assert item.tag_ids.tolist() == [0, 1, 0]

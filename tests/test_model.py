@@ -25,7 +25,7 @@ from sentbound.corpus import (
     write_corpus,
 )
 from sentbound.errors import ContractError, ModelFileError
-from sentbound.features import EmbeddingTable, ProsodyStats, load_embeddings
+from sentbound.features import EmbeddingTable, LexicalEncoder, ProsodyStats, load_embeddings
 from sentbound.model import (
     FORMAT_VERSION,
     MAGIC,
@@ -203,7 +203,7 @@ def test_container_with_the_retired_epochs_hyperparam_loads(tmp_path):
     path = tmp_path / "old.dbnd"
     path.write_bytes(container(meta, segmenter))
     loaded = load_model(path)
-    assert loaded.lexical.hyperparams == segmenter.lexical.hyperparams
+    assert loaded.lexical.net.hp == segmenter.lexical.net.hp
     np.testing.assert_array_equal(network.flat_vector(loaded.lexical.params),
                                   network.flat_vector(segmenter.lexical.params))
     save_model(loaded, tmp_path / "new.dbnd")
@@ -309,15 +309,16 @@ def test_requests_build_the_encoders_once(monkeypatch):
     text = sample_text(4)
     first = segmenter.predict_probs(text)
     built = []
-    from_rows = EmbeddingTable.from_rows.__func__
-    monkeypatch.setattr(EmbeddingTable, "from_rows", classmethod(
-        lambda cls, *args: built.append(args) or from_rows(cls, *args)
-    ))
+    init = LexicalEncoder.__init__
+    monkeypatch.setattr(LexicalEncoder, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
     for _ in range(3):
         labels, fused = segmenter.predict_probs(text)
         assert labels == first[0]
         np.testing.assert_array_equal(fused, first[1])
     assert built == []
+    tiny_segmenter().predict_probs(text)
+    assert len(built) == 1  # a new segmenter's first request builds its one
 
 
 def test_block_name_that_is_not_utf8_is_a_model_file_error(tmp_path):
