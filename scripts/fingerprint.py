@@ -11,8 +11,8 @@ synthetic corpus with prosody (4 folds, n_f = n_r = 4, 2 epochs):
   feature sets all, embeddings+pos and prosody, at a tuned alpha and at
   alpha = 0.6: tp, fp and fn, the per-fold dicts and the report config,
   each in its key order;
-* robustness_eval of rcnn on all, alpha tuned, onto a second corpus with
-  another cue word: tp, fp, fn and alpha;
+* robustness_eval of rcnn with the same feature sets and alphas, onto a
+  second corpus with another cue word: tp, fp, fn and alpha;
 * a segmenter trained on all from a pretrained-embedding file, whose
   words are mixed-case and not in sorted order: the bytes of its DBND
   container, and the labels and fused probabilities that the loaded
@@ -109,9 +109,11 @@ def digest(variants=VARIANTS, feature_sets=FEATURE_SETS, alphas=ALPHAS, n_texts=
                 r = evaluation.cross_validated_eval(data, variant, feature_set, eval_config(alpha))
                 feed([r.tp, r.fp, r.fn, [list(f.items()) for f in r.per_fold],
                       list(r.config.items())])
-    r = evaluation.robustness_eval(data, corpus(n_texts // 2, cue="aí", seed=11),
-                                   eval_config(None), "rcnn", "all")
-    feed([r.tp, r.fp, r.fn, r.config["alpha"]])
+    shifted = corpus(n_texts // 2, cue="aí", seed=11)
+    for feature_set in feature_sets:
+        for alpha in alphas:
+            r = evaluation.robustness_eval(data, shifted, eval_config(alpha), "rcnn", feature_set)
+            feed([r.tp, r.fp, r.fn, r.config["alpha"]])
     with tempfile.TemporaryDirectory() as tmp:
         vectors, container = Path(tmp) / "vectors.txt", Path(tmp) / "segmenter.dbnd"
         write_embeddings(vectors, data.texts)

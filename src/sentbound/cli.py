@@ -19,7 +19,9 @@ Without --alpha it therefore segments with the lexical model alone
 --alpha below 1 is a data error. It also warns when the model was
 trained on PoS tags, since every token gets the unknown-tag row.
 `train` and `eval` warn when --embeddings is given to a feature set
-without an embeddings part, and do not read the file.
+without an embeddings part, and do not read the file. They also warn
+when --alpha is given to a feature set with one family, and name the
+alpha used instead (1 for lexical features alone, 0 for prosody alone).
 """
 
 import argparse
@@ -47,6 +49,7 @@ from .evaluation import (
     cross_validated_eval,
     machine_line,
     render_table,
+    resolve_alpha,
     robustness_eval,
     train_segmenter,
 )
@@ -198,7 +201,7 @@ def _eval_config(args, feature_set, folds=5):
                     feature_set.name, args.embeddings)
     elif args.embeddings:
         word_table = load_embeddings(args.embeddings)
-    return EvalConfig(
+    config = EvalConfig(
         train=TrainConfig(
             epochs=args.epochs,
             batch_size=args.batch_size,
@@ -211,6 +214,10 @@ def _eval_config(args, feature_set, folds=5):
         alpha=args.alpha,
         word_table=word_table,
     )
+    if args.alpha is not None and not (feature_set.has_lexical and feature_set.prosody):
+        log.warning("feature set %r has one family: --alpha %g is not used, alpha is %g",
+                    feature_set.name, args.alpha, resolve_alpha(feature_set, config, ()))
+    return config
 
 
 def _write_manifest(path, entries):

@@ -17,8 +17,9 @@ are built from three pieces:
   the fusion weight on those same texts. robustness_eval and
   train_segmenter use it; it is the one place the weight is chosen
   in-sample.
-- _score fuses rows at one weight and sums their boundary counts: each
-  fold's rows, and robustness_eval's test rows.
+- count_table fuses each text's row once, at the run's weight, into one
+  row of counts[text, (tp, fp, fn)]. Each count in a report sums rows of
+  it: a fold's texts, all texts, or robustness_eval's test texts.
 """
 
 from dataclasses import dataclass, field
@@ -61,7 +62,9 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
 
-def _report_from_counts(tp, fp, fn, per_fold=None, config=None):
+def _report_from_counts(counts, per_fold=None, config=None):
+    """The report of one (tp, fp, fn) triple, held as Python ints."""
+    tp, fp, fn = map(int, counts)
     precision, recall, f1 = prf_from_counts(tp, fp, fn)
     return EvalReport(
         tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, f1=f1,
@@ -71,8 +74,7 @@ def _report_from_counts(tp, fp, fn, per_fold=None, config=None):
 
 def prf_boundary(gold, pred, config=None):
     """Precision/recall/F1 for the boundary class only."""
-    tp, fp, fn = boundary_counts(gold, pred)
-    return _report_from_counts(tp, fp, fn, config=config)
+    return _report_from_counts(boundary_counts(gold, pred), config=config)
 
 
 def all_boundary_baseline(gold):
@@ -83,10 +85,8 @@ def all_boundary_baseline(gold):
     """
     if len(gold) == 0:
         raise ContractError("empty gold labels")
-    n_b = sum(1 for g in gold if g == LABEL_B)
-    return _report_from_counts(
-        tp=n_b, fp=len(gold) - n_b, fn=0, config={"baseline": "all-B"}
-    )
+    return _report_from_counts(boundary_counts(gold, [LABEL_B] * len(gold)),
+                               config={"baseline": "all-B"})
 
 
 def render_table(report):
@@ -221,14 +221,12 @@ def resolve_alpha(feature_set, config, predictions):
     return tune_alpha_from_probs(*zip(*predictions))
 
 
-def _score(rows, alpha, config=None):
-    """The report of (p_lex, p_pros, gold) rows fused at alpha: the rows'
-    boundary counts summed."""
-    tp = fp = fn = 0
-    for p_lex, p_pros, gold in rows:
-        a, b, c = boundary_counts(gold, fuse(p_lex, p_pros, alpha)[0])
-        tp, fp, fn = tp + a, fp + b, fn + c
-    return _report_from_counts(tp, fp, fn, config=config)
+def count_table(rows, alpha):
+    """counts[text, (tp, fp, fn)], an int64 array with one row per
+    (p_lex, p_pros, gold) row, in order, fused at alpha."""
+    counts = [boundary_counts(gold, fuse(p_lex, p_pros, alpha)[0])
+              for p_lex, p_pros, gold in rows]
+    return np.array(counts, dtype=np.int64).reshape(-1, 3)
 
 
 def out_of_fold_rows(corpus, variant, feature_set, config: EvalConfig):
@@ -259,15 +257,17 @@ def cross_validated_eval(corpus, variant, feature_set, config: EvalConfig):
     """
     feature_set = _check_feature_set(feature_set, corpus)
     rows = out_of_fold_rows(corpus, variant, feature_set, config)
-    alpha = resolve_alpha(feature_set, config, (row for _, row in rows.values()))
+    folds, text_rows = zip(*rows.values())
+    alpha = resolve_alpha(feature_set, config, text_rows)
+    counts = count_table(text_rows, alpha)
     per_fold = []
     for fold in range(config.folds):
-        r = _score((row for f, row in rows.values() if f == fold), alpha)
+        r = _report_from_counts(counts[np.equal(folds, fold)].sum(0))
         per_fold.append({"fold": fold, "tp": r.tp, "fp": r.fp, "fn": r.fn,
                          "precision": r.precision, "recall": r.recall, "f1": r.f1,
                          "alpha": alpha})
     return _report_from_counts(
-        *(sum(f[n] for f in per_fold) for n in ("tp", "fp", "fn")), per_fold=per_fold,
+        counts.sum(0), per_fold=per_fold,
         config={"corpus": corpus.name, "variant": variant, "features": feature_set.name,
                 "alpha": alpha, "folds": config.folds, "seed": config.train.seed},
     )
@@ -292,8 +292,8 @@ def robustness_eval(train_corpus, test_corpus, config: EvalConfig,
     feature_set = _check_feature_set(feature_set, train_corpus, test_corpus)
     models, alpha = _fit_in_sample(train_corpus, variant, feature_set, config)
     test_texts = sorted(test_corpus, key=lambda t: t.id)
-    return _score(
-        _predictions(models, test_texts, config), alpha,
+    return _report_from_counts(
+        count_table(_predictions(models, test_texts, config), alpha).sum(0),
         config={"corpus": f"{train_corpus.name}->{test_corpus.name}", "variant": variant,
                 "features": feature_set.name, "alpha": alpha, "seed": config.train.seed},
     )

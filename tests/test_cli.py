@@ -560,6 +560,30 @@ def test_embeddings_unused_by_the_feature_set_warn(workdir, narrow_embeddings, t
     assert config.word_table is None
 
 
+@pytest.mark.parametrize("command, features, used", [
+    ("eval", "prosody", "0"), ("train", "embeddings+pos", "1"), ("eval", "all", None),
+])
+def test_alpha_unused_by_the_feature_set_warns(workdir, tmp_path, caplog, capsys,
+                                               command, features, used):
+    """--alpha given to one feature family warns and names the alpha that
+    the report or the saved model holds; both families use it silently."""
+    out = tmp_path / "m.dbnd"
+    args = ["train", "--out", str(out)] if command == "train" else ["eval", "--folds", "2"]
+    assert cli.main([*args, "--corpus", str(workdir / "corpus"), "--features", features,
+                     "--alpha", "0.6", *SMALL_MODEL]) == 0
+    if command == "train":
+        alpha = load_model(out).alpha
+    else:
+        alpha = float(capsys.readouterr().out.splitlines()[-1].split("\t")[3])
+    if used is None:
+        assert "--alpha" not in caplog.text
+        assert alpha == 0.6
+    else:
+        assert (f"feature set {features!r} has one family: --alpha 0.6 is not used, "
+                f"alpha is {used}") in caplog.text
+        assert alpha == float(used)
+
+
 @pytest.mark.parametrize("flags", [
     ["--name", "my corpus"], ["--name", "#ab"], ["--name", "a/b"], ["--cue-token", "#xy"],
 ])

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from sentbound import evaluation
-from sentbound.corpus import Corpus, SynthSpec, synth_generate
+from sentbound.corpus import LABEL_B, LABEL_NB, Corpus, SynthSpec, synth_generate
 from sentbound.errors import ContractError
 from sentbound.evaluation import (
     EvalConfig,
     all_boundary_baseline,
+    count_table,
     cross_validated_eval,
     out_of_fold_rows,
     robustness_eval,
@@ -93,6 +94,21 @@ def test_rcnn_beats_the_all_boundary_baseline(genre_a):
     assert report.f1 > all_boundary_baseline(gold).f1
 
 
+def test_the_all_boundary_baseline_labels_every_word_b(genre_a):
+    """(tp, fp, fn) = (n_B, n - n_B, 0), so recall is 1 and F1 = 2P / (P + 1);
+    empty gold labels are a contract error."""
+    gold = [label for t in genre_a for label in t.labels]
+    n_b = sum(t.n_boundaries for t in genre_a)
+    report = all_boundary_baseline(gold)
+    assert counts(report) == (n_b, len(gold) - n_b, 0)
+    assert all(type(n) is int for n in counts(report))
+    assert (report.precision, report.recall) == (n_b / len(gold), 1.0)
+    assert report.f1 == 2 * report.precision / (report.precision + 1)
+    assert counts(all_boundary_baseline([LABEL_NB, LABEL_B, LABEL_NB])) == (1, 2, 0)
+    with pytest.raises(ContractError, match="empty gold"):
+        all_boundary_baseline([])
+
+
 def test_robustness_counts_are_pinned(genre_a, genre_b):
     report = robustness_eval(
         genre_a, genre_b, small_config(), variant="rcnn", feature_set="all"
@@ -140,7 +156,8 @@ def test_a_corpus_of_ad_texts_only_has_no_prosodic_training_set(genre_a):
 def test_out_of_fold_rows_hold_each_text_once_in_its_fold(genre_a):
     """Each text's row comes from the fold kfold_split holds it out of,
     and scoring each fold's rows at the report's alpha gives the report's
-    per-fold counts, which sum to its pooled counts."""
+    per-fold counts, which sum to its pooled counts, as the count table's
+    rows do. Every count is a Python int."""
     config = small_config()
     rows = out_of_fold_rows(genre_a, "rcnn", "all", config)
     assert list(rows) == sorted(t.id for t in genre_a)
@@ -156,6 +173,14 @@ def test_out_of_fold_rows_hold_each_text_once_in_its_fold(genre_a):
         assert tuple(map(sum, zip(*fold_counts))) == (entry["tp"], entry["fp"], entry["fn"])
     assert tuple(sum(f[n] for f in report.per_fold) for n in ("tp", "fp", "fn")) == \
         counts(report)
+    table = count_table((row for _, row in rows.values()), alpha)
+    assert table.shape == (len(genre_a), 3)
+    assert tuple(table.sum(0)) == counts(report)
+    assert all(list(f) == ["fold", "tp", "fp", "fn", "precision", "recall", "f1", "alpha"]
+               for f in report.per_fold)
+    assert all(type(n) is int
+               for n in [*counts(report), *(f[k] for f in report.per_fold
+                                             for k in ("tp", "fp", "fn"))])
 
 
 @pytest.mark.parametrize("features, alpha, in_sample", [
