@@ -16,7 +16,10 @@ synthetic corpus with prosody (4 folds, n_f = n_r = 4, 2 epochs):
 * a segmenter trained on all from a pretrained-embedding file, whose
   words are mixed-case and not in sorted order: the bytes of its DBND
   container, and the labels and fused probabilities that the loaded
-  container gives each text.
+  container gives each text;
+* with each run above, the per-epoch loss trace of every model that it
+  trained, in training order, as evaluation.train_model returns it. A
+  change in the loss shows here even where the predictions absorb it.
 
 Arrays enter by their bytes and other floats by their repr, so a change
 of one bit changes the digest. The sentbound fingerprinted is the first
@@ -102,25 +105,47 @@ def digest(variants=VARIANTS, feature_sets=FEATURE_SETS, alphas=ALPHAS, n_texts=
         else:
             sha.update(json.dumps(value).encode())
 
+    traces = []
+    train_model = evaluation.train_model
+
+    def traced(*args, **kwargs):
+        bundle, trace = train_model(*args, **kwargs)
+        traces.append(trace)
+        return bundle, trace
+
+    def feed_traces():
+        feed(traces)
+        traces.clear()
+
     data = corpus(n_texts)
-    for variant in variants:
+    evaluation.train_model = traced
+    try:
+        for variant in variants:
+            for feature_set in feature_sets:
+                for alpha in alphas:
+                    r = evaluation.cross_validated_eval(
+                        data, variant, feature_set, eval_config(alpha))
+                    feed([r.tp, r.fp, r.fn, [list(f.items()) for f in r.per_fold],
+                          list(r.config.items())])
+                    feed_traces()
+        shifted = corpus(n_texts // 2, cue="aí", seed=11)
         for feature_set in feature_sets:
             for alpha in alphas:
-                r = evaluation.cross_validated_eval(data, variant, feature_set, eval_config(alpha))
-                feed([r.tp, r.fp, r.fn, [list(f.items()) for f in r.per_fold],
-                      list(r.config.items())])
-    shifted = corpus(n_texts // 2, cue="aí", seed=11)
-    for feature_set in feature_sets:
-        for alpha in alphas:
-            r = evaluation.robustness_eval(data, shifted, eval_config(alpha), "rcnn", feature_set)
-            feed([r.tp, r.fp, r.fn, r.config["alpha"]])
-    with tempfile.TemporaryDirectory() as tmp:
-        vectors, container = Path(tmp) / "vectors.txt", Path(tmp) / "segmenter.dbnd"
-        write_embeddings(vectors, data.texts)
-        config = eval_config(None, features.load_embeddings(vectors))
-        model.save_model(evaluation.train_segmenter(data, "rcnn", "all", config), container)
-        feed(container.read_bytes())
-        segmenter = model.load_model(container)
+                r = evaluation.robustness_eval(
+                    data, shifted, eval_config(alpha), "rcnn", feature_set)
+                feed([r.tp, r.fp, r.fn, r.config["alpha"]])
+                feed_traces()
+        with tempfile.TemporaryDirectory() as tmp:
+            vectors, container = Path(tmp) / "vectors.txt", Path(tmp) / "segmenter.dbnd"
+            write_embeddings(vectors, data.texts)
+            config = eval_config(None, features.load_embeddings(vectors))
+            model.save_model(evaluation.train_segmenter(data, "rcnn", "all", config),
+                             container)
+            feed(container.read_bytes())
+            feed_traces()
+            segmenter = model.load_model(container)
+    finally:
+        evaluation.train_model = train_model
     for text in data.texts:
         labels, fused = segmenter.predict_probs(text)
         feed(labels)

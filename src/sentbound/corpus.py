@@ -262,7 +262,8 @@ def _parse_tsv_stream(lines, path):
 
 
 def read_corpus(path):
-    """Read a tsv corpus from a file or a directory of *.tsv files."""
+    """Read a tsv corpus from a file or a directory of *.tsv files, which
+    must hold at least one text."""
     path = Path(path)
     if path.is_dir():
         files = sorted(path.glob("*.tsv"))
@@ -275,6 +276,8 @@ def read_corpus(path):
     texts = []
     for f in files:
         texts.extend(_parse_tsv_stream(list(text_lines(f)), str(f)))
+    if not texts:
+        raise ParseError("no text", str(path))
     corpus = Corpus(texts, name=path.stem if path.is_file() else path.name)
     if any(t.prosody is not None for t in corpus) and not corpus.has_prosody:
         raise ParseError("prosody must be present for all texts or none", str(path))

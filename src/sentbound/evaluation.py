@@ -151,6 +151,8 @@ def _check_feature_set(feature_set, *corpora):
     if isinstance(feature_set, str):
         feature_set = parse_feature_set(feature_set)
     for corpus in corpora:
+        if not len(corpus):
+            raise ContractError(f"corpus {corpus.name!r} has no texts")
         if feature_set.prosody and not corpus.has_prosody:
             raise ContractError(
                 f"feature set {feature_set.name!r} needs prosody but corpus "

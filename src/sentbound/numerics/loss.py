@@ -7,32 +7,35 @@ from ..errors import ContractError
 LOG_CLAMP = 1e-12
 
 
-def weighted_cross_entropy(y_true, y_pred, class_weights, mask):
+def weighted_cross_entropy(labels, y_pred, class_weights, mask):
     """Summed class-weighted negative log likelihood and its logit gradient.
 
-    y_true: (m, 2) one-hot rows; y_pred: (m, 2) row-stochastic predictions;
-    class_weights: (2,) per-class weights indexed like the columns;
-    mask: (m,) truthy flags of the rows the loss covers; False rows
-    contribute nothing.
+    labels: (m,) class ids, the column of each row's true class;
+    y_pred: (m, 2) row-stochastic predictions; class_weights: (2,)
+    per-class weights indexed like the columns; mask: (m,) truthy flags
+    of the rows the loss covers; False rows contribute nothing.
 
     Returns (loss, d_logits) where d_logits is the exact gradient of the
-    summed loss w.r.t. the pre-softmax logits: cw[y] * (y_pred - y_true)
+    summed loss w.r.t. the pre-softmax logits: cw[y] * (y_pred - onehot(y))
     at active rows and zero elsewhere. Predicted probabilities are clamped
     to LOG_CLAMP before the log so saturated rows stay finite.
     """
-    y_true = np.asarray(y_true, dtype=np.float64)
+    labels = np.asarray(labels)
     y_pred = np.asarray(y_pred, dtype=np.float64)
     cw = np.asarray(class_weights, dtype=np.float64)
-    if y_true.shape != y_pred.shape or y_true.ndim != 2:
+    if y_pred.ndim != 2 or labels.shape != y_pred.shape[:1]:
         raise ContractError(
-            f"label/prediction shape mismatch: {y_true.shape} vs {y_pred.shape}"
+            f"label/prediction shape mismatch: {labels.shape} vs {y_pred.shape}"
         )
-    m = y_true.shape[0]
+    m = len(labels)
     active = np.asarray(mask).astype(bool)
     if active.shape != (m,):
         raise ContractError(f"mask shape {active.shape} does not match m={m}")
-    row_w = (y_true * cw).sum(axis=1) * active  # cw of the true class, masked
-    picked = (y_true * y_pred).sum(axis=1)
+    rows = np.arange(m)
+    row_w = cw[labels] * active  # cw of the true class, masked
+    picked = y_pred[rows, labels]
     loss = -(row_w * np.log(np.maximum(picked, LOG_CLAMP))).sum()
-    d_logits = row_w[:, None] * (y_pred - y_true)
+    d_logits = y_pred.copy()
+    d_logits[rows, labels] -= 1.0
+    d_logits *= row_w[:, None]
     return loss, d_logits

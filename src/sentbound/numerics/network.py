@@ -637,13 +637,11 @@ class SequenceNet:
         and it is returned.
         """
         probs, cache = self.forward(params, block, mode=mode, rng=rng, keep_cache=True)
-        rows = probs.reshape(-1, N_CLASSES)
-        y_true = np.zeros_like(rows)
-        y_true[np.arange(len(rows)), block.label01.reshape(-1)] = 1.0
         pad = cache["pad"]
         active = np.ones(probs.shape[:-1], dtype=bool) if pad is None else ~pad
         loss, d_logits = weighted_cross_entropy(
-            y_true, rows, class_weights, active.reshape(-1)
+            block.label01.reshape(-1), probs.reshape(-1, N_CLASSES), class_weights,
+            active.reshape(-1),
         )
         grad = self.backward(params, cache, d_logits.reshape(probs.shape), into=into)
         return loss, grad, int(active.sum())

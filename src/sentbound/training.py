@@ -1,15 +1,15 @@
 """Training orchestration: class weights, buckets, folds, and the epoch loop.
 
-Batches are drawn inside length buckets and padded to the batch maximum
-with masked rows. The update step stacks each sequence's active prefix
-into time-major blocks (NetBatch) and runs one forward and one backward
-pass per block; the network keeps padded steps out of every active
-result, so padding can never change one. Gradients are averaged over the
-active positions of the batch and applied with RMSProp. A batch has one
-gradient vector, laid out like the parameter vector: each block's
-backward pass adds its gradients into it (the first block's makes it),
-and it is dropped once the update has read it. The averaging and the
-update each run on the whole vector.
+Batches are drawn inside length buckets. A batch is a list of (input,
+length) items, and the update step stacks them into time-major blocks
+(NetBatch), the one place a batch is padded, and runs one forward and
+one backward pass per block; the network keeps padded steps out of every
+live result, so padding can never change one. Gradients are averaged
+over the live positions of the batch and applied with RMSProp. A batch
+has one gradient vector, laid out like the parameter vector: each
+block's backward pass adds its gradients into it (the first block's
+makes it), and it is dropped once the update has read it. The averaging
+and the update each run on the whole vector.
 All shuffling, initialisation, and dropout randomness flows from one
 generator, so a fixed seed reproduces the loss trace and the final
 parameters bit for bit.
@@ -124,59 +124,30 @@ class TrainConfig:
 
 
 def pad_item(inp, target_len):
-    """Pad a network input with inactive rows up to target_len.
-
-    Returns (padded_input, mask). Padding rows use id 0 / zero features /
-    label 0 and are flagged inactive; the update step never touches them.
-    """
-    m = len(inp)
-    if target_len < m:
+    """The batch item of a network input in a batch of target_len steps:
+    (inp, len(inp)), with inp itself. NetBatch.stack pads each block, so
+    nothing is copied here; the call marks the batch's length."""
+    if target_len < len(inp):
         raise ContractError("cannot pad to a shorter length")
-    pad = target_len - m
-
-    def pad_ids(a):
-        return None if a is None else np.concatenate([a, np.zeros(pad, dtype=a.dtype)])
-
-    def pad_dense(a):
-        if a is None:
-            return None
-        return np.concatenate([a, np.zeros((pad, a.shape[1]))], axis=0)
-
-    padded = type(inp)(
-        word_ids=pad_ids(inp.word_ids),
-        tag_ids=pad_ids(inp.tag_ids),
-        dense=pad_dense(inp.dense),
-        label01=pad_ids(inp.label01),
-    )
-    mask = np.zeros(target_len, dtype=bool)
-    mask[:m] = True
-    return padded, mask
+    return inp, len(inp)
 
 
-def active_prefix_length(mask):
-    """Length of the live prefix of a padding mask (padding is trailing)."""
-    active = np.flatnonzero(mask)
-    return 0 if len(active) == 0 else int(active[-1]) + 1
+def batch_loss_and_grads(net, params, items, class_weights, rng=None):
+    """Summed training loss and gradients over a batch of (input, length)
+    items, with dropout drawn from rng.
 
-
-def batch_loss_and_grads(net, params, items, class_weights, mode="train", rng=None):
-    """Summed loss and gradients over a batch of (input, mask) pairs.
-
-    Each sequence enters its block up to the end of its mask's live
-    prefix, in item order, and trailing padded rows are bit-for-bit
-    inert. Every block adds into the batch's one gradient vector, which
-    is returned.
+    The items enter blocks in order, each with its first length steps.
+    Every block adds into the batch's one gradient vector, which is
+    returned with the loss and the live-position count.
     """
-    live = [(inp, length) for inp, mask in items
-            if (length := active_prefix_length(mask))]
-    if not live:
-        raise ContractError("batch has no active positions")
+    if not items:
+        raise ContractError("batch has no items")
     total_loss, total_active, grad = 0.0, 0, None
-    for block in blocks(live):
+    for block in blocks(items):
         inputs, lengths = zip(*block)
         loss, grad, n_active = net.loss_and_grads(
             params, NetBatch.stack(inputs, lengths), class_weights,
-            mode=mode, rng=rng, into=grad,
+            mode="train", rng=rng, into=grad,
         )
         total_loss += loss
         total_active += n_active
@@ -255,8 +226,7 @@ def train_model(bundle, train_texts, config, rng, log=None):
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
                     loss, grad, n_active = batch_loss_and_grads(
-                        bundle.net, bundle.params, items, class_weights,
-                        mode="train", rng=rng,
+                        bundle.net, bundle.params, items, class_weights, rng=rng
                     )
                 except NumericError as exc:
                     raise NumericError(

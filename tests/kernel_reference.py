@@ -8,8 +8,8 @@ and serve as reference oracles.
 
 The rest are the library's earlier ways of doing what it now does in
 fewer numpy calls, kept as oracles that the new code must match bit for
-bit: the scatter-adds by np.add.at, dropout
-drawn one sequence at a time, alpha tuning that fuses and counts
+bit: the weighted cross-entropy over one-hot target rows, the
+scatter-adds by np.add.at, dropout drawn one sequence at a time, alpha tuning that fuses and counts
 every text at every grid alpha, and an inference pass that reverses the
 second LSTM direction's input by an index gather and runs each net's
 output layer alone.
@@ -28,6 +28,7 @@ from sentbound.numerics.kernels import (
     sigmoid,
     softmax,
 )
+from sentbound.numerics.loss import LOG_CLAMP
 from sentbound.numerics.lstm import direction_forward, prepare_weights
 from sentbound.numerics.network import flat_vector
 from sentbound.training import ALPHA_GRID
@@ -114,6 +115,19 @@ def maxpool1d_backward_reference(d_out, argrow):
     target = argrow.reshape(m, per_row) * per_row + np.arange(per_row)
     np.add.at(d_in.reshape(-1), target.reshape(-1), d_out.reshape(-1))
     return d_in
+
+
+def one_hot_cross_entropy_reference(labels, y_pred, class_weights, mask):
+    """weighted_cross_entropy through one-hot target rows: the true class
+    is picked by multiplying by them and summing each row."""
+    y_pred = np.asarray(y_pred, dtype=np.float64)
+    y_true = np.zeros_like(y_pred)
+    y_true[np.arange(len(y_pred)), labels] = 1.0
+    cw = np.asarray(class_weights, dtype=np.float64)
+    row_w = (y_true * cw).sum(axis=1) * np.asarray(mask).astype(bool)
+    picked = (y_true * y_pred).sum(axis=1)
+    loss = -(row_w * np.log(np.maximum(picked, LOG_CLAMP))).sum()
+    return loss, row_w[:, None] * (y_pred - y_true)
 
 
 def scatter_input_grads_reference(net, block, d_x, vector):

@@ -15,6 +15,7 @@ from sentbound import evaluation
 from sentbound.corpus import LABEL_B, LABEL_NB, SynthSpec, synth_generate
 from sentbound.evaluation import EvalConfig
 from sentbound.model import Hyperparams
+from sentbound.numerics import network
 from sentbound.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,3 +147,21 @@ def test_the_fingerprint_repeats_and_sees_a_perturbed_fuse(monkeypatch):
 
     monkeypatch.setattr(evaluation, "fuse", perturbed)
     assert fingerprint.digest(**tiny) != first
+
+
+def test_the_fingerprint_sees_a_loss_that_changes_no_prediction(monkeypatch):
+    """A loss value one ulp-scale off, with the same gradient, trains the
+    same models; only the loss traces of the digest see it. The digest
+    leaves evaluation.train_model as it found it."""
+    tiny = dict(variants=("cnn",), feature_sets=("all",), alphas=(None,), n_texts=8)
+    first = fingerprint.digest(**tiny)
+    train_model = evaluation.train_model
+    loss = network.weighted_cross_entropy
+
+    def perturbed(*args):
+        value, d_logits = loss(*args)
+        return value * (1.0 + 2.0 ** -50), d_logits
+
+    monkeypatch.setattr(network, "weighted_cross_entropy", perturbed)
+    assert fingerprint.digest(**tiny) != first
+    assert evaluation.train_model is train_model

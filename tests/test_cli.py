@@ -175,6 +175,18 @@ def test_cross_corpus_eval_writes_its_report(workdir, tmp_path, capsys):
     assert (tmp_path / "r.tsv").read_text(encoding="utf-8") == line + "\n"
 
 
+def test_eval_on_an_empty_test_corpus_is_a_data_error(workdir, tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "t.tsv").write_text("", encoding="utf-8")
+    code = cli.main(["eval", "--train-corpus", str(workdir / "corpus"),
+                     "--test-corpus", str(empty), *SMALL_MODEL])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {empty}: no text"]
+
+
 @pytest.mark.parametrize("corpora", [["--train-corpus"], ["--corpus", "--train-corpus"]])
 def test_eval_corpus_flags_that_do_not_pair_are_a_usage_error(workdir, corpora, capsys):
     args = [arg for flag in corpora for arg in (flag, str(workdir / "corpus"))]

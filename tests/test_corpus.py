@@ -251,6 +251,15 @@ class TestCorpusIO:
         with pytest.raises(ParseError, match="malformed header"):
             read_corpus(path)
 
+    @pytest.mark.parametrize("content", ["", "\n\n"])
+    def test_a_file_or_directory_without_text_is_refused(self, tmp_path, content):
+        folder = tmp_path / "empty"
+        folder.mkdir()
+        (folder / "t.tsv").write_text(content)
+        for path in (folder / "t.tsv", folder):
+            with pytest.raises(ParseError, match=f"{path}: no text"):
+                read_corpus(path)
+
     def test_missing_path(self, tmp_path):
         with pytest.raises(ParseError):
             read_corpus(tmp_path / "nope.tsv")

@@ -212,3 +212,12 @@ def test_robustness_refuses_a_test_corpus_without_prosody(genre_a, monkeypatch):
     no_prosody = Corpus([replace(t, id=f"x-{t.id}", prosody=None) for t in genre_a], "flat")
     with pytest.raises(ContractError, match="corpus 'flat' has none"):
         robustness_eval(genre_a, no_prosody, small_config(), feature_set="all")
+
+
+@pytest.mark.parametrize("features", ["all", "embeddings+pos"])
+def test_robustness_refuses_an_empty_test_corpus(genre_a, monkeypatch, features):
+    """An empty test set would score as a model with F1 0; it is refused
+    before any training, ahead of the prosody check it would also fail."""
+    monkeypatch.setattr(evaluation, "train_model", None)  # no training may start
+    with pytest.raises(ContractError, match="corpus 'empty' has no texts"):
+        robustness_eval(genre_a, Corpus([], "empty"), small_config(), feature_set=features)

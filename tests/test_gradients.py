@@ -46,10 +46,8 @@ def tiny_problem(variant, seed=7, m=9, dropout=0.0):
 def masked_loss(probs, block, mask):
     """Weighted cross-entropy of the block's labels over the rows flagged
     in mask, and its gradient at the logits."""
-    rows = probs.reshape(-1, 2)
-    y_true = np.zeros_like(rows)
-    y_true[np.arange(len(rows)), np.ravel(block.label01)] = 1.0
-    return weighted_cross_entropy(y_true, rows, CLASS_WEIGHTS, np.ravel(mask))
+    return weighted_cross_entropy(np.ravel(block.label01), probs.reshape(-1, 2),
+                                  CLASS_WEIGHTS, np.ravel(mask))
 
 
 def masked_loss_and_grads(net, params, block, mask, mode="inference", rng=None):
@@ -380,18 +378,20 @@ def test_padded_steps_are_inert(variant):
     for name in grads:
         npt.assert_array_equal(grads[name], grads_0[name], err_msg=name)
 
-    padded = [training.pad_item(inp, 12) for inp, _ in items]
     results = []
     for fill in (0, 1):
-        for (inp, _), m in zip(padded, RAGGED):
-            for part in (inp.word_ids, inp.tag_ids, inp.dense):
+        longer = []
+        for inp, m in items:
+            parts = {name: getattr(inp, name) for name in ("word_ids", "tag_ids", "dense")}
+            for name, part in parts.items():
                 if part is not None:
-                    part[m:] = fill
-        results.append(training.batch_loss_and_grads(
-            net, params, padded, CLASS_WEIGHTS, mode="inference"
-        ))
+                    tail = np.full((3,) + part.shape[1:], fill, dtype=part.dtype)
+                    parts[name] = np.concatenate([part, tail])
+            label01 = np.concatenate([inp.label01, np.full(3, fill)])
+            longer.append((NetInput(**parts, label01=label01), m))
+        results.append(training.batch_loss_and_grads(net, params, longer, CLASS_WEIGHTS))
     (loss_a, grads_a, active_a), (loss_b, grads_b, active_b) = results
-    assert (loss_a, active_a) == (loss_b, active_b)
+    assert (loss_a, active_a) == (loss_b, active_b) == (loss, sum(RAGGED))
     grads_a, grads_b = net.views(grads_a), net.views(grads_b)
     for name in grads_a:
         npt.assert_array_equal(grads_a[name], grads_b[name], err_msg=name)
@@ -401,7 +401,7 @@ def test_batch_over_the_row_cap_is_split_into_blocks(monkeypatch):
     net, params = batch_net("rcnn", dropout=0.4)
     lengths = (100, 90, 80)  # 2 x 100 rows fit under the cap, 3 x 100 do not
     assert 2 * lengths[0] <= training.BLOCK_ROWS < 3 * lengths[0]
-    items = [training.pad_item(inp, 100) for inp, _ in ragged_items(net, lengths)]
+    items = ragged_items(net, lengths)
     rng = np.random.default_rng(4)
     want = training.batch_loss_and_grads(net, params, items[:2], CLASS_WEIGHTS, rng=rng)
     rest = training.batch_loss_and_grads(net, params, items[2:], CLASS_WEIGHTS, rng=rng)
@@ -444,11 +444,11 @@ def test_blocks_add_into_one_gradient_vector_bit_for_bit(monkeypatch):
     block bit for bit."""
     net, params = batch_net("rcnn", dropout=0.4)
     lengths = (100, 100, 90, 80, 60)  # blocks of (100, 100), (90, 80), (60,)
-    raw = [inp for inp, _ in ragged_items(net, lengths)]
+    items = ragged_items(net, lengths)
+    raw = [inp for inp, _ in items]
     ids = [set(np.concatenate([inp.word_ids for inp in raw[i:j]]).tolist())
            for i, j in ((0, 2), (2, 4), (4, 5))]
     assert ids[0] & ids[1] & ids[2]
-    items = [training.pad_item(inp, 100) for inp in raw]
     want_loss, want, want_active = block_order_sum(
         net, params, (items[:2], items[2:4], items[4:]), np.random.default_rng(4)
     )
@@ -490,7 +490,7 @@ def test_later_blocks_scatter_only_their_embedding_rows():
     for _ in range(2):
         inp = NetInput(word_ids=rng.integers(0, 50_000, size=180),
                        label01=rng.integers(0, 2, size=180))
-        items.append(training.pad_item(inp, 180))
+        items.append((inp, 180))
     assert 2 * 180 > training.BLOCK_ROWS
     tracemalloc.start()
     try:

@@ -39,6 +39,7 @@ from kernel_reference import (
     dense_forward,
     maxpool1d_backward_reference,
     maxpool1d_same_reference,
+    one_hot_cross_entropy_reference,
     per_sequence_dropout_reference,
     rmsprop_reference_step,
 )
@@ -537,40 +538,62 @@ class TestDropout:
 
 class TestWeightedCrossEntropy:
     def test_direct_substitution(self):
-        y_true = np.array([[0.0, 1.0]])
         y_pred = np.array([[0.2, 0.8]])
-        loss, _ = weighted_cross_entropy(y_true, y_pred, [1.0, 5.0], [True])
+        loss, _ = weighted_cross_entropy([1], y_pred, [1.0, 5.0], [True])
         assert abs(loss - (-5.0 * math.log(0.8))) < 1e-9
         assert abs(loss - 1.1157) < 1e-4
 
     def test_perfect_prediction_zero_loss(self):
-        loss, _ = weighted_cross_entropy([[0.0, 1.0]], [[0.0, 1.0]], [1.0, 5.0], [True])
+        loss, _ = weighted_cross_entropy([1], [[0.0, 1.0]], [1.0, 5.0], [True])
         assert loss == 0.0
 
     def test_saturated_wrong_prediction_is_clamped_finite(self):
-        loss, _ = weighted_cross_entropy([[0.0, 1.0]], [[1.0, 0.0]], [1.0, 5.0], [True])
+        loss, _ = weighted_cross_entropy([1], [[1.0, 0.0]], [1.0, 5.0], [True])
         assert np.isfinite(loss)
         assert abs(loss - (-5.0 * math.log(1e-12))) < 1e-6
 
     def test_all_masked_is_empty_sum(self):
-        y_true = np.array([[1.0, 0.0], [0.0, 1.0]])
         y_pred = np.array([[0.4, 0.6], [0.9, 0.1]])
-        loss, d = weighted_cross_entropy(y_true, y_pred, [2.0, 3.0], mask=[False, False])
+        loss, d = weighted_cross_entropy([0, 1], y_pred, [2.0, 3.0], mask=[False, False])
         assert loss == 0.0
         npt.assert_array_equal(d, np.zeros_like(y_pred))
 
     def test_gradient_formula_and_masking(self):
-        y_true = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        labels = np.array([0, 1, 0])
+        y_true = np.eye(2)[labels]
         y_pred = np.array([[0.7, 0.3], [0.6, 0.4], [0.2, 0.8]])
         cw = np.array([0.5, 4.0])
-        _, d = weighted_cross_entropy(y_true, y_pred, cw, mask=[True, True, False])
+        _, d = weighted_cross_entropy(labels, y_pred, cw, mask=[True, True, False])
         npt.assert_allclose(d[0], 0.5 * (y_pred[0] - y_true[0]), atol=1e-15)
         npt.assert_allclose(d[1], 4.0 * (y_pred[1] - y_true[1]), atol=1e-15)
         npt.assert_array_equal(d[2], [0.0, 0.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
-            weighted_cross_entropy([[1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]], [1, 1], [True])
+            weighted_cross_entropy([0], [[0.5, 0.5], [0.5, 0.5]], [1, 1], [True])
+        with pytest.raises(ContractError):
+            weighted_cross_entropy([[1.0, 0.0]], [[0.5, 0.5]], [1, 1], [True])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_one_hot_reference_bit_for_bit(self, seed):
+        """Picking the true class by its id gives the loss and gradient of
+        the one-hot products bit for bit: on random rows with partial
+        masks, all-masked batches, zero class weights and saturated
+        predictions, the last both right and wrong."""
+        rng = np.random.default_rng(seed)
+        m = 40
+        labels = rng.integers(0, 2, size=m)
+        y_pred = softmax(3.0 * rng.standard_normal((m, 2)))
+        y_pred[:4] = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        masks = (rng.random(m) < 0.7, np.zeros(m, dtype=bool), np.ones(m, dtype=bool))
+        weights = (rng.random(2) * 5.0, np.zeros(2), np.array([0.0, 2.5]))
+        for mask in masks:
+            for cw in weights:
+                loss, d = weighted_cross_entropy(labels, y_pred, cw, mask)
+                want_loss, want_d = one_hot_cross_entropy_reference(labels, y_pred, cw, mask)
+                assert loss == want_loss
+                npt.assert_array_equal(d, want_d)
+                assert np.array_equal(np.signbit(d), np.signbit(want_d))
 
 
 class TestParamLayout:

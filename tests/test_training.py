@@ -136,6 +136,34 @@ def test_each_training_block_prepares_its_weights_once(monkeypatch, variant,
     assert calls == ["block", "prepare", *lstm_directions] * blocks
 
 
+def test_a_batch_item_is_its_input_and_length(monkeypatch):
+    """pad_item copies nothing: it hands train_model each input itself with
+    its length, called with the batch's longest length, and refuses a
+    shorter one; a batch of no items is refused too."""
+    texts = synth_generate(SynthSpec(n_texts=6, mean_sentences_per_text=2, seed=2)).texts
+    rng = np.random.default_rng(0)
+    hp = Hyperparams.lexical(conv_filters=4, rec_units=4)
+    words = EmbeddingTable.from_tokens([w for t in texts for w in t.tokens], hp.word_dim, rng)
+    bundle = training.make_lexical_bundle("rcnn", hp, words, None, rng)
+    calls, batches = [], []
+    pad_item, batch_loss_and_grads = training.pad_item, training.batch_loss_and_grads
+    monkeypatch.setattr(training, "pad_item", lambda inp, target: (
+        calls.append((inp, target)) or pad_item(inp, target)))
+    monkeypatch.setattr(training, "batch_loss_and_grads", lambda net, params, items, *a, **k: (
+        batches.append(items) or batch_loss_and_grads(net, params, items, *a, **k)))
+    training.train_model(bundle, texts, training.TrainConfig(epochs=1, batch_size=2), rng)
+    items = [item for batch in batches for item in batch]
+    assert len(calls) == len(items)
+    assert all(inp is item for (inp, _), (item, _) in zip(calls, items))
+    assert all(length == len(inp) for inp, length in items)
+    assert [target for _, target in calls] == [
+        max(length for _, length in batch) for batch in batches for _ in batch]
+    with pytest.raises(ContractError, match="shorter"):
+        pad_item(items[0][0], len(items[0][0]) - 1)
+    with pytest.raises(ContractError, match="no items"):
+        batch_loss_and_grads(bundle.net, bundle.params, [], np.ones(2))
+
+
 @pytest.mark.parametrize("epochs", [0, -1])
 def test_train_config_rejects_fewer_than_one_epoch(epochs):
     with pytest.raises(ContractError, match="must be positive"):
