@@ -3,7 +3,9 @@
 The lexical model consumes word and tag embedding rows concatenated per
 token (word first, tag second), whose ids LexicalEncoder looks up in
 token lists; the prosodic model consumes 13-dim vectors that
-ProsodicEncoder z-scores. Scaling statistics and vocabularies are always
+ProsodicEncoder z-scores. The encoders build inputs only: the training
+loss is the one reader of gold labels, so train_model encodes them
+(encode_labels). Scaling statistics and vocabularies are always
 fit on training data only and applied unchanged at test time.
 """
 
@@ -166,7 +168,6 @@ class LexicalEncoder:
         return NetInput(
             word_ids=_row_ids(self.word_rows, text.tokens),
             tag_ids=_row_ids(self.tag_rows, text.pos_tags),
-            label01=encode_labels(text.labels),
         )
 
 
@@ -182,7 +183,4 @@ class ProsodicEncoder:
             raise ContractError(
                 f"text {text.id!r} has no prosody; use the lexical-only mode (alpha=1)"
             )
-        return NetInput(
-            dense=(text.prosody - self.stats.mean) / self.stats.std,
-            label01=encode_labels(text.labels),
-        )
+        return NetInput(dense=(text.prosody - self.stats.mean) / self.stats.std)

@@ -33,14 +33,17 @@ one Python time-step loop advances them all, on a gate block of
 (steps + 1, 5, D, B, n). Slots i, f, o and g of a step hold its gate
 pre-activations, which become activations in place; slot 4 holds the
 cell state entering the step (+0.0 at step 0), and the step writes c_t
-into the next step's slot 4. So [i, f] * [g, c] is one product, and a
+into the next step's slot 4. So [i, f] * [g, c] is one product. A
+pass builds each step's views of its buffers once, before its loop, so a
 step, whose one stacked (D, B, n) @ (D, n, 4n) matmul fills a buffer
-too, allocates no array. Each direction's input projection, recurrent
-GEMM, output projection and gradient epilogue keep the shapes of a lone
-direction, so a direction's outputs and gradients do not depend on what
-runs beside it. direction_forward runs that loop and then the D output
-projections as one stacked matmul; direction_backward takes the
-projections' gradients and then BPTT.
+too, builds no view and allocates no array; so does a BPTT step, whose
+gate gradients reach the recurrent GEMM through one (D, B, 4n) buffer
+and whose products land in buffers it reuses. Each direction's input
+projection, recurrent GEMM, output projection and gradient epilogue
+keep the shapes of a lone direction, so a direction's outputs and
+gradients do not depend on what runs beside it. direction_forward runs
+that loop and then the D output projections as one stacked matmul;
+direction_backward takes the projections' gradients and then BPTT.
 
 Every pass reads the weights in one prepared form (prepare_weights),
 which SequenceNet.prepare builds for training blocks and requests alike.
@@ -148,6 +151,12 @@ def direction_forward(*xs, prepared, keep_cache=False):
     rec = np.empty((dirs, rows, 4 * n))
     rec_by_gate = rec.reshape(dirs, rows, 4, n).transpose(2, 0, 1, 3)
     products = np.empty((2, dirs, rows, n))
+    i_g, f_c = products
+    # Each step's views of the gate block, built once: pre-activations,
+    # sigmoid slots, g, [i, f], [g, c], o and the c_t the step writes. The
+    # chunk buffer is reused, so they hold for every chunk.
+    step_views = list(zip(gates[:, :4], gates[:, :3], gates[:, 3], gates[:, :2],
+                          gates[:, 3:], gates[:, 2], gates[1:, 4]))
     h_prev = None
     # A pre-activation z below about -709 makes the sigmoid's exp(-z)
     # overflow to inf, and a huge recurrent sum overflows to +-inf; the
@@ -165,24 +174,25 @@ def direction_forward(*xs, prepared, keep_cache=False):
                 )
                 del z
             tanh_cs = tanh_c[start:stop] if keep_cache else repeat(tanh_c[0])
-            for gate, c_t, tc_t, h_t in zip(gates, gates[1:, 4], tanh_cs, hs[start:stop]):
+            for (pre, s, g, i_f, g_c, o, c_t), tc_t, h_t in zip(
+                    step_views, tanh_cs, hs[start:stop]):
                 if h_prev is not None:
                     np.matmul(h_prev, wh_t, out=rec)
-                    gate[:4] += rec_by_gate
-                s = gate[:3]
+                    pre += rec_by_gate
                 np.exp(s, out=s)
                 s += 1.0
                 np.divide(1.0, s, out=s)
-                np.tanh(gate[3], out=gate[3])
-                np.multiply(gate[:2], gate[3:], out=products)  # i * g, f * c
-                np.add(products[1], products[0], out=c_t)
+                np.tanh(g, out=g)
+                np.multiply(i_f, g_c, out=products)  # i * g, f * c
+                np.add(f_c, i_g, out=c_t)
                 np.tanh(c_t, out=tc_t)
-                np.multiply(gate[2], tc_t, out=h_t)
+                np.multiply(o, tc_t, out=h_t)
                 h_prev = h_t
     cache = {"x": list(xs), "gates": gates, "tanh_c": tanh_c, "h": hs,
              "weights": weights} if keep_cache else None
     # An inference pass frees its chunk and step buffers before the projection.
-    del gates, tanh_c, rec, rec_by_gate, products, tanh_cs, gate, c_t, tc_t, s
+    del gates, tanh_c, rec, rec_by_gate, products, i_g, f_c, step_views, tanh_cs
+    del pre, s, g, i_f, g_c, o, c_t, tc_t
     ys = np.matmul(hs.transpose(1, 0, 2, 3).reshape(dirs, steps * rows, n), wy_t)
     ys += by
     return ys.reshape(dirs, steps, rows, n), cache
@@ -237,18 +247,25 @@ def direction_backward(d_y_fwd, d_y_bwd, cache):
     for d, d_h_d in enumerate(d_hs):
         d_h[:, d] = d_h_d
     del d_h_d
-    dh = np.zeros((dirs, rows, n))
+    dh, dh_next = np.zeros((dirs, rows, n)), np.empty((dirs, rows, n))
     dc = np.zeros((dirs, rows, n))
-    for t in range(steps - 1, -1, -1):
-        dh += d_h[t]
-        dc += dh * o_dtanh[t]
-        dz = gates[t]
-        dz[:2] *= dc
-        dz[2] *= dh
-        dz[3] *= dc
-        dh = np.matmul(dz.transpose(1, 2, 0, 3).reshape(dirs, rows, 4 * n), wh)
-        dc *= forget[t]
-    del forget, o_dtanh, d_h, wh
+    dh_o = np.empty((dirs, rows, n))  # dh * o_dtanh
+    # a step's gate gradients as the (D, B, 4n) rows the recurrent GEMM reads
+    dz_t = np.empty((dirs, rows, 4 * n))
+    dz_t_by_gate = dz_t.reshape(dirs, rows, 4, n).transpose(2, 0, 1, 3)
+    for d_h_t, o_dtanh_t, forget_t, dz, d_if, d_o, d_g in zip(
+            d_h[::-1], o_dtanh[::-1], forget[::-1],
+            gates[::-1], gates[::-1, :2], gates[::-1, 2], gates[::-1, 3]):
+        dh += d_h_t
+        dc += np.multiply(dh, o_dtanh_t, out=dh_o)
+        d_if *= dc
+        d_o *= dh
+        d_g *= dc
+        dz_t_by_gate[...] = dz
+        np.matmul(dz_t, wh, out=dh_next)
+        dh, dh_next = dh_next, dh
+        dc *= forget_t
+    del forget, o_dtanh, d_h, wh, dz_t, dz_t_by_gate
     # One direction at a time, on a (T, B, 4n) copy of its gate gradients
     # in the freed buffers' place.
     dz = np.empty((steps, rows, 4 * n))

@@ -22,6 +22,7 @@ import numpy as np
 
 from .corpus import LABEL_B, LABEL_NB, PROSODY_DIM
 from .errors import ContractError, NumericError
+from .features import encode_labels
 from .model import (
     ModelBundle,
     boundary_counts,
@@ -203,7 +204,8 @@ def train_model(bundle, train_texts, config, rng, log=None):
     class_weights = compute_class_weights(
         [lab for t in texts for lab in t.labels]
     )
-    encoded = {t.id: bundle.encoder.encode(t) for t in texts}
+    encoded = {t.id: replace(bundle.encoder.encode(t), label01=encode_labels(t.labels))
+               for t in texts}
     buckets = make_buckets(texts, config.bucket_width)
     theta = flat_vector(bundle.params)
     hp = bundle.net.hp

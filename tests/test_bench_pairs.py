@@ -1,6 +1,7 @@
 """The summary of scripts/bench_pairs.py on canned result lines, the
-second import and tiny A/A of scripts/bench_inprocess.py, and the digest
-of scripts/fingerprint.py on a shrunken matrix; no benchmark runs."""
+second import and tiny request and CV A/As of scripts/bench_inprocess.py,
+and the digest of scripts/fingerprint.py on a shrunken matrix; no
+benchmark runs."""
 
 import argparse
 import importlib.util
@@ -131,6 +132,38 @@ def test_a_tiny_in_process_a_a_completes(second_import, tmp_path):
         assert summary["texts"] == 4
         assert 0.0 < summary["q1"] <= summary["median"] <= summary["q3"]
         assert summary["wins"] + summary["losses"] + summary["ties"] == 4
+
+
+def test_a_tiny_in_process_cv_a_a_completes(second_import):
+    """Each side runs the CV call on the corpus and config rebuilt from
+    its own classes, and all give one report."""
+    corpus = synth_generate(SynthSpec(n_texts=6, mean_sentences_per_text=2.0,
+                                      prosody_cue_strength=2.0, seed=2))
+    hp = dict(conv_filters=4, rec_units=4)
+    config = EvalConfig(
+        train=TrainConfig(epochs=1, batch_size=2), lexical_hp=Hyperparams.lexical(**hp),
+        prosodic_hp=Hyperparams.prosodic(**hp), folds=2)
+    packages = {"base": second_import, "base_again": second_import, "change": sentbound}
+    calls = bench_inprocess.cv_calls(packages, corpus, "rcnn", "all", config)
+    base_args = calls["base"].args
+    assert type(base_args[0]) is second_import.corpus.Corpus
+    assert type(base_args[0].texts[0]) is second_import.corpus.LabeledText
+    assert type(base_args[3].lexical_hp) is second_import.model.Hyperparams
+    assert type(calls["change"].args[0]) is sentbound.corpus.Corpus
+    result = bench_inprocess.compare_cv(calls, rounds=2)
+    assert list(result["ratios"]) == ["base_again", "change"]
+    assert [len(v) for v in result["seconds"].values()] == [2, 2, 2]
+    for summary in result["ratios"].values():
+        assert summary["rounds"] == 2
+        assert 0.0 < summary["q1"] <= summary["median"] <= summary["q3"]
+        assert summary["wins"] + summary["losses"] + summary["ties"] == 2
+
+
+def test_an_in_process_cv_call_that_differs_is_refused():
+    calls = {"base": lambda: evaluation.EvalReport(1, 0, 0, 1.0, 1.0, 1.0),
+             "change": lambda: evaluation.EvalReport(0, 0, 0, 1.0, 1.0, 1.0)}
+    with pytest.raises(SystemExit, match="change's CV report differs in round 0"):
+        bench_inprocess.compare_cv(calls, rounds=1)
 
 
 def test_the_fingerprint_repeats_and_sees_a_perturbed_fuse(monkeypatch):

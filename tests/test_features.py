@@ -234,7 +234,7 @@ class TestEncoders:
         item = enc.encode(demo_text(3))
         assert item.word_ids.tolist() == [0, 1, 0]
         assert item.tag_ids.tolist() == [0, 1, 0]
-        assert item.label01.tolist() == [0, 0, 1]
+        assert item.label01 is None  # only training encodes gold labels
 
     def test_prosodic_encoder(self):
         stats = ProsodyStats(np.zeros(13), np.ones(13))

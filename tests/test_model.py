@@ -1,6 +1,7 @@
 """Tests for probability fusion and the DBND model container: round trip
 and half-valid files."""
 
+import dataclasses
 import json
 import re
 import struct
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sentbound import SentboundError, cli, evaluation
+from sentbound import SentboundError, cli, evaluation, features, training
 from sentbound.corpus import (
     LABEL_B,
     LABEL_NB,
@@ -689,7 +690,9 @@ def test_a_one_text_block_is_a_read_only_view(monkeypatch):
     segmenter = tiny_segmenter()
     text = sample_text(11)
     bundles = (segmenter.lexical, segmenter.prosodic)
-    inputs = [bundle.encoder.encode(text) for bundle in bundles]
+    inputs = [dataclasses.replace(bundle.encoder.encode(text),
+                                  label01=features.encode_labels(text.labels))
+              for bundle in bundles]
     parts = ("word_ids", "tag_ids", "dense", "label01")
     for inp in inputs:
         block = network.NetBatch.stack([inp], [len(inp)])
@@ -720,3 +723,36 @@ def test_a_one_text_block_is_a_read_only_view(monkeypatch):
     for (loss, grad), (want_loss, want_grad) in zip(passes, want_passes, strict=True):
         assert loss == want_loss
         np.testing.assert_array_equal(grad, want_grad)
+
+
+def test_only_training_encodes_gold_labels(monkeypatch):
+    """Requests and predictions read no gold labels: with encode_labels
+    refusing, they still answer. train_model encodes each training
+    text's labels once."""
+    segmenter = tiny_segmenter()
+    texts = [sample_text(m, seed) for seed, m in enumerate((5, 9, 4))]
+    bundles = [segmenter.lexical, segmenter.prosodic]
+    want = predict_texts(bundles, texts)
+    encode_labels = features.encode_labels
+
+    def refuse(labels):
+        raise AssertionError("a prediction encoded gold labels")
+
+    monkeypatch.setattr(features, "encode_labels", refuse)
+    monkeypatch.setattr(training, "encode_labels", refuse)
+    for text in texts:
+        labels, probs = segmenter.predict_probs(text)
+        assert len(labels) == len(probs) == len(text)
+    for got, want_rows in zip(predict_texts(bundles, texts), want, strict=True):
+        for rows, want_row in zip(got, want_rows, strict=True):
+            np.testing.assert_array_equal(rows, want_row)
+    calls = []
+
+    def counted(labels):
+        calls.append(labels)
+        return encode_labels(labels)
+
+    monkeypatch.setattr(training, "encode_labels", counted)
+    train_model(segmenter.lexical, texts, TrainConfig(epochs=2, batch_size=2),
+                np.random.default_rng(3))
+    assert calls == [text.labels for text in texts]

@@ -43,7 +43,14 @@ from kernel_reference import (
     per_sequence_dropout_reference,
     rmsprop_reference_step,
 )
-from lstm_reference import bilstm_forward, direction_outputs, fuse_gates, lstm_cell_step
+from lstm_reference import (
+    bilstm_forward,
+    direction_outputs,
+    fuse_gates,
+    lstm_cell_step,
+    step_loop_backward,
+    step_loop_forward,
+)
 
 
 class TestDenseForward:
@@ -432,6 +439,70 @@ class TestBlockLstm:
             y = lockstep_bilstm(x, weights["fwd"], weights["bwd"])
             want = softmax(y @ params["out_w"] + params["out_b"])
             npt.assert_allclose(probs[: len(x), b], want, atol=1e-12)
+
+
+class TestStepLoopOracle:
+    """The lockstep passes equal the per-step slicing loops of
+    lstm_reference bit for bit: outputs, cache, gradients and input
+    gradients."""
+
+    # lengths, directions, n, d_in, keep_cache (training), PROJECTION_BYTES
+    CASES = {
+        "padded_ragged_training_block": ((7, 3, 1), 2, 4, 3, True, None),
+        "request_of_two_nets": ((26,), 4, 16, 5, False, None),
+        # 256-byte steps, 5 a chunk: (0, 5), (5, 10), and a 2-step tail
+        # that joins the chunk before it
+        "inference_in_three_chunks": ((17,), 2, 4, 3, False, 5 * 256),
+        "default_width_training_block": ((9, 6, 2), 2, 100, 8, True, None),
+    }
+
+    @staticmethod
+    def inputs(rng, lengths, dirs, d_in):
+        """Per net, a zero-padded block and its rows' reversed live
+        prefixes; a one-row block's reversal is a view."""
+        xs = []
+        for _ in range(dirs // 2):
+            x = rng.normal(size=(max(lengths), len(lengths), d_in))
+            reversed_x = x[::-1] if len(lengths) == 1 else np.zeros_like(x)
+            for b, m in enumerate(lengths):
+                x[m:, b] = 0.0
+                if len(lengths) > 1:
+                    reversed_x[:m, b] = x[:m, b][::-1]
+            xs += [x, reversed_x]
+        return xs
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_passes_equal_the_step_loops(self, case, rng, monkeypatch):
+        lengths, dirs, n, d_in, keep_cache, projection_bytes = self.CASES[case]
+        if projection_bytes is not None:
+            monkeypatch.setattr(lstm_ops, "PROJECTION_BYTES", projection_bytes)
+            assert projection_chunks(17, 1, 4 * dirs * n * 8) == [(0, 5), (5, 10), (10, 17)]
+        xs = self.inputs(rng, lengths, dirs, d_in)
+        prepared = prepare_weights(
+            [fuse_gates(random_direction_weights(n, d_in, rng)) for _ in range(dirs)])
+        ys, cache = direction_forward(*xs, prepared=prepared, keep_cache=keep_cache)
+        want_ys, want_cache = step_loop_forward(*xs, prepared=prepared, keep_cache=keep_cache)
+        npt.assert_array_equal(ys, want_ys)
+        if not keep_cache:
+            assert cache is None and want_cache is None
+            return
+        # the last row of gates holds only c_T; its gate slots are never written
+        npt.assert_array_equal(cache["gates"][:-1], want_cache["gates"][:-1])
+        npt.assert_array_equal(cache["gates"][-1, 4], want_cache["gates"][-1, 4])
+        for key in ("tanh_c", "h"):
+            npt.assert_array_equal(cache[key], want_cache[key])
+        d_ys = rng.normal(size=ys.shape)
+        for b, m in enumerate(lengths):
+            d_ys[:, m:, b] = 0.0
+        (grads, d_xs), (want_grads, want_d_xs) = (
+            backward(*d_ys, c) for backward, c in ((direction_backward, cache),
+                                                   (step_loop_backward, want_cache)))
+        for got, want in zip(grads, want_grads, strict=True):
+            assert got.keys() == want.keys()
+            for key in got:
+                npt.assert_array_equal(got[key], want[key])
+        for got, want in zip(d_xs, want_d_xs, strict=True):
+            npt.assert_array_equal(got, want)
 
 
 class TestProjectionChunks:
