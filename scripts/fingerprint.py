@@ -19,7 +19,11 @@ synthetic corpus with prosody (4 folds, n_f = n_r = 4, 2 epochs):
   container gives each text;
 * with each run above, the per-epoch loss trace of every model that it
   trained, in training order, as evaluation.train_model returns it. A
-  change in the loss shows here even where the predictions absorb it.
+  change in the loss shows here even where the predictions absorb it;
+* with each run above too, and after the loaded segmenter's requests,
+  the (T, B) shape and the lengths of every block that
+  SequenceNet.forward received, in call order. A change in how texts
+  are split into blocks shows here even where the results absorb it.
 
 Arrays enter by their bytes and other floats by their repr, so a change
 of one bit changes the digest. The sentbound fingerprinted is the first
@@ -51,6 +55,7 @@ import numpy as np  # noqa: E402
 import bench_pairs  # noqa: E402
 import sentbound  # noqa: E402
 from sentbound import evaluation, features, model  # noqa: E402
+from sentbound.numerics import SequenceNet  # noqa: E402
 from sentbound.corpus import SynthSpec, synth_generate  # noqa: E402
 from sentbound.training import TrainConfig  # noqa: E402
 
@@ -113,12 +118,25 @@ def digest(variants=VARIANTS, feature_sets=FEATURE_SETS, alphas=ALPHAS, n_texts=
         traces.append(trace)
         return bundle, trace
 
+    shapes = []
+    forward = SequenceNet.forward
+
+    def recorded(self, params, block, *args, **kwargs):
+        part = next(p for p in (block.word_ids, block.tag_ids, block.dense) if p is not None)
+        shapes.append((part.shape[:2], np.asarray(block.lengths, dtype=np.intp).tobytes()))
+        return forward(self, params, block, *args, **kwargs)
+
     def feed_traces():
         feed(traces)
         traces.clear()
+        for shape, lengths in shapes:
+            feed(list(shape))
+            feed(lengths)
+        shapes.clear()
 
     data = corpus(n_texts)
     evaluation.train_model = traced
+    SequenceNet.forward = recorded
     try:
         for variant in variants:
             for feature_set in feature_sets:
@@ -144,12 +162,14 @@ def digest(variants=VARIANTS, feature_sets=FEATURE_SETS, alphas=ALPHAS, n_texts=
             feed(container.read_bytes())
             feed_traces()
             segmenter = model.load_model(container)
+        for text in data.texts:
+            labels, fused = segmenter.predict_probs(text)
+            feed(labels)
+            feed(fused)
+        feed_traces()
     finally:
         evaluation.train_model = train_model
-    for text in data.texts:
-        labels, fused = segmenter.predict_probs(text)
-        feed(labels)
-        feed(fused)
+        SequenceNet.forward = forward
     return sha.hexdigest()
 
 

@@ -22,6 +22,7 @@ trained on PoS tags, since every token gets the unknown-tag row.
 without an embeddings part, and do not read the file. They also warn
 when --alpha is given to a feature set with one family, and name the
 alpha used instead (1 for lexical features alone, 0 for prosody alone).
+`eval` warns that a train/test run does not use --folds.
 """
 
 import argparse
@@ -155,7 +156,7 @@ def build_parser():
     p_eval.add_argument("--train-corpus", default=None)
     p_eval.add_argument("--test-corpus", default=None)
     p_eval.add_argument("--embeddings", default=None)
-    p_eval.add_argument("--folds", type=int, default=5)
+    p_eval.add_argument("--folds", type=int, default=None, help="folds of a --corpus run (5)")
     p_eval.add_argument("--report", default=None,
                         help="basename for .txt and .tsv report files")
     _add_model_knobs(p_eval)
@@ -193,7 +194,7 @@ def _hyperparams(args):
     return Hyperparams.lexical(**shared), Hyperparams.prosodic(**shared)
 
 
-def _eval_config(args, feature_set, folds=5):
+def _eval_config(args, feature_set, folds=EvalConfig.folds):
     lex_hp, pros_hp = _hyperparams(args)
     word_table = None
     if args.embeddings and not feature_set.words:
@@ -317,11 +318,14 @@ def cmd_eval(args):
     feature_set = parse_feature_set(args.features or "embeddings+pos")
     if args.corpus:
         corpus = read_corpus(args.corpus)
-        config = _eval_config(args, feature_set, folds=args.folds)
+        folds = EvalConfig.folds if args.folds is None else args.folds
+        config = _eval_config(args, feature_set, folds=folds)
         report = cross_validated_eval(corpus, args.variant, feature_set, config)
     else:
         if not (args.train_corpus and args.test_corpus):
             raise _UsageError("--train-corpus and --test-corpus go together")
+        if args.folds is not None:
+            log.warning("a train/test run has no folds: --folds %d is not used", args.folds)
         train_c = read_corpus(args.train_corpus)
         test_c = read_corpus(args.test_corpus)
         config = _eval_config(args, feature_set)

@@ -3,10 +3,12 @@
 The lexical model consumes word and tag embedding rows concatenated per
 token (word first, tag second), whose ids LexicalEncoder looks up in
 token lists; the prosodic model consumes 13-dim vectors that
-ProsodicEncoder z-scores. The encoders build inputs only: the training
-loss is the one reader of gold labels, so train_model encodes them
-(encode_labels). Scaling statistics and vocabularies are always
-fit on training data only and applied unchanged at test time.
+ProsodicEncoder z-scores. An encoder turns a text into a NetBatch of
+that one text, (m, 1) ids or (m, 1, 13) vectors, and builds inputs
+only: the training loss is the one reader of gold labels, so
+train_model encodes them (encode_labels). Scaling statistics and
+vocabularies are always fit on training data only and applied
+unchanged at test time.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ import numpy as np
 
 from .corpus import LABEL_B, PROSODY_DIM, text_lines
 from .errors import ContractError, ParseError
-from .numerics import NetInput, glorot_init
+from .numerics import NetBatch, glorot_init
 
 # Seed of the shared out-of-vocabulary vector drawn when a pretrained
 # table is loaded; fixed so the row is identical across process runs.
@@ -143,18 +145,18 @@ def fit_prosody_stats(training_texts):
 
 
 def _row_ids(rows, tokens):
-    """Each token's row in rows (token -> row), or the OOV row len(rows)
-    for a token outside it; None without rows."""
+    """The (m, 1) column of each token's row in rows (token -> row), or of
+    the OOV row len(rows) for a token outside it; None without rows."""
     if rows is None:
         return None
     ids = map(rows.get, tokens, repeat(len(rows)))
-    return np.fromiter(ids, dtype=np.intp, count=len(tokens))
+    return np.fromiter(ids, dtype=np.intp, count=len(tokens))[:, None]
 
 
 class LexicalEncoder:
-    """Turns texts into embedding-id network inputs for the lexical model:
-    a token's id is its row in its vocabulary, a token list in row order,
-    or else the OOV row after them (the token -> row dicts are built once)."""
+    """Turns texts into one-text blocks of embedding ids for the lexical
+    model: a token's id is its row in its vocabulary, a token list in row
+    order, or else the OOV row after them (token -> row dicts built once)."""
 
     def __init__(self, word_tokens=None, tag_tokens=None):
         if word_tokens is None and tag_tokens is None:
@@ -165,15 +167,16 @@ class LexicalEncoder:
         )
 
     def encode(self, text):
-        return NetInput(
+        return NetBatch(
+            np.array([len(text)], dtype=np.intp),
             word_ids=_row_ids(self.word_rows, text.tokens),
             tag_ids=_row_ids(self.tag_rows, text.pos_tags),
         )
 
 
 class ProsodicEncoder:
-    """Turns texts into z-scored dense inputs for the prosodic model; a text
-    without prosody is refused."""
+    """Turns texts into one-text blocks of z-scored dense inputs for the
+    prosodic model; a text without prosody is refused."""
 
     def __init__(self, stats):
         self.stats = stats
@@ -183,4 +186,5 @@ class ProsodicEncoder:
             raise ContractError(
                 f"text {text.id!r} has no prosody; use the lexical-only mode (alpha=1)"
             )
-        return NetInput(dense=(text.prosody - self.stats.mean) / self.stats.std)
+        z = (text.prosody - self.stats.mean) / self.stats.std
+        return NetBatch(np.array([len(text)], dtype=np.intp), dense=z[:, None])

@@ -137,30 +137,31 @@ def predict_texts(bundles, texts, batch_size=1, passes=None):
     list per bundle, in order.
 
     passes, lockstep_groups(bundles) when not given, says which nets run
-    together and holds their prepared weights. The texts go through
-    the network batch_size at a time like a training batch, so that a
-    block's transient arrays (the conv window stack above all) grow no
-    larger than in training; each batch goes as time-major blocks of at
-    most BLOCK_ROWS padded rows, one SequenceNet.forward per pass and
-    block, and each row's live prefix is cut out of its block's probs.
+    together and holds their prepared weights. The texts, each encoded
+    as a one-text NetBatch, go through the network batch_size at a time
+    like a training batch, so that a block's transient arrays (the conv
+    window stack above all) grow no larger than in training; each batch
+    is stacked into blocks of at most BLOCK_ROWS padded rows (blocks of
+    its texts' lengths), one SequenceNet.forward per pass and block, and
+    each text's live prefix is cut out of its block's probs.
     """
     if passes is None:
         passes = lockstep_groups(bundles)
     encoded = [[bundle.encoder.encode(text) for text in texts] for bundle in bundles]
-    items = list(enumerate(map(len, encoded[0])))
+    lengths = [len(block) for block in encoded[0]]
     out = [[] for _ in bundles]
     for indices, prepared in passes:
         first, *rest = (bundles[k] for k in indices)
-        for start in range(0, len(items), batch_size):
-            for block in row_blocks(items[start : start + batch_size]):
-                rows, lengths = zip(*block)
-                batches = [NetBatch.stack([encoded[k][r] for r in rows], lengths)
+        for lo in range(0, len(lengths), batch_size):
+            batch = lengths[lo : lo + batch_size]
+            for start, stop in row_blocks(batch):
+                stacked = [NetBatch.stack(encoded[k][lo + start : lo + stop])
                            for k in indices]
-                partners = [(b.net, b.params, batch) for b, batch in zip(rest, batches[1:])]
-                probs, _ = first.net.forward(first.params, batches[0], prepared=prepared,
+                partners = [(b.net, b.params, block) for b, block in zip(rest, stacked[1:])]
+                probs, _ = first.net.forward(first.params, stacked[0], prepared=prepared,
                                              partners=partners)
                 for k, p in zip(indices, probs if partners else [probs]):
-                    out[k].extend(p[:m, b].copy() for b, m in enumerate(lengths))
+                    out[k].extend(p[:m, b].copy() for b, m in enumerate(batch[start:stop]))
     return out
 
 

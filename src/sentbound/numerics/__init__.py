@@ -12,7 +12,7 @@ suite.
 from .kernels import softmax, maxpool1d_same, dropout_apply, glorot_init
 from .loss import weighted_cross_entropy
 from .optim import RmsPropState, rmsprop_step
-from .network import Hyperparams, NetBatch, NetInput, SequenceNet
+from .network import Hyperparams, NetBatch, SequenceNet
 
 __all__ = [
     "softmax",
@@ -24,6 +24,5 @@ __all__ = [
     "rmsprop_step",
     "Hyperparams",
     "NetBatch",
-    "NetInput",
     "SequenceNet",
 ]

@@ -35,10 +35,10 @@ a lone sequence gets), max-pool sees padded conv rows as -inf and emits
 zero there, the backward LSTM direction reads each row's live prefix
 reversed, dropout draws one mask for the block's live rows only,
 sequence by sequence (live_dropout), and padded rows carry no loss
-gradient. A block of one text views that text's encoded arrays, which
-no pass writes to. The reversal is a reversed slice, a view, for a block
-with no padding, as every one-text request is, and an index gather
-otherwise; both are involutions, so the same reversal puts the
+gradient. An encoded text is a block of one text, which a pass runs on
+as it is and never writes to. The reversal is a reversed slice, a view,
+for a block with no padding, as every one-text request is, and an index
+gather otherwise; both are involutions, so the same reversal puts the
 direction's outputs and input gradients back in order. Both LSTM
 directions run in one lockstep call, lstm_ops.direction_forward, on the
 block and its reversed copy; its cache carries the direction weights, so
@@ -152,42 +152,13 @@ class Hyperparams:
 
 
 @dataclass
-class NetInput:
-    """Per-sequence network input: embedding ids and/or a dense matrix."""
-
-    word_ids: np.ndarray | None = None
-    tag_ids: np.ndarray | None = None
-    dense: np.ndarray | None = None
-    label01: np.ndarray | None = field(default=None, repr=False)
-
-    def __len__(self):
-        for part in (self.word_ids, self.tag_ids, self.dense):
-            if part is not None:
-                return len(part)
-        raise ContractError("empty network input")
-
-
-def time_major(rows, lengths):
-    """Zero-padded (T, B, ...) block holding rows[b][:lengths[b]] at [:, b];
-    None when the rows are None. A block of one row is a view of it."""
-    if rows[0] is None:
-        return None
-    first = np.asarray(rows[0])
-    if len(rows) == 1:
-        return first[: lengths[0], None]
-    block = np.zeros((max(lengths), len(rows)) + first.shape[1:], dtype=first.dtype)
-    for b, (row, length) in enumerate(zip(rows, lengths)):
-        block[:length, b] = row[:length]
-    return block
-
-
-@dataclass
 class NetBatch:
-    """Time-major block of sequences padded at the end to a common length.
+    """Time-major block of texts padded at the end to a common length.
 
-    word_ids, tag_ids and label01 are (T, B) and dense is (T, B, d); row b
-    is live for its first lengths[b] steps. Values on padded steps reach
-    no live output and no gradient.
+    word_ids, tag_ids and label01 are (T, B) and dense is (T, B, d); column
+    b is live for its first lengths[b] steps. Values on padded steps reach
+    no live output and no gradient. An encoded text is a block of one text
+    (B = 1, T its length), as the encoders make it.
     """
 
     lengths: np.ndarray
@@ -196,28 +167,46 @@ class NetBatch:
     dense: np.ndarray | None = None
     label01: np.ndarray | None = field(default=None, repr=False)
 
+    def __len__(self):
+        """The block's step count T, a one-text block's text length."""
+        for part in (self.word_ids, self.tag_ids, self.dense):
+            if part is not None:
+                return len(part)
+        raise ContractError("empty network input")
+
     @classmethod
-    def stack(cls, inputs, lengths):
-        """Block of the first lengths[b] rows of each NetInput."""
-        parts = (
-            time_major([getattr(inp, name) for inp in inputs], lengths)
-            for name in ("word_ids", "tag_ids", "dense", "label01")
-        )
-        return cls(np.asarray(lengths, dtype=np.intp), *parts)
+    def stack(cls, blocks):
+        """One block of one-text blocks (lengths [T]), in order, each
+        zero-padded to the longest; a lone block is returned as it is."""
+        if any(block.lengths.tolist() != [len(block)] for block in blocks):
+            raise ContractError("only one-text blocks stack")
+        if len(blocks) == 1:
+            return blocks[0]
+        lengths = [len(block) for block in blocks]
+        parts = []
+        for name in ("word_ids", "tag_ids", "dense", "label01"):
+            first = getattr(blocks[0], name)
+            if first is None:
+                parts.append(None)
+                continue
+            part = np.zeros((max(lengths), len(blocks)) + first.shape[2:], dtype=first.dtype)
+            for b, (block, length) in enumerate(zip(blocks, lengths)):
+                part[:length, b] = getattr(block, name)[:, 0]
+            parts.append(part)
+        return cls(np.array(lengths, dtype=np.intp), *parts)
 
 
-def blocks(items):
-    """Consecutive runs of items, each padded to its longest length in at
-    most BLOCK_ROWS rows; an item's last element is its length, and one
-    item always fits."""
-    block, steps = [], 0
-    for item in items:
-        steps = max(steps, item[-1])
-        if block and steps * (len(block) + 1) > BLOCK_ROWS:
-            yield block
-            block, steps = [], item[-1]
-        block.append(item)
-    yield block
+def blocks(lengths):
+    """The (start, stop) ranges of consecutive runs of texts of these
+    lengths, each padded to its longest in at most BLOCK_ROWS rows; one
+    text always fits."""
+    start, steps = 0, 0
+    for i, length in enumerate(lengths):
+        steps = max(steps, length)
+        if i > start and steps * (i - start + 1) > BLOCK_ROWS:
+            yield start, i
+            start, steps = i, length
+    yield start, len(lengths)
 
 
 def live_dropout(h, live, rate, rng):

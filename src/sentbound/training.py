@@ -1,15 +1,15 @@
 """Training orchestration: class weights, buckets, folds, and the epoch loop.
 
-Batches are drawn inside length buckets. A batch is a list of (input,
-length) items, and the update step stacks them into time-major blocks
-(NetBatch), the one place a batch is padded, and runs one forward and
-one backward pass per block; the network keeps padded steps out of every
-live result, so padding can never change one. Gradients are averaged
-over the live positions of the batch and applied with RMSProp. A batch
-has one gradient vector, laid out like the parameter vector: each
-block's backward pass adds its gradients into it (the first block's
-makes it), and it is dropped once the update has read it. The averaging
-and the update each run on the whole vector.
+Batches are drawn inside length buckets. A batch is a list of encoded
+texts, each a one-text NetBatch, and the update step stacks them into
+time-major blocks (NetBatch.stack), the one place a batch is padded, and
+runs one forward and one backward pass per block; the network keeps
+padded steps out of every live result, so padding can never change one.
+Gradients are averaged over the live positions of the batch and applied
+with RMSProp. A batch has one gradient vector, laid out like the
+parameter vector: each block's backward pass adds its gradients into it
+(the first block's makes it), and it is dropped once the update has read
+it. The averaging and the update each run on the whole vector.
 All shuffling, initialisation, and dropout randomness flows from one
 generator, so a fixed seed reproduces the loss trace and the final
 parameters bit for bit.
@@ -32,7 +32,7 @@ from .model import (
     prf_from_counts,
 )
 from .numerics import NetBatch, RmsPropState, SequenceNet, rmsprop_step
-from .numerics.network import BLOCK_ROWS, blocks, flat_vector
+from .numerics.network import blocks, flat_vector
 
 RMSPROP_EPSILON = 1e-8
 ALPHA_GRID = tuple(round(i / 10, 1) for i in range(11))
@@ -125,29 +125,28 @@ class TrainConfig:
 
 
 def pad_item(inp, target_len):
-    """The batch item of a network input in a batch of target_len steps:
-    (inp, len(inp)), with inp itself. NetBatch.stack pads each block, so
-    nothing is copied here; the call marks the batch's length."""
+    """The batch item of an encoded text in a batch of target_len steps:
+    the text itself. NetBatch.stack pads each block, so nothing is copied
+    here; the call marks the batch's length."""
     if target_len < len(inp):
         raise ContractError("cannot pad to a shorter length")
-    return inp, len(inp)
+    return inp
 
 
 def batch_loss_and_grads(net, params, items, class_weights, rng=None):
-    """Summed training loss and gradients over a batch of (input, length)
-    items, with dropout drawn from rng.
+    """Summed training loss and gradients over a batch of encoded texts,
+    one-text NetBatch items with their labels, with dropout drawn from rng.
 
-    The items enter blocks in order, each with its first length steps.
-    Every block adds into the batch's one gradient vector, which is
+    The items enter blocks in order (blocks of their lengths), and
+    every block adds into the batch's one gradient vector, which is
     returned with the loss and the live-position count.
     """
     if not items:
         raise ContractError("batch has no items")
     total_loss, total_active, grad = 0.0, 0, None
-    for block in blocks(items):
-        inputs, lengths = zip(*block)
+    for start, stop in blocks([len(item) for item in items]):
         loss, grad, n_active = net.loss_and_grads(
-            params, NetBatch.stack(inputs, lengths), class_weights,
+            params, NetBatch.stack(items[start:stop]), class_weights,
             mode="train", rng=rng, into=grad,
         )
         total_loss += loss
@@ -204,7 +203,7 @@ def train_model(bundle, train_texts, config, rng, log=None):
     class_weights = compute_class_weights(
         [lab for t in texts for lab in t.labels]
     )
-    encoded = {t.id: replace(bundle.encoder.encode(t), label01=encode_labels(t.labels))
+    encoded = {t.id: replace(bundle.encoder.encode(t), label01=encode_labels(t.labels)[:, None])
                for t in texts}
     buckets = make_buckets(texts, config.bucket_width)
     theta = flat_vector(bundle.params)

@@ -10,9 +10,14 @@ The rest are the library's earlier ways of doing what it now does in
 fewer numpy calls, kept as oracles that the new code must match bit for
 bit: the weighted cross-entropy over one-hot target rows, the
 scatter-adds by np.add.at, dropout drawn one sequence at a time, alpha tuning that fuses and counts
-every text at every grid alpha, and an inference pass that reverses the
+every text at every grid alpha, an inference pass that reverses the
 second LSTM direction's input by an index gather and runs each net's
-output layer alone.
+output layer alone, and the stacking of texts into a block from per-text
+arrays cut to lengths passed beside them, with the blocking of a batch's
+(input, length) items.
+
+one_text_block builds a test's per-text arrays into the one-text block
+an encoder makes of a text.
 """
 
 import numpy as np
@@ -30,7 +35,7 @@ from sentbound.numerics.kernels import (
 )
 from sentbound.numerics.loss import LOG_CLAMP
 from sentbound.numerics.lstm import direction_forward, prepare_weights
-from sentbound.numerics.network import flat_vector
+from sentbound.numerics.network import BLOCK_ROWS, NetBatch, flat_vector
 from sentbound.training import ALPHA_GRID
 
 ACTIVATIONS = {
@@ -186,3 +191,49 @@ def gather_reversal_probs(net, params, block):
         (y_f, y_b), _ = direction_forward(h, h[rev], prepared=prepared)
         h = y_f + y_b[rev]
     return softmax(row_matmul(h, params["out_w"]) + params["out_b"])
+
+
+def one_text_block(**parts):
+    """The one-text NetBatch of per-text arrays, (m,) ids and labels or an
+    (m, d) dense block, as (m, 1) and (m, 1, d) views of them."""
+    m = len(next(part for part in parts.values() if part is not None))
+    views = {name: None if part is None else part[:, None] for name, part in parts.items()}
+    return NetBatch(np.array([m], dtype=np.intp), **views)
+
+
+def time_major_reference(rows, lengths):
+    """Zero-padded (T, B, ...) block holding rows[b][:lengths[b]] at [:, b];
+    None when the rows are None. A block of one row is a view of it."""
+    if rows[0] is None:
+        return None
+    first = np.asarray(rows[0])
+    if len(rows) == 1:
+        return first[: lengths[0], None]
+    block = np.zeros((max(lengths), len(rows)) + first.shape[1:], dtype=first.dtype)
+    for b, (row, length) in enumerate(zip(rows, lengths)):
+        block[:length, b] = row[:length]
+    return block
+
+
+def stack_reference(inputs, lengths):
+    """Block of the first lengths[b] rows of each per-text input, an object
+    with (m,) word_ids, tag_ids and label01 and (m, d) dense, any None."""
+    parts = (
+        time_major_reference([getattr(inp, name) for inp in inputs], lengths)
+        for name in ("word_ids", "tag_ids", "dense", "label01")
+    )
+    return NetBatch(np.asarray(lengths, dtype=np.intp), *parts)
+
+
+def blocks_reference(items):
+    """Consecutive runs of items, each padded to its longest length in at
+    most BLOCK_ROWS rows; an item's last element is its length, and one
+    item always fits."""
+    block, steps = [], 0
+    for item in items:
+        steps = max(steps, item[-1])
+        if block and steps * (len(block) + 1) > BLOCK_ROWS:
+            yield block
+            block, steps = [], item[-1]
+        block.append(item)
+    yield block

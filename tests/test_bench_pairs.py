@@ -198,3 +198,22 @@ def test_the_fingerprint_sees_a_loss_that_changes_no_prediction(monkeypatch):
     monkeypatch.setattr(network, "weighted_cross_entropy", perturbed)
     assert fingerprint.digest(**tiny) != first
     assert evaluation.train_model is train_model
+
+
+def test_the_fingerprint_sees_blocks_that_change_no_result(monkeypatch):
+    """Predicting every test text twice, the second result thrown away,
+    changes no count, loss or probability; only the record of the blocks
+    that SequenceNet.forward received sees it. The digest leaves
+    SequenceNet.forward as it found it."""
+    tiny = dict(variants=("cnn",), feature_sets=("all",), alphas=(None,), n_texts=8)
+    first = fingerprint.digest(**tiny)
+    forward = network.SequenceNet.forward
+    predict_texts = evaluation.predict_texts
+
+    def twice(*args, **kwargs):
+        predict_texts(*args, **kwargs)
+        return predict_texts(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "predict_texts", twice)
+    assert fingerprint.digest(**tiny) != first
+    assert network.SequenceNet.forward is forward

@@ -175,6 +175,29 @@ def test_cross_corpus_eval_writes_its_report(workdir, tmp_path, capsys):
     assert (tmp_path / "r.tsv").read_text(encoding="utf-8") == line + "\n"
 
 
+@pytest.mark.parametrize("folds", [["--folds", "1"], []])
+def test_folds_unused_by_a_train_test_run_warn(workdir, tmp_path, caplog, capsys, folds):
+    """A train/test run has no folds: --folds warns that it is not used,
+    and the run goes on; without the flag nothing warns."""
+    other = tmp_path / "other"
+    assert cli.main(["synth", "--texts", "3", "--sentences-per-text", "2", "--seed", "1",
+                     "--out", str(other)]) == 0
+    assert cli.main(["eval", "--train-corpus", str(workdir / "corpus"),
+                     "--test-corpus", str(other), *folds, *SMALL_MODEL]) == 0
+    warned = "a train/test run has no folds: --folds 1 is not used" in caplog.text
+    assert warned == bool(folds)
+    assert "folds" not in capsys.readouterr().out
+
+
+def test_a_k_fold_eval_without_folds_has_five(workdir, caplog, capsys):
+    assert cli.main(["eval", "--corpus", str(workdir / "corpus"), *SMALL_MODEL]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert "folds=5" in table[0].split()
+    assert [line.split()[:2] for line in table if line.startswith("fold ")] == [
+        ["fold", str(k)] for k in range(5)]
+    assert "folds" not in caplog.text
+
+
 def test_eval_on_an_empty_test_corpus_is_a_data_error(workdir, tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

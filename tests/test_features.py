@@ -18,7 +18,7 @@ from sentbound.features import (
     fit_prosody_stats,
     load_embeddings,
 )
-from sentbound.numerics import Hyperparams, NetBatch
+from sentbound.numerics import Hyperparams
 from sentbound.training import make_lexical_bundle
 
 
@@ -117,10 +117,18 @@ class TestEmbeddingTable:
 
 
 def word_ids(vocabulary, tokens):
-    """LexicalEncoder's word ids of tokens under one word vocabulary; the
-    encoder reads only a text's tokens, tags and labels."""
-    text = SimpleNamespace(tokens=tokens, pos_tags=tokens, labels=["NB"] * len(tokens))
-    return LexicalEncoder(vocabulary).encode(text).word_ids
+    """LexicalEncoder's word ids of tokens under one word vocabulary, the
+    column of its one-text block; the encoder reads only a text's length,
+    tokens and tags."""
+    text = TokenText(tokens=tokens, pos_tags=tokens)
+    return LexicalEncoder(vocabulary).encode(text).word_ids[:, 0]
+
+
+class TokenText(SimpleNamespace):
+    """A text of tokens and tags alone, of any length, 0 included."""
+
+    def __len__(self):
+        return len(self.tokens)
 
 
 def demo_text(m=3, with_prosody=False):
@@ -140,8 +148,7 @@ def lexical_rows(text, words=None, tags=None):
     word and tag tables."""
     bundle = make_lexical_bundle("rcnn", Hyperparams(tag_dim=tags.dim if tags else 1),
                                  words, tags, np.random.default_rng(0))
-    block = NetBatch.stack([bundle.encoder.encode(text)], [len(text)])
-    return bundle.net._assemble_input(bundle.params, block)[:, 0]
+    return bundle.net._assemble_input(bundle.params, bundle.encoder.encode(text))[:, 0]
 
 
 class TestBuildLexicalInput:
@@ -185,18 +192,18 @@ class TestProsody:
     def test_identity_stats(self):
         stats = ProsodyStats(np.zeros(13), np.ones(13))
         text = demo_text(3, with_prosody=True)
-        npt.assert_array_equal(ProsodicEncoder(stats).encode(text).dense, text.prosody)
+        npt.assert_array_equal(ProsodicEncoder(stats).encode(text).dense[:, 0], text.prosody)
 
     def test_output_dimension_is_thirteen(self):
         stats = ProsodyStats(np.zeros(13), np.ones(13))
-        assert ProsodicEncoder(stats).encode(demo_text(2, True)).dense.shape == (2, 13)
+        assert ProsodicEncoder(stats).encode(demo_text(2, True)).dense.shape == (2, 1, 13)
 
     def test_constant_feature_scales_to_zero(self):
         rows = np.tile(np.arange(13.0), (4, 1))
         text = LabeledText("t", ["a"] * 4, ["t00"] * 4, ["NB"] * 4, prosody=rows)
         stats = fit_prosody_stats([text])
         out = ProsodicEncoder(stats).encode(text).dense
-        npt.assert_array_equal(out, np.zeros((4, 13)))
+        npt.assert_array_equal(out, np.zeros((4, 1, 13)))
         npt.assert_array_equal(stats.std, np.ones(13))
 
     def test_two_point_stats(self):
@@ -231,13 +238,26 @@ class TestEncoders:
         words = EmbeddingTable.from_tokens(["w0", "w1"], 4, rng)
         tags = EmbeddingTable.from_tokens(["t00", "t01"], 2, rng)
         enc = LexicalEncoder(words.tokens, tags.tokens)
-        item = enc.encode(demo_text(3))
-        assert item.word_ids.tolist() == [0, 1, 0]
-        assert item.tag_ids.tolist() == [0, 1, 0]
-        assert item.label01 is None  # only training encodes gold labels
+        block = enc.encode(demo_text(3))
+        assert block.word_ids.tolist() == [[0], [1], [0]]
+        assert block.tag_ids.tolist() == [[0], [1], [0]]
+        assert block.lengths.tolist() == [3]
+        assert block.label01 is None  # only training encodes gold labels
 
     def test_prosodic_encoder(self):
         stats = ProsodyStats(np.zeros(13), np.ones(13))
-        item = ProsodicEncoder(stats).encode(demo_text(2, True))
-        assert item.dense.shape == (2, 13)
-        assert item.word_ids is None
+        block = ProsodicEncoder(stats).encode(demo_text(2, True))
+        assert block.dense.shape == (2, 1, 13)
+        assert block.lengths.tolist() == [2]
+        assert block.word_ids is None
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 300])
+    def test_an_encoded_text_is_as_long_as_the_text(self, rng, m):
+        """Both encoders give a one-text block whose step count is the
+        text's length, the length a batch is blocked and padded by."""
+        text = demo_text(m, with_prosody=True)
+        words = EmbeddingTable.from_tokens(["w0", "w1"], 4, rng)
+        stats = ProsodyStats(np.zeros(13), np.ones(13))
+        for encoder in (LexicalEncoder(words.tokens), LexicalEncoder(None, ["t00"]),
+                        ProsodicEncoder(stats)):
+            assert len(encoder.encode(text)) == len(text) == m

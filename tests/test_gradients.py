@@ -8,11 +8,11 @@ import pytest
 
 from sentbound import training
 from sentbound.errors import ContractError
-from sentbound.numerics import Hyperparams, NetBatch, NetInput, SequenceNet, kernels, network
+from sentbound.numerics import Hyperparams, NetBatch, SequenceNet, kernels, network
 from sentbound.numerics import lstm as lstm_ops
 from sentbound.numerics.loss import weighted_cross_entropy
 
-from kernel_reference import gather_reversal_probs, scatter_input_grads_reference
+from kernel_reference import gather_reversal_probs, one_text_block, scatter_input_grads_reference
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -31,16 +31,16 @@ def tiny_problem(variant, seed=7, m=9, dropout=0.0):
     rng = np.random.default_rng(seed)
     net = tiny_net(variant, dropout)
     params = net.init_params(rng)
-    inp = NetInput(
+    block = one_text_block(
         word_ids=rng.integers(0, 7, size=m),
         tag_ids=rng.integers(0, 3, size=m),
         label01=rng.integers(0, 2, size=m),
     )
-    inp.label01[0] = 1
-    inp.label01[1] = 0
+    block.label01[0] = 1
+    block.label01[1] = 0
     mask = np.ones((m, 1), dtype=bool)
     mask[m // 2] = False
-    return net, params, NetBatch.stack([inp], [m]), mask
+    return net, params, block, mask
 
 
 def masked_loss(probs, block, mask):
@@ -100,10 +100,10 @@ def test_dense_input_path_matches_finite_differences():
     net = dense_net()
     params = net.init_params(rng)
     m = 8
-    inp = NetInput(dense=rng.standard_normal((m, 13)), label01=rng.integers(0, 2, size=m))
-    inp.label01[0] = 1
-    inp.label01[1] = 0
-    block = NetBatch.stack([inp], [m])
+    block = one_text_block(dense=rng.standard_normal((m, 13)),
+                           label01=rng.integers(0, 2, size=m))
+    block.label01[0] = 1
+    block.label01[1] = 0
     _, grads, n_active = net.loss_and_grads(params, block, CLASS_WEIGHTS, mode="inference")
     assert n_active == m
     worst = max_relative_error(net, params, block, np.ones(m), grads)
@@ -173,27 +173,26 @@ def dense_net(dropout=0.0):
 
 
 def ragged_items(net, lengths, seed=5):
-    """One (NetInput, length) pair per length, as the net's inputs."""
+    """One one-text block with labels per length, as the net's inputs."""
     rng = np.random.default_rng(seed)
     items = []
     for m in lengths:
         if net.dense_dim:
-            inp = NetInput(dense=rng.standard_normal((m, net.dense_dim)))
+            parts = dict(dense=rng.standard_normal((m, net.dense_dim)))
         else:
-            inp = NetInput(word_ids=rng.integers(0, net.word_vocab, size=m),
-                           tag_ids=rng.integers(0, net.tag_vocab, size=m))
-        inp.label01 = rng.integers(0, 2, size=m)
-        inp.label01[0] = 1
-        items.append((inp, m))
+            parts = dict(word_ids=rng.integers(0, net.word_vocab, size=m),
+                         tag_ids=rng.integers(0, net.tag_vocab, size=m))
+        label01 = rng.integers(0, 2, size=m)
+        label01[0] = 1
+        items.append(one_text_block(**parts, label01=label01))
     return items
 
 
 def stacked(items):
     """NetBatch of the items with random values on every padded step, and
     its (T, B) live rows."""
-    inputs, lengths = zip(*items)
-    batch = NetBatch.stack(inputs, lengths)
-    pad = np.arange(max(lengths))[:, None] >= np.array(lengths)
+    batch = NetBatch.stack(items)
+    pad = np.arange(len(batch))[:, None] >= batch.lengths
     rng = np.random.default_rng(11)
     for name in ("word_ids", "tag_ids"):
         ids = getattr(batch, name)
@@ -346,9 +345,9 @@ def test_batch_equals_sum_of_batches_of_one(variant, dropout):
     items = ragged_items(net, RAGGED)
     rng = np.random.default_rng(8)
     want_loss, want, want_active = 0.0, None, 0
-    for inp, _ in items:
+    for item in items:
         loss, grads, n_active = net.loss_and_grads(
-            params, NetBatch.stack([inp], [len(inp)]), CLASS_WEIGHTS, mode="train", rng=rng
+            params, item, CLASS_WEIGHTS, mode="train", rng=rng
         )
         want_loss += loss
         want_active += n_active
@@ -364,32 +363,36 @@ def test_batch_equals_sum_of_batches_of_one(variant, dropout):
 
 
 @pytest.mark.parametrize("variant", ["rcnn", "rnn", "dense"])
-def test_padded_steps_are_inert(variant):
-    """Ids or dense values on padded steps change nothing, bit for bit,
-    in the network and in the training update."""
+def test_padded_steps_are_inert(variant, monkeypatch):
+    """Ids, dense values or labels on padded steps change nothing, bit for
+    bit, in the network and in the training update, whose blocks are
+    filled with 0 and then with 1 on every padded step."""
     net, params = batch_net(variant)
     items = ragged_items(net, RAGGED)
     batch, _ = stacked(items)
     loss, grads, _ = net.loss_and_grads(params, batch, CLASS_WEIGHTS, mode="inference")
-    zeroed = NetBatch.stack([inp for inp, _ in items], RAGGED)
+    zeroed = NetBatch.stack(items)
     loss_0, grads_0, _ = net.loss_and_grads(params, zeroed, CLASS_WEIGHTS, mode="inference")
     assert loss == loss_0
     grads, grads_0 = net.views(grads), net.views(grads_0)
     for name in grads:
         npt.assert_array_equal(grads[name], grads_0[name], err_msg=name)
 
+    stack = NetBatch.stack
     results = []
     for fill in (0, 1):
-        longer = []
-        for inp, m in items:
-            parts = {name: getattr(inp, name) for name in ("word_ids", "tag_ids", "dense")}
-            for name, part in parts.items():
+        def filled(cls, blocks, fill=fill):
+            block = stack(blocks)
+            pad = np.arange(len(block))[:, None] >= block.lengths
+            assert pad.any()
+            for name in ("word_ids", "tag_ids", "dense", "label01"):
+                part = getattr(block, name)
                 if part is not None:
-                    tail = np.full((3,) + part.shape[1:], fill, dtype=part.dtype)
-                    parts[name] = np.concatenate([part, tail])
-            label01 = np.concatenate([inp.label01, np.full(3, fill)])
-            longer.append((NetInput(**parts, label01=label01), m))
-        results.append(training.batch_loss_and_grads(net, params, longer, CLASS_WEIGHTS))
+                    part[pad] = fill
+            return block
+
+        monkeypatch.setattr(NetBatch, "stack", classmethod(filled))
+        results.append(training.batch_loss_and_grads(net, params, items, CLASS_WEIGHTS))
     (loss_a, grads_a, active_a), (loss_b, grads_b, active_b) = results
     assert (loss_a, active_a) == (loss_b, active_b) == (loss, sum(RAGGED))
     grads_a, grads_b = net.views(grads_a), net.views(grads_b)
@@ -400,7 +403,7 @@ def test_padded_steps_are_inert(variant):
 def test_batch_over_the_row_cap_is_split_into_blocks(monkeypatch):
     net, params = batch_net("rcnn", dropout=0.4)
     lengths = (100, 90, 80)  # 2 x 100 rows fit under the cap, 3 x 100 do not
-    assert 2 * lengths[0] <= training.BLOCK_ROWS < 3 * lengths[0]
+    assert 2 * lengths[0] <= network.BLOCK_ROWS < 3 * lengths[0]
     items = ragged_items(net, lengths)
     rng = np.random.default_rng(4)
     want = training.batch_loss_and_grads(net, params, items[:2], CLASS_WEIGHTS, rng=rng)
@@ -445,8 +448,7 @@ def test_blocks_add_into_one_gradient_vector_bit_for_bit(monkeypatch):
     net, params = batch_net("rcnn", dropout=0.4)
     lengths = (100, 100, 90, 80, 60)  # blocks of (100, 100), (90, 80), (60,)
     items = ragged_items(net, lengths)
-    raw = [inp for inp, _ in items]
-    ids = [set(np.concatenate([inp.word_ids for inp in raw[i:j]]).tolist())
+    ids = [set(np.concatenate([item.word_ids for item in items[i:j]]).ravel().tolist())
            for i, j in ((0, 2), (2, 4), (4, 5))]
     assert ids[0] & ids[1] & ids[2]
     want_loss, want, want_active = block_order_sum(
@@ -468,7 +470,7 @@ def test_blocks_add_into_one_gradient_vector_bit_for_bit(monkeypatch):
     assert (loss, n_active) == (want_loss, want_active)
     npt.assert_array_equal(grads, want)
 
-    first, later = (NetBatch.stack(raw[i:j], lengths[i:j]) for i, j in ((0, 2), (2, 4)))
+    first, later = (NetBatch.stack(items[i:j]) for i, j in ((0, 2), (2, 4)))
     acc = net.loss_and_grads(params, first, CLASS_WEIGHTS, mode="inference")[1]
     block = net.loss_and_grads(params, later, CLASS_WEIGHTS, mode="inference")[1]
     want = acc + block
@@ -486,12 +488,9 @@ def test_later_blocks_scatter_only_their_embedding_rows():
     net = SequenceNet("rcnn", Hyperparams(word_dim=50, conv_filters=16, rec_units=16),
                       word_vocab=50_000)
     params = net.init_params(rng)
-    items = []
-    for _ in range(2):
-        inp = NetInput(word_ids=rng.integers(0, 50_000, size=180),
-                       label01=rng.integers(0, 2, size=180))
-        items.append((inp, 180))
-    assert 2 * 180 > training.BLOCK_ROWS
+    items = [one_text_block(word_ids=rng.integers(0, 50_000, size=180),
+                            label01=rng.integers(0, 2, size=180)) for _ in range(2)]
+    assert 2 * 180 > network.BLOCK_ROWS
     tracemalloc.start()
     try:
         training.batch_loss_and_grads(net, params, items, CLASS_WEIGHTS, rng=rng)

@@ -671,52 +671,39 @@ def test_a_request_holds_no_backward_state():
     assert peak <= 3e6
 
 
-def copied_block(rows, lengths):
-    """A zero-padded copy of the rows as a (T, B, ...) block, whatever B:
-    what network.time_major builds for B > 1."""
-    if rows[0] is None:
-        return None
-    first = np.asarray(rows[0])
-    block = np.zeros((max(lengths), len(rows)) + first.shape[1:], dtype=first.dtype)
-    for b, (row, length) in enumerate(zip(rows, lengths)):
-        block[:length, b] = row[:length]
-    return block
-
-
 def test_a_one_text_block_is_a_read_only_view(monkeypatch):
-    """A one-text block views its text's encoded arrays, and nothing
-    writes through it: with those arrays read-only, a lexical + prosodic
-    request and a B = 1 training pass give what they give on a copy."""
+    """An encoded text is the block its passes run on, as NetBatch.stack
+    returns a lone block as it is, and nothing writes through it: with
+    its arrays read-only, a lexical + prosodic request and a B = 1
+    training pass give what they give on a copied block."""
     segmenter = tiny_segmenter()
     text = sample_text(11)
     bundles = (segmenter.lexical, segmenter.prosodic)
-    inputs = [dataclasses.replace(bundle.encoder.encode(text),
-                                  label01=features.encode_labels(text.labels))
-              for bundle in bundles]
     parts = ("word_ids", "tag_ids", "dense", "label01")
-    for inp in inputs:
-        block = network.NetBatch.stack([inp], [len(inp)])
-        for name in parts:
-            if getattr(inp, name) is not None:
-                assert np.shares_memory(getattr(block, name), getattr(inp, name))
-                getattr(inp, name).flags.writeable = False
+    blocks, copies = [], []
+    for bundle in bundles:
+        block = dataclasses.replace(bundle.encoder.encode(text),
+                                    label01=features.encode_labels(text.labels)[:, None])
+        assert network.NetBatch.stack([block]) is block
+        arrays = {name: getattr(block, name) for name in parts
+                  if getattr(block, name) is not None}
+        copies.append(dataclasses.replace(
+            block, **{name: array.copy() for name, array in arrays.items()}))
+        for array in arrays.values():
+            array.flags.writeable = False
+        blocks.append(block)
 
-    def train_pass(bundle, inp):
-        block = network.NetBatch.stack([inp], [len(inp)])
+    def train_pass(bundle, block):
         loss, grad, _ = bundle.net.loss_and_grads(
             bundle.params, block, np.array([0.7, 5.0]), rng=np.random.default_rng(4))
         return loss, grad
 
-    def encoded(k):
-        return lambda text: inputs[k]
-
     runs = []
-    for time_major in (network.time_major, copied_block):
-        monkeypatch.setattr(network, "time_major", time_major)
-        for k, bundle in enumerate(bundles):
-            monkeypatch.setattr(bundle.encoder, "encode", encoded(k))
+    for encoded in (blocks, copies):
+        for bundle, block in zip(bundles, encoded):
+            monkeypatch.setattr(bundle.encoder, "encode", lambda text, block=block: block)
         runs.append((segmenter.predict_probs(text),
-                     [train_pass(bundle, inp) for bundle, inp in zip(bundles, inputs)]))
+                     [train_pass(bundle, block) for bundle, block in zip(bundles, encoded)]))
     ((labels, probs), passes), ((want_labels, want_probs), want_passes) = runs
     assert labels == want_labels
     np.testing.assert_array_equal(probs, want_probs)

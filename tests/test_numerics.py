@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -21,8 +22,8 @@ from sentbound.numerics import (
     weighted_cross_entropy,
 )
 from sentbound.numerics.kernels import conv1d_backward, conv_windows, maxpool1d_backward
-from sentbound.numerics import Hyperparams, NetBatch, NetInput, SequenceNet
-from sentbound.numerics.network import flat_vector, live_dropout
+from sentbound.numerics import Hyperparams, NetBatch, SequenceNet
+from sentbound.numerics.network import BLOCK_ROWS, blocks, flat_vector, live_dropout
 from sentbound.numerics.optim import STEP_CHUNK
 from sentbound.numerics import lstm as lstm_ops
 from sentbound.numerics.lstm import (
@@ -35,13 +36,16 @@ from sentbound.numerics.lstm import (
 )
 
 from kernel_reference import (
+    blocks_reference,
     conv1d_same_forward,
     dense_forward,
     maxpool1d_backward_reference,
     maxpool1d_same_reference,
     one_hot_cross_entropy_reference,
+    one_text_block,
     per_sequence_dropout_reference,
     rmsprop_reference_step,
+    stack_reference,
 )
 from lstm_reference import (
     bilstm_forward,
@@ -425,16 +429,17 @@ class TestBlockLstm:
                                              dropout_rate=0.5),
                           word_vocab=6, tag_vocab=4)
         params = net.init_params(rng)
-        inputs = [NetInput(word_ids=rng.integers(0, 6, size=m),
-                           tag_ids=rng.integers(0, 4, size=m)) for m in self.LENGTHS]
-        probs, _ = net.forward(params, NetBatch.stack(inputs, self.LENGTHS))
+        inputs = [one_text_block(word_ids=rng.integers(0, 6, size=m),
+                                 tag_ids=rng.integers(0, 4, size=m)) for m in self.LENGTHS]
+        probs, _ = net.forward(params, NetBatch.stack(inputs))
         weights = {
             d: {k[len(d) + 1 :]: v for k, v in params.items() if k.startswith(d + "_")}
             for d in ("fwd", "bwd")
         }
         for b, inp in enumerate(inputs):
             x = np.concatenate(
-                [params["emb_word"][inp.word_ids], params["emb_tag"][inp.tag_ids]], axis=1
+                [params["emb_word"][inp.word_ids[:, 0]], params["emb_tag"][inp.tag_ids[:, 0]]],
+                axis=1,
             )
             y = lockstep_bilstm(x, weights["fwd"], weights["bwd"])
             want = softmax(y @ params["out_w"] + params["out_b"])
@@ -680,10 +685,10 @@ class TestParamLayout:
         net = self.net()
         params = net.init_params(rng)
         assert list(params) == list(net.param_shapes())
-        inp = NetInput(word_ids=rng.integers(0, 6, size=5), tag_ids=rng.integers(0, 4, size=5),
-                       label01=rng.integers(0, 2, size=5))
-        _, grad, _ = net.loss_and_grads(params, NetBatch.stack([inp], [5]), np.ones(2),
-                                        rng=rng)
+        block = one_text_block(word_ids=rng.integers(0, 6, size=5),
+                               tag_ids=rng.integers(0, 4, size=5),
+                               label01=rng.integers(0, 2, size=5))
+        _, grad, _ = net.loss_and_grads(params, block, np.ones(2), rng=rng)
         grads = net.views(grad)
         assert list(grads) == list(params)
         theta = flat_vector(params)
@@ -722,8 +727,7 @@ class TestParamLayout:
         assert (net.input_dim, net.word_dim, net.tag_dim) == (13, 0, 0)
         params = net.init_params(rng)
         assert params["conv_w"].shape == (4, 7 * 13)
-        inp = NetInput(dense=rng.standard_normal((6, 13)))
-        probs, _ = net.forward(params, NetBatch.stack([inp], [6]))
+        probs, _ = net.forward(params, one_text_block(dense=rng.standard_normal((6, 13))))
         npt.assert_allclose(probs.sum(axis=-1), 1.0)
 
     def test_dense_features_cannot_be_mixed_with_embeddings(self):
@@ -834,6 +838,62 @@ class TestGlorotInit:
         with pytest.raises(ContractError):
             glorot_init(0, 3, np.random.default_rng(0))
 
+
+class TestStacking:
+    """NetBatch.stack of one-text blocks and blocks of lengths equal the
+    earlier stacking of per-text arrays cut to lengths passed beside them
+    (stack_reference) and blocking of (input, length) items
+    (blocks_reference), bit for bit."""
+
+    PARTS = ("word_ids", "tag_ids", "dense", "label01")
+
+    @staticmethod
+    def texts(rng, lengths, labels=True):
+        """Per-text arrays of every field, labels None unless asked for."""
+        return [SimpleNamespace(
+            word_ids=rng.integers(0, 50, size=m), tag_ids=rng.integers(0, 9, size=m),
+            dense=rng.standard_normal((m, 13)),
+            label01=rng.integers(0, 2, size=m) if labels else None) for m in lengths]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ragged_blocks_stack_as_the_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, 301, size=rng.integers(1, 7)).tolist()
+        texts = self.texts(rng, lengths, labels=seed % 3 != 0)
+        got = NetBatch.stack([one_text_block(**vars(t)) for t in texts])
+        want = stack_reference(texts, lengths)
+        assert got.lengths.dtype == want.lengths.dtype
+        npt.assert_array_equal(got.lengths, want.lengths)
+        for name in self.PARTS:
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g is None) == (w is None) == (name == "label01" and seed % 3 == 0)
+            if w is not None:
+                assert g.dtype == w.dtype and g.shape == w.shape, name
+                npt.assert_array_equal(g, w, err_msg=name)
+
+    def test_a_lone_block_comes_back_as_it_is(self, rng):
+        [text] = self.texts(rng, [7])
+        block = one_text_block(**vars(text))
+        assert NetBatch.stack([block]) is block
+
+    def test_only_one_text_blocks_stack(self, rng):
+        texts = self.texts(rng, [4, 2])
+        two = NetBatch.stack([one_text_block(**vars(t)) for t in texts])
+        one = one_text_block(**vars(texts[0]))
+        longer = NetBatch(np.array([3], dtype=np.intp), word_ids=one.word_ids)
+        for bad in ([two], [one, two], [one, longer], [longer]):
+            with pytest.raises(ContractError, match="one-text"):
+                NetBatch.stack(bad)
+
+    @pytest.mark.parametrize("lengths", [
+        [5], [256], [300], [300, 1], [1, 300, 2], [128, 128, 1], [50] * 6,
+        [60, 40, 300, 256, 3],
+        *(np.random.default_rng(seed).integers(1, 2 * BLOCK_ROWS, size=20).tolist()
+          for seed in range(8)),
+    ])
+    def test_blocks_partition_as_the_reference(self, lengths):
+        want = [[i for i, _ in block] for block in blocks_reference(list(enumerate(lengths)))]
+        assert [list(range(start, stop)) for start, stop in blocks(lengths)] == want
 
 @settings(deadline=None)
 @given(st.integers(0, 2**32 - 1))

@@ -44,7 +44,7 @@ def test_one_lstm_pass_per_training_block(monkeypatch):
 
     def counted_batch(net, params, items, *args, **kwargs):
         # every batch of this corpus fits in one block
-        assert max(len(inp) for inp, _ in items) * len(items) <= training.BLOCK_ROWS
+        assert max(len(item) for item in items) * len(items) <= network.BLOCK_ROWS
         calls["batches"] += 1
         return batch_loss_and_grads(net, params, items, *args, **kwargs)
 
@@ -59,7 +59,7 @@ def test_one_lstm_pass_per_training_block(monkeypatch):
         lengths = [len(by_id[tid]) for tid in sorted(plan.test_ids(fold))]
         batches = [lengths[i : i + size] for i in range(0, len(lengths), size)]
         # every batch of test texts fits in one block
-        assert all(max(b) * len(b) <= training.BLOCK_ROWS for b in batches)
+        assert all(max(b) * len(b) <= network.BLOCK_ROWS for b in batches)
         prediction_blocks += len(batches)  # lexical and prosodic model, in one loop
     assert prediction_blocks < len(corpus)
     assert calls["batches"] >= 2 * 2 * 2  # two models, two folds, two batches
@@ -136,10 +136,11 @@ def test_each_training_block_prepares_its_weights_once(monkeypatch, variant,
     assert calls == ["block", "prepare", *lstm_directions] * blocks
 
 
-def test_a_batch_item_is_its_input_and_length(monkeypatch):
-    """pad_item copies nothing: it hands train_model each input itself with
-    its length, called with the batch's longest length, and refuses a
-    shorter one; a batch of no items is refused too."""
+def test_a_batch_item_is_its_input(monkeypatch):
+    """pad_item copies nothing: it hands train_model each encoded text
+    itself, a one-text block with its (m, 1) labels, called with the
+    batch's longest length, and refuses a shorter one; a batch of no
+    items is refused too."""
     texts = synth_generate(SynthSpec(n_texts=6, mean_sentences_per_text=2, seed=2)).texts
     rng = np.random.default_rng(0)
     hp = Hyperparams.lexical(conv_filters=4, rec_units=4)
@@ -154,12 +155,13 @@ def test_a_batch_item_is_its_input_and_length(monkeypatch):
     training.train_model(bundle, texts, training.TrainConfig(epochs=1, batch_size=2), rng)
     items = [item for batch in batches for item in batch]
     assert len(calls) == len(items)
-    assert all(inp is item for (inp, _), (item, _) in zip(calls, items))
-    assert all(length == len(inp) for inp, length in items)
+    assert all(inp is item for (inp, _), item in zip(calls, items))
+    assert all(item.lengths.tolist() == [len(item)] for item in items)
+    assert all(item.label01.shape == (len(item), 1) for item in items)
     assert [target for _, target in calls] == [
-        max(length for _, length in batch) for batch in batches for _ in batch]
+        max(len(item) for item in batch) for batch in batches for _ in batch]
     with pytest.raises(ContractError, match="shorter"):
-        pad_item(items[0][0], len(items[0][0]) - 1)
+        pad_item(items[0], len(items[0]) - 1)
     with pytest.raises(ContractError, match="no items"):
         batch_loss_and_grads(bundle.net, bundle.params, [], np.ones(2))
 
