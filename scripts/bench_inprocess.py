@@ -35,8 +35,9 @@ A cv workload (perfbench's ``cv-rcnn-short``) also times its
 Each side runs it on the workload's corpus and config rebuilt from its
 own classes (transplant). A round runs one call per side, in an order
 that rotates from round to round, and every call must give the first
-call's report. The report holds, under the workload's ``cv`` key, each
-call's seconds and, for the change and for the A/A, the median and
+call's report figures (REPORT_FIGURES), whichever fields the two sides'
+reports keep them in. The report holds, under the workload's ``cv`` key,
+each call's seconds and, for the change and for the A/A, the median and
 quartiles of the per-round ratio side / base and the rounds each side
 won.
 
@@ -68,6 +69,7 @@ import numpy as np  # noqa: E402
 import bench_pairs  # noqa: E402
 
 BASE_PACKAGE = "sentbound_base"
+REPORT_FIGURES = ("tp", "fp", "fn", "precision", "recall", "f1", "per_fold", "config")
 PASSES = 30
 CV_ROUNDS = 20
 
@@ -160,7 +162,7 @@ def compare_cv(calls, rounds):
     """Per side, the seconds of its call in each round, a round running
     every side once in an order that rotates by one from round to round;
     calls' first entry is the base, and every other side is summarised
-    against it. Every call must give the first call's report."""
+    against it. Every call must give the first call's REPORT_FIGURES."""
     names = list(calls)
     seconds = {name: [] for name in names}
     want = None
@@ -170,7 +172,7 @@ def compare_cv(calls, rounds):
             started = time.perf_counter()
             report = calls[name]()
             seconds[name].append(time.perf_counter() - started)
-            got = repr(dataclasses.asdict(report))
+            got = repr([getattr(report, figure) for figure in REPORT_FIGURES])
             if want is not None and got != want:
                 raise SystemExit(f"{name}'s CV report differs in round {r}")
             want = got

@@ -13,6 +13,8 @@ synthetic corpus with prosody (4 folds, n_f = n_r = 4, 2 epochs):
   each in its key order;
 * robustness_eval of rcnn with the same feature sets and alphas, onto a
   second corpus with another cue word: tp, fp, fn and alpha;
+* with each of these reports, the table and the machine line that
+  evaluation.render_table and evaluation.machine_line print of it;
 * a segmenter trained on all from a pretrained-embedding file, whose
   words are mixed-case and not in sorted order: the bytes of its DBND
   container, and the labels and fused probabilities that the loaded
@@ -134,6 +136,10 @@ def digest(variants=VARIANTS, feature_sets=FEATURE_SETS, alphas=ALPHAS, n_texts=
             feed(lengths)
         shapes.clear()
 
+    def feed_printed(report):
+        feed(evaluation.render_table(report))
+        feed(evaluation.machine_line(report))
+
     data = corpus(n_texts)
     evaluation.train_model = traced
     SequenceNet.forward = recorded
@@ -145,6 +151,7 @@ def digest(variants=VARIANTS, feature_sets=FEATURE_SETS, alphas=ALPHAS, n_texts=
                         data, variant, feature_set, eval_config(alpha))
                     feed([r.tp, r.fp, r.fn, [list(f.items()) for f in r.per_fold],
                           list(r.config.items())])
+                    feed_printed(r)
                     feed_traces()
         shifted = corpus(n_texts // 2, cue="aí", seed=11)
         for feature_set in feature_sets:
@@ -152,6 +159,7 @@ def digest(variants=VARIANTS, feature_sets=FEATURE_SETS, alphas=ALPHAS, n_texts=
                 r = evaluation.robustness_eval(
                     data, shifted, eval_config(alpha), "rcnn", feature_set)
                 feed([r.tp, r.fp, r.fn, r.config["alpha"]])
+                feed_printed(r)
                 feed_traces()
         with tempfile.TemporaryDirectory() as tmp:
             vectors, container = Path(tmp) / "vectors.txt", Path(tmp) / "segmenter.dbnd"

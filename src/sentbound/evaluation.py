@@ -18,8 +18,8 @@ are built from three pieces:
   train_segmenter use it; it is the one place the weight is chosen
   in-sample.
 - count_table fuses each text's row once, at the run's weight, into one
-  row of counts[text, (tp, fp, fn)]. Each count in a report sums rows of
-  it: a fold's texts, all texts, or robustness_eval's test texts.
+  row of counts[text, (tp, fp, fn)]. An EvalReport holds that table; each
+  of its figures is scores() of all its rows or of one fold's.
 """
 
 from dataclasses import dataclass, field
@@ -48,33 +48,40 @@ from .training import (
 )
 
 
-@dataclass
-class EvalReport:
-    """Boundary precision/recall/F1 with raw counts and per-fold breakdown."""
+_SCORES = ("tp", "fp", "fn", "precision", "recall", "f1")
 
-    tp: int
-    fp: int
-    fn: int
-    precision: float
-    recall: float
-    f1: float
-    per_fold: list = field(default_factory=list)
+
+def scores(rows):
+    """{tp, fp, fn, precision, recall, f1} of count-table rows summed; the
+    counts are Python ints."""
+    tp, fp, fn = (int(n) for n in rows.sum(0))
+    return dict(zip(_SCORES, (tp, fp, fn, *prf_from_counts(tp, fp, fn))))
+
+
+@dataclass(eq=False)
+class EvalReport:
+    """A run's count table, counts[text, (tp, fp, fn)] with texts in id order;
+    each text's fold, or None for a run without folds; and the config. tp
+    to f1 are scores() of all rows, per_fold of each fold's rows."""
+
+    counts: np.ndarray
+    folds: tuple | None = None
     config: dict = field(default_factory=dict)
 
+    tp, fp, fn, precision, recall, f1 = (
+        property(lambda self, k=k: scores(self.counts)[k]) for k in _SCORES)
 
-def _report_from_counts(counts, per_fold=None, config=None):
-    """The report of one (tp, fp, fn) triple, held as Python ints."""
-    tp, fp, fn = map(int, counts)
-    precision, recall, f1 = prf_from_counts(tp, fp, fn)
-    return EvalReport(
-        tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, f1=f1,
-        per_fold=per_fold or [], config=config or {},
-    )
+    @property
+    def per_fold(self):
+        """{fold, tp, fp, fn, precision, recall, f1, alpha} per fold, in
+        fold order; alpha is the run's."""
+        return [{"fold": fold, **scores(self.counts[np.equal(self.folds, fold)]),
+                 "alpha": self.config["alpha"]} for fold in sorted(set(self.folds or ()))]
 
 
 def prf_boundary(gold, pred, config=None):
     """Precision/recall/F1 for the boundary class only."""
-    return _report_from_counts(boundary_counts(gold, pred), config=config)
+    return EvalReport(np.array([boundary_counts(gold, pred)]), config=config or {})
 
 
 def all_boundary_baseline(gold):
@@ -85,26 +92,22 @@ def all_boundary_baseline(gold):
     """
     if len(gold) == 0:
         raise ContractError("empty gold labels")
-    return _report_from_counts(boundary_counts(gold, [LABEL_B] * len(gold)),
-                               config={"baseline": "all-B"})
+    return EvalReport(np.array([boundary_counts(gold, [LABEL_B] * len(gold))]),
+                      config={"baseline": "all-B"})
+
+
+_ROW = "{:8s}{precision:8.3f}{recall:8.3f}{f1:8.3f}{tp:6d}{fp:6d}{fn:6d}"
 
 
 def render_table(report):
-    """Small human-readable rendition of a report."""
+    """The config, then one row per fold and the pooled row."""
     lines = []
     cfg = " ".join(f"{k}={v}" for k, v in report.config.items())
     if cfg:
         lines.append(cfg)
     lines.append(f"{'':8s}{'P':>8s}{'R':>8s}{'F1':>8s}{'tp':>6s}{'fp':>6s}{'fn':>6s}")
-    for entry in report.per_fold:
-        lines.append(
-            f"fold {entry['fold']:<3d}{entry['precision']:8.3f}{entry['recall']:8.3f}"
-            f"{entry['f1']:8.3f}{entry['tp']:6d}{entry['fp']:6d}{entry['fn']:6d}"
-        )
-    lines.append(
-        f"{'pooled':8s}{report.precision:8.3f}{report.recall:8.3f}{report.f1:8.3f}"
-        f"{report.tp:6d}{report.fp:6d}{report.fn:6d}"
-    )
+    lines += [_ROW.format(f"fold {entry['fold']:<3d}", **entry) for entry in report.per_fold]
+    lines.append(_ROW.format("pooled", **scores(report.counts)))
     return "\n".join(lines)
 
 
@@ -252,7 +255,7 @@ def out_of_fold_rows(corpus, variant, feature_set, config: EvalConfig):
 
 
 def cross_validated_eval(corpus, variant, feature_set, config: EvalConfig):
-    """K-fold evaluation of out_of_fold_rows; counts pooled across folds.
+    """K-fold evaluation of out_of_fold_rows: the report of their count table.
 
     One fusion weight (resolve_alpha) scores every fold; when it is tuned,
     it is tuned on the pooled out-of-fold rows.
@@ -261,15 +264,8 @@ def cross_validated_eval(corpus, variant, feature_set, config: EvalConfig):
     rows = out_of_fold_rows(corpus, variant, feature_set, config)
     folds, text_rows = zip(*rows.values())
     alpha = resolve_alpha(feature_set, config, text_rows)
-    counts = count_table(text_rows, alpha)
-    per_fold = []
-    for fold in range(config.folds):
-        r = _report_from_counts(counts[np.equal(folds, fold)].sum(0))
-        per_fold.append({"fold": fold, "tp": r.tp, "fp": r.fp, "fn": r.fn,
-                         "precision": r.precision, "recall": r.recall, "f1": r.f1,
-                         "alpha": alpha})
-    return _report_from_counts(
-        counts.sum(0), per_fold=per_fold,
+    return EvalReport(
+        count_table(text_rows, alpha), folds,
         config={"corpus": corpus.name, "variant": variant, "features": feature_set.name,
                 "alpha": alpha, "folds": config.folds, "seed": config.train.seed},
     )
@@ -294,8 +290,8 @@ def robustness_eval(train_corpus, test_corpus, config: EvalConfig,
     feature_set = _check_feature_set(feature_set, train_corpus, test_corpus)
     models, alpha = _fit_in_sample(train_corpus, variant, feature_set, config)
     test_texts = sorted(test_corpus, key=lambda t: t.id)
-    return _report_from_counts(
-        count_table(_predictions(models, test_texts, config), alpha).sum(0),
+    return EvalReport(
+        count_table(_predictions(models, test_texts, config), alpha),
         config={"corpus": f"{train_corpus.name}->{test_corpus.name}", "variant": variant,
                 "features": feature_set.name, "alpha": alpha, "seed": config.train.seed},
     )

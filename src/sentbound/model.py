@@ -274,6 +274,8 @@ class TrainedSegmenter:
         The prepared weights (passes) are kept while the params stay as
         they are."""
         alpha = self.alpha if alpha is None else alpha
+        if not 0.0 <= alpha <= 1.0:  # fuse's check, before any model runs
+            raise ContractError(f"alpha must be in [0, 1], got {alpha}")
         alone, joint = self.passes
         if self.prosodic is not None and alpha < 1.0:
             [p_lex], [p_pros] = predict_texts((self.lexical, self.prosodic), [text],

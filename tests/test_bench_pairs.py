@@ -7,8 +7,10 @@ import argparse
 import importlib.util
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sentbound
@@ -160,10 +162,42 @@ def test_a_tiny_in_process_cv_a_a_completes(second_import):
 
 
 def test_an_in_process_cv_call_that_differs_is_refused():
-    calls = {"base": lambda: evaluation.EvalReport(1, 0, 0, 1.0, 1.0, 1.0),
-             "change": lambda: evaluation.EvalReport(0, 0, 0, 1.0, 1.0, 1.0)}
+    calls = {"base": lambda: evaluation.EvalReport(np.array([[1, 0, 0]])),
+             "change": lambda: evaluation.EvalReport(np.array([[0, 0, 1]]))}
     with pytest.raises(SystemExit, match="change's CV report differs in round 0"):
         bench_inprocess.compare_cv(calls, rounds=1)
+
+
+@dataclass
+class FieldReport:
+    """A report that keeps its figures as fields, as EvalReport once did."""
+
+    tp: int
+    fp: int
+    fn: int
+    precision: float
+    recall: float
+    f1: float
+    per_fold: list
+    config: dict
+
+
+def test_an_in_process_cv_call_is_compared_by_its_figures():
+    """A base whose report keeps its figures as fields and a change whose
+    report derives them from its count table agree when the figures do,
+    and differ when one per-fold figure does."""
+    table = evaluation.EvalReport(np.array([[1, 0, 1], [2, 1, 0]]), (0, 1),
+                                  config={"alpha": 0.5})
+    fields = FieldReport(3, 1, 1, 0.75, 0.75, 0.75, table.per_fold, {"alpha": 0.5})
+    calls = {"base": lambda: fields, "change": lambda: table}
+    result = bench_inprocess.compare_cv(calls, rounds=2)
+    assert [len(v) for v in result["seconds"].values()] == [2, 2]
+    moved = evaluation.EvalReport(np.array([[2, 0, 1], [1, 1, 0]]), (0, 1),
+                                  config={"alpha": 0.5})
+    assert (moved.tp, moved.fp, moved.fn) == (table.tp, table.fp, table.fn)
+    with pytest.raises(SystemExit, match="change's CV report differs in round 0"):
+        bench_inprocess.compare_cv({"base": lambda: fields, "change": lambda: moved},
+                                   rounds=1)
 
 
 def test_the_fingerprint_repeats_and_sees_a_perturbed_fuse(monkeypatch):

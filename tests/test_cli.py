@@ -106,6 +106,15 @@ def test_default_train_then_segment_falls_back_to_lexical(workdir, capsys, caplo
     assert "has no prosody" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["-1", "1.5", "nan"])
+def test_segment_refuses_an_alpha_outside_0_1_before_predicting(workdir, capsys, alpha):
+    """The fixture's model fuses a prosodic model, which token input cannot
+    feed; an alpha out of range is named as such, not as missing prosody."""
+    assert cli.main(["segment", "--model", str(workdir / "m.dbnd"),
+                     "--input", str(workdir / "input.txt"), "--alpha", alpha]) == 2
+    assert f"alpha must be in [0, 1], got {float(alpha)}" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_train_is_a_numeric_failure(workdir, capsys):
     """Divergence exits 3 through softmax's NumericError, with finite norms

@@ -20,7 +20,10 @@ from sentbound.evaluation import (
     all_boundary_baseline,
     count_table,
     cross_validated_eval,
+    machine_line,
     out_of_fold_rows,
+    prf_boundary,
+    render_table,
     robustness_eval,
     train_segmenter,
 )
@@ -115,6 +118,48 @@ def test_robustness_counts_are_pinned(genre_a, genre_b):
     )
     assert counts(report) == (37, 107, 18)
     assert report.config["alpha"] == 0.5
+
+
+def test_a_cross_validated_report_prints_its_fold_rows_and_the_pooled_row(genre_a):
+    report = cross_validated_eval(genre_a, "cnn", "all", small_config(0.6))
+    assert render_table(report) == (
+        "corpus=genre-a variant=cnn features=all alpha=0.6 folds=4 seed=3\n"
+        "               P       R      F1    tp    fp    fn\n"
+        "fold 0     0.256   1.000   0.407    11    32     0\n"
+        "fold 1     0.370   0.625   0.465    10    17     6\n"
+        "fold 2     0.579   0.846   0.688    11     8     2\n"
+        "fold 3     0.325   0.765   0.456    13    27     4\n"
+        "pooled     0.349   0.789   0.484    45    84    12")
+    assert machine_line(report) == "genre-a\tcnn\tall\t0.6\t0.3488\t0.7895\t0.4839"
+
+
+def test_a_train_test_report_prints_the_pooled_row_only(genre_a, genre_b):
+    report = robustness_eval(genre_a, genre_b, small_config(), variant="rcnn",
+                             feature_set="all")
+    assert render_table(report) == (
+        "corpus=genre-a->genre-b variant=rcnn features=all alpha=0.5 seed=3\n"
+        "               P       R      F1    tp    fp    fn\n"
+        "pooled     0.257   0.673   0.372    37   107    18")
+    assert machine_line(report) == "genre-a->genre-b\trcnn\tall\t0.5\t0.2569\t0.6727\t0.3719"
+
+
+def test_label_sequence_reports_print_the_pooled_row_only():
+    """prf_boundary with and without a config, and the all-B baseline;
+    a config key the machine line has no column for is shown as '-'."""
+    gold, pred = [LABEL_B, LABEL_NB, LABEL_NB, LABEL_B, LABEL_B, LABEL_NB], \
+        [LABEL_B, LABEL_B, LABEL_NB, LABEL_NB, LABEL_B, LABEL_NB]
+    header = "               P       R      F1    tp    fp    fn\n"
+    plain = prf_boundary(gold, pred)
+    assert render_table(plain) == header + "pooled     0.667   0.667   0.667     2     1     1"
+    assert machine_line(plain) == "-\t-\t-\t-\t0.6667\t0.6667\t0.6667"
+    named = prf_boundary(gold, pred, config={"corpus": "x", "variant": "crf"})
+    assert render_table(named) == "corpus=x variant=crf\n" + render_table(plain)
+    assert machine_line(named) == "x\tcrf\t-\t-\t0.6667\t0.6667\t0.6667"
+    baseline = all_boundary_baseline(
+        [LABEL_NB, LABEL_B, LABEL_NB, LABEL_NB, LABEL_B, LABEL_NB, LABEL_NB])
+    assert render_table(baseline) == (
+        "baseline=all-B\n" + header + "pooled     0.286   1.000   0.444     2     5     0")
+    assert machine_line(baseline) == "-\t-\t-\t-\t0.2857\t1.0000\t0.4444"
 
 
 def test_segmenter_alpha_and_predictions_are_pinned(genre_a, genre_b):
