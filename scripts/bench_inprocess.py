@@ -226,9 +226,8 @@ def main(argv=None):
                          "ab": cv["ratios"]["change"], "aa": cv["ratios"]["base_again"],
                          "seconds": cv["seconds"]}
         summaries.append(("cv", reading["cv"], "rounds"))
-    report = json.loads(args.out.read_text()) if args.out.exists() else {}
-    report.setdefault("in_process", {})[args.workload] = reading
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    in_process = bench_pairs.read_report(args.out).get("in_process", {})
+    bench_pairs.write_report(args.out, in_process={**in_process, args.workload: reading})
     for target, summary, count in summaries:
         for name in ("ab", "aa"):
             r = summary[name]

@@ -16,7 +16,9 @@ lines (run description and result) and, per end-to-end metric of
 quartiles of the per-pair ratio change / base, and the pairs the change
 won, lost and tied. The ratios compare the two runs of one pair, which
 sit minutes apart, so a host whose speed drifts over the whole run moves
-them less than it moves either side's own quartiles.
+them less than it moves either side's own quartiles. The file's other
+top-level keys, such as the ``in_process`` readings of
+``bench_inprocess.py``, stay.
 """
 
 import argparse
@@ -41,6 +43,20 @@ def export_base(rev):
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
     return sha, tree
+
+
+def read_report(path):
+    """The JSON object in path, or an empty one when there is no file."""
+    return json.loads(path.read_text()) if path.exists() else {}
+
+
+def write_report(path, **keys):
+    """Set these top-level keys of the JSON object in path, made when
+    missing; the object's other keys, such as the readings another script
+    wrote there, stay as they are."""
+    report = read_report(path)
+    report.update(keys)
+    path.write_text(json.dumps(report, indent=1) + "\n")
 
 
 def run_once(tree, workload, seed, seconds):
@@ -140,7 +156,7 @@ def main(argv=None):
                 ),
             }
             # rewritten after every pair, so an interrupted run keeps its pairs
-            args.out.write_text(json.dumps(report, indent=1) + "\n")
+            write_report(args.out, **report)
             print(f"{workload} seed {seed}: done", file=sys.stderr)
     return 0
 

@@ -13,11 +13,12 @@ the rest of a line from a '#' that follows whitespace; any other '#' is
 part of the value (corpus = a#b names a#b).
 Every run logs its fully resolved configuration.
 
-`segment` reads plain tokens, which carry no prosody and no PoS tags.
-Without --alpha it therefore segments with the lexical model alone
-(alpha 1.0) and warns when the stored alpha is below 1; an explicit
---alpha below 1 is a data error. It also warns when the model was
-trained on PoS tags, since every token gets the unknown-tag row.
+`segment` writes --output only after a successful prediction. It reads
+plain tokens, which carry no prosody and no PoS tags. Without --alpha
+it therefore segments with the lexical model alone (alpha 1.0) and
+warns when the stored alpha is below 1; an explicit --alpha below 1 is
+a data error. It also warns when the model was trained on PoS tags,
+since every token gets the unknown-tag row.
 `train` and `eval` warn when --embeddings is given to a feature set
 without an embeddings part, and do not read the file. They also warn
 when --alpha is given to a feature set with one family, and name the
@@ -283,10 +284,8 @@ def _read_segment_input(path):
 def cmd_segment(args):
     segmenter = load_model(args.model)
     text = _read_segment_input(args.input)
-    sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
-        if text is None:
-            return EXIT_OK
+    out = ""
+    if text is not None:
         alpha = args.alpha
         if alpha is None and segmenter.alpha < 1.0:
             log.warning("token input has no prosody: segmenting with the lexical "
@@ -296,19 +295,15 @@ def cmd_segment(args):
             log.warning("the model was trained with PoS tags but the input has "
                         "none; every token gets the unknown-tag row")
         labels, fused = segmenter.predict_probs(text, alpha=alpha)
+        rows = zip(text.tokens, labels, fused)
         if args.emit == "text":
-            parts = []
-            for token, label in zip(text.tokens, labels):
-                parts.append(token)
-                if label == LABEL_B:
-                    parts.append(".")
-            print(" ".join(parts), file=sink)
+            out = " ".join(token + " ." * (label == LABEL_B) for token, label, _ in rows) + "\n"
         else:
-            for token, label, row in zip(text.tokens, labels, fused):
-                print(f"{token}\t{row[1]:.6f}\t{label}", file=sink)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+            out = "".join(f"{token}\t{row[1]:.6f}\t{label}\n" for token, label, row in rows)
+    if args.output:  # written only now, so a failed run leaves the file as it was
+        Path(args.output).write_text(out, encoding="utf-8")
+    else:
+        sys.stdout.write(out)
     return EXIT_OK
 
 

@@ -33,6 +33,7 @@ from .model import (
     Hyperparams,
     TrainedSegmenter,
     boundary_counts,
+    check_alpha,
     fuse,
     parse_feature_set,
     predict_texts,
@@ -144,10 +145,12 @@ class EvalConfig:
     word_table: EmbeddingTable | None = None  # pretrained init, else per-run random
 
     def __post_init__(self):
+        if type(self.folds) is not int:
+            raise ContractError(f"folds must be an int, got {self.folds!r}")
         if self.folds < 2:
             raise ContractError(f"need at least 2 folds, got {self.folds}")
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
-            raise ContractError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.alpha is not None:
+            check_alpha(self.alpha)
 
 
 def _check_feature_set(feature_set, *corpora):

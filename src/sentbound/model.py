@@ -174,6 +174,14 @@ def labels_from_probs(probs):
     return [LABEL_B if b else LABEL_NB for b in (probs[:, 1] > probs[:, 0]).tolist()]
 
 
+def check_alpha(alpha, has_prosodic=True):
+    """ContractError unless alpha is a number in [0, 1], and 1 without a prosodic model."""
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 <= alpha <= 1:
+        raise ContractError(f"alpha must be in [0, 1], got {alpha!r}")
+    if not has_prosodic and alpha < 1.0:
+        raise ContractError("alpha < 1 needs a prosodic model")
+
+
 def fuse(p_lex, p_pros, alpha):
     """Convex combination of the two models' probability rows.
 
@@ -181,10 +189,7 @@ def fuse(p_lex, p_pros, alpha):
     is 0; the endpoints alpha = 1 and alpha = 0 reproduce the lexical and
     prosodic rows bit for bit.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ContractError(f"alpha must be in [0, 1], got {alpha}")
-    if p_pros is None and alpha < 1.0:
-        raise ContractError("alpha < 1 needs a prosodic model")
+    check_alpha(alpha, p_pros is not None)
     if p_lex is None and alpha > 0.0:
         raise ContractError("alpha > 0 needs a lexical model")
     if p_lex is not None and p_pros is not None:
@@ -252,10 +257,7 @@ class TrainedSegmenter:
     prosodic: ModelBundle | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ContractError("alpha must be in [0, 1]")
-        if self.prosodic is None and self.alpha < 1.0:
-            raise ContractError("alpha < 1 needs a prosodic model")
+        check_alpha(self.alpha, self.prosodic is not None)
 
     @cached_property
     def passes(self):
@@ -274,10 +276,9 @@ class TrainedSegmenter:
         The prepared weights (passes) are kept while the params stay as
         they are."""
         alpha = self.alpha if alpha is None else alpha
-        if not 0.0 <= alpha <= 1.0:  # fuse's check, before any model runs
-            raise ContractError(f"alpha must be in [0, 1], got {alpha}")
+        check_alpha(alpha, self.prosodic is not None)  # fuse's check, before any net runs
         alone, joint = self.passes
-        if self.prosodic is not None and alpha < 1.0:
+        if alpha < 1.0:  # so there is a prosodic model (check_alpha)
             [p_lex], [p_pros] = predict_texts((self.lexical, self.prosodic), [text],
                                               passes=joint)
         else:

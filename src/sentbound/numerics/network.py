@@ -46,28 +46,28 @@ backward hands direction_backward that cache alone. It returns every
 direction's outputs in one (D, T, B, n) array, and one np.add sums each
 net's pair.
 
-forward keeps what backward reads only when its caller asks for it, as
-loss_and_grads does whatever the mode; any other pass builds no pool
-argmax, keeps no layer inputs or outputs and no LSTM history, and
-returns no cache. An inference pass may also carry partners: other nets
-with LSTMs of the same width on blocks of the same texts, such as a
-segmenter's lexical and prosodic nets. Each net runs its own layers
-below the LSTM, and the LSTM directions of all of them
-advance in one direction_forward call (D = 2 x nets); a lone net is the
-one-net case of that pass. The output layer, dense plus softmax, runs
-once per pass too, on the nets' stacked outputs and stacked output
-weights (output_layer), one GEMM per net; a training pass is its
-one-net case. Every pass reads the LSTM and output weights in one
-form, a PassWeights (the prepared LSTM weights, which carry the output
-projections and direction weight dicts, and the stacked output layers),
-and only prepare builds it. forward calls prepare once per pass when
-not given one, as on every training block; the caller that keeps nets
-together (model.predict_texts and TrainedSegmenter) prepares once and
-passes the result to every pass, valid while the params stay as they
-are, so a request neither checks the parameter vector (flat_vector) nor
-builds views. Only embedding tables read the gradient at the input, so
-backward does not scatter it for a dense-input net, and that net's conv
-does not compute it.
+A pass is a training pass, one per training block (loss_and_grads),
+which draws dropout from rng and returns the cache backward reads, or an
+inference pass, which applies no dropout, builds no pool argmax, keeps
+no layer inputs or outputs and no LSTM history, and returns no cache. An
+inference pass may also carry partners: other nets with LSTMs of the
+same width on blocks of the same texts, such as a segmenter's lexical
+and prosodic nets. Each net runs its own layers below the LSTM, and the
+LSTM directions of all of them advance in one direction_forward call
+(D = 2 x nets); a lone net is the one-net case of that pass. The output
+layer, dense plus softmax, runs once per pass too, on the nets' stacked
+outputs and stacked output weights (output_layer), one GEMM per net; a
+training pass is its one-net case. Every pass reads the LSTM and output
+weights in one form, a PassWeights (the prepared LSTM weights, which
+carry the output projections and direction weight dicts, and the stacked
+output layers), and only prepare builds it. forward calls prepare once
+per pass when not given one, as on every training block; the caller that
+keeps nets together (model.predict_texts and TrainedSegmenter) prepares
+once and passes the result to every pass, valid while the params stay as
+they are, so a request neither checks the parameter vector (flat_vector)
+nor builds views. Only embedding tables read the gradient at the input,
+so backward does not scatter it for a dense-input net, and that net's
+conv does not compute it.
 """
 
 import math
@@ -104,6 +104,17 @@ BLOCK_ROWS = 256
 LSTM_KEYS = ("wx", "wh", "b", "wy", "by")  # of a direction's weight dict
 
 
+def check_field_types(settings, what):
+    """ContractError unless each field of the dataclass settings (what) holds
+    its type: an int field an int, a float field a finite float or an int."""
+    for f in fields(settings):
+        got = getattr(settings, f.name)
+        if isinstance(got, bool) or not isinstance(got, int if f.type is int else (int, float)):
+            raise ContractError(f"{what} {f.name} must be of type {f.type.__name__}, got {got!r}")
+        if isinstance(got, float) and not math.isfinite(got):
+            raise ContractError(f"{what} {f.name} must be finite, got {got!r}")
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Architecture and optimizer settings of one sequence model."""
@@ -120,17 +131,7 @@ class Hyperparams:
     dropout_rate: float = 0.5
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(
-                value, int if f.type is int else (int, float)
-            ):
-                raise ContractError(
-                    f"hyperparameter {f.name} must be of type {f.type.__name__}, "
-                    f"got {value!r}"
-                )
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ContractError(f"hyperparameter {f.name} must be finite, got {value!r}")
+        check_field_types(self, "hyperparameter")
         positive = (
             self.word_dim, self.tag_dim, self.conv_filters, self.conv_width,
             self.pool_width, self.rec_units, self.mlp_hidden, self.eta,
@@ -431,19 +432,18 @@ class SequenceNet:
                 [w for net, p in pairs for w in net.lstm_weights(flat_vector(p))])
         return PassWeights(lstm, *_output_weights([p for _, p in pairs]))
 
-    def forward(self, params, block, mode="inference", rng=None, keep_cache=False,
-                prepared=None, partners=()):
+    def forward(self, params, block, mode="inference", rng=None, prepared=None,
+                partners=()):
         """Run the stack on a NetBatch block. Returns (probs, cache).
 
         probs are (T, B, 2), row-stochastic, and finite but meaningless on
-        padded steps. In train mode dropout consumes draws from rng: one
-        (sum of lengths, units) mask over the live rows, sequence by
-        sequence in row order, which equals one (length, units) draw per
-        sequence (live_dropout); inference is deterministic and applies
-        no dropout. The cache feeds
-        backward() and is built only when keep_cache is set; otherwise it
-        is None and the pass holds nothing that only backward reads: no
-        pool argmax, no layer inputs or outputs, no LSTM history.
+        padded steps. A training pass (mode "train") draws dropout from
+        rng, one (sum of lengths, units) mask over the live rows, sequence
+        by sequence in row order, which equals one (length, units) draw
+        per sequence (live_dropout), and returns the cache backward reads.
+        An inference pass is deterministic and returns None for the cache:
+        it keeps nothing that only backward reads (no pool argmax, layer
+        inputs or outputs, or LSTM history).
         prepared, the PassWeights the pass reads, is prepare(params, the
         partners' (net, params) pairs), which the pass calls when it is
         not given; a caller whose params stay the same builds it once.
@@ -457,8 +457,9 @@ class SequenceNet:
         """
         if mode not in ("train", "inference"):
             raise ContractError(f"unknown mode {mode!r}")
+        train = mode == "train"
         nets = ((self, params, block), *partners)
-        if partners and (mode == "train" or keep_cache or any(
+        if partners and (train or any(
                 not net.has_lstm or net.hp.rec_units != self.hp.rec_units
                 for net, _, _ in nets)):
             raise ContractError("only inference passes of LSTMs of one width run together")
@@ -473,7 +474,7 @@ class SequenceNet:
             raise ContractError("nets that run together need blocks of one shape")
         live = np.arange(steps)[:, None] < lengths
         pad = None if live.all() else ~live
-        cache = {} if keep_cache else None
+        cache = {} if train else None
         keep = _keeper(cache)
         keep(inp=block, pad=pad)
         hs = [net._input_layers(p, x, pad, cache) for (net, p, _), x in zip(nets, xs)]
@@ -490,7 +491,7 @@ class SequenceNet:
                 rev = (np.where(live, lengths - 1 - t, t), np.arange(len(lengths)))
             ys, lstm_cache = lstm_ops.direction_forward(
                 *(x for h in hs for x in (h, h[rev])),
-                prepared=prepared.lstm, keep_cache=keep_cache,
+                prepared=prepared.lstm, keep_cache=train,
             )
             keep(lstm=lstm_cache, rev=rev)
             h = np.add(ys[::2], ys[1::2][(slice(None), *rev)])
@@ -498,7 +499,7 @@ class SequenceNet:
         else:
             h = hs[0][None]  # a net without an LSTM runs alone
         del hs
-        if self.variant != "mlp" and mode == "train":
+        if self.variant != "mlp" and train:
             dropped, mask = live_dropout(h[0], live, self.hp.dropout_rate, rng)
             h = dropped[None]
             keep(dropout_mask=mask)
@@ -539,7 +540,7 @@ class SequenceNet:
         """Exact gradients of the summed loss for every parameter, as one
         vector laid out like the params (views names its parts).
 
-        Requires the cache of a prior keep_cache forward pass on the same
+        Requires the cache of a prior training pass (forward) on the same
         block and consumes its LSTM part; d_logits is the loss gradient at
         the pre-softmax logits, shaped like the probs and zero on the
         block's padded steps (as loss_and_grads makes it). The gradients
@@ -549,7 +550,7 @@ class SequenceNet:
         not compute it.
         """
         if cache is None:
-            raise ContractError("backward needs the cache of a keep_cache forward pass")
+            raise ContractError("backward needs the cache of a training pass")
         pad = cache["pad"]
         input_grad = not self.dense_dim
         dh = row_matmul(d_logits, params["out_w"].T)
@@ -615,17 +616,16 @@ class SequenceNet:
 
     # ------------------------------------------------------------------ loss
 
-    def loss_and_grads(self, params, block, class_weights, mode="train", rng=None,
-                       into=None):
-        """Forward, weighted cross-entropy, backward, in one call.
+    def loss_and_grads(self, params, block, class_weights, rng=None, into=None):
+        """A training pass, weighted cross-entropy and backward, in one call.
 
-        The labels are the block's label01 (1 = boundary), and the loss
-        covers exactly its live rows. Returns the summed loss, the
-        gradient vector and the live-row count; with into, an earlier
-        call's gradient vector, the gradients are added into it (backward)
-        and it is returned.
+        Dropout draws from rng, as in forward. The labels are the block's
+        label01 (1 = boundary), and the loss covers exactly its live rows.
+        Returns the summed loss, the gradient vector and the live-row
+        count; with into, an earlier call's gradient vector, the
+        gradients are added into it (backward) and it is returned.
         """
-        probs, cache = self.forward(params, block, mode=mode, rng=rng, keep_cache=True)
+        probs, cache = self.forward(params, block, mode="train", rng=rng)
         pad = cache["pad"]
         active = np.ones(probs.shape[:-1], dtype=bool) if pad is None else ~pad
         loss, d_logits = weighted_cross_entropy(

@@ -32,7 +32,7 @@ from .model import (
     prf_from_counts,
 )
 from .numerics import NetBatch, RmsPropState, SequenceNet, rmsprop_step
-from .numerics.network import blocks, flat_vector
+from .numerics.network import blocks, check_field_types, flat_vector
 
 RMSPROP_EPSILON = 1e-8
 ALPHA_GRID = tuple(round(i / 10, 1) for i in range(11))
@@ -115,6 +115,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self, "training setting")
         if self.epochs < 1 or self.batch_size < 1 or self.bucket_width < 1:
             raise ContractError("epochs, batch_size, bucket_width must be positive")
         if self.seed < 0:
@@ -133,7 +134,7 @@ def pad_item(inp, target_len):
     return inp
 
 
-def batch_loss_and_grads(net, params, items, class_weights, rng=None):
+def batch_loss_and_grads(net, params, items, class_weights, rng):
     """Summed training loss and gradients over a batch of encoded texts,
     one-text NetBatch items with their labels, with dropout drawn from rng.
 
@@ -146,8 +147,7 @@ def batch_loss_and_grads(net, params, items, class_weights, rng=None):
     total_loss, total_active, grad = 0.0, 0, None
     for start, stop in blocks([len(item) for item in items]):
         loss, grad, n_active = net.loss_and_grads(
-            params, NetBatch.stack(items[start:stop]), class_weights,
-            mode="train", rng=rng, into=grad,
+            params, NetBatch.stack(items[start:stop]), class_weights, rng=rng, into=grad,
         )
         total_loss += loss
         total_active += n_active

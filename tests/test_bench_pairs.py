@@ -92,6 +92,23 @@ def test_pairs_argument_needs_a_workload_and_a_positive_count(text):
     assert bench_pairs.parse_pairs("segment-rcnn=10") == ("segment-rcnn", 10)
 
 
+def test_pairs_keep_the_other_keys_of_their_file(tmp_path, monkeypatch):
+    """A run replaces its own keys of --out and keeps the in_process
+    readings that bench_inprocess.py merged into it."""
+    out = tmp_path / "bench.json"
+    in_process = {"segment-rcnn": {"ab": {"median": 1.0}}}
+    out.write_text(json.dumps({"in_process": in_process, "workloads": {"old": {}}}))
+    monkeypatch.setattr(bench_pairs, "export_base", lambda rev: ("0" * 40, tmp_path))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: {
+        "info": {"machine": "m"}, "result": json.loads(result_line(p90=1.0))})
+    assert bench_pairs.main(["--seconds", "1", "--first-seed", "3",
+                             "--pairs", "segment-rcnn=2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["in_process"] == in_process
+    assert list(report["workloads"]) == ["segment-rcnn"]
+    assert report["workloads"]["segment-rcnn"]["seeds"] == [3, 4]
+
+
 @pytest.fixture
 def second_import():
     """The working tree's sentbound imported again under another name;

@@ -237,6 +237,20 @@ def test_segment_output_goes_to_the_file(workdir, tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == printed != ""
 
 
+@pytest.mark.parametrize("alpha", ["2", "0.5"])  # refused up front, and by the encoder
+def test_a_failed_segment_leaves_its_output_file_as_it_was(workdir, tmp_path, alpha):
+    """--output is written only after the prediction succeeds: a failed
+    run keeps an existing file's bytes and creates no missing one."""
+    args = ["segment", "--model", str(workdir / "m.dbnd"),
+            "--input", str(workdir / "input.txt"), "--alpha", alpha]
+    kept, missing = tmp_path / "kept.txt", tmp_path / "missing.txt"
+    kept.write_bytes(b"earlier output\n")
+    for out in (kept, missing):
+        assert cli.main([*args, "--output", str(out)]) == 2
+    assert kept.read_bytes() == b"earlier output\n"
+    assert not missing.exists()
+
+
 @pytest.fixture
 def narrow_embeddings(tmp_path):
     """A pretrained table of 2 words and 3 dimensions, narrower than the

@@ -50,10 +50,11 @@ def masked_loss(probs, block, mask):
                                   CLASS_WEIGHTS, np.ravel(mask))
 
 
-def masked_loss_and_grads(net, params, block, mask, mode="inference", rng=None):
+def masked_loss_and_grads(net, params, block, mask, rng=None):
     """loss_and_grads over the rows flagged in mask, a subset of the
-    block's live rows, composed from forward, the loss and backward."""
-    probs, cache = net.forward(params, block, mode=mode, rng=rng, keep_cache=True)
+    block's live rows, composed from a training pass, the loss and
+    backward."""
+    probs, cache = net.forward(params, block, mode="train", rng=rng)
     loss, d_logits = masked_loss(probs, block, mask)
     return loss, net.backward(params, cache, d_logits.reshape(probs.shape))
 
@@ -104,7 +105,7 @@ def test_dense_input_path_matches_finite_differences():
                            label01=rng.integers(0, 2, size=m))
     block.label01[0] = 1
     block.label01[1] = 0
-    _, grads, n_active = net.loss_and_grads(params, block, CLASS_WEIGHTS, mode="inference")
+    _, grads, n_active = net.loss_and_grads(params, block, CLASS_WEIGHTS)
     assert n_active == m
     worst = max_relative_error(net, params, block, np.ones(m), grads)
     assert worst <= REL_TOL
@@ -114,14 +115,14 @@ def test_dropout_gradient_with_frozen_mask():
     """Holding the dropout draw fixed, gradients still match the oracle."""
     net, params, block, mask = tiny_problem("rcnn", dropout=0.4)
     factory = lambda: np.random.default_rng(99)
-    _, grads = masked_loss_and_grads(net, params, block, mask, mode="train", rng=factory())
+    _, grads = masked_loss_and_grads(net, params, block, mask, rng=factory())
     worst = max_relative_error(net, params, block, mask, grads, rng_factory=factory)
     assert worst <= REL_TOL
 
 
 def test_zero_class_weights_zero_gradients():
     net, params, block, _ = tiny_problem("rcnn")
-    loss, grads, _ = net.loss_and_grads(params, block, np.zeros(2), mode="inference")
+    loss, grads, _ = net.loss_and_grads(params, block, np.zeros(2))
     assert loss == 0.0
     for name, g in net.views(grads).items():
         npt.assert_array_equal(g, np.zeros_like(g), err_msg=name)
@@ -219,7 +220,7 @@ def assert_grads_close(net, got, want, rel=1e-12):
 def test_ragged_batch_matches_finite_differences(variant):
     net, params = batch_net(variant)
     batch, live = stacked(ragged_items(net, RAGGED))
-    _, grads, n_active = net.loss_and_grads(params, batch, CLASS_WEIGHTS, mode="inference")
+    _, grads, n_active = net.loss_and_grads(params, batch, CLASS_WEIGHTS)
     assert n_active == sum(RAGGED)
     worst = max_relative_error(net, params, batch, live, grads)
     assert worst <= REL_TOL, f"{variant}: worst relative error {worst:.3e}"
@@ -227,33 +228,52 @@ def test_ragged_batch_matches_finite_differences(variant):
 
 @pytest.mark.parametrize("variant", ["rcnn", "cnn", "rnn", "mlp"])
 def test_inference_pass_matches_the_cache_keeping_pass(variant):
-    """A pass that keeps no backward state gives the probs of one that
-    does bit for bit, with the LSTM weights prepared per pass or ahead;
-    inference needs no rng and applies no dropout, whatever the rate."""
+    """An inference pass gives the live-row probs of a training pass of
+    the dropout-free net bit for bit, with the LSTM weights prepared per
+    pass or ahead; inference needs no rng and applies no dropout,
+    whatever the rate."""
     plain, plain_params = batch_net(variant)
+    batch, live = stacked(ragged_items(plain, (7, 3, 1)))
+    want = plain.forward(plain_params, batch, mode="train")[0][live]
     for dropout in (0.0, 0.4):
         net, params = batch_net(variant, dropout)
-        batch, _ = stacked(ragged_items(net, (7, 3, 1)))
-        want, cache = net.forward(params, batch, rng=None, keep_cache=True)
-        assert cache is not None
         for prepared in (None, net.prepare(params)):
-            got, no_cache = net.forward(params, batch, rng=None, prepared=prepared)
-            assert no_cache is None
-            npt.assert_array_equal(got, want)
-        npt.assert_array_equal(plain.forward(plain_params, batch)[0], want)
+            got, _ = net.forward(params, batch, rng=None, prepared=prepared)
+            npt.assert_array_equal(got[live], want)
+
+
+@pytest.mark.parametrize("variant", ["rcnn", "cnn", "rnn", "mlp"])
+def test_a_pass_is_a_training_pass_or_an_inference_pass(variant):
+    """A training pass of a dropout-free net and an inference pass give
+    the same probs bit for bit on live rows, and only the training pass
+    returns a cache. With dropout, a training pass draws from rng (an
+    mlp has no dropout) and an inference pass draws nothing."""
+    net, params = batch_net(variant)
+    batch, live = stacked(ragged_items(net, (7, 3, 1)))
+    trained, cache = net.forward(params, batch, mode="train")
+    inferred, no_cache = net.forward(params, batch)
+    assert isinstance(cache, dict) and no_cache is None
+    npt.assert_array_equal(trained[live], inferred[live])
+    net, params = batch_net(variant, dropout=0.4)
+    for mode, draws in (("inference", False), ("train", variant != "mlp")):
+        rng = np.random.default_rng(3)
+        net.forward(params, batch, mode=mode, rng=rng)
+        assert (rng.random() != np.random.default_rng(3).random()) == draws
 
 
 LOCKSTEP_UNITS = 16
 
 
 def lockstep_nets():
-    """A lexical and a prosodic rcnn of cv-rcnn-short's width, with params."""
+    """A lexical and a prosodic dropout-free rcnn of cv-rcnn-short's width,
+    with params."""
     rng = np.random.default_rng(2)
     nets = (
         SequenceNet("rcnn", Hyperparams(word_dim=8, tag_dim=4, conv_filters=16,
-                                        rec_units=LOCKSTEP_UNITS),
+                                        rec_units=LOCKSTEP_UNITS, dropout_rate=0.0),
                     word_vocab=7, tag_vocab=3),
-        SequenceNet("rcnn", Hyperparams(conv_filters=8, conv_width=5, rec_units=LOCKSTEP_UNITS),
+        SequenceNet("rcnn", Hyperparams(conv_filters=8, conv_width=5, rec_units=LOCKSTEP_UNITS,
+                                        dropout_rate=0.0),
                     dense_dim=13),
     )
     return [(net, net.init_params(rng)) for net in nets]
@@ -266,8 +286,8 @@ def lockstep_nets():
     (3, 5, [3]), (4, 5, [4]), (10, 5, [4, 4, 2]),
 ])
 def test_lockstep_pass_equals_each_net_alone(steps, rows, chunks, monkeypatch):
-    """Two nets whose LSTMs run in one loop give each net's probs of a
-    whole-T pass of its own bit for bit, on ragged blocks whose inputs
+    """Two nets whose LSTMs run in one loop give each net's live-row probs
+    of a training pass of its own bit for bit, on ragged blocks whose inputs
     the loop projects in chunks of K = 4 steps: T below, at and above K,
     with tails of fewer than 4 GEMM rows joining the chunk before."""
     step_bytes = 4 * 4 * rows * LOCKSTEP_UNITS * 8  # four directions
@@ -276,14 +296,15 @@ def test_lockstep_pass_equals_each_net_alone(steps, rows, chunks, monkeypatch):
     (lexical, lex_params), (prosodic, pros_params) = pairs = lockstep_nets()
     lengths = [steps] + [max(1, steps - 3 * b) for b in range(1, rows)]
     blocks = [stacked(ragged_items(net, lengths))[0] for net, _ in pairs]
-    want = [net.forward(params, block, keep_cache=True)[0]
+    live = np.arange(steps)[:, None] < lengths
+    want = [net.forward(params, block, mode="train")[0][live]
             for (net, params), block in zip(pairs, blocks)]
     prepared = lexical.prepare(lex_params, [(prosodic, pros_params)])
     got, cache = lexical.forward(lex_params, blocks[0], prepared=prepared,
                                  partners=[(prosodic, pros_params, blocks[1])])
     assert cache is None and len(got) == 2
     for g, w in zip(got, want):
-        npt.assert_array_equal(g, w)
+        npt.assert_array_equal(g[live], w)
 
 
 # B = 1 blocks, an unpadded B > 1 block and padded ones
@@ -327,7 +348,6 @@ def test_only_inference_passes_of_one_width_run_together():
     for partner, kwargs in (
         ((other, other.init_params(rng), dense), {}),
         ((cnn, cnn.init_params(rng), dense), {}),
-        ((prosodic, pros_params, dense), {"keep_cache": True}),
         ((prosodic, pros_params, dense), {"mode": "train", "rng": rng}),
     ):
         with pytest.raises(ContractError, match="one width"):
@@ -346,9 +366,7 @@ def test_batch_equals_sum_of_batches_of_one(variant, dropout):
     rng = np.random.default_rng(8)
     want_loss, want, want_active = 0.0, None, 0
     for item in items:
-        loss, grads, n_active = net.loss_and_grads(
-            params, item, CLASS_WEIGHTS, mode="train", rng=rng
-        )
+        loss, grads, n_active = net.loss_and_grads(params, item, CLASS_WEIGHTS, rng=rng)
         want_loss += loss
         want_active += n_active
         want = grads if want is None else want + grads
@@ -370,9 +388,9 @@ def test_padded_steps_are_inert(variant, monkeypatch):
     net, params = batch_net(variant)
     items = ragged_items(net, RAGGED)
     batch, _ = stacked(items)
-    loss, grads, _ = net.loss_and_grads(params, batch, CLASS_WEIGHTS, mode="inference")
+    loss, grads, _ = net.loss_and_grads(params, batch, CLASS_WEIGHTS)
     zeroed = NetBatch.stack(items)
-    loss_0, grads_0, _ = net.loss_and_grads(params, zeroed, CLASS_WEIGHTS, mode="inference")
+    loss_0, grads_0, _ = net.loss_and_grads(params, zeroed, CLASS_WEIGHTS)
     assert loss == loss_0
     grads, grads_0 = net.views(grads), net.views(grads_0)
     for name in grads:
@@ -392,7 +410,7 @@ def test_padded_steps_are_inert(variant, monkeypatch):
             return block
 
         monkeypatch.setattr(NetBatch, "stack", classmethod(filled))
-        results.append(training.batch_loss_and_grads(net, params, items, CLASS_WEIGHTS))
+        results.append(training.batch_loss_and_grads(net, params, items, CLASS_WEIGHTS, None))
     (loss_a, grads_a, active_a), (loss_b, grads_b, active_b) = results
     assert (loss_a, active_a) == (loss_b, active_b) == (loss, sum(RAGGED))
     grads_a, grads_b = net.views(grads_a), net.views(grads_b)
@@ -471,10 +489,11 @@ def test_blocks_add_into_one_gradient_vector_bit_for_bit(monkeypatch):
     npt.assert_array_equal(grads, want)
 
     first, later = (NetBatch.stack(items[i:j]) for i, j in ((0, 2), (2, 4)))
-    acc = net.loss_and_grads(params, first, CLASS_WEIGHTS, mode="inference")[1]
-    block = net.loss_and_grads(params, later, CLASS_WEIGHTS, mode="inference")[1]
+    acc = net.loss_and_grads(params, first, CLASS_WEIGHTS, rng=np.random.default_rng(6))[1]
+    block = net.loss_and_grads(params, later, CLASS_WEIGHTS, rng=np.random.default_rng(7))[1]
     want = acc + block
-    got = net.loss_and_grads(params, later, CLASS_WEIGHTS, mode="inference", into=acc)[1]
+    got = net.loss_and_grads(params, later, CLASS_WEIGHTS, rng=np.random.default_rng(7),
+                             into=acc)[1]
     assert got is acc
     npt.assert_array_equal(got, want)
 
@@ -509,9 +528,9 @@ def test_embedding_scatter_matches_the_add_at_reference(variant, monkeypatch):
     later, _ = stacked(ragged_items(net, (6, 6, 2, 5), seed=9))
 
     def two_blocks():
-        _, grads, _ = net.loss_and_grads(params, first, CLASS_WEIGHTS, mode="inference")
+        _, grads, _ = net.loss_and_grads(params, first, CLASS_WEIGHTS)
         once = grads.copy()
-        net.loss_and_grads(params, later, CLASS_WEIGHTS, mode="inference", into=grads)
+        net.loss_and_grads(params, later, CLASS_WEIGHTS, into=grads)
         return once, grads
 
     got = two_blocks()
@@ -528,7 +547,8 @@ def test_dense_input_backward_computes_no_input_gradient(variant, monkeypatch):
     width (13), where the same net on 13-wide embeddings does; its
     gradients equal bit for bit those of a backward whose conv computes
     the input gradient all the same."""
-    shape = dict(conv_filters=4, conv_width=5, pool_width=3, rec_units=4, mlp_hidden=6)
+    shape = dict(conv_filters=4, conv_width=5, pool_width=3, rec_units=4, mlp_hidden=6,
+                 dropout_rate=0.0)
     widths = set()
 
     def recorded(fn):
@@ -545,7 +565,7 @@ def test_dense_input_backward_computes_no_input_gradient(variant, monkeypatch):
             for module in (kernels, network, network.lstm_ops):
                 patch.setattr(module, "row_matmul", recorded(module.row_matmul))
             widths.clear()
-            _, grads, _ = net.loss_and_grads(params, batch, CLASS_WEIGHTS, mode="inference")
+            _, grads, _ = net.loss_and_grads(params, batch, CLASS_WEIGHTS)
         return set(widths), net, params, batch, grads
 
     lexical = SequenceNet(variant, Hyperparams(word_dim=9, tag_dim=4, **shape),
@@ -557,5 +577,5 @@ def test_dense_input_backward_computes_no_input_gradient(variant, monkeypatch):
     conv1d_backward = kernels.conv1d_backward
     monkeypatch.setattr(network, "conv1d_backward",
                         lambda *args, input_grad: conv1d_backward(*args, input_grad=True))
-    _, want, _ = net.loss_and_grads(params, batch, CLASS_WEIGHTS, mode="inference")
+    _, want, _ = net.loss_and_grads(params, batch, CLASS_WEIGHTS)
     npt.assert_array_equal(got, want)

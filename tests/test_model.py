@@ -580,6 +580,14 @@ def test_a_two_net_request_runs_one_lstm_loop(monkeypatch):
     assert [(dirs, steps) for dirs, steps, _ in calls] == [(4, 7)]
 
 
+def test_a_lexical_only_segmenter_refuses_alpha_below_one_before_any_net_runs(monkeypatch):
+    segmenter = TrainedSegmenter(lexical=tiny_segmenter().lexical)
+    calls = counted_lstm_calls(monkeypatch)
+    with pytest.raises(ContractError, match="alpha < 1 needs a prosodic model"):
+        segmenter.predict_probs(sample_text(5), alpha=0.5)
+    assert calls == []
+
+
 def test_a_request_at_alpha_one_runs_the_lexical_net_alone(monkeypatch):
     """At alpha = 1 the loop runs the lexical net's two directions on a
     view of its half of the segmenter's prepared weights, and gives the

@@ -163,7 +163,7 @@ def test_a_batch_item_is_its_input(monkeypatch):
     with pytest.raises(ContractError, match="shorter"):
         pad_item(items[0], len(items[0]) - 1)
     with pytest.raises(ContractError, match="no items"):
-        batch_loss_and_grads(bundle.net, bundle.params, [], np.ones(2))
+        batch_loss_and_grads(bundle.net, bundle.params, [], np.ones(2), rng)
 
 
 @pytest.mark.parametrize("epochs", [0, -1])
@@ -179,12 +179,29 @@ def test_hyperparams_reject_a_non_finite_float(name, value):
         Hyperparams(**{name: value})
 
 
+@pytest.mark.parametrize("make, settings", [
+    (training.TrainConfig, {"epochs": 1.5}),
+    (training.TrainConfig, {"batch_size": 2.0}),
+    (training.TrainConfig, {"seed": 1.5}),
+    (training.TrainConfig, {"bucket_width": True}),
+    (EvalConfig, {"folds": 2.0}),
+    (EvalConfig, {"folds": True}),
+])
+def test_configs_refuse_a_count_that_is_not_an_int(make, settings):
+    """A float or bool count is refused when the config is made, not by a
+    TypeError in the run that reads it."""
+    with pytest.raises(ContractError, match="must be .*int, got"):
+        make(**settings)
+
+
 @pytest.mark.parametrize("settings, message", [
     ({"folds": 1}, "at least 2 folds"),
     ({"folds": 0}, "at least 2 folds"),
     ({"alpha": 1.5}, "alpha must be in"),
     ({"alpha": -3.0}, "alpha must be in"),
     ({"alpha": float("nan")}, "alpha must be in"),
+    ({"alpha": "0.5"}, "alpha must be in"),
+    ({"alpha": True}, "alpha must be in"),
 ])
 def test_eval_config_rejects_bad_folds_and_alpha(settings, message):
     with pytest.raises(ContractError, match=message):
