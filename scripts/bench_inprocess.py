@@ -1,4 +1,4 @@
-"""Time requests and CV calls of a base revision and the working tree in one process.
+"""Time requests of a base revision and the working tree in one process.
 
     python3 scripts/bench_inprocess.py --base HEAD --workload cv-rcnn-short \
         --seed 21 --out BENCH_22.json
@@ -30,16 +30,10 @@ prepared weights differently on the heap, which moved request latency by
 several per cent between runs of identical code; pairs within one process
 share one placement per side for the whole run.
 
-A cv workload (perfbench's ``cv-rcnn-short``) also times its
-``cross_validated_eval`` call, as perfbench runs it, in CV_ROUNDS rounds.
-Each side runs it on the workload's corpus and config rebuilt from its
-own classes (transplant). A round runs one call per side, in an order
-that rotates from round to round, and every call must give the first
-call's report figures (REPORT_FIGURES), whichever fields the two sides'
-reports keep them in. The report holds, under the workload's ``cv`` key,
-each call's seconds and, for the change and for the A/A, the median and
-quartiles of the per-round ratio side / base and the rounds each side
-won.
+A cv workload (perfbench's ``cv-rcnn-short``) is timed here by its
+requests alone. Its CV call is compared in separate processes, as pairs
+of perfbench's ``cv_wall_s`` (``scripts/bench_pairs.py``), and its
+results by ``scripts/fingerprint.py``.
 
 ``--out`` names a JSON file: the report goes under its
 ``in_process.<workload>`` key, and the file's other keys, such as the
@@ -47,10 +41,7 @@ pairs of ``bench_pairs.py``, stay.
 """
 
 import argparse
-import dataclasses
-import functools
 import importlib.util
-import json
 import math
 import os
 import sys
@@ -69,9 +60,7 @@ import numpy as np  # noqa: E402
 import bench_pairs  # noqa: E402
 
 BASE_PACKAGE = "sentbound_base"
-REPORT_FIGURES = ("tp", "fp", "fn", "precision", "recall", "f1", "per_fold", "config")
 PASSES = 30
-CV_ROUNDS = 20
 
 
 def import_tree(package, src):
@@ -112,12 +101,12 @@ def best_latencies(sides, texts, passes):
     return best
 
 
-def ratio_summary(base, other, count="texts"):
-    """Quartiles of the per-text (or per-round) ratios other / base, and
-    the texts on which other was faster (wins), slower (losses) or equal."""
+def ratio_summary(base, other):
+    """Quartiles of the per-text ratios other / base, and the texts on
+    which other was faster (wins), slower (losses) or equal."""
     ratios = [o / b for b, o in zip(base, other, strict=True)]
     q1, median, q3 = bench_pairs.quartiles(ratios)
-    return {count: len(ratios), "q1": q1, "median": median, "q3": q3,
+    return {"texts": len(ratios), "q1": q1, "median": median, "q3": q3,
             "wins": sum(r < 1.0 for r in ratios), "losses": sum(r > 1.0 for r in ratios),
             "ties": sum(r == 1.0 for r in ratios)}
 
@@ -130,56 +119,6 @@ def compare(sides, texts, passes):
     base, *others = sides
     return {"ratios": {name: ratio_summary(best[base], best[name]) for name in others},
             "best_ms_per_1k_tok": best}
-
-
-def transplant(obj, package):
-    """obj rebuilt from package's classes where it holds sentbound's: a
-    dataclass field by field, a list or tuple item by item; anything else
-    is shared."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        cls = type(obj)
-        module = cls.__module__
-        if module == "sentbound" or module.startswith("sentbound."):
-            module = package.__name__ + module[len("sentbound"):]
-            cls = getattr(sys.modules[module], cls.__qualname__)
-        return cls(**{f.name: transplant(getattr(obj, f.name), package)
-                      for f in dataclasses.fields(obj) if f.init})
-    if isinstance(obj, (list, tuple)):
-        return type(obj)(transplant(item, package) for item in obj)
-    return obj
-
-
-def cv_calls(packages, corpus, variant, feature_set, config):
-    """Per side, its cross_validated_eval call on corpus and config
-    rebuilt from its own classes."""
-    return {name: functools.partial(
-        package.evaluation.cross_validated_eval, transplant(corpus, package),
-        variant, feature_set, transplant(config, package))
-        for name, package in packages.items()}
-
-
-def compare_cv(calls, rounds):
-    """Per side, the seconds of its call in each round, a round running
-    every side once in an order that rotates by one from round to round;
-    calls' first entry is the base, and every other side is summarised
-    against it. Every call must give the first call's REPORT_FIGURES."""
-    names = list(calls)
-    seconds = {name: [] for name in names}
-    want = None
-    for r in range(rounds):
-        k = r % len(names)
-        for name in names[k:] + names[:k]:
-            started = time.perf_counter()
-            report = calls[name]()
-            seconds[name].append(time.perf_counter() - started)
-            got = repr([getattr(report, figure) for figure in REPORT_FIGURES])
-            if want is not None and got != want:
-                raise SystemExit(f"{name}'s CV report differs in round {r}")
-            want = got
-    base, *others = names
-    return {"ratios": {name: ratio_summary(seconds[base], seconds[name], "rounds")
-                       for name in others},
-            "seconds": seconds}
 
 
 def main(argv=None):
@@ -215,25 +154,13 @@ def main(argv=None):
         "ab": result["ratios"]["change"], "aa": result["ratios"]["base_again"],
         "best_ms_per_1k_tok": result["best_ms_per_1k_tok"],
     }
-    summaries = [("requests", reading, "texts")]
-    if wl.primary == "cv":
-        corpus = sentbound.corpus.Corpus(data.texts[: wl.cv_texts], name=wl.name)
-        packages = {"base": base, "base_again": base, "change": sentbound}
-        calls = cv_calls(packages, corpus, workloads.VARIANT, "all",
-                         workloads.eval_config(wl, args.seed))
-        cv = compare_cv(calls, CV_ROUNDS)
-        reading["cv"] = {"rounds": CV_ROUNDS, "order": list(calls),
-                         "ab": cv["ratios"]["change"], "aa": cv["ratios"]["base_again"],
-                         "seconds": cv["seconds"]}
-        summaries.append(("cv", reading["cv"], "rounds"))
     in_process = bench_pairs.read_report(args.out).get("in_process", {})
     bench_pairs.write_report(args.out, in_process={**in_process, args.workload: reading})
-    for target, summary, count in summaries:
-        for name in ("ab", "aa"):
-            r = summary[name]
-            print(f"{target} {name}: median {r['median']:.3f} "
-                  f"(IQR {r['q1']:.3f}-{r['q3']:.3f}), won {r['wins']}/{r[count]}",
-                  file=sys.stderr)
+    for name in ("ab", "aa"):
+        r = reading[name]
+        print(f"requests {name}: median {r['median']:.3f} "
+              f"(IQR {r['q1']:.3f}-{r['q3']:.3f}), won {r['wins']}/{r['texts']}",
+              file=sys.stderr)
     return 0
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, check_field_types
 
 LABEL_B = "B"
 LABEL_NB = "NB"
@@ -361,17 +361,15 @@ class SynthSpec:
     name: str = "synth"
 
     def __post_init__(self):
+        check_field_types(self, "synth setting")
         if self.n_texts < 1:
             raise ContractError("n_texts must be >= 1")
-        # NaN fails both comparisons
         if not 2 <= self.mean_sentence_len <= MAX_SYNTH_MEAN:
             raise ContractError(
                 f"mean_sentence_len must be finite, >= 2 and <= {MAX_SYNTH_MEAN:g}")
         if not 0 <= self.mean_sentences_per_text <= MAX_SYNTH_MEAN:
             raise ContractError(
                 f"mean_sentences_per_text must be finite, >= 0 and <= {MAX_SYNTH_MEAN:g}")
-        if not math.isfinite(self.prosody_cue_strength):
-            raise ContractError("prosody_cue_strength must be finite")
         if not 0.0 <= self.cue_reliability <= 1.0:
             raise ContractError("cue_reliability must be in [0, 1]")
         if self.vocab_size < 2:

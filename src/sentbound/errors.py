@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the field check of its
+settings dataclasses."""
+
+import math
+import types
+from dataclasses import fields
 
 
 class SentboundError(Exception):
@@ -7,6 +12,25 @@ class SentboundError(Exception):
 
 class ContractError(SentboundError):
     """An operation was called with arguments that violate its contract."""
+
+
+def check_field_types(settings, what):
+    """ContractError unless each field of the dataclass settings (what) holds
+    its annotated type: an int field an int, a float field a finite float or
+    an int, neither of them a bool; any other class an instance of it; and
+    an `X | None` field None or what an X field holds."""
+    for f in fields(settings):
+        got = getattr(settings, f.name)
+        kinds = f.type.__args__ if isinstance(f.type, types.UnionType) else (f.type,)
+        if got is None and types.NoneType in kinds:
+            continue
+        accepted = tuple((int, float) if kind is float else kind for kind in kinds)
+        if isinstance(got, bool) or not isinstance(got, accepted):
+            names = " | ".join("None" if kind is types.NoneType else kind.__name__
+                               for kind in kinds)
+            raise ContractError(f"{what} {f.name} must be of type {names}, got {got!r}")
+        if isinstance(got, float) and not math.isfinite(got):
+            raise ContractError(f"{what} {f.name} must be finite, got {got!r}")
 
 
 class ParseError(SentboundError):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import LABEL_B
-from .errors import ContractError
+from .errors import ContractError, check_field_types
 from .features import EmbeddingTable, fit_prosody_stats
 from .model import (
     Hyperparams,
@@ -145,12 +145,11 @@ class EvalConfig:
     word_table: EmbeddingTable | None = None  # pretrained init, else per-run random
 
     def __post_init__(self):
-        if type(self.folds) is not int:
-            raise ContractError(f"folds must be an int, got {self.folds!r}")
+        if self.alpha is not None:
+            check_alpha(self.alpha)  # before the type check, for its message
+        check_field_types(self, "evaluation setting")
         if self.folds < 2:
             raise ContractError(f"need at least 2 folds, got {self.folds}")
-        if self.alpha is not None:
-            check_alpha(self.alpha)
 
 
 def _check_feature_set(feature_set, *corpora):

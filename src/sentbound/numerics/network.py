@@ -71,12 +71,12 @@ conv does not compute it.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import ContractError
+from ..errors import ContractError, check_field_types
 from . import lstm as lstm_ops
 from .kernels import (
     conv1d_backward,
@@ -102,17 +102,6 @@ N_CLASSES = 2  # column 0 = non-boundary, column 1 = boundary
 # width) share a block, and a text longer than the cap is a block alone.
 BLOCK_ROWS = 256
 LSTM_KEYS = ("wx", "wh", "b", "wy", "by")  # of a direction's weight dict
-
-
-def check_field_types(settings, what):
-    """ContractError unless each field of the dataclass settings (what) holds
-    its type: an int field an int, a float field a finite float or an int."""
-    for f in fields(settings):
-        got = getattr(settings, f.name)
-        if isinstance(got, bool) or not isinstance(got, int if f.type is int else (int, float)):
-            raise ContractError(f"{what} {f.name} must be of type {f.type.__name__}, got {got!r}")
-        if isinstance(got, float) and not math.isfinite(got):
-            raise ContractError(f"{what} {f.name} must be finite, got {got!r}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import LABEL_B, LABEL_NB, PROSODY_DIM
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, check_field_types
 from .features import encode_labels
 from .model import (
     ModelBundle,
@@ -32,7 +32,7 @@ from .model import (
     prf_from_counts,
 )
 from .numerics import NetBatch, RmsPropState, SequenceNet, rmsprop_step
-from .numerics.network import blocks, check_field_types, flat_vector
+from .numerics.network import blocks, flat_vector
 
 RMSPROP_EPSILON = 1e-8
 ALPHA_GRID = tuple(round(i / 10, 1) for i in range(11))

@@ -1,16 +1,14 @@
 """The summary of scripts/bench_pairs.py on canned result lines, the
-second import and tiny request and CV A/As of scripts/bench_inprocess.py,
-and the digest of scripts/fingerprint.py on a shrunken matrix; no
-benchmark runs."""
+second import, a tiny request A/A and the identity check of
+scripts/bench_inprocess.py, and the digest of scripts/fingerprint.py on
+a shrunken matrix; no benchmark runs."""
 
 import argparse
 import importlib.util
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import sentbound
@@ -132,19 +130,31 @@ def test_the_second_import_is_a_distinct_package(second_import):
         sentbound.numerics.lstm.direction_forward)
 
 
-def test_a_tiny_in_process_a_a_completes(second_import, tmp_path):
+@pytest.fixture
+def tiny_model(tmp_path):
+    """A tiny fused rcnn segmenter saved to a file, and its corpus."""
     corpus = synth_generate(SynthSpec(n_texts=4, mean_sentences_per_text=2.0,
                                       prosody_cue_strength=2.0, seed=1))
     hp = dict(conv_filters=4, rec_units=4)
     config = EvalConfig(
         train=TrainConfig(epochs=1, batch_size=2), lexical_hp=Hyperparams.lexical(**hp),
         prosodic_hp=Hyperparams.prosodic(**hp), folds=2, alpha=0.5)
-    sentbound.model.save_model(
-        evaluation.train_segmenter(corpus, "rcnn", "all", config), tmp_path / "m.dbnd")
-    sides = {"base": second_import.model.load_model(tmp_path / "m.dbnd"),
-             "base_again": second_import.model.load_model(tmp_path / "m.dbnd"),
-             "change": sentbound.model.load_model(tmp_path / "m.dbnd")}
-    result = bench_inprocess.compare(sides, corpus.texts, passes=2)
+    path = tmp_path / "m.dbnd"
+    sentbound.model.save_model(evaluation.train_segmenter(corpus, "rcnn", "all", config), path)
+    return path, corpus
+
+
+def in_process_sides(second_import, path):
+    """The sides of bench_inprocess.main, in its load order."""
+    return {"base": second_import.model.load_model(path),
+            "base_again": second_import.model.load_model(path),
+            "change": sentbound.model.load_model(path)}
+
+
+def test_a_tiny_in_process_a_a_completes(second_import, tiny_model):
+    path, corpus = tiny_model
+    result = bench_inprocess.compare(in_process_sides(second_import, path), corpus.texts,
+                                     passes=2)
     assert list(result["ratios"]) == ["base_again", "change"]
     assert [len(v) for v in result["best_ms_per_1k_tok"].values()] == [4, 4, 4]
     for summary in result["ratios"].values():
@@ -153,68 +163,14 @@ def test_a_tiny_in_process_a_a_completes(second_import, tmp_path):
         assert summary["wins"] + summary["losses"] + summary["ties"] == 4
 
 
-def test_a_tiny_in_process_cv_a_a_completes(second_import):
-    """Each side runs the CV call on the corpus and config rebuilt from
-    its own classes, and all give one report."""
-    corpus = synth_generate(SynthSpec(n_texts=6, mean_sentences_per_text=2.0,
-                                      prosody_cue_strength=2.0, seed=2))
-    hp = dict(conv_filters=4, rec_units=4)
-    config = EvalConfig(
-        train=TrainConfig(epochs=1, batch_size=2), lexical_hp=Hyperparams.lexical(**hp),
-        prosodic_hp=Hyperparams.prosodic(**hp), folds=2)
-    packages = {"base": second_import, "base_again": second_import, "change": sentbound}
-    calls = bench_inprocess.cv_calls(packages, corpus, "rcnn", "all", config)
-    base_args = calls["base"].args
-    assert type(base_args[0]) is second_import.corpus.Corpus
-    assert type(base_args[0].texts[0]) is second_import.corpus.LabeledText
-    assert type(base_args[3].lexical_hp) is second_import.model.Hyperparams
-    assert type(calls["change"].args[0]) is sentbound.corpus.Corpus
-    result = bench_inprocess.compare_cv(calls, rounds=2)
-    assert list(result["ratios"]) == ["base_again", "change"]
-    assert [len(v) for v in result["seconds"].values()] == [2, 2, 2]
-    for summary in result["ratios"].values():
-        assert summary["rounds"] == 2
-        assert 0.0 < summary["q1"] <= summary["median"] <= summary["q3"]
-        assert summary["wins"] + summary["losses"] + summary["ties"] == 2
-
-
-def test_an_in_process_cv_call_that_differs_is_refused():
-    calls = {"base": lambda: evaluation.EvalReport(np.array([[1, 0, 0]])),
-             "change": lambda: evaluation.EvalReport(np.array([[0, 0, 1]]))}
-    with pytest.raises(SystemExit, match="change's CV report differs in round 0"):
-        bench_inprocess.compare_cv(calls, rounds=1)
-
-
-@dataclass
-class FieldReport:
-    """A report that keeps its figures as fields, as EvalReport once did."""
-
-    tp: int
-    fp: int
-    fn: int
-    precision: float
-    recall: float
-    f1: float
-    per_fold: list
-    config: dict
-
-
-def test_an_in_process_cv_call_is_compared_by_its_figures():
-    """A base whose report keeps its figures as fields and a change whose
-    report derives them from its count table agree when the figures do,
-    and differ when one per-fold figure does."""
-    table = evaluation.EvalReport(np.array([[1, 0, 1], [2, 1, 0]]), (0, 1),
-                                  config={"alpha": 0.5})
-    fields = FieldReport(3, 1, 1, 0.75, 0.75, 0.75, table.per_fold, {"alpha": 0.5})
-    calls = {"base": lambda: fields, "change": lambda: table}
-    result = bench_inprocess.compare_cv(calls, rounds=2)
-    assert [len(v) for v in result["seconds"].values()] == [2, 2]
-    moved = evaluation.EvalReport(np.array([[2, 0, 1], [1, 1, 0]]), (0, 1),
-                                  config={"alpha": 0.5})
-    assert (moved.tp, moved.fp, moved.fn) == (table.tp, table.fp, table.fn)
-    with pytest.raises(SystemExit, match="change's CV report differs in round 0"):
-        bench_inprocess.compare_cv({"base": lambda: fields, "change": lambda: moved},
-                                   rounds=1)
+def test_a_side_that_predicts_differently_is_refused(second_import, tiny_model):
+    """A change whose output bias moved by 1e-6 is refused before any
+    timing, on the first text."""
+    path, corpus = tiny_model
+    sides = in_process_sides(second_import, path)
+    sides["change"].lexical.params["out_b"] += 1e-6
+    with pytest.raises(SystemExit, match=f"change predicts {corpus.texts[0].id} differently"):
+        bench_inprocess.compare(sides, corpus.texts, passes=1)
 
 
 def test_the_fingerprint_repeats_and_sees_a_perturbed_fuse(monkeypatch):

@@ -397,6 +397,17 @@ class TestSynthGenerate:
                 SynthSpec(n_texts=1, mean_sentences_per_text=bad)
 
     @pytest.mark.parametrize("field, value", [
+        ("n_texts", 2.5), ("n_texts", "3"), ("seed", 1.5), ("vocab_size", 3.0),
+        ("cue_offset", True), ("cue_reliability", "1"), ("name", None),
+        ("boundary_cue_token", 7),
+    ])
+    def test_a_setting_of_another_type_is_refused(self, field, value):
+        """Refused, by name, when the spec is made, not by a TypeError or
+        AttributeError in synth_generate or in the spec's own checks."""
+        with pytest.raises(ContractError, match=f"synth setting {field} must be of type"):
+            SynthSpec(**{"n_texts": 1, field: value})
+
+    @pytest.mark.parametrize("field, value", [
         ("name", "my corpus"), ("name", "a\tb"), ("name", "#ab"), ("name", "a/b"),
         ("boundary_cue_token", "#xy"),
     ])

@@ -194,6 +194,19 @@ def test_configs_refuse_a_count_that_is_not_an_int(make, settings):
         make(**settings)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("train", None),
+    ("lexical_hp", {"rec_units": 4}),
+    ("prosodic_hp", None),
+    ("word_table", "emb.vec"),
+])
+def test_eval_config_refuses_a_setting_of_another_type(name, value):
+    """A setting of the wrong type is refused, by name, when the config is
+    made, not by an AttributeError in the run that reads it."""
+    with pytest.raises(ContractError, match=f"evaluation setting {name} must be of type"):
+        EvalConfig(folds=2, **{name: value})
+
+
 @pytest.mark.parametrize("settings, message", [
     ({"folds": 1}, "at least 2 folds"),
     ({"folds": 0}, "at least 2 folds"),
