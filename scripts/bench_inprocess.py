@@ -15,9 +15,11 @@ of this process, and last the change, so that any cost of a later load
 counts against the change. Before any timing, every side must give
 every workload text the same labels and probabilities. Two loads of one
 model can answer at different speeds, with where their prepared weights
-land: up to 16 % apart at n = 100 (segment-rcnn), 1–2 % at n = 16
-(cv-rcnn-short). So one load per side resolves a few-per-cent change on
-cv-rcnn-short only.
+land. At n = 100 (segment-rcnn), whose recurrent weight stacks start
+each row on a cache line, an A/A read medians of 1.020–1.051 and an A/B
+of an unchanged tree 1.010–1.070, at seeds 21–23 on a 2-vCPU host; at
+n = 16 (cv-rcnn-short), two loads read 1–2 % apart. So one load per side
+resolves a few-per-cent change on cv-rcnn-short only.
 
 Timing runs PASSES passes over the workload's texts. Each text's
 requests go to the three sides in an order that rotates from text to text

@@ -19,6 +19,10 @@ synthetic corpus with prosody (4 folds, n_f = n_r = 4, 2 epochs):
   words are mixed-case and not in sorted order: the bytes of its DBND
   container, and the labels and fused probabilities that the loaded
   container gives each text;
+* a segmenter of the default size (n_f = n_r = 100, as the benchmark's
+  segment-rcnn), trained on all for one epoch on the first 8 texts: the
+  bytes of its DBND container, and the labels and fused probabilities
+  that the loaded container gives the first 4 texts;
 * with each run above, the per-epoch loss trace of every model that it
   trained, in training order, as evaluation.train_model returns it. A
   change in the loss shows here even where the predictions absorb it;
@@ -58,7 +62,7 @@ import bench_pairs  # noqa: E402
 import sentbound  # noqa: E402
 from sentbound import evaluation, features, model  # noqa: E402
 from sentbound.numerics import SequenceNet  # noqa: E402
-from sentbound.corpus import SynthSpec, synth_generate  # noqa: E402
+from sentbound.corpus import Corpus, SynthSpec, synth_generate  # noqa: E402
 from sentbound.training import TrainConfig  # noqa: E402
 
 VARIANTS = ("rcnn", "cnn", "rnn", "mlp")
@@ -69,6 +73,7 @@ FOLDS = 4
 UNITS = 4
 EPOCHS = 2
 EMBEDDING_DIM = 5
+DEFAULT_SIZE_TEXTS = 8  # trained on; requests go to the first 4
 
 
 def eval_config(alpha, word_table=None):
@@ -77,6 +82,13 @@ def eval_config(alpha, word_table=None):
         train=TrainConfig(epochs=EPOCHS, batch_size=4, seed=5),
         lexical_hp=model.Hyperparams.lexical(**hp), prosodic_hp=model.Hyperparams.prosodic(**hp),
         folds=FOLDS, alpha=alpha, word_table=word_table)
+
+
+def default_size_config():
+    """One epoch of the default-size nets (Hyperparams' defaults)."""
+    return evaluation.EvalConfig(
+        train=TrainConfig(epochs=1, batch_size=4, seed=5), lexical_hp=model.Hyperparams.lexical(),
+        prosodic_hp=model.Hyperparams.prosodic())
 
 
 def corpus(n_texts, cue="então", seed=3):
@@ -164,17 +176,22 @@ def digest(variants=VARIANTS, feature_sets=FEATURE_SETS, alphas=ALPHAS, n_texts=
         with tempfile.TemporaryDirectory() as tmp:
             vectors, container = Path(tmp) / "vectors.txt", Path(tmp) / "segmenter.dbnd"
             write_embeddings(vectors, data.texts)
-            config = eval_config(None, features.load_embeddings(vectors))
-            model.save_model(evaluation.train_segmenter(data, "rcnn", "all", config),
-                             container)
-            feed(container.read_bytes())
-            feed_traces()
-            segmenter = model.load_model(container)
-        for text in data.texts:
-            labels, fused = segmenter.predict_probs(text)
-            feed(labels)
-            feed(fused)
-        feed_traces()
+            segmenters = (  # (training corpus, config, request texts)
+                (data, eval_config(None, features.load_embeddings(vectors)), data.texts),
+                (Corpus(data.texts[:DEFAULT_SIZE_TEXTS], data.name), default_size_config(),
+                 data.texts[:4]),
+            )
+            for texts, config, requests in segmenters:
+                model.save_model(evaluation.train_segmenter(texts, "rcnn", "all", config),
+                                 container)
+                feed(container.read_bytes())
+                feed_traces()
+                segmenter = model.load_model(container)
+                for text in requests:
+                    labels, fused = segmenter.predict_probs(text)
+                    feed(labels)
+                    feed(fused)
+                feed_traces()
     finally:
         evaluation.train_model = train_model
         SequenceNet.forward = forward

@@ -600,7 +600,8 @@ def test_a_request_at_alpha_one_runs_the_lexical_net_alone(monkeypatch):
     assert (dirs, steps) == (2, 6)
     _, [(indices, joint)] = segmenter.passes
     assert indices == (0, 1)
-    assert prepared[2].base is joint.lstm[2] and len(prepared[2]) == 2
+    assert np.shares_memory(prepared[2], joint.lstm[2]) and len(prepared[2]) == 2
+    assert prepared[2].ctypes.data == joint.lstm[2].ctypes.data
     [[want]] = predict_texts([segmenter.lexical], [text])
     np.testing.assert_array_equal(fused, want)
 

@@ -556,6 +556,60 @@ class TestProjectionChunks:
                                        whole[start : start + size])
 
 
+class TestLineAlignedStacks:
+    """The recurrent weight stacks that the step loops stream, the prepared
+    wh_t and the BPTT wh, start each row on a 64-byte cache line."""
+
+    @pytest.mark.parametrize("n", [16, 32, 100])
+    @pytest.mark.parametrize("dirs", [2, 4])
+    def test_products_equal_those_of_plain_stacks(self, n, dirs, rng):
+        """The step's (D, B, n) @ (D, n, 4n) and the BPTT step's
+        (D, B, 4n) @ (D, 4n, n) on the line-aligned stacks are bit for bit
+        those on np.stack copies, at B = 1-8 (with numpy 2.4's OpenBLAS
+        0.3.31, the BLAS that runs the tests)."""
+        weights = [fuse_gates(random_direction_weights(n, n, rng)) for _ in range(dirs)]
+        plain = np.stack([w["wh"] for w in weights])
+        sign = np.where(np.arange(4 * n) < 3 * n, -1.0, 1.0)
+        plain_t = plain.transpose(0, 2, 1) * sign
+        wh_t = prepare_weights(weights)[2]
+        wh = lstm_ops.line_aligned(dirs, 4 * n, n)
+        wh[...] = plain
+        npt.assert_array_equal(wh_t, plain_t)
+        for rows in range(1, 9):
+            h, dz = rng.normal(size=(dirs, rows, n)), rng.normal(size=(dirs, rows, 4 * n))
+            for a, stack, want in ((h, wh_t, plain_t), (dz, wh, plain)):
+                got = np.empty((dirs, rows, stack.shape[2]))
+                np.matmul(a, stack, out=got)
+                npt.assert_array_equal(got, a @ want)
+
+    @pytest.mark.parametrize("n", [4, 16, 100])
+    def test_every_row_starts_on_a_cache_line(self, n, rng, monkeypatch):
+        """The prepared wh_t of two nets, its first(1) view and the BPTT
+        stack of one net start on a line, and so do each of their rows and
+        each direction's slab."""
+        nets = [SequenceNet("rcnn", Hyperparams(conv_filters=8, conv_width=3, rec_units=n),
+                            dense_dim=13) for _ in range(2)]
+        params = [net.init_params(rng) for net in nets]
+        prepared = nets[0].prepare(params[0], [(nets[1], params[1])])
+        made = []
+        line_aligned = lstm_ops.line_aligned
+        monkeypatch.setattr(lstm_ops, "line_aligned",
+                            lambda *shape: made.append(line_aligned(*shape)) or made[-1])
+        pair = prepared.first(1).lstm
+        xs = rng.normal(size=(2, 5, 3, 8))  # the conv's 8 filters feed the LSTM
+        ys, cache = direction_forward(*xs, prepared=pair, keep_cache=True)
+        direction_backward(*rng.normal(size=ys.shape), cache)
+        [bptt_wh] = made
+        npt.assert_array_equal(bptt_wh, np.stack([w["wh"] for w in pair[5]]))
+        for stack, dirs, row_axis in ((prepared.lstm[2], 4, 2), (pair[2], 2, 2),
+                                      (bptt_wh, 2, 1)):
+            assert len(stack) == dirs
+            assert stack.ctypes.data % 64 == 0
+            assert stack.strides[row_axis] % 64 == 0 and stack.strides[0] % 64 == 0
+            assert all(slab.ctypes.data % 64 == 0 for slab in stack)
+        assert pair[2].ctypes.data == prepared.lstm[2].ctypes.data
+
+
 class TestDropout:
     def test_rate_zero_identity(self, rng):
         x = rng.standard_normal((4, 5))
